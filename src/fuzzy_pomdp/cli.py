@@ -193,7 +193,7 @@ def cmd_eval(args) -> int:
         "state_matching": list(report.state_matching),
         "l1_transition": report.l1_transition,
         "l1_transition_total": report.l1_transition_total,
-        "kl_per_state": list(report.kl_per_state),
+        "kl_per_state": dict(report.kl_per_state),
         "notes": report.notes,
     }
     if args.out:
@@ -428,7 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="action count (default: inferred from the dataset)")
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--matchant-samples", type=int, default=1000)
+    p.add_argument("--matchant-samples", type=int, default=1000,
+                   help="Monte-Carlo draws per antecedent match, used only for rules "
+                        "with triangular or trapezoidal terms or under the minimum "
+                        "t-norm; Gaussian terms under the product t-norm are matched "
+                        "exactly")
     p.add_argument("--final-em-iterations", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="checkpoint.json")

@@ -5,6 +5,11 @@ firing strength of the rule's antecedent under the current observation
 model, pushes the rule's affine consequent through the current emission
 densities, and folds the resulting pseudo-counts into the M-step alongside
 the empirical expected counts, weighted by `lambda_t` / `lambda_o`.
+
+The expected firing strength is exact (a closed-form Gaussian integral) for
+rules whose clauses are all Gaussian under the product t-norm, and a seeded
+Monte-Carlo estimate otherwise (triangular or trapezoidal terms, or the
+minimum t-norm).
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from .em import (
     e_step,
     m_step_standard,
 )
-from .fuzzy import FuzzyModel, FuzzyRule, firing_strengths_batch, membership
+from .fuzzy import FuzzyModel, FuzzyRule, firing_strengths_batch
+from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .model import (CovarianceError, PomdpModel, Trajectory, cholesky_factor,
                     gaussian_log_density, sample_gaussian)
 from .rngs import derive_rng
@@ -94,11 +100,14 @@ def match_antecedent(
     config: FuzzyMapConfig,
     iteration: int = 0,
 ) -> float:
-    """Expected firing strength of one rule under a state's observation density.
+    """Monte-Carlo expected firing strength of one rule under a state's density.
 
-    Monte-Carlo over `matchant_samples` draws from the state's Gaussian,
-    seeded per (seed, state, action, rule, iteration). A crisp action
-    mismatch returns exactly 0; an empty antecedent exactly 1.
+    Averages the firing strength over `matchant_samples` draws from the
+    state's Gaussian, seeded per (seed, state, action, rule, iteration),
+    whatever the membership shapes and t-norm. A crisp action mismatch
+    returns exactly 0; an empty antecedent exactly 1. matchant_matrix uses
+    it for the cells that have no closed form and is checked against it
+    for the rest.
     """
     rule = fuzzy.rules[rule_index]
     if rule.action is not None and rule.action != action:
@@ -112,34 +121,60 @@ def match_antecedent(
     return float(firing_strengths_batch(rule, samples, action, fuzzy.tnorm).mean())
 
 
+def _gaussian_match(model: PomdpModel, rules: list[FuzzyRule]) -> np.ndarray:
+    """Exact expected product-t-norm firing strength, shape (S, len(rules)).
+
+    Every rule must have Gaussian clauses on the same dims J, in the same
+    order. With D = diag(sigma_J^2) and d = mu_J - c, the integral of the
+    rule's membership against N(mu, Sigma) is
+    sqrt(det D / det(D + Sigma_JJ)) * exp(-d^T (D + Sigma_JJ)^-1 d / 2).
+    """
+    dims = [c.dim for c in rules[0].clauses]
+    params = np.array([[c.term.params for c in rule.clauses] for rule in rules])
+    centers, var = params[..., 0], params[..., 1] ** 2  # (G, k)
+    cov = model.obs_covs[:, dims][:, :, dims]  # (S, k, k)
+    mat = cov[:, None] + var[None, :, :, None] * np.eye(len(dims))  # (S, G, k, k)
+    diff = model.obs_means[:, None, dims] - centers[None]  # (S, G, k)
+    quad = np.einsum("sgk,sgk->sg", diff, np.linalg.solve(mat, diff[..., None])[..., 0])
+    return np.sqrt(var.prod(axis=1) / np.linalg.det(mat)) * np.exp(-0.5 * quad)
+
+
 def matchant_matrix(
     model: PomdpModel, fuzzy: FuzzyModel, config: FuzzyMapConfig, iteration: int = 0
 ) -> np.ndarray:
-    """match_antecedent for every (state, action, rule), shape (S, A, R).
+    """Expected firing strength for every (state, action, rule), shape (S, A, R).
 
-    Produces the same draws and arithmetic as calling match_antecedent per
-    cell; the per-state Cholesky factor is hoisted out of the inner loops
-    because this is the training hot path.
+    Exact for rules whose clauses are all Gaussian under the product t-norm:
+    rules sharing a clause-dim tuple are solved together for every state.
+    Other rules fall back to the Monte-Carlo match_antecedent, cell by cell,
+    with its draws. Action-gated cells are exactly 0 and empty antecedents
+    exactly 1. A covariance that is not positive definite raises
+    CovarianceError.
     """
-    out = np.zeros((model.num_states, model.num_actions, len(fuzzy.rules)))
-    n = config.matchant_samples
+    for cov in model.obs_covs:
+        cholesky_factor(cov)
+    strength = np.ones((model.num_states, len(fuzzy.rules)))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    mc_rules = []
+    for r, rule in enumerate(fuzzy.rules):
+        if not rule.clauses:
+            continue
+        if fuzzy.tnorm == "product" and all(c.term.shape == "gaussian" for c in rule.clauses):
+            groups.setdefault(tuple(c.dim for c in rule.clauses), []).append(r)
+        else:
+            mc_rules.append(r)
+    for members in groups.values():
+        strength[:, members] = _gaussian_match(model, [fuzzy.rules[r] for r in members])
+    gate = np.array(
+        [[rule.action is None or rule.action == a for rule in fuzzy.rules]
+         for a in range(model.num_actions)],
+        dtype=bool,
+    )
+    out = np.where(gate[None], strength[:, None, :], 0.0)
     for s in range(model.num_states):
-        mean = model.obs_means[s]
-        chol_t = cholesky_factor(model.obs_covs[s]).T
         for a in range(model.num_actions):
-            for r, rule in enumerate(fuzzy.rules):
-                if rule.action is not None and rule.action != a:
-                    continue
-                if not rule.clauses:
-                    out[s, a, r] = 1.0
-                    continue
-                rng = derive_rng(config.seed, "matchant", s, a, r, iteration)
-                samples = mean + rng.standard_normal((n, mean.shape[0])) @ chol_t
-                values = np.column_stack(
-                    [membership(c.term, samples[:, c.dim]) for c in rule.clauses]
-                )
-                fire = values.prod(axis=1) if fuzzy.tnorm == "product" else values.min(axis=1)
-                out[s, a, r] = float(fire.mean())
+            for r in mc_rules:
+                out[s, a, r] = match_antecedent(s, a, r, fuzzy, model, config, iteration)
     return out
 
 
@@ -161,11 +196,9 @@ def consequent_likelihood(y: np.ndarray, state: int, model: PomdpModel) -> float
 
 def _expectation_table(model: PomdpModel, fuzzy: FuzzyModel) -> np.ndarray:
     """consequent_expectation for every (state, rule), shape (S, R, d)."""
-    table = np.zeros((model.num_states, len(fuzzy.rules), model.obs_dim))
-    for s in range(model.num_states):
-        for r, rule in enumerate(fuzzy.rules):
-            table[s, r] = consequent_expectation(rule, model, s)
-    return table
+    consequents = np.stack([rule.consequent for rule in fuzzy.rules])  # (R, d, d+1)
+    inputs = np.hstack([np.ones((model.num_states, 1)), model.obs_means])  # (S, d+1)
+    return np.einsum("rde,se->srd", consequents, inputs)
 
 
 def _likelihood_table(model: PomdpModel, y_star: np.ndarray) -> np.ndarray:
@@ -199,11 +232,7 @@ def fuzzy_transition_pseudocounts(
     """
     if matchant is None:
         matchant = matchant_matrix(model, fuzzy, config, iteration)
-    if len(fuzzy.rules) == 0:
-        return np.zeros_like(model.transitions)
-    y_star = _expectation_table(model, fuzzy)
-    likelihood = _likelihood_table(model, y_star)
-    return np.einsum("sar,srt->sat", matchant, likelihood)
+    return compute_from_matchant(model, fuzzy, config, iteration, matchant).trans
 
 
 def fuzzy_observation_pseudocounts(
@@ -219,22 +248,10 @@ def fuzzy_observation_pseudocounts(
     weighted by strength(s, a, s', r) = T(s, a, s') * matchant(s, a, r),
     summing over all source states, actions and rules.
     """
-    num_states, obs_dim = model.num_states, model.obs_dim
     if matchant is None:
         matchant = matchant_matrix(model, fuzzy, config, iteration)
-    if len(fuzzy.rules) == 0:
-        return (
-            np.zeros(num_states),
-            np.zeros((num_states, obs_dim)),
-            np.zeros((num_states, obs_dim, obs_dim)),
-        )
-    y_star = _expectation_table(model, fuzzy)
-    # strength summed over actions: weight[s, r, s'] = sum_a T(s,a,s')*matchant(s,a,r)
-    weight = np.einsum("sat,sar->srt", model.transitions, matchant)
-    obs_weight = weight.sum(axis=(0, 1))
-    obs_sum = np.einsum("srt,srd->td", weight, y_star)
-    obs_outer = np.einsum("srt,srd,sre->tde", weight, y_star, y_star)
-    return obs_weight, obs_sum, obs_outer
+    counts = compute_from_matchant(model, fuzzy, config, iteration, matchant)
+    return counts.obs_weight, counts.obs_sum, counts.obs_outer
 
 
 def compute_pseudocounts(
@@ -242,13 +259,7 @@ def compute_pseudocounts(
 ) -> FuzzyPseudoCounts:
     """All pseudo-counts for one iteration, sharing one matchant evaluation."""
     matchant = matchant_matrix(model, fuzzy, config, iteration)
-    trans = fuzzy_transition_pseudocounts(model, fuzzy, config, iteration, matchant)
-    obs_weight, obs_sum, obs_outer = fuzzy_observation_pseudocounts(
-        model, fuzzy, config, iteration, matchant
-    )
-    return FuzzyPseudoCounts(
-        trans=trans, obs_weight=obs_weight, obs_sum=obs_sum, obs_outer=obs_outer
-    )
+    return compute_from_matchant(model, fuzzy, config, iteration, matchant)
 
 
 def m_step_fuzzy_map(
@@ -398,13 +409,23 @@ def compute_from_matchant(
     iteration: int,
     matchant: np.ndarray,
 ) -> FuzzyPseudoCounts:
-    """Pseudo-counts from an already-computed matchant matrix."""
-    trans = fuzzy_transition_pseudocounts(model, fuzzy, config, iteration, matchant)
-    obs_weight, obs_sum, obs_outer = fuzzy_observation_pseudocounts(
-        model, fuzzy, config, iteration, matchant
-    )
+    """Pseudo-counts from an already-computed matchant matrix.
+
+    Transition counts: matchant(s, a, r) times the density of rule r's
+    expected consequent under each landing state. Observation counts: rule
+    r's expected consequent credited to landing state s' with weight
+    sum_a T(s, a, s') * matchant(s, a, r).
+    """
+    if len(fuzzy.rules) == 0:
+        return FuzzyPseudoCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
+    y_star = _expectation_table(model, fuzzy)
+    likelihood = _likelihood_table(model, y_star)
+    weight = np.einsum("sat,sar->srt", model.transitions, matchant)
     return FuzzyPseudoCounts(
-        trans=trans, obs_weight=obs_weight, obs_sum=obs_sum, obs_outer=obs_outer
+        trans=np.einsum("sar,srt->sat", matchant, likelihood),
+        obs_weight=weight.sum(axis=(0, 1)),
+        obs_sum=np.einsum("srt,srd->td", weight, y_star),
+        obs_outer=np.einsum("srt,srd,sre->tde", weight, y_star, y_star),
     )
 
 

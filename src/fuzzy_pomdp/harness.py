@@ -93,11 +93,12 @@ class ExperimentConfig:
 def regime_config(regime: str, seeds, out_dir: str | None = None, **overrides) -> ExperimentConfig:
     """Canned per-regime defaults, overridable field by field."""
     seeds = tuple(seeds)
-    # low_data caps EM at 100 iterations to hold its reproduction-time
-    # budget: Monte-Carlo jitter in the pseudo-counts keeps the likelihood
-    # tolerance from ever firing, so the cap is the effective stopping rule,
-    # and 100 is ~3x the horizon at which standard EM converges on these
-    # data sizes. The other regimes keep the package default.
+    # low_data caps EM at 100 iterations. Over its 20 acceptance seeds (100
+    # fits each way, restarts included) plain EM converges in every fit,
+    # median 14.5 iterations; fuzzy-MAP EM converges in 92% of fits, median
+    # 30, and the other 8% stop at the cap. A cap of 200 gave the same
+    # acceptance win rate and improvement. The other regimes keep the
+    # package default.
     base = {
         "low_data": dict(num_trajectories=3, horizon=5, noise_sigma=0.0,
                          lambda_t=0.1, lambda_o=0.05, max_iterations=100),

@@ -10,6 +10,8 @@ import pytest
 
 from fuzzy_pomdp import cli
 from fuzzy_pomdp.harness import asset_path
+from fuzzy_pomdp.metrics import evaluate_model
+from fuzzy_pomdp.model import load_env, model_from_dict
 
 
 ENV = str(asset_path("synthetic_env.json"))
@@ -194,6 +196,9 @@ def test_eval_report(tmp_path):
     assert sorted(report["state_matching"]) == [0, 1, 2]
     assert report["l1_transition"] >= 0.0
     assert set(report["kl_per_state"]) == {"Healthy", "Sick", "Critical"}
+    want = evaluate_model(model_from_dict(json.loads(ckpt.read_text())["model"]),
+                          load_env(ENV))
+    assert report["kl_per_state"] == pytest.approx(want.kl_per_state, rel=1e-12)
 
 
 def test_validate_recognizes_every_artifact_kind(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Rule-conditioned pseudo-counts and the prior-blended EM variant.
 
-The antecedent-match estimator is Monte Carlo, but for gaussian memberships
-with product t-norm and diagonal state covariances the integral has a closed
-form; those cases anchor the numeric checks here.
+match_antecedent is the Monte-Carlo estimator of a rule's expected firing
+strength; matchant_matrix uses the exact integral for gaussian memberships
+under the product t-norm and the estimator otherwise. With diagonal state
+covariances the integral factors per clause (gaussian_match_closed_form),
+and those cases anchor the numeric checks here.
 """
 import math
 
@@ -165,17 +167,59 @@ def test_match_antecedent_deterministic_and_iteration_keyed():
 
 
 def test_matchant_matrix_agrees_with_elementwise_calls():
+    # gaussian clauses under the product t-norm are matched in closed form:
+    # exact against the per-clause formula, and within 5 SE of the
+    # Monte-Carlo match_antecedent at a large sample count
     rng = np.random.default_rng(7)
     m = diag_model(rng, num_states=3)
     fz = random_fuzzy(rng, obs_dim=2, num_rules=4)
-    cfg = FuzzyMapConfig(matchant_samples=200, seed=5)
+    cfg = FuzzyMapConfig(matchant_samples=100_000, seed=5)
     mat = matchant_matrix(m, fz, cfg, iteration=2)
     assert mat.shape == (3, 2, 4)
     for s in range(3):
         for a in range(2):
+            for r, rule in enumerate(fz.rules):
+                if rule.action is not None and rule.action != a:
+                    assert mat[s, a, r] == 0.0
+                    continue
+                want = gaussian_match_closed_form(rule, m, s)
+                assert abs(mat[s, a, r] - want) < 1e-12
+                se = gaussian_match_se(rule, m, s, cfg.matchant_samples)
+                got = match_antecedent(s, a, r, fz, m, cfg, iteration=2)
+                assert abs(mat[s, a, r] - got) < 5.0 * se + 1e-12
+
+    # triangular terms and the minimum t-norm keep the Monte-Carlo cells,
+    # draw for draw
+    from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction
+    tri = FuzzyClause(dim=0, term=MembershipFunction("triangular", (-1.0, 0.0, 1.0)),
+                      var_name="x0", term_label="tri")
+    mixed = make_fuzzy([constant_rule((0.0, 0.0), 2, clauses=(tri, gauss_clause(1, 0.2, 0.5))),
+                        constant_rule((0.0, 0.0), 2, clauses=(gauss_clause(1, 0.2, 0.5),))],
+                       obs_dim=2)
+    cfg = FuzzyMapConfig(matchant_samples=200, seed=5)
+    mat = matchant_matrix(m, mixed, cfg, iteration=2)
+    minimum = make_fuzzy(fz.rules, obs_dim=2, tnorm="minimum")
+    mat_min = matchant_matrix(m, minimum, cfg, iteration=2)
+    for s in range(3):
+        for a in range(2):
+            assert mat[s, a, 0] == match_antecedent(s, a, 0, mixed, m, cfg, iteration=2)
             for r in range(4):
-                assert mat[s, a, r] == match_antecedent(
-                    s, a, r, fz, m, cfg, iteration=2)
+                assert mat_min[s, a, r] == match_antecedent(
+                    s, a, r, minimum, m, cfg, iteration=2)
+
+
+def test_matchant_matrix_rejects_non_positive_definite_covariance():
+    # the closed form would still evaluate here; the state density would not
+    rng = np.random.default_rng(19)
+    m = diag_model(rng)
+    covs = m.obs_covs.copy()
+    covs[1] = np.array([[1.0, 2.0], [2.0, 1.0]])
+    bad = PomdpModel(2, 2, 2, m.transitions, m.obs_means, covs, m.initial_dist)
+    fz = make_fuzzy([constant_rule((0.0, 0.0), 2,
+                                   clauses=(gauss_clause(0, 0.1, 0.4),))],
+                    obs_dim=2)
+    with pytest.raises(CovarianceError):
+        matchant_matrix(bad, fz, FuzzyMapConfig())
 
 
 # ------------------------------------------------------- rule consequents
