@@ -22,7 +22,7 @@ import numpy as np
 from .em import EmConfig, run_em
 from .fuzzy import load_fuzzy_model
 from .fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
-from .harness import (add_noise, generate_fuzzy_trajectories, kmeans_init,
+from .harness import (add_noise, generate_fuzzy_trajectories, kl_columns, kmeans_init,
                       random_init, regime_config, run_regime, _sanitize)
 from .metrics import evaluate_model
 from .model import (load_dataset, load_env, make_policy,
@@ -217,9 +217,9 @@ def _print_regime_table(summary: dict) -> None:
     rows = [
         ("median L1 transitions (row-avg)", "median_l1_avg"),
         ("median L1 transitions (total)", "median_l1_total"),
-        ("median KL Healthy", "median_kl_healthy"),
-        ("median KL Sick", "median_kl_sick"),
-        ("median KL Critical", "median_kl_critical"),
+    ] + [
+        (f"median KL {label}", f"median_{column}")
+        for label, column in zip(summary["state_labels"], kl_columns(summary["state_labels"]))
     ]
     print(f"regime: {summary['regime']}  (seeds: {len(summary['seeds'])}, "
           f"failures: {summary['num_failures']})")

@@ -1,14 +1,17 @@
 """Standard EM for Gaussian-emission, action-conditioned hidden Markov models.
 
-E-step: scaled forward-backward per trajectory. M-step: closed-form
-maximum-likelihood updates from pooled expected counts. The initial state
-distribution is held fixed, never re-estimated.
+E-step: scaled forward-backward, run once per trajectory length on the
+whole batch of trajectories of that length, with one Cholesky factor per
+state for the batch's observations. M-step: closed-form maximum-likelihood
+updates from pooled expected counts. The initial state distribution is held
+fixed, never re-estimated.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +27,15 @@ log = logging.getLogger(__name__)
 
 
 class ForwardBackwardError(RuntimeError):
-    """Observation likelihood underflowed to zero at some step."""
+    """Observation likelihood underflowed to zero at some step.
+
+    `trajectory` is the failing trajectory's position in the batch given to
+    forward_backward; e_step names its index in the dataset instead.
+    """
+
+    def __init__(self, message: str, trajectory: int = 0):
+        super().__init__(message)
+        self.trajectory = trajectory
 
 
 @dataclass(frozen=True)
@@ -88,48 +99,57 @@ class EmResult:
     iterations: int = 0
 
 
-def forward_backward(model: PomdpModel, traj: Trajectory) -> Posteriors:
-    """Scaled forward-backward smoothing for one trajectory.
+def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]):
+    """Scaled forward-backward smoothing, vectorised over trajectories.
 
+    batch is one Trajectory, which gives its Posteriors, or a sequence of
+    trajectories of one length, which gives their Posteriors in order. The
+    batch's observations are scored in one per_state_log_density call.
     Emission densities are shifted by their per-step maximum before
     exponentiation, and messages are renormalized at every step; the log
     normalizers accumulate into the exact data log-likelihood.
     """
-    num_states = model.num_states
-    horizon = len(traj)
-    log_b = per_state_log_density(model, traj.observations)
-    shift = log_b.max(axis=1)
-    b = np.exp(log_b - shift[:, None])
+    single = isinstance(batch, Trajectory)
+    trajs = [batch] if single else list(batch)
+    num, horizon, num_states = len(trajs), len(trajs[0]), model.num_states
+    if any(len(traj) != horizon for traj in trajs):
+        raise ValueError("trajectories in one batch must have the same length")
+    obs = np.concatenate([traj.observations for traj in trajs])
+    log_b = per_state_log_density(model, obs).reshape(num, horizon, num_states)
+    shift = log_b.max(axis=2)
+    b = np.exp(log_b - shift[..., None])
+    # trans[n, t] is the (state, next_state) matrix of the action at step t
+    trans = model.transitions.transpose(1, 0, 2)[np.stack([traj.actions for traj in trajs])]
 
-    alpha = np.empty((horizon, num_states))
-    scale = np.empty(horizon)
-    step = model.initial_dist * b[0]
-    scale[0] = step.sum()
-    if scale[0] <= 0.0:
-        raise ForwardBackwardError("zero total observation likelihood at step 0")
-    alpha[0] = step / scale[0]
-    for t in range(1, horizon):
-        trans = model.transitions[:, traj.actions[t - 1], :]
-        step = (alpha[t - 1] @ trans) * b[t]
-        scale[t] = step.sum()
-        if scale[t] <= 0.0:
-            raise ForwardBackwardError(f"zero total observation likelihood at step {t}")
-        alpha[t] = step / scale[t]
+    alpha = np.empty((num, horizon, num_states))
+    scale = np.empty((num, horizon))
+    step = model.initial_dist * b[:, 0]
+    for t in range(horizon):
+        if t:
+            step = (alpha[:, t - 1, None, :] @ trans[:, t - 1])[:, 0] * b[:, t]
+        scale[:, t] = step.sum(axis=1)
+        failed = np.flatnonzero(scale[:, t] <= 0.0)
+        if failed.size:
+            raise ForwardBackwardError(
+                f"zero total observation likelihood at step {t}", int(failed[0])
+            )
+        alpha[:, t] = step / scale[:, t, None]
 
-    beta = np.empty((horizon, num_states))
-    beta[-1] = 1.0
+    beta = np.empty((num, horizon, num_states))
+    beta[:, -1] = 1.0
     for t in range(horizon - 2, -1, -1):
-        trans = model.transitions[:, traj.actions[t], :]
-        beta[t] = trans @ (b[t + 1] * beta[t + 1]) / scale[t + 1]
+        ahead = b[:, t + 1] * beta[:, t + 1] / scale[:, t + 1, None]
+        beta[:, t] = (trans[:, t] @ ahead[..., None])[..., 0]
 
     gamma = alpha * beta
-    xi = np.empty((max(horizon - 1, 0), num_states, num_states))
-    for t in range(horizon - 1):
-        trans = model.transitions[:, traj.actions[t], :]
-        xi[t] = alpha[t][:, None] * trans * (b[t + 1] * beta[t + 1])[None, :] / scale[t + 1]
-
-    log_likelihood = float(np.log(scale).sum() + shift.sum())
-    return Posteriors(gamma=gamma, xi=xi, log_likelihood=log_likelihood)
+    ahead = b[:, 1:] * beta[:, 1:] / scale[:, 1:, None]
+    xi = alpha[:, :-1, :, None] * trans * ahead[:, :, None, :]
+    log_likelihood = np.log(scale).sum(axis=1) + shift.sum(axis=1)
+    posteriors = [
+        Posteriors(gamma=gamma[n], xi=xi[n], log_likelihood=float(log_likelihood[n]))
+        for n in range(num)
+    ]
+    return posteriors[0] if single else posteriors
 
 
 def accumulate_counts(
@@ -137,23 +157,23 @@ def accumulate_counts(
     posteriors: list[Posteriors],
     num_actions: int,
 ) -> SufficientCounts:
-    """Pool posterior expectations over a dataset into sufficient counts."""
+    """Pool posterior expectations over a dataset into sufficient counts.
+
+    Trajectories and posteriors are joined along time, so lengths may
+    differ; transition counts go through a one-hot encoding of the actions.
+    """
     if len(dataset) != len(posteriors):
         raise ValueError("dataset and posteriors must be parallel lists")
-    num_states = posteriors[0].gamma.shape[1]
-    obs_dim = dataset[0].obs_dim
-    counts = SufficientCounts.zeros(num_states, num_actions, obs_dim)
-    for traj, post in zip(dataset, posteriors):
-        for a in range(num_actions):
-            mask = traj.actions == a
-            if mask.any():
-                counts.trans[:, a, :] += post.xi[mask].sum(axis=0)
-        counts.obs_weight += post.gamma.sum(axis=0)
-        counts.obs_sum += post.gamma.T @ traj.observations
-        counts.obs_outer += np.einsum(
-            "ts,td,te->sde", post.gamma, traj.observations, traj.observations
-        )
-    return counts
+    gamma = np.concatenate([post.gamma for post in posteriors])
+    xi = np.concatenate([post.xi for post in posteriors])
+    obs = np.concatenate([traj.observations for traj in dataset])
+    actions = np.concatenate([traj.actions for traj in dataset])
+    return SufficientCounts(
+        trans=np.einsum("ma,msk->sak", np.eye(num_actions)[actions], xi),
+        obs_weight=gamma.sum(axis=0),
+        obs_sum=gamma.T @ obs,
+        obs_outer=np.einsum("ts,td,te->sde", gamma, obs, obs),
+    )
 
 
 def _mstep_from_counts(
@@ -205,8 +225,22 @@ def m_step_standard(
 
 
 def e_step(model: PomdpModel, dataset: list[Trajectory]) -> tuple[list[Posteriors], float]:
-    """Forward-backward over every trajectory; returns posteriors and total log-likelihood."""
-    posteriors = [forward_backward(model, traj) for traj in dataset]
+    """Forward-backward over the dataset, one batch per trajectory length.
+
+    Returns the posteriors in dataset order and the total log-likelihood.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, traj in enumerate(dataset):
+        by_length.setdefault(len(traj), []).append(i)
+    posteriors: list[Posteriors] = [None] * len(dataset)
+    for indices in by_length.values():
+        try:
+            batch = forward_backward(model, [dataset[i] for i in indices])
+        except ForwardBackwardError as err:
+            index = indices[err.trajectory]
+            raise ForwardBackwardError(f"trajectory {index}: {err}", index) from err
+        for i, post in zip(indices, batch):
+            posteriors[i] = post
     return posteriors, float(sum(p.log_likelihood for p in posteriors))
 
 
@@ -229,7 +263,7 @@ def run_em(
         try:
             posteriors, total = e_step(model, dataset)
         except ForwardBackwardError as err:
-            raise ForwardBackwardError(f"iteration {iteration}: {err}") from err
+            raise ForwardBackwardError(f"iteration {iteration}: {err}", err.trajectory) from err
         trace.append(total)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < config.loglik_tolerance:
             converged = True

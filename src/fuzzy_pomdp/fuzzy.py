@@ -55,15 +55,17 @@ class MembershipFunction:
 
 
 def _ramp_up(x, lo, hi):
-    # 0 at lo rising to 1 at hi; a vertical edge degenerates to a step
+    # 0 at lo rising to 1 at hi; a vertical edge degenerates to a step.
+    # Clipping before dividing keeps the quotient in [0, 1], so an edge of
+    # subnormal width cannot overflow.
     if hi > lo:
-        return np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+        return np.clip(x - lo, 0.0, hi - lo) / (hi - lo)
     return np.where(x >= lo, 1.0, 0.0)
 
 
 def _ramp_down(x, lo, hi):
     if hi > lo:
-        return np.clip((hi - x) / (hi - lo), 0.0, 1.0)
+        return np.clip(hi - x, 0.0, hi - lo) / (hi - lo)
     return np.where(x <= hi, 1.0, 0.0)
 
 

@@ -361,7 +361,7 @@ def run_fuzzy_map_em(
         try:
             posteriors, total = e_step(model, dataset)
         except ForwardBackwardError as err:
-            raise ForwardBackwardError(f"iteration {iteration}: {err}") from err
+            raise ForwardBackwardError(f"iteration {iteration}: {err}", err.trajectory) from err
         trace.append(total)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < em_config.loglik_tolerance:
             converged = True
@@ -383,7 +383,9 @@ def run_fuzzy_map_em(
         try:
             posteriors, total = e_step(model, dataset)
         except ForwardBackwardError as err:
-            raise ForwardBackwardError(f"polish iteration {polish}: {err}") from err
+            raise ForwardBackwardError(
+                f"polish iteration {polish}: {err}", err.trajectory
+            ) from err
         if polish > 0:
             trace.append(total)
         counts = accumulate_counts(dataset, posteriors, model.num_actions)

@@ -38,6 +38,8 @@ from .rngs import derive_rng
 log = logging.getLogger(__name__)
 
 REGIMES = ("low_data", "high_noise", "mg_pipeline", "custom")
+# runs.csv columns ahead of the per-state KL columns, which follow the env's
+# state labels (see kl_columns)
 CSV_COLUMNS = (
     "regime",
     "seed",
@@ -46,9 +48,6 @@ CSV_COLUMNS = (
     "lambda_o",
     "l1_avg",
     "l1_total",
-    "kl_healthy",
-    "kl_sick",
-    "kl_critical",
 )
 DEFAULT_LAMBDA_GRID = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 
@@ -375,8 +374,14 @@ def _median(values) -> float | None:
     return float(np.median(np.asarray(vals, dtype=float)))
 
 
+def kl_columns(state_labels) -> tuple[str, ...]:
+    """The per-state KL column names, one per env state label, in state order."""
+    return tuple(f"kl_{label.lower()}" for label in state_labels)
+
+
 def _eval_row(config: ExperimentConfig, seed: int, algorithm: str,
-              model: PomdpModel, env: GroundTruthEnv | None) -> dict:
+              model: PomdpModel, env: GroundTruthEnv | None,
+              kl_cols: tuple[str, ...]) -> dict:
     lam_t = config.lambda_t if algorithm == "fuzzy_map" else 0.0
     lam_o = config.lambda_o if algorithm == "fuzzy_map" else 0.0
     row = {
@@ -387,18 +392,13 @@ def _eval_row(config: ExperimentConfig, seed: int, algorithm: str,
         "lambda_o": lam_o,
         "l1_avg": None,
         "l1_total": None,
-        "kl_healthy": None,
-        "kl_sick": None,
-        "kl_critical": None,
+        **dict.fromkeys(kl_cols),
     }
     if env is not None:
         report = evaluate_model(model, env)
         row["l1_avg"] = report.l1_transition
         row["l1_total"] = report.l1_transition_total
-        for label, value in report.kl_per_state.items():
-            key = f"kl_{label.lower()}"
-            if key in row:
-                row[key] = value
+        row.update(zip(kl_columns(report.kl_per_state), report.kl_per_state.values()))
     return row
 
 
@@ -446,12 +446,16 @@ def run_regime(config: ExperimentConfig) -> dict:
     Per-seed failures are recorded in the summary and skipped; the sweep
     itself always completes. Outputs (when out_dir is set): runs.csv,
     summary.json, model_<seed>_<alg>.json checkpoints, and for the
-    mg_pipeline regime a human-readable mg_table.txt.
+    mg_pipeline regime a human-readable mg_table.txt. The per-state KL
+    columns follow the env's state labels; mg_pipeline, which has no env,
+    keeps the bundled synthetic env's (empty) columns.
     """
     is_mg = config.regime == "mg_pipeline"
     env = None
     if not is_mg:
         env = load_env(config.env_path or asset_path("synthetic_env.json"))
+    state_labels = (env or load_env(asset_path("synthetic_env.json"))).state_labels
+    kl_cols = kl_columns(state_labels)
     default_fuzzy = "mg_fuzzy_placeholder.json" if is_mg else "expert_fuzzy_synthetic.json"
     fuzzy = load_fuzzy_model(config.fuzzy_path or asset_path(default_fuzzy))
 
@@ -468,7 +472,7 @@ def run_regime(config: ExperimentConfig) -> dict:
             continue
         for algorithm in ("em", "fuzzy_map"):
             result = outcome[algorithm]
-            rows.append(_eval_row(config, seed, algorithm, result.model, env))
+            rows.append(_eval_row(config, seed, algorithm, result.model, env, kl_cols))
             checkpoints[(seed, algorithm)] = dict(
                 model_to_dict(result.model),
                 iteration=result.iterations,
@@ -477,7 +481,7 @@ def run_regime(config: ExperimentConfig) -> dict:
         if is_mg and mg_table is None:
             mg_table = _mg_table(outcome["fuzzy_map"].model, fuzzy, seed)
 
-    summary = _summarize(config, rows, failures)
+    summary = _summarize(config, rows, failures, kl_cols)
     if env is not None:
         summary["expert_model_r2"] = fuzzy_model_r2(fuzzy, env)
         summary["notes"] = (
@@ -488,7 +492,7 @@ def run_regime(config: ExperimentConfig) -> dict:
     if config.out_dir:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_runs_csv(out / "runs.csv", rows)
+        write_runs_csv(out / "runs.csv", rows, CSV_COLUMNS + kl_cols)
         (out / "summary.json").write_text(
             json.dumps(_sanitize(summary), indent=2) + "\n"
         )
@@ -500,20 +504,24 @@ def run_regime(config: ExperimentConfig) -> dict:
 
     report = dict(summary)
     report["rows"] = rows
+    report["state_labels"] = state_labels
     if mg_table is not None:
         report["mg_table"] = mg_table
     return report
 
 
-def write_runs_csv(path, rows: list[dict]) -> None:
+def write_runs_csv(path, rows: list[dict], columns: tuple[str, ...]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in CSV_COLUMNS])
+            writer.writerow([_format_cell(row.get(col)) for col in columns])
 
 
-def _summarize(config: ExperimentConfig, rows: list[dict], failures: list[dict]) -> dict:
+def _summarize(config: ExperimentConfig, rows: list[dict], failures: list[dict],
+               kl_cols: tuple[str, ...]) -> dict:
+    """Per-algorithm medians, and paired win rates on the row-average L1 and
+    on the KL of the last state (the most severe one in the bundled env)."""
     by_alg: dict[str, list[dict]] = {"em": [], "fuzzy_map": []}
     for row in rows:
         by_alg[row["algorithm"]].append(row)
@@ -521,14 +529,14 @@ def _summarize(config: ExperimentConfig, rows: list[dict], failures: list[dict])
     for alg, alg_rows in by_alg.items():
         per_algorithm[alg] = {
             f"median_{metric}": _median([r[metric] for r in alg_rows])
-            for metric in ("l1_avg", "l1_total", "kl_healthy", "kl_sick", "kl_critical")
+            for metric in ("l1_avg", "l1_total") + kl_cols
         }
     win_rates = {}
     rel_improvements = []
     em_by_seed = {r["seed"]: r for r in by_alg["em"]}
     fm_by_seed = {r["seed"]: r for r in by_alg["fuzzy_map"]}
     shared = sorted(set(em_by_seed) & set(fm_by_seed))
-    for metric in ("l1_avg", "kl_critical"):
+    for metric in ("l1_avg", kl_cols[-1]):
         wins = 0
         counted = 0
         for seed in shared:

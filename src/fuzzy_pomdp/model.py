@@ -193,15 +193,9 @@ def gaussian_log_density(obs, mean, cov) -> float | np.ndarray:
     CovarianceError. Finite for any finite obs.
     """
     mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
     obs = np.asarray(obs, dtype=float)
     d = mean.shape[0]
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise CovarianceError(
-            f"covariance is not positive definite: {cov.tolist()}"
-        ) from exc
+    chol = cholesky_factor(cov)
     diff = np.atleast_2d(obs) - mean
     z = np.linalg.solve(chol, diff.T)
     maha = np.sum(z * z, axis=0)

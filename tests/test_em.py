@@ -15,6 +15,7 @@ from scipy.special import logsumexp
 from fuzzy_pomdp.model import PomdpModel, Trajectory, relabel_states
 from fuzzy_pomdp.em import (
     EmConfig,
+    ForwardBackwardError,
     SufficientCounts,
     accumulate_counts,
     e_step,
@@ -115,6 +116,28 @@ def test_e_step_sums_per_trajectory_likelihoods():
     posts, total = e_step(m, ds)
     assert len(posts) == 3
     assert abs(total - sum(p.log_likelihood for p in posts)) < 1e-9
+
+
+def test_zero_likelihood_names_the_step_and_the_dataset_index():
+    # the chain is pinned to state 0, whose density at 100 underflows to
+    # zero next to state 1's
+    m = PomdpModel(
+        num_states=2, num_actions=1, obs_dim=1,
+        transitions=np.eye(2)[:, None, :],
+        obs_means=np.array([[0.0], [100.0]]),
+        obs_covs=np.ones((2, 1, 1)),
+        initial_dist=np.array([1.0, 0.0]),
+    )
+    good = Trajectory(observations=np.zeros((2, 1)), actions=np.zeros(1, dtype=int))
+    longer = Trajectory(observations=np.zeros((3, 1)), actions=np.zeros(2, dtype=int))
+    bad = Trajectory(observations=np.array([[0.0], [100.0]]), actions=np.zeros(1, dtype=int))
+    with pytest.raises(ForwardBackwardError,
+                       match=r"^trajectory 2: zero total observation likelihood at step 1$"):
+        e_step(m, [good, longer, bad])
+    with pytest.raises(ForwardBackwardError,
+                       match=r"^iteration 0: trajectory 2: .* step 1$") as info:
+        run_em([good, longer, bad], m)
+    assert info.value.trajectory == 2
 
 
 # ------------------------------------------------------ count accumulation

@@ -1,0 +1,124 @@
+"""Property tests for the batched E-step and the pooled counts.
+
+Random models carry up to four states with full SPD covariances; random
+datasets mix trajectory lengths, one-step trajectories included, so the
+E-step splits them into several equal-length batches. The brute-force
+enumeration of test_em is the reference for the posteriors.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fuzzy_pomdp.em import EmConfig, accumulate_counts, e_step, forward_backward, run_em
+from fuzzy_pomdp.model import PomdpModel, Trajectory
+
+from test_em import enumeration_posteriors
+
+# derandomized so every run checks the same examples; no example database
+# is written
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    num_states = draw(st.integers(1, 4))
+    num_actions = draw(st.integers(1, 3))
+    obs_dim = draw(st.integers(1, 3))
+    means = draw(arrays(float, (num_states, obs_dim), elements=_floats(-1.5, 1.5)))
+    factors = draw(arrays(float, (num_states, obs_dim, obs_dim), elements=_floats(-1.0, 1.0)))
+    covs = factors @ factors.transpose(0, 2, 1)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1)) + 0.05 * np.eye(obs_dim)
+    rows = draw(arrays(float, (num_states, num_actions, num_states),
+                       elements=_floats(0.01, 1.0)))
+    init = draw(arrays(float, num_states, elements=_floats(0.01, 1.0)))
+    return PomdpModel(num_states, num_actions, obs_dim,
+                      transitions=rows / rows.sum(axis=2, keepdims=True),
+                      obs_means=means, obs_covs=covs, initial_dist=init / init.sum())
+
+
+@st.composite
+def cases(draw, max_len=5):
+    """A model plus a dataset of ragged lengths in its spaces."""
+    model = draw(models())
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=6))
+    dataset = [
+        Trajectory(
+            observations=draw(arrays(float, (length, model.obs_dim),
+                                     elements=_floats(-3.0, 3.0))),
+            actions=draw(arrays(int, length - 1,
+                                elements=st.integers(0, model.num_actions - 1))),
+        )
+        for length in lengths
+    ]
+    return model, dataset
+
+
+@PROPERTY
+@given(cases())
+def test_e_step_equals_one_trajectory_at_a_time(case):
+    model, dataset = case
+    posts, total = e_step(model, dataset)
+    assert len(posts) == len(dataset)
+    for traj, post in zip(dataset, posts):
+        alone = forward_backward(model, traj)
+        np.testing.assert_allclose(post.gamma, alone.gamma, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post.xi, alone.xi, rtol=0, atol=1e-12)
+        assert abs(post.log_likelihood - alone.log_likelihood) <= 1e-12
+    assert total == sum(p.log_likelihood for p in posts)
+
+
+@PROPERTY
+@given(cases(max_len=4))
+def test_posteriors_match_brute_force_enumeration(case):
+    model, dataset = case
+    posts, _ = e_step(model, dataset)
+    for traj, post in zip(dataset, posts):
+        gamma, xi, loglik = enumeration_posteriors(model, traj)
+        assert abs(post.log_likelihood - loglik) < 1e-9
+        np.testing.assert_allclose(post.gamma, gamma, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(post.xi, xi, rtol=0, atol=1e-9)
+
+
+@PROPERTY
+@given(cases())
+def test_accumulated_counts_conserve_mass(case):
+    model, dataset = case
+    posts, _ = e_step(model, dataset)
+    counts = accumulate_counts(dataset, posts, model.num_actions)
+    steps = sum(len(traj) for traj in dataset)
+    assert abs(counts.obs_weight.sum() - steps) < 1e-9
+    assert abs(counts.trans.sum() - (steps - len(dataset))) < 1e-9
+    assert counts.trans.shape == (model.num_states, model.num_actions, model.num_states)
+    assert np.all(counts.trans >= 0.0) and np.all(counts.obs_weight >= 0.0)
+
+
+@st.composite
+def sampled_cases(draw):
+    """A model plus continuous data, at least three trajectories per state.
+
+    Repeated observation values let a state's covariance collapse onto the
+    ridge, where rounding alone moves the likelihood by ~1e-8 either way, so
+    the observations come from a seeded normal draw instead.
+    """
+    model = draw(models())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=3 * model.num_states,
+                            max_size=3 * model.num_states + 4))
+    dataset = [
+        Trajectory(observations=rng.normal(scale=1.5, size=(length, model.obs_dim)),
+                   actions=rng.integers(model.num_actions, size=length - 1))
+        for length in lengths
+    ]
+    return model, dataset
+
+
+@PROPERTY
+@given(sampled_cases())
+def test_plain_em_loglik_never_decreases(case):
+    model, dataset = case
+    trace = np.asarray(run_em(dataset, model, EmConfig(max_iterations=15)).loglik_trace)
+    assert np.diff(trace).min(initial=0.0) >= -1e-8, trace

@@ -65,6 +65,18 @@ def test_degenerate_triangular_is_crisp_indicator():
     assert membership(crisp, 2.5) == 0.0
 
 
+def test_subnormal_width_edges_do_not_overflow():
+    # an edge narrower than ~1e-308 once overflowed the slope (x - lo) / width
+    x = np.array([-1.0, 0.0, 5e-311, 1e-310, 0.5, 1.0, 2.0])
+    with np.errstate(all="raise"):
+        up = membership(MembershipFunction("triangular", (0.0, 1e-310, 1.0)), x)
+        down = membership(MembershipFunction("triangular", (-1.0, 0.0, 1e-310)), x)
+        trap = membership(MembershipFunction("trapezoidal", (0.0, 1e-310, 0.5, 1.0)), x)
+    assert np.allclose(up, [0.0, 0.0, 0.5, 1.0, 0.5, 0.0, 0.0])
+    assert np.allclose(down, [0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+    assert np.allclose(trap, [0.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0])
+
+
 def test_membership_rejects_unknown_shape():
     with pytest.raises(ValueError):
         membership(MembershipFunction("sigmoid", (0.0, 1.0)), 0.5)

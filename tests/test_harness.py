@@ -1,11 +1,21 @@
 """Dataset generation, initializers, and the paired experiment runner."""
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fuzzy_pomdp.model import Trajectory, load_env, make_policy, validate_dataset, validate_model
+from fuzzy_pomdp import cli
+from fuzzy_pomdp.model import (
+    GroundTruthEnv,
+    Trajectory,
+    load_env,
+    make_policy,
+    save_env,
+    validate_dataset,
+    validate_model,
+)
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
 from fuzzy_pomdp.harness import (
     ExperimentConfig,
@@ -284,6 +294,29 @@ def test_run_regime_low_data_outputs(tmp_path):
 
     summary_path = tmp_path / "summary.json"
     assert summary_path.is_file()
+
+
+def test_run_regime_custom_env_labels_name_the_kl_columns(tmp_path, capsys):
+    bundled = load_env(asset_path("synthetic_env.json"))
+    env_path = tmp_path / "env.json"
+    save_env(GroundTruthEnv(transitions=bundled.transitions, beta_params=bundled.beta_params,
+                            state_labels=("Low", "Mid", "High")), env_path)
+    cfg = dataclasses.replace(_fast_low_data(tmp_path / "out", seeds=[0]),
+                              env_path=str(env_path))
+    summary = run_regime(cfg)
+    want = ("kl_low", "kl_mid", "kl_high")
+    with open(tmp_path / "out" / "runs.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert tuple(rows[0])[-3:] == want
+    assert "kl_critical" not in rows[0]
+    for row in rows:
+        for col in want:
+            float(row[col])  # a value, not the empty cell of a dropped column
+    for stats in summary["per_algorithm"].values():
+        assert all(stats[f"median_{col}"] is not None for col in want)
+    assert summary["win_rates"]["kl_high"] is not None
+    cli._print_regime_table(summary)
+    assert "median KL High" in capsys.readouterr().out
 
 
 def test_run_regime_mg_pipeline_smoke(tmp_path):
