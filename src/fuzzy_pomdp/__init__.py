@@ -5,76 +5,15 @@ models from short trajectory datasets, either by standard EM or by an EM
 variant whose M-step blends in pseudo-counts synthesized from an expert
 Takagi-Sugeno fuzzy model. Ships synthetic benchmark environments, quality
 metrics against ground truth, and a reproducible experiment harness.
+
+The names below are the surface the README documents; everything else is
+reached through its module (fuzzy_pomdp.em, fuzzy_pomdp.model, ...).
 """
 
-from .em import (
-    EmConfig,
-    EmResult,
-    ForwardBackwardError,
-    Posteriors,
-    SufficientCounts,
-    accumulate_counts,
-    e_step,
-    forward_backward,
-    m_step_standard,
-    run_em,
-)
-from .fuzzy import (
-    FuzzyClause,
-    FuzzyModel,
-    FuzzyRule,
-    FuzzyVariable,
-    InferenceError,
-    MembershipFunction,
-    firing_strength,
-    infer,
-    load_fuzzy_model,
-    membership,
-    save_fuzzy_model,
-)
-from .fuzzy_map import (
-    FuzzyMapConfig,
-    FuzzyMapResult,
-    FuzzyPseudoCounts,
-    compute_pseudocounts,
-    consequent_expectation,
-    consequent_likelihood,
-    fuzzy_observation_pseudocounts,
-    fuzzy_transition_pseudocounts,
-    m_step_fuzzy_map,
-    match_antecedent,
-    matchant_matrix,
-    run_fuzzy_map_em,
-)
-from .metrics import (
-    EvalReport,
-    evaluate_model,
-    kl_observation,
-    kl_quadrature,
-    l1_transition_distance,
-    l1_transition_total,
-    match_states,
-)
-from .model import (
-    CovarianceError,
-    GroundTruthEnv,
-    PomdpModel,
-    Trajectory,
-    gaussian_log_density,
-    load_dataset,
-    load_env,
-    load_model,
-    make_policy,
-    regularize_cov,
-    relabel_states,
-    sample_trajectory,
-    save_dataset,
-    save_env,
-    save_model,
-    validate_dataset,
-    validate_env,
-    validate_model,
-)
-from .rngs import derive_rng
+from .em import EmConfig, forward_backward, run_em
+from .fuzzy import load_fuzzy_model
+from .fuzzy_map import FuzzyMapConfig, compute_from_matchant, match_antecedent, run_fuzzy_map_em
+from .metrics import evaluate_model, kl_observation, l1_transition_total, match_states
+from .model import load_dataset, load_env
 
 __version__ = "0.1.0"

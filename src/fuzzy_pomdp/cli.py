@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
     init = _build_init(args, dataset)
     uniform = np.full_like(init.transitions, 1.0 / init.num_states)
     em_config = EmConfig(max_iterations=args.max_iterations,
-                         loglik_tolerance=args.tolerance, seed=args.seed)
+                         loglik_tolerance=args.tolerance)
     report = {
         "config": {
             "algo": args.algo, "lambda_t": args.lambda_t, "lambda_o": args.lambda_o,
@@ -433,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "with triangular or trapezoidal terms or under the minimum "
                         "t-norm; Gaussian terms under the product t-norm are matched "
                         "exactly")
-    p.add_argument("--final-em-iterations", type=int, default=0)
+    p.add_argument("--final-em-iterations", type=int, default=0,
+                   help="up to this many plain-EM polish iterations after a fuzzy-map "
+                        "fit; the polish stops early on --tolerance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="checkpoint.json")
     p.set_defaults(func=cmd_train)

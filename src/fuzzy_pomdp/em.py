@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class EmConfig:
     max_iterations: int = 200
     loglik_tolerance: float = 1e-6
     covariance_ridge: float = DEFAULT_COV_RIDGE
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -244,18 +243,21 @@ def e_step(model: PomdpModel, dataset: list[Trajectory]) -> tuple[list[Posterior
     return posteriors, float(sum(p.log_likelihood for p in posteriors))
 
 
-def run_em(
-    dataset: list[Trajectory], init: PomdpModel, config: EmConfig | None = None
+def _fit(
+    dataset: list[Trajectory],
+    init: PomdpModel,
+    config: EmConfig,
+    m_step: Callable[[SufficientCounts, PomdpModel, int], PomdpModel],
 ) -> EmResult:
-    """Alternate E and M steps until the log-likelihood improvement falls
-    below the tolerance or the iteration budget runs out.
+    """The EM loop both fitters share.
 
-    loglik_trace[i] is the total data log-likelihood of the model after i
-    M-steps; entry 0 scores the initialization.
+    Each iteration scores the current model with an E-step, stops once the
+    log-likelihood improvement falls below the tolerance or the iteration
+    budget runs out, and otherwise replaces the model with
+    m_step(empirical counts, model, iteration).
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    config = config or EmConfig()
     model = init
     trace: list[float] = []
     converged = False
@@ -271,7 +273,22 @@ def run_em(
         if iteration == config.max_iterations:
             break
         counts = accumulate_counts(dataset, posteriors, model.num_actions)
-        model = m_step_standard(counts, model, config)
+        model = m_step(counts, model, iteration)
     return EmResult(
         model=model, loglik_trace=trace, converged=converged, iterations=len(trace) - 1
+    )
+
+
+def run_em(
+    dataset: list[Trajectory], init: PomdpModel, config: EmConfig | None = None
+) -> EmResult:
+    """Alternate E and M steps until the log-likelihood improvement falls
+    below the tolerance or the iteration budget runs out.
+
+    loglik_trace[i] is the total data log-likelihood of the model after i
+    M-steps; entry 0 scores the initialization.
+    """
+    config = config or EmConfig()
+    return _fit(
+        dataset, init, config, lambda counts, model, _: m_step_standard(counts, model, config)
     )

@@ -16,19 +16,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em import (
-    EmConfig,
-    ForwardBackwardError,
-    SufficientCounts,
-    _mstep_from_counts,
-    accumulate_counts,
-    e_step,
-    m_step_standard,
-)
+from .em import EmConfig, SufficientCounts, _fit, _mstep_from_counts, run_em
+from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, FuzzyRule, firing_strengths_batch
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .model import (CovarianceError, PomdpModel, Trajectory, cholesky_factor,
@@ -54,25 +47,6 @@ class FuzzyMapConfig:
             raise ValueError("matchant_samples must be >= 1")
         if self.final_standard_em_iterations < 0:
             raise ValueError("final_standard_em_iterations must be >= 0")
-
-
-@dataclass(frozen=True)
-class FuzzyPseudoCounts:
-    """Rule-derived analogues of the empirical sufficient counts."""
-
-    trans: np.ndarray
-    obs_weight: np.ndarray
-    obs_sum: np.ndarray
-    obs_outer: np.ndarray
-
-    @classmethod
-    def zeros(cls, num_states: int, num_actions: int, obs_dim: int) -> "FuzzyPseudoCounts":
-        return cls(
-            trans=np.zeros((num_states, num_actions, num_states)),
-            obs_weight=np.zeros(num_states),
-            obs_sum=np.zeros((num_states, obs_dim)),
-            obs_outer=np.zeros((num_states, obs_dim, obs_dim)),
-        )
 
 
 @dataclass(frozen=True)
@@ -187,13 +161,6 @@ def consequent_expectation(rule: FuzzyRule, model: PomdpModel, state: int) -> np
     return rule.predict(model.obs_means[state])
 
 
-def consequent_likelihood(y: np.ndarray, state: int, model: PomdpModel) -> float:
-    """Density of a consequent value under a state's observation model."""
-    return float(
-        np.exp(gaussian_log_density(y, model.obs_means[state], model.obs_covs[state]))
-    )
-
-
 def _expectation_table(model: PomdpModel, fuzzy: FuzzyModel) -> np.ndarray:
     """consequent_expectation for every (state, rule), shape (S, R, d)."""
     consequents = np.stack([rule.consequent for rule in fuzzy.rules])  # (R, d, d+1)
@@ -217,54 +184,34 @@ def _likelihood_table(model: PomdpModel, y_star: np.ndarray) -> np.ndarray:
     return out
 
 
-def fuzzy_transition_pseudocounts(
-    model: PomdpModel,
-    fuzzy: FuzzyModel,
-    config: FuzzyMapConfig,
-    iteration: int = 0,
-    matchant: np.ndarray | None = None,
-) -> np.ndarray:
-    """Rule-derived transition pseudo-counts, shape (S, A, S').
+def compute_from_matchant(
+    model: PomdpModel, fuzzy: FuzzyModel, matchant: np.ndarray
+) -> SufficientCounts:
+    """Rule-derived pseudo-counts from a matchant_matrix result.
 
-    Each rule votes for (s, a, s') with weight: how well its antecedent
-    matches state s (for action a), times how plausibly its predicted next
-    observation was emitted by state s'.
+    Transition counts: each rule votes for (s, a, s') with its match to
+    state s under action a, matchant(s, a, r), times the density of its
+    expected consequent under landing state s'. Observation counts: rule
+    r's expected consequent is credited to landing state s' with weight
+    sum_a T(s, a, s') * matchant(s, a, r), summed over source states,
+    actions and rules.
     """
-    if matchant is None:
-        matchant = matchant_matrix(model, fuzzy, config, iteration)
-    return compute_from_matchant(model, fuzzy, config, iteration, matchant).trans
-
-
-def fuzzy_observation_pseudocounts(
-    model: PomdpModel,
-    fuzzy: FuzzyModel,
-    config: FuzzyMapConfig,
-    iteration: int = 0,
-    matchant: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rule-derived observation pseudo-statistics for each landing state.
-
-    A rule's expected consequent is credited to every destination state s',
-    weighted by strength(s, a, s', r) = T(s, a, s') * matchant(s, a, r),
-    summing over all source states, actions and rules.
-    """
-    if matchant is None:
-        matchant = matchant_matrix(model, fuzzy, config, iteration)
-    counts = compute_from_matchant(model, fuzzy, config, iteration, matchant)
-    return counts.obs_weight, counts.obs_sum, counts.obs_outer
-
-
-def compute_pseudocounts(
-    model: PomdpModel, fuzzy: FuzzyModel, config: FuzzyMapConfig, iteration: int = 0
-) -> FuzzyPseudoCounts:
-    """All pseudo-counts for one iteration, sharing one matchant evaluation."""
-    matchant = matchant_matrix(model, fuzzy, config, iteration)
-    return compute_from_matchant(model, fuzzy, config, iteration, matchant)
+    if len(fuzzy.rules) == 0:
+        return SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
+    y_star = _expectation_table(model, fuzzy)
+    likelihood = _likelihood_table(model, y_star)
+    weight = np.einsum("sat,sar->srt", model.transitions, matchant)
+    return SufficientCounts(
+        trans=np.einsum("sar,srt->sat", matchant, likelihood),
+        obs_weight=weight.sum(axis=(0, 1)),
+        obs_sum=np.einsum("srt,srd->td", weight, y_star),
+        obs_outer=np.einsum("srt,srd,sre->tde", weight, y_star, y_star),
+    )
 
 
 def m_step_fuzzy_map(
     empirical: SufficientCounts,
-    fuzzy_counts: FuzzyPseudoCounts,
+    fuzzy_counts: SufficientCounts,
     prev: PomdpModel,
     em_config: EmConfig,
     map_config: FuzzyMapConfig,
@@ -311,8 +258,9 @@ def run_fuzzy_map_em(
     Pseudo-counts are recomputed against the current parameters each
     iteration. An empty dataset switches to prior-only fitting (both
     lambdas must be positive): the E-step is skipped and the stopping rule
-    becomes a parameter-change threshold. After the main loop,
-    `final_standard_em_iterations` plain EM iterations polish the result.
+    becomes a parameter-change threshold. After the main loop, up to
+    `final_standard_em_iterations` plain EM iterations polish the result;
+    the polish stops early on the likelihood tolerance.
 
     The log-likelihood trace is recorded but never guaranteed monotone:
     blending pseudo-counts into the M-step trades likelihood for prior
@@ -320,26 +268,22 @@ def run_fuzzy_map_em(
     """
     em_config = em_config or EmConfig()
     map_config = map_config or FuzzyMapConfig()
-    prior_only = len(dataset) == 0
     zero_lambda = map_config.lambda_t == 0.0 and map_config.lambda_o == 0.0
-    if prior_only:
+    ratios: list[tuple[float, float]] = []
+    matchant = None
+
+    if not dataset:
         if not (map_config.lambda_t > 0 and map_config.lambda_o > 0):
             raise ValueError("an empty dataset requires both lambdas > 0")
         if map_config.final_standard_em_iterations > 0:
             raise ValueError("standard EM polish needs a non-empty dataset")
-
-    model = init
-    trace: list[float] = []
-    ratios: list[tuple[float, float]] = []
-    converged = False
-    iterations = 0
-    matchant = None
-
-    if prior_only:
+        model = init
+        converged = False
+        iterations = 0
         empirical = SufficientCounts.zeros(init.num_states, init.num_actions, init.obs_dim)
         for iteration in range(em_config.max_iterations):
             matchant = matchant_matrix(model, fuzzy, map_config, iteration)
-            fuzzy_counts = compute_from_matchant(model, fuzzy, map_config, iteration, matchant)
+            fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
             new_model = m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
             ratios.append((math.inf, math.inf))
             delta = _max_param_delta(model, new_model)
@@ -350,89 +294,47 @@ def run_fuzzy_map_em(
                 break
         return FuzzyMapResult(
             model=model,
-            loglik_trace=trace,
+            loglik_trace=[],
             converged=converged,
             iterations=iterations,
             prior_data_ratios=ratios,
             final_matchant=matchant,
         )
 
-    for iteration in range(em_config.max_iterations + 1):
-        try:
-            posteriors, total = e_step(model, dataset)
-        except ForwardBackwardError as err:
-            raise ForwardBackwardError(f"iteration {iteration}: {err}", err.trajectory) from err
-        trace.append(total)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < em_config.loglik_tolerance:
-            converged = True
-            break
-        if iteration == em_config.max_iterations:
-            break
-        empirical = accumulate_counts(dataset, posteriors, model.num_actions)
+    def m_step(empirical: SufficientCounts, model: PomdpModel, iteration: int) -> PomdpModel:
+        nonlocal matchant
         if zero_lambda:
-            fuzzy_counts = FuzzyPseudoCounts.zeros(
+            fuzzy_counts = SufficientCounts.zeros(
                 model.num_states, model.num_actions, model.obs_dim
             )
         else:
             matchant = matchant_matrix(model, fuzzy, map_config, iteration)
-            fuzzy_counts = compute_from_matchant(model, fuzzy, map_config, iteration, matchant)
+            fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
         ratios.append(_mass_ratios(empirical, fuzzy_counts, map_config))
-        model = m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
+        return m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
 
-    for polish in range(map_config.final_standard_em_iterations):
-        try:
-            posteriors, total = e_step(model, dataset)
-        except ForwardBackwardError as err:
-            raise ForwardBackwardError(
-                f"polish iteration {polish}: {err}", err.trajectory
-            ) from err
-        if polish > 0:
-            trace.append(total)
-        counts = accumulate_counts(dataset, posteriors, model.num_actions)
-        model = m_step_standard(counts, model, em_config)
+    fit = _fit(dataset, init, em_config, m_step)
+    model, trace = fit.model, fit.loglik_trace
     if map_config.final_standard_em_iterations > 0:
-        _, total = e_step(model, dataset)
-        trace.append(total)
-
+        polish = run_em(
+            dataset,
+            model,
+            replace(em_config, max_iterations=map_config.final_standard_em_iterations),
+        )
+        # the polish's entry 0 scores the model the main loop ended on
+        model, trace = polish.model, trace + polish.loglik_trace[1:]
     return FuzzyMapResult(
         model=model,
         loglik_trace=trace,
-        converged=converged,
+        converged=fit.converged,
         iterations=len(trace) - 1,
         prior_data_ratios=ratios,
         final_matchant=matchant,
     )
 
 
-def compute_from_matchant(
-    model: PomdpModel,
-    fuzzy: FuzzyModel,
-    config: FuzzyMapConfig,
-    iteration: int,
-    matchant: np.ndarray,
-) -> FuzzyPseudoCounts:
-    """Pseudo-counts from an already-computed matchant matrix.
-
-    Transition counts: matchant(s, a, r) times the density of rule r's
-    expected consequent under each landing state. Observation counts: rule
-    r's expected consequent credited to landing state s' with weight
-    sum_a T(s, a, s') * matchant(s, a, r).
-    """
-    if len(fuzzy.rules) == 0:
-        return FuzzyPseudoCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
-    y_star = _expectation_table(model, fuzzy)
-    likelihood = _likelihood_table(model, y_star)
-    weight = np.einsum("sat,sar->srt", model.transitions, matchant)
-    return FuzzyPseudoCounts(
-        trans=np.einsum("sar,srt->sat", matchant, likelihood),
-        obs_weight=weight.sum(axis=(0, 1)),
-        obs_sum=np.einsum("srt,srd->td", weight, y_star),
-        obs_outer=np.einsum("srt,srd,sre->tde", weight, y_star, y_star),
-    )
-
-
 def _mass_ratios(
-    empirical: SufficientCounts, fuzzy_counts: FuzzyPseudoCounts, config: FuzzyMapConfig
+    empirical: SufficientCounts, fuzzy_counts: SufficientCounts, config: FuzzyMapConfig
 ) -> tuple[float, float]:
     t_data = float(empirical.trans.sum())
     o_data = float(empirical.obs_weight.sum())

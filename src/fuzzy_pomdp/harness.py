@@ -49,7 +49,6 @@ CSV_COLUMNS = (
     "l1_avg",
     "l1_total",
 )
-DEFAULT_LAMBDA_GRID = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 
 
 def asset_path(name: str) -> Path:

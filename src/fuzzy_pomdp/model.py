@@ -240,24 +240,28 @@ def sample_gaussian(mean, cov, n: int, rng: np.random.Generator) -> np.ndarray:
     return mean + z @ chol.T
 
 
+def _row_stochastic_violations(transitions: np.ndarray, atol: float) -> list[str]:
+    """Negative entries and rows not summing to 1 in an (S, A, S) tensor."""
+    violations = []
+    row_sums = transitions.sum(axis=2)
+    for s, a in np.ndindex(row_sums.shape):
+        if np.any(transitions[s, a] < -atol):
+            violations.append(
+                f"transitions[s={s}, a={a}] has a negative entry: {transitions[s, a].tolist()}"
+            )
+        if abs(row_sums[s, a] - 1.0) > atol:
+            violations.append(
+                f"transitions[s={s}, a={a}] sums to {row_sums[s, a]:.12g}, expected 1"
+            )
+    return violations
+
+
 def validate_model(model: PomdpModel, atol: float = 1e-9) -> list[str]:
     """All invariant violations, empty when the model is well-formed.
 
     Each entry names the offending index and the failed constraint.
     """
-    violations = []
-    row_sums = model.transitions.sum(axis=2)
-    for s in range(model.num_states):
-        for a in range(model.num_actions):
-            if np.any(model.transitions[s, a] < -atol):
-                violations.append(
-                    f"transitions[s={s}, a={a}] has a negative entry: "
-                    f"{model.transitions[s, a].tolist()}"
-                )
-            if abs(row_sums[s, a] - 1.0) > atol:
-                violations.append(
-                    f"transitions[s={s}, a={a}] sums to {row_sums[s, a]:.12g}, expected 1"
-                )
+    violations = _row_stochastic_violations(model.transitions, atol)
     for s in range(model.num_states):
         cov = model.obs_covs[s]
         if not np.allclose(cov, cov.T, atol=1e-12):
@@ -277,16 +281,7 @@ def validate_model(model: PomdpModel, atol: float = 1e-9) -> list[str]:
 
 def validate_env(env: GroundTruthEnv, atol: float = 1e-9) -> list[str]:
     """Invariant violations for a ground-truth environment."""
-    violations = []
-    row_sums = env.transitions.sum(axis=2)
-    for s in range(env.num_states):
-        for a in range(env.num_actions):
-            if np.any(env.transitions[s, a] < -atol):
-                violations.append(f"transitions[s={s}, a={a}] has a negative entry")
-            if abs(row_sums[s, a] - 1.0) > atol:
-                violations.append(
-                    f"transitions[s={s}, a={a}] sums to {row_sums[s, a]:.12g}, expected 1"
-                )
+    violations = _row_stochastic_violations(env.transitions, atol)
     if np.any(env.beta_params <= 0):
         bad = np.argwhere(env.beta_params <= 0)
         s, j, _ = bad[0]

@@ -15,7 +15,7 @@ from fuzzy_pomdp.fuzzy import load_fuzzy_model
 from fuzzy_pomdp.em import EmConfig, run_em
 from fuzzy_pomdp.fuzzy_map import (
     FuzzyMapConfig,
-    fuzzy_observation_pseudocounts,
+    compute_from_matchant,
     match_antecedent,
     matchant_matrix,
     run_fuzzy_map_em,
@@ -245,7 +245,7 @@ def test_check_8_pseudo_count_mass_conservation():
                           num_rules=int(rng.integers(1, 6)))
         cfg = FuzzyMapConfig(matchant_samples=64, seed=1)
         mat = matchant_matrix(m, fz, cfg)
-        w, _, _ = fuzzy_observation_pseudocounts(m, fz, cfg, matchant=mat)
+        w = compute_from_matchant(m, fz, mat).obs_weight
         worst = max(worst, abs(float(w.sum()) - float(mat.sum())))
     ok = worst < 1e-9
     assert _verdict(8, ok,

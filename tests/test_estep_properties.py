@@ -1,4 +1,4 @@
-"""Property tests for the batched E-step and the pooled counts.
+"""Property tests for the batched E-step, the pooled counts and the EM loop.
 
 Random models carry up to four states with full SPD covariances; random
 datasets mix trajectory lengths, one-step trajectories included, so the
@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuzzy_pomdp.em import EmConfig, accumulate_counts, e_step, forward_backward, run_em
+from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp.model import PomdpModel, Trajectory
 
+from conftest import random_fuzzy
 from test_em import enumeration_posteriors
+from test_fuzzy_map import assert_same_fit
 
 # derandomized so every run checks the same examples; no example database
 # is written
@@ -122,3 +125,15 @@ def test_plain_em_loglik_never_decreases(case):
     model, dataset = case
     trace = np.asarray(run_em(dataset, model, EmConfig(max_iterations=15)).loglik_trace)
     assert np.diff(trace).min(initial=0.0) >= -1e-8, trace
+
+
+@PROPERTY
+@given(sampled_cases())
+def test_zero_lambda_fuzzy_map_is_plain_em(case):
+    model, dataset = case
+    fuzzy = random_fuzzy(np.random.default_rng(0), obs_dim=model.obs_dim,
+                         num_actions=model.num_actions)
+    config = EmConfig(max_iterations=15)
+    mapped = run_fuzzy_map_em(dataset, model, fuzzy, config, FuzzyMapConfig())
+    assert_same_fit(mapped, run_em(dataset, model, config))
+    assert mapped.final_matchant is None

@@ -6,26 +6,22 @@ under the product t-norm and the estimator otherwise. With diagonal state
 covariances the integral factors per clause (gaussian_match_closed_form),
 and those cases anchor the numeric checks here.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from fuzzy_pomdp.model import CovarianceError, PomdpModel, Trajectory
-from fuzzy_pomdp.em import EmConfig, SufficientCounts, run_em
+from fuzzy_pomdp.model import CovarianceError, PomdpModel, Trajectory, gaussian_log_density
+from fuzzy_pomdp.em import EmConfig, SufficientCounts, m_step_standard, run_em
 from fuzzy_pomdp.fuzzy_map import (
     FuzzyMapConfig,
-    FuzzyPseudoCounts,
-    compute_pseudocounts,
+    compute_from_matchant,
     consequent_expectation,
-    consequent_likelihood,
-    fuzzy_observation_pseudocounts,
-    fuzzy_transition_pseudocounts,
     m_step_fuzzy_map,
     match_antecedent,
     matchant_matrix,
-    m_step_standard,
     run_fuzzy_map_em,
 )
 
@@ -251,6 +247,11 @@ def test_consequent_expectation_matches_monte_carlo():
     assert np.allclose(consequent_expectation(aff, m, s), mc, atol=2e-2)
 
 
+def consequent_likelihood(y, state, m):
+    """Density of a consequent value under a state's observation model."""
+    return float(np.exp(gaussian_log_density(y, m.obs_means[state], m.obs_covs[state])))
+
+
 def test_consequent_likelihood_gaussian_values():
     m = PomdpModel(
         num_states=1, num_actions=1, obs_dim=2,
@@ -273,10 +274,10 @@ def test_consequent_likelihood_gaussian_values():
 def test_pseudocounts_empty_rule_base_is_all_zero(rng0):
     m = diag_model(rng0)
     fz = make_fuzzy([], obs_dim=2)
-    cfg = FuzzyMapConfig()
-    assert np.all(fuzzy_transition_pseudocounts(m, fz, cfg) == 0.0)
-    w, s, o = fuzzy_observation_pseudocounts(m, fz, cfg)
-    assert np.all(w == 0.0) and np.all(s == 0.0) and np.all(o == 0.0)
+    counts = compute_from_matchant(m, fz, matchant_matrix(m, fz, FuzzyMapConfig()))
+    assert np.all(counts.trans == 0.0)
+    assert np.all(counts.obs_weight == 0.0) and np.all(counts.obs_sum == 0.0)
+    assert np.all(counts.obs_outer == 0.0)
 
 
 def test_transition_pseudocounts_single_clause_free_rule():
@@ -292,7 +293,7 @@ def test_transition_pseudocounts_single_clause_free_rule():
     )
     c = 1.2
     fz = make_fuzzy([constant_rule((c,), 1)], obs_dim=1, num_actions=1)
-    got = fuzzy_transition_pseudocounts(m, fz, FuzzyMapConfig())
+    got = compute_from_matchant(m, fz, matchant_matrix(m, fz, FuzzyMapConfig())).trans
     lik = np.array([stats.norm.pdf(c, 0.0, 1.0), stats.norm.pdf(c, 2.0, 0.5)])
     for s in range(2):
         assert np.allclose(got[s, 0], lik, atol=1e-12)
@@ -309,7 +310,8 @@ def test_observation_pseudocounts_single_clause_free_rule():
     )
     c = 1.2
     fz = make_fuzzy([constant_rule((c,), 1)], obs_dim=1, num_actions=1)
-    w, s_, o = fuzzy_observation_pseudocounts(m, fz, FuzzyMapConfig())
+    counts = compute_from_matchant(m, fz, matchant_matrix(m, fz, FuzzyMapConfig()))
+    w, s_, o = counts.obs_weight, counts.obs_sum, counts.obs_outer
     # matchant is 1 everywhere, so landing weights are column sums of T
     want_w = trans[:, 0, :].sum(axis=0)
     assert np.allclose(w, want_w, atol=1e-12)
@@ -336,8 +338,8 @@ def test_pseudocounts_match_flat_loop_oracle():
                     for t in range(S):
                         nt[s, a, t] += mat[s, a, r] * consequent_likelihood(
                             y_star[s, r], t, m)
-        got_t = fuzzy_transition_pseudocounts(m, fz, cfg, matchant=mat)
-        assert np.allclose(got_t, nt, atol=1e-10)
+        got = compute_from_matchant(m, fz, mat)
+        assert np.allclose(got.trans, nt, atol=1e-10)
 
         w = np.zeros(S)
         s_sum = np.zeros((S, D))
@@ -351,11 +353,9 @@ def test_pseudocounts_match_flat_loop_oracle():
                         s_sum[t] += strength * y_star[s, r]
                         s_outer[t] += strength * np.outer(y_star[s, r],
                                                           y_star[s, r])
-        got_w, got_s, got_o = fuzzy_observation_pseudocounts(
-            m, fz, cfg, matchant=mat)
-        assert np.allclose(got_w, w, atol=1e-10)
-        assert np.allclose(got_s, s_sum, atol=1e-10)
-        assert np.allclose(got_o, s_outer, atol=1e-10)
+        assert np.allclose(got.obs_weight, w, atol=1e-10)
+        assert np.allclose(got.obs_sum, s_sum, atol=1e-10)
+        assert np.allclose(got.obs_outer, s_outer, atol=1e-10)
 
 
 def test_observation_pseudocount_mass_conservation():
@@ -370,7 +370,7 @@ def test_observation_pseudocount_mass_conservation():
                           num_rules=int(rng.integers(1, 5)))
         cfg = FuzzyMapConfig(matchant_samples=64, seed=11)
         mat = matchant_matrix(m, fz, cfg)
-        w, _, _ = fuzzy_observation_pseudocounts(m, fz, cfg, matchant=mat)
+        w = compute_from_matchant(m, fz, mat).obs_weight
         assert abs(w.sum() - mat.sum()) < 1e-9
         assert np.all(w >= 0.0)
 
@@ -378,7 +378,8 @@ def test_observation_pseudocount_mass_conservation():
 def test_pseudocounts_nonnegative(rng0):
     m = diag_model(rng0, num_states=3)
     fz = random_fuzzy(rng0, obs_dim=2, num_rules=5)
-    counts = compute_pseudocounts(m, fz, FuzzyMapConfig(matchant_samples=64))
+    counts = compute_from_matchant(
+        m, fz, matchant_matrix(m, fz, FuzzyMapConfig(matchant_samples=64)))
     assert np.all(counts.trans >= 0.0)
     assert np.all(counts.obs_weight >= 0.0)
     diag = np.diagonal(counts.obs_outer, axis1=1, axis2=2)
@@ -393,8 +394,9 @@ def test_m_step_fuzzy_map_zero_lambda_reduces_to_standard(rng0):
     from fuzzy_pomdp.em import accumulate_counts, e_step
     posts, _ = e_step(m, ds)
     empirical = accumulate_counts(ds, posts, m.num_actions)
-    fuzzy_counts = compute_pseudocounts(m, random_fuzzy(rng0, obs_dim=2),
-                                        FuzzyMapConfig(matchant_samples=32))
+    fz = random_fuzzy(rng0, obs_dim=2)
+    fuzzy_counts = compute_from_matchant(
+        m, fz, matchant_matrix(m, fz, FuzzyMapConfig(matchant_samples=32)))
     plain = m_step_standard(empirical, m, EmConfig())
     blended = m_step_fuzzy_map(empirical, fuzzy_counts, m, EmConfig(),
                                FuzzyMapConfig(lambda_t=0.0, lambda_o=0.0))
@@ -412,7 +414,7 @@ def test_m_step_fuzzy_map_prior_only():
         obs_covs=np.array([[[1.0]], [[0.25]]]),
         initial_dist=np.array([0.5, 0.5]),
     )
-    pseudo = FuzzyPseudoCounts(
+    pseudo = SufficientCounts(
         trans=np.array([[[2.0, 6.0]], [[1.0, 3.0]]]),
         obs_weight=np.array([4.0, 2.0]),
         obs_sum=np.array([[2.0], [3.0]]),
@@ -441,7 +443,7 @@ def test_m_step_fuzzy_map_blending_arithmetic():
         obs_sum=rng.normal(size=(2, 1)),
         obs_outer=rng.uniform(2.0, 4.0, size=(2, 1, 1)),
     )
-    pseudo = FuzzyPseudoCounts(
+    pseudo = SufficientCounts(
         trans=rng.uniform(0.0, 1.0, size=(2, 1, 2)),
         obs_weight=rng.uniform(0.5, 1.0, size=2),
         obs_sum=rng.normal(scale=0.3, size=(2, 1)),
@@ -473,7 +475,7 @@ def test_m_step_fuzzy_map_rejects_indefinite_blend():
         trans=np.ones((1, 1, 1)), obs_weight=np.zeros(1),
         obs_sum=np.zeros((1, 1)), obs_outer=np.zeros((1, 1, 1)))
     # second moment far below the squared mean cannot be a real distribution
-    bogus = FuzzyPseudoCounts(
+    bogus = SufficientCounts(
         trans=np.ones((1, 1, 1)),
         obs_weight=np.array([2.0]),
         obs_sum=np.array([[4.0]]),
@@ -495,13 +497,17 @@ def test_run_fuzzy_map_em_zero_lambda_identical_to_plain_em():
     plain = run_em(ds, init, EmConfig(max_iterations=25))
     mapped = run_fuzzy_map_em(ds, init, fz, EmConfig(max_iterations=25),
                               FuzzyMapConfig(lambda_t=0.0, lambda_o=0.0))
-    assert len(plain.loglik_trace) == len(mapped.loglik_trace)
-    assert np.allclose(plain.loglik_trace, mapped.loglik_trace, atol=1e-9)
-    assert np.allclose(plain.model.transitions, mapped.model.transitions,
-                       atol=1e-9)
-    assert np.allclose(plain.model.obs_means, mapped.model.obs_means,
-                       atol=1e-9)
+    assert_same_fit(mapped, plain)
     assert mapped.final_matchant is None  # match degrees never evaluated
+
+
+def assert_same_fit(got, want):
+    """Bit-identical models and traces, same iteration count and verdict."""
+    assert got.loglik_trace == want.loglik_trace
+    for name in ("transitions", "obs_means", "obs_covs", "initial_dist"):
+        assert np.array_equal(getattr(got.model, name), getattr(want.model, name)), name
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
 
 
 def test_run_fuzzy_map_em_records_prior_data_ratios():
@@ -603,3 +609,28 @@ def test_run_fuzzy_map_em_polish_requires_data_and_runs():
     from fuzzy_pomdp.model import validate_model
     assert validate_model(res.model) == []
     assert len(res.loglik_trace) >= 2
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_polish_is_run_em_from_the_unpolished_fit(k):
+    # final_standard_em_iterations=k continues the k=0 fit with up to k plain
+    # EM iterations, and the polish's trace follows the fit's, minus its
+    # entry 0 (which rescored the same model)
+    rng = np.random.default_rng(19)
+    truth = random_model(rng, num_states=2, mean_scale=2.0)
+    ds = random_dataset(rng, truth, n=4, horizon=7)
+    init = diag_model(rng, num_states=2)
+    fz = random_fuzzy(rng, obs_dim=2)
+    em_cfg = EmConfig(max_iterations=6)
+    map_cfg = FuzzyMapConfig(lambda_t=0.3, lambda_o=0.2, matchant_samples=64)
+    base = run_fuzzy_map_em(ds, init, fz, em_cfg, map_cfg)
+    polished = run_fuzzy_map_em(
+        ds, init, fz, em_cfg,
+        dataclasses.replace(map_cfg, final_standard_em_iterations=k))
+    polish = run_em(ds, base.model, EmConfig(max_iterations=k))
+    assert polished.loglik_trace == base.loglik_trace + polish.loglik_trace[1:]
+    for name in ("transitions", "obs_means", "obs_covs"):
+        assert np.array_equal(getattr(polished.model, name), getattr(polish.model, name))
+    assert polished.iterations == base.iterations + polish.iterations
+    assert polished.converged == base.converged
+    assert polished.prior_data_ratios == base.prior_data_ratios
