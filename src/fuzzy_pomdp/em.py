@@ -1,8 +1,8 @@
 """Standard EM for Gaussian-emission, action-conditioned hidden Markov models.
 
 E-step: scaled forward-backward, run once per trajectory length on the
-whole batch of trajectories of that length, with one Cholesky factor per
-state for the batch's observations. M-step: closed-form maximum-likelihood
+whole batch of trajectories of that length, with one stacked Cholesky
+factorisation of all states' covariances for the batch's observations. M-step: closed-form maximum-likelihood
 updates from pooled expected counts. The initial state distribution is held
 fixed, never re-estimated.
 """
@@ -184,25 +184,28 @@ def _mstep_from_counts(
     their previous observation parameters. Both fallbacks are logged.
     """
     num_states = prev.num_states
-    transitions = np.empty_like(prev.transitions)
     row_mass = counts.trans.sum(axis=2)
-    for s in range(num_states):
-        for a in range(prev.num_actions):
-            if row_mass[s, a] > 0.0:
-                transitions[s, a] = counts.trans[s, a] / row_mass[s, a]
-            else:
-                log.debug("no transition mass for state %d action %d; using uniform", s, a)
-                transitions[s, a] = 1.0 / num_states
+    has_mass = row_mass > 0.0
+    if not has_mass.all():
+        for s, a in np.argwhere(~has_mass):
+            log.debug("no transition mass for state %d action %d; using uniform", s, a)
+    transitions = np.divide(
+        counts.trans,
+        row_mass[..., None],
+        out=np.full(counts.trans.shape, 1.0 / num_states),
+        where=has_mass[..., None],
+    )
 
-    means = prev.obs_means.copy()
+    live = counts.obs_weight > 0.0
+    weight = np.where(live, counts.obs_weight, 1.0)
+    mu = counts.obs_sum / weight[:, None]
+    raw = counts.obs_outer / weight[:, None, None] - mu[:, :, None] * mu[:, None, :]
+    means = np.where(live[:, None], mu, prev.obs_means)
     covs = prev.obs_covs.copy()
-    for s in range(num_states):
-        weight = counts.obs_weight[s]
-        if weight > 0.0:
-            mu = counts.obs_sum[s] / weight
-            means[s] = mu
-            covs[s] = regularize_cov(counts.obs_outer[s] / weight - np.outer(mu, mu), ridge)
-        else:
+    for s in np.flatnonzero(live):
+        covs[s] = regularize_cov(raw[s], ridge)
+    if not live.all():
+        for s in np.flatnonzero(~live):
             log.debug("no observation mass for state %d; keeping previous parameters", s)
     return PomdpModel(
         num_states=num_states,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -28,6 +29,12 @@ class InferenceError(ValueError):
 
 def _set(obj, name, value):
     object.__setattr__(obj, name, value)
+
+
+def _frozen(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -140,6 +147,38 @@ class FuzzyVariable:
 
 
 @dataclass(frozen=True)
+class GaussianGroup:
+    """Rules whose clauses are all Gaussian, on the same dims in the same order.
+
+    rules holds the G rule indices and dims the k clause dims; centers and
+    variances are (G, k), one row per rule and one column per clause dim.
+    """
+
+    rules: np.ndarray
+    dims: np.ndarray
+    centers: np.ndarray
+    variances: np.ndarray
+
+
+@dataclass(frozen=True)
+class RuleTables:
+    """A rule base in read-only array form, built once per FuzzyModel.
+
+    gaussian_groups: the rules with a closed-form expected firing strength
+    (all clauses Gaussian, product t-norm), grouped by clause-dim tuple.
+    mc_rules: the other rules with a non-empty antecedent, matched by
+    Monte Carlo. actions[r]: rule r's action selector, -1 when the rule is
+    active for every action. consequents: the (R, d, d+1) stacked affine
+    consequents.
+    """
+
+    gaussian_groups: tuple[GaussianGroup, ...]
+    mc_rules: tuple[int, ...]
+    actions: np.ndarray
+    consequents: np.ndarray
+
+
+@dataclass(frozen=True)
 class FuzzyModel:
     """Rule base plus the t-norm used to combine clause memberships."""
 
@@ -171,6 +210,34 @@ class FuzzyModel:
             raise ValueError("need one variable entry per observation dimension")
         _set(self, "rules", rules)
         _set(self, "variables", variables)
+
+    @cached_property
+    def tables(self) -> RuleTables:
+        """The rule base's arrays, built on first use and kept."""
+        members: dict[tuple[int, ...], list[int]] = {}
+        mc_rules = []
+        for r, rule in enumerate(self.rules):
+            if not rule.clauses:
+                continue
+            if self.tnorm == "product" and all(c.term.shape == "gaussian" for c in rule.clauses):
+                members.setdefault(tuple(c.dim for c in rule.clauses), []).append(r)
+            else:
+                mc_rules.append(r)
+        groups = []
+        for dims, rules in members.items():
+            params = np.array([[c.term.params for c in self.rules[r].clauses] for r in rules])
+            groups.append(GaussianGroup(
+                rules=_frozen(rules, int), dims=_frozen(dims, int),
+                centers=_frozen(params[..., 0]), variances=_frozen(params[..., 1] ** 2),
+            ))
+        actions = [-1 if rule.action is None else rule.action for rule in self.rules]
+        consequents = np.array([rule.consequent for rule in self.rules])
+        return RuleTables(
+            gaussian_groups=tuple(groups),
+            mc_rules=tuple(mc_rules),
+            actions=_frozen(actions, int),
+            consequents=_frozen(consequents.reshape(-1, self.obs_dim, self.obs_dim + 1)),
+        )
 
     @property
     def variable_ranges(self) -> np.ndarray:

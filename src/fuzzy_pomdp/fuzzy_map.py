@@ -22,10 +22,10 @@ import numpy as np
 
 from .em import EmConfig, SufficientCounts, _fit, _mstep_from_counts, run_em
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
-from .fuzzy import FuzzyModel, FuzzyRule, firing_strengths_batch
+from .fuzzy import FuzzyModel, FuzzyRule, GaussianGroup, firing_strengths_batch
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .model import (CovarianceError, PomdpModel, Trajectory, cholesky_factor,
-                    gaussian_log_density, sample_gaussian)
+                    per_state_log_density, sample_gaussian)
 from .rngs import derive_rng
 
 log = logging.getLogger(__name__)
@@ -95,20 +95,17 @@ def match_antecedent(
     return float(firing_strengths_batch(rule, samples, action, fuzzy.tnorm).mean())
 
 
-def _gaussian_match(model: PomdpModel, rules: list[FuzzyRule]) -> np.ndarray:
-    """Exact expected product-t-norm firing strength, shape (S, len(rules)).
+def _gaussian_match(model: PomdpModel, group: GaussianGroup) -> np.ndarray:
+    """Exact expected product-t-norm firing strength, shape (S, G).
 
-    Every rule must have Gaussian clauses on the same dims J, in the same
-    order. With D = diag(sigma_J^2) and d = mu_J - c, the integral of the
-    rule's membership against N(mu, Sigma) is
-    sqrt(det D / det(D + Sigma_JJ)) * exp(-d^T (D + Sigma_JJ)^-1 d / 2).
+    With D = diag(sigma_J^2) over the group's clause dims J and
+    d = mu_J - c, the integral of a rule's membership against N(mu, Sigma)
+    is sqrt(det D / det(D + Sigma_JJ)) * exp(-d^T (D + Sigma_JJ)^-1 d / 2).
     """
-    dims = [c.dim for c in rules[0].clauses]
-    params = np.array([[c.term.params for c in rule.clauses] for rule in rules])
-    centers, var = params[..., 0], params[..., 1] ** 2  # (G, k)
+    dims, var = group.dims, group.variances  # var: (G, k)
     cov = model.obs_covs[:, dims][:, :, dims]  # (S, k, k)
     mat = cov[:, None] + var[None, :, :, None] * np.eye(len(dims))  # (S, G, k, k)
-    diff = model.obs_means[:, None, dims] - centers[None]  # (S, G, k)
+    diff = model.obs_means[:, None, dims] - group.centers[None]  # (S, G, k)
     quad = np.einsum("sgk,sgk->sg", diff, np.linalg.solve(mat, diff[..., None])[..., 0])
     return np.sqrt(var.prod(axis=1) / np.linalg.det(mat)) * np.exp(-0.5 * quad)
 
@@ -119,35 +116,24 @@ def matchant_matrix(
     """Expected firing strength for every (state, action, rule), shape (S, A, R).
 
     Exact for rules whose clauses are all Gaussian under the product t-norm:
-    rules sharing a clause-dim tuple are solved together for every state.
-    Other rules fall back to the Monte-Carlo match_antecedent, cell by cell,
-    with its draws. Action-gated cells are exactly 0 and empty antecedents
-    exactly 1. A covariance that is not positive definite raises
-    CovarianceError.
+    each group of rules sharing a clause-dim tuple (fuzzy.tables) is solved
+    for every state at once. Other rules fall back to the Monte-Carlo
+    match_antecedent, cell by cell, with its draws. Action-gated cells are
+    exactly 0 and empty antecedents exactly 1. The covariances are checked
+    with one stacked Cholesky factorisation; one that is not positive
+    definite raises CovarianceError naming its state.
     """
-    for cov in model.obs_covs:
-        cholesky_factor(cov)
+    cholesky_factor(model.obs_covs)
+    tables = fuzzy.tables
     strength = np.ones((model.num_states, len(fuzzy.rules)))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    mc_rules = []
-    for r, rule in enumerate(fuzzy.rules):
-        if not rule.clauses:
-            continue
-        if fuzzy.tnorm == "product" and all(c.term.shape == "gaussian" for c in rule.clauses):
-            groups.setdefault(tuple(c.dim for c in rule.clauses), []).append(r)
-        else:
-            mc_rules.append(r)
-    for members in groups.values():
-        strength[:, members] = _gaussian_match(model, [fuzzy.rules[r] for r in members])
-    gate = np.array(
-        [[rule.action is None or rule.action == a for rule in fuzzy.rules]
-         for a in range(model.num_actions)],
-        dtype=bool,
-    )
+    for group in tables.gaussian_groups:
+        strength[:, group.rules] = _gaussian_match(model, group)
+    actions = tables.actions
+    gate = (actions < 0) | (actions == np.arange(model.num_actions)[:, None])  # (A, R)
     out = np.where(gate[None], strength[:, None, :], 0.0)
     for s in range(model.num_states):
         for a in range(model.num_actions):
-            for r in mc_rules:
+            for r in tables.mc_rules:
                 out[s, a, r] = match_antecedent(s, a, r, fuzzy, model, config, iteration)
     return out
 
@@ -163,25 +149,15 @@ def consequent_expectation(rule: FuzzyRule, model: PomdpModel, state: int) -> np
 
 def _expectation_table(model: PomdpModel, fuzzy: FuzzyModel) -> np.ndarray:
     """consequent_expectation for every (state, rule), shape (S, R, d)."""
-    consequents = np.stack([rule.consequent for rule in fuzzy.rules])  # (R, d, d+1)
     inputs = np.hstack([np.ones((model.num_states, 1)), model.obs_means])  # (S, d+1)
-    return np.einsum("rde,se->srd", consequents, inputs)
+    return np.einsum("rde,se->srd", fuzzy.tables.consequents, inputs)
 
 
 def _likelihood_table(model: PomdpModel, y_star: np.ndarray) -> np.ndarray:
     """Density of each expected consequent under each state, shape (S, R, S')."""
-    num_states, num_rules, _ = y_star.shape
-    out = np.zeros((num_states, num_rules, num_states))
-    for s2 in range(num_states):
-        dens = np.exp(
-            gaussian_log_density(
-                y_star.reshape(num_states * num_rules, -1),
-                model.obs_means[s2],
-                model.obs_covs[s2],
-            )
-        )
-        out[:, :, s2] = dens.reshape(num_states, num_rules)
-    return out
+    num_states, num_rules, obs_dim = y_star.shape
+    log_dens = per_state_log_density(model, y_star.reshape(num_states * num_rules, obs_dim))
+    return np.exp(log_dens).reshape(num_states, num_rules, model.num_states)
 
 
 def compute_from_matchant(
@@ -228,13 +204,13 @@ def m_step_fuzzy_map(
         obs_outer=empirical.obs_outer + map_config.lambda_o * fuzzy_counts.obs_outer,
     )
     model = _mstep_from_counts(blended, prev, em_config.covariance_ridge)
-    for s in range(model.num_states):
-        min_eig = float(np.linalg.eigvalsh(model.obs_covs[s]).min())
-        if min_eig < -1e-12:
-            raise CovarianceError(
-                f"blended covariance for state {s} is not positive semidefinite "
-                f"(min eigenvalue {min_eig:.3e})"
-            )
+    min_eig = np.linalg.eigvalsh(model.obs_covs).min(axis=1)
+    bad = np.flatnonzero(min_eig < -1e-12)
+    if bad.size:
+        raise CovarianceError(
+            f"blended covariance for state {bad[0]} is not positive semidefinite "
+            f"(min eigenvalue {min_eig[bad[0]]:.3e})"
+        )
     return model
 
 

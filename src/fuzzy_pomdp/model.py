@@ -189,47 +189,64 @@ def regularize_cov(cov: np.ndarray, ridge: float = DEFAULT_COV_RIDGE) -> np.ndar
 def gaussian_log_density(obs, mean, cov) -> float | np.ndarray:
     """log N(obs; mean, cov) for one point (d,) or a batch (n, d).
 
-    cov must be symmetric positive definite; a Cholesky failure raises
-    CovarianceError. Finite for any finite obs.
+    One density: mean (d,) and cov (d, d) give a float for one point and an
+    (n,) array for a batch. Stacked densities: means (S, d) and covariances
+    (S, d, d) are factored in one call and give every state's values with a
+    leading state axis, (S,) or (S, n). Each cov must be symmetric positive
+    definite; a Cholesky failure raises CovarianceError, which names the
+    first failing state of a stack. Finite for any finite obs.
     """
     mean = np.asarray(mean, dtype=float)
     obs = np.asarray(obs, dtype=float)
-    d = mean.shape[0]
+    d = mean.shape[-1]
     chol = cholesky_factor(cov)
-    diff = np.atleast_2d(obs) - mean
-    z = np.linalg.solve(chol, diff.T)
-    maha = np.sum(z * z, axis=0)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    out = -0.5 * (d * np.log(2.0 * np.pi) + log_det + maha)
-    return float(out[0]) if obs.ndim == 1 else out
+    diff = np.atleast_2d(obs) - mean[..., None, :]
+    z = np.linalg.solve(chol, np.swapaxes(diff, -1, -2))
+    maha = np.sum(z * z, axis=-2)
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    out = -0.5 * (d * np.log(2.0 * np.pi) + log_det[..., None] + maha)
+    if obs.ndim == 1:
+        out = out[..., 0]
+        return float(out) if out.ndim == 0 else out
+    return out
 
 
 def per_state_log_density(model: PomdpModel, obs) -> np.ndarray:
     """Log observation densities under every state, shape (n, S) or (S,).
 
-    Wraps covariance failures with the index of the offending state.
+    One stacked gaussian_log_density call over the states; a covariance
+    failure names the offending state.
     """
-    obs = np.asarray(obs, dtype=float)
-    single = obs.ndim == 1
-    points = np.atleast_2d(obs)
-    out = np.empty((len(points), model.num_states))
-    for s in range(model.num_states):
-        try:
-            out[:, s] = gaussian_log_density(points, model.obs_means[s], model.obs_covs[s])
-        except CovarianceError as exc:
-            raise CovarianceError(f"state {s}: {exc}") from exc
-    return out[0] if single else out
+    return np.ascontiguousarray(
+        gaussian_log_density(obs, model.obs_means, model.obs_covs).T
+    )
 
 
 def cholesky_factor(cov) -> np.ndarray:
-    """Lower Cholesky factor, with the package's covariance error type."""
+    """Lower Cholesky factor of one (d, d) covariance or an (S, d, d) stack.
+
+    A failure raises CovarianceError; for a stack the message names the
+    first state whose covariance is not positive definite.
+    """
     cov = np.asarray(cov, dtype=float)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
+        bad, prefix = cov, ""
+        if cov.ndim == 3:
+            state = next(s for s, mat in enumerate(cov) if not _factorable(mat))
+            bad, prefix = cov[state], f"state {state}: "
         raise CovarianceError(
-            f"covariance is not positive definite: {cov.tolist()}"
+            f"{prefix}covariance is not positive definite: {bad.tolist()}"
         ) from exc
+
+
+def _factorable(cov: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def sample_gaussian(mean, cov, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -256,14 +273,32 @@ def _row_stochastic_violations(transitions: np.ndarray, atol: float) -> list[str
     return violations
 
 
+def _non_finite(name: str, values: np.ndarray, axes: Sequence[str]) -> list[str]:
+    """One message per NaN or infinite entry of values, naming its index."""
+    return [
+        f"{name}[{', '.join(f'{ax}={i}' for ax, i in zip(axes, idx))}] "
+        f"is not finite ({values[tuple(idx)]})"
+        for idx in np.argwhere(~np.isfinite(values))
+    ]
+
+
 def validate_model(model: PomdpModel, atol: float = 1e-9) -> list[str]:
     """All invariant violations, empty when the model is well-formed.
 
-    Each entry names the offending index and the failed constraint.
+    Each entry names the offending index and the failed constraint; every
+    NaN or infinite parameter is reported on its own.
     """
-    violations = _row_stochastic_violations(model.transitions, atol)
+    violations = (
+        _non_finite("transitions", model.transitions, ("s", "a", "s2"))
+        + _non_finite("obs_means", model.obs_means, ("s", "dim"))
+        + _non_finite("obs_covs", model.obs_covs, ("s", "i", "j"))
+        + _non_finite("initial_dist", model.initial_dist, ("s",))
+        + _row_stochastic_violations(model.transitions, atol)
+    )
     for s in range(model.num_states):
         cov = model.obs_covs[s]
+        if not np.isfinite(cov).all():
+            continue
         if not np.allclose(cov, cov.T, atol=1e-12):
             violations.append(f"obs_covs[s={s}] is not symmetric")
             continue
@@ -281,7 +316,11 @@ def validate_model(model: PomdpModel, atol: float = 1e-9) -> list[str]:
 
 def validate_env(env: GroundTruthEnv, atol: float = 1e-9) -> list[str]:
     """Invariant violations for a ground-truth environment."""
-    violations = _row_stochastic_violations(env.transitions, atol)
+    violations = (
+        _non_finite("transitions", env.transitions, ("s", "a", "s2"))
+        + _non_finite("beta_params", env.beta_params, ("s", "dim", "k"))
+        + _row_stochastic_violations(env.transitions, atol)
+    )
     if np.any(env.beta_params <= 0):
         bad = np.argwhere(env.beta_params <= 0)
         s, j, _ = bad[0]
@@ -290,7 +329,8 @@ def validate_env(env: GroundTruthEnv, atol: float = 1e-9) -> list[str]:
 
 
 def validate_dataset(dataset: Sequence[Trajectory], num_actions: int, obs_dim: int) -> list[str]:
-    """Dimensional checks for a dataset against a model or environment."""
+    """Dimensional checks for a dataset against a model or environment, plus
+    one entry per NaN or infinite observation value."""
     violations = []
     for i, traj in enumerate(dataset):
         if traj.obs_dim != obs_dim:
@@ -299,6 +339,10 @@ def validate_dataset(dataset: Sequence[Trajectory], num_actions: int, obs_dim: i
             violations.append(
                 f"trajectory {i}: action index out of range [0, {num_actions})"
             )
+        violations.extend(
+            f"trajectory {i}: {msg}"
+            for msg in _non_finite("observations", traj.observations, ("t", "dim"))
+        )
     return violations
 
 

@@ -5,6 +5,7 @@ explicit seed and get the same toy model, dataset, or rule base every run.
 """
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fuzzy_pomdp.model import PomdpModel, Trajectory
 from fuzzy_pomdp.fuzzy import (
@@ -14,6 +15,14 @@ from fuzzy_pomdp.fuzzy import (
     FuzzyVariable,
     MembershipFunction,
 )
+
+# every property test runs under this profile: derandomized so each run
+# checks the same examples (and the Monte-Carlo comparisons see the same
+# draws), no example database written, no deadline, 100 examples
+settings.register_profile(
+    "fuzzy_pomdp", derandomize=True, database=None, deadline=None, max_examples=100
+)
+settings.load_profile("fuzzy_pomdp")
 
 
 def random_model(rng, num_states=2, num_actions=2, obs_dim=2,

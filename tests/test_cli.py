@@ -232,6 +232,19 @@ def test_validate_flags_broken_model(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+def test_validate_flags_nan_dataset(tmp_path, capsys):
+    ds = gen_small_dataset(tmp_path)
+    payload = json.loads(ds.read_text())
+    payload[1]["observations"][2][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(payload))  # written as the JSON token NaN
+    assert run_cli("validate", ds, bad) == 2
+    out = capsys.readouterr().out
+    assert f"{ds}: dataset ok" in out
+    assert f"{bad}: dataset INVALID" in out
+    assert "trajectory 1: observations[t=2, dim=0] is not finite (nan)" in out
+
+
 # ------------------------------------------------------------ experiments
 
 def test_reproduce_low_data_smoke(tmp_path, capsys):

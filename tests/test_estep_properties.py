@@ -1,25 +1,25 @@
-"""Property tests for the batched E-step, the pooled counts and the EM loop.
+"""Property tests for the batched E-step, the pooled counts, the M-step and
+the EM loop.
 
 Random models carry up to four states with full SPD covariances; random
 datasets mix trajectory lengths, one-step trajectories included, so the
 E-step splits them into several equal-length batches. The brute-force
 enumeration of test_em is the reference for the posteriors.
 """
+import logging
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fuzzy_pomdp.em import EmConfig, accumulate_counts, e_step, forward_backward, run_em
+from fuzzy_pomdp.em import (EmConfig, SufficientCounts, _mstep_from_counts, accumulate_counts,
+                            e_step, forward_backward, run_em)
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
-from fuzzy_pomdp.model import PomdpModel, Trajectory
+from fuzzy_pomdp.model import PomdpModel, Trajectory, regularize_cov
 
 from conftest import random_fuzzy
 from test_em import enumeration_posteriors
 from test_fuzzy_map import assert_same_fit
-
-# derandomized so every run checks the same examples; no example database
-# is written
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 def _floats(lo, hi):
@@ -60,7 +60,6 @@ def cases(draw, max_len=5):
     return model, dataset
 
 
-@PROPERTY
 @given(cases())
 def test_e_step_equals_one_trajectory_at_a_time(case):
     model, dataset = case
@@ -74,7 +73,6 @@ def test_e_step_equals_one_trajectory_at_a_time(case):
     assert total == sum(p.log_likelihood for p in posts)
 
 
-@PROPERTY
 @given(cases(max_len=4))
 def test_posteriors_match_brute_force_enumeration(case):
     model, dataset = case
@@ -86,7 +84,6 @@ def test_posteriors_match_brute_force_enumeration(case):
         np.testing.assert_allclose(post.xi, xi, rtol=0, atol=1e-9)
 
 
-@PROPERTY
 @given(cases())
 def test_accumulated_counts_conserve_mass(case):
     model, dataset = case
@@ -119,7 +116,6 @@ def sampled_cases(draw):
     return model, dataset
 
 
-@PROPERTY
 @given(sampled_cases())
 def test_plain_em_loglik_never_decreases(case):
     model, dataset = case
@@ -127,7 +123,6 @@ def test_plain_em_loglik_never_decreases(case):
     assert np.diff(trace).min(initial=0.0) >= -1e-8, trace
 
 
-@PROPERTY
 @given(sampled_cases())
 def test_zero_lambda_fuzzy_map_is_plain_em(case):
     model, dataset = case
@@ -137,3 +132,65 @@ def test_zero_lambda_fuzzy_map_is_plain_em(case):
     mapped = run_fuzzy_map_em(dataset, model, fuzzy, config, FuzzyMapConfig())
     assert_same_fit(mapped, run_em(dataset, model, config))
     assert mapped.final_matchant is None
+
+
+def mstep_oracle(counts, prev, ridge):
+    """The closed-form M-step written one (state, action) pair at a time."""
+    num_states = prev.num_states
+    transitions = np.empty_like(prev.transitions)
+    row_mass = counts.trans.sum(axis=2)
+    for s in range(num_states):
+        for a in range(prev.num_actions):
+            if row_mass[s, a] > 0.0:
+                transitions[s, a] = counts.trans[s, a] / row_mass[s, a]
+            else:
+                transitions[s, a] = 1.0 / num_states
+    means = prev.obs_means.copy()
+    covs = prev.obs_covs.copy()
+    for s in range(num_states):
+        weight = counts.obs_weight[s]
+        if weight > 0.0:
+            mu = counts.obs_sum[s] / weight
+            means[s] = mu
+            covs[s] = regularize_cov(counts.obs_outer[s] / weight - np.outer(mu, mu), ridge)
+    return transitions, means, covs
+
+
+@st.composite
+def sparse_counts(draw):
+    """Counts for a model, with some transition rows and some states empty."""
+    model = draw(models())
+    s, a, d = model.num_states, model.num_actions, model.obs_dim
+    trans = draw(arrays(float, (s, a, s), elements=_floats(0.0, 5.0)))
+    trans[draw(arrays(bool, (s, a)))] = 0.0
+    weight = draw(arrays(float, s, elements=_floats(0.01, 10.0)))
+    weight[draw(arrays(bool, s))] = 0.0
+    means = draw(arrays(float, (s, d), elements=_floats(-2.0, 2.0)))
+    factors = draw(arrays(float, (s, d, d), elements=_floats(-1.0, 1.0)))
+    scatter = factors @ factors.transpose(0, 2, 1)
+    counts = SufficientCounts(
+        trans=trans,
+        obs_weight=weight,
+        obs_sum=weight[:, None] * means,
+        obs_outer=weight[:, None, None] * (scatter + means[:, :, None] * means[:, None, :]),
+    )
+    return model, counts
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sparse_counts())
+def test_mstep_equals_per_pair_oracle_and_logs_each_fallback_once(caplog, case):
+    model, counts = case
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fuzzy_pomdp.em"):
+        got = _mstep_from_counts(counts, model, 1e-6)
+    transitions, means, covs = mstep_oracle(counts, model, 1e-6)
+    assert np.array_equal(got.transitions, transitions)
+    assert np.array_equal(got.obs_means, means)
+    assert np.array_equal(got.obs_covs, covs)
+    rows = [r.args for r in caplog.records if r.msg.startswith("no transition mass for state")]
+    frozen = [r.args for r in caplog.records
+              if r.msg.startswith("no observation mass for state")]
+    assert rows == [tuple(i) for i in np.argwhere(counts.trans.sum(axis=2) == 0.0)]
+    assert frozen == [(i,) for i in np.flatnonzero(counts.obs_weight == 0.0)]
+    assert len(caplog.records) == len(rows) + len(frozen)

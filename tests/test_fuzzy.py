@@ -212,6 +212,33 @@ def test_infer_zero_firing_modes():
 
 # ------------------------------------------------------------ serialization
 
+def test_rule_tables_are_built_once_and_split_the_rules():
+    tri = FuzzyClause(dim=1, term=MembershipFunction("triangular", (0.0, 0.5, 1.0)),
+                      var_name="x1", term_label="mid")
+    rules = [
+        affine_rule([0.1, 0.2], np.eye(2), action=1,
+                    clauses=[gauss_clause(0, 0.2, 0.3), gauss_clause(1, 0.4, 0.5)]),
+        constant_rule((0.3, 0.4), 2),
+        constant_rule((0.5, 0.6), 2, action=0, clauses=[tri]),
+        identity_rule(2, clauses=[gauss_clause(0, 0.7, 0.2), gauss_clause(1, 0.1, 0.6)]),
+        identity_rule(2, clauses=[gauss_clause(1, 0.9, 0.4)]),
+    ]
+    fz = make_fuzzy(rules, obs_dim=2)
+    tables = fz.tables
+    assert fz.tables is tables
+    assert [(g.rules.tolist(), g.dims.tolist()) for g in tables.gaussian_groups] == [
+        ([0, 3], [0, 1]), ([4], [1])]
+    first = tables.gaussian_groups[0]
+    assert np.array_equal(first.centers, [[0.2, 0.4], [0.7, 0.1]])
+    assert np.array_equal(first.variances, np.array([[0.3, 0.5], [0.2, 0.6]]) ** 2)
+    assert tables.mc_rules == (2,)
+    assert tables.actions.tolist() == [1, -1, 0, -1, -1]
+    assert np.array_equal(tables.consequents, np.stack([r.consequent for r in rules]))
+    assert not tables.consequents.flags.writeable
+    # under the minimum t-norm no rule has the closed form
+    assert make_fuzzy(rules, obs_dim=2, tnorm="minimum").tables.mc_rules == (0, 2, 3, 4)
+
+
 def test_fuzzy_model_round_trip(tmp_path, rng0):
     fz = random_fuzzy(rng0, obs_dim=3, num_rules=4)
     p = tmp_path / "fz.json"

@@ -7,7 +7,7 @@ dims. The Monte-Carlo match_antecedent is the reference throughout.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuzzy_pomdp.fuzzy import FuzzyClause, FuzzyRule, MembershipFunction
@@ -20,10 +20,6 @@ from fuzzy_pomdp.fuzzy_map import (
 from fuzzy_pomdp.model import PomdpModel
 
 from conftest import make_fuzzy
-
-# derandomized so that the Monte-Carlo comparisons see the same draws on
-# every run; no example database is written
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 def _floats(lo, hi):
@@ -99,7 +95,6 @@ def _cells(model, fuzzy):
                 yield s, a, r, rule
 
 
-@PROPERTY
 @given(cases())
 def test_closed_form_agrees_with_monte_carlo(case):
     model, fuzzy = case
@@ -115,7 +110,6 @@ def test_closed_form_agrees_with_monte_carlo(case):
         assert abs(mat[s, a, r] - got) < 5.0 * se + 1e-12, (s, a, r, mat[s, a, r], got, se)
 
 
-@PROPERTY
 @given(cases(shapes=("gaussian", "triangular"), tnorms=("product", "minimum")))
 def test_gated_cells_are_zero_and_empty_antecedents_one(case):
     model, fuzzy = case
@@ -129,7 +123,6 @@ def test_gated_cells_are_zero_and_empty_antecedents_one(case):
             assert 0.0 <= mat[s, a, r] <= 1.0
 
 
-@PROPERTY
 @given(cases(shapes=("gaussian", "triangular"), tnorms=("product", "minimum")),
        st.integers(0, 2**31 - 1), st.integers(0, 50))
 def test_monte_carlo_cells_are_bit_identical(case, seed, iteration):
@@ -142,7 +135,6 @@ def test_monte_carlo_cells_are_bit_identical(case, seed, iteration):
         assert mat[s, a, r] == match_antecedent(s, a, r, fuzzy, model, cfg, iteration)
 
 
-@PROPERTY
 @given(cases())
 def test_expectation_table_matches_per_rule_predict(case):
     model, fuzzy = case

@@ -14,6 +14,7 @@ from fuzzy_pomdp.model import (
     dataset_from_list,
     dataset_to_list,
     env_from_dict,
+    env_to_dict,
     gaussian_log_density,
     load_dataset,
     load_env,
@@ -207,6 +208,52 @@ def test_validate_env_and_dataset():
     assert validate_dataset(broken, num_actions=2, obs_dim=2)
     with pytest.raises(ValueError):
         Trajectory(observations=np.zeros((4, 2)), actions=np.array([0, 1]))
+
+
+def test_validate_model_reports_every_non_finite_entry():
+    m = random_model(np.random.default_rng(4))
+    trans, means, covs = m.transitions.copy(), m.obs_means.copy(), m.obs_covs.copy()
+    trans[1, 0, 1] = np.nan
+    means[0, 1] = np.inf
+    covs[1, 0, 0] = -np.inf
+    init = np.array([np.nan, 0.5])
+    msgs = validate_model(PomdpModel(m.num_states, m.num_actions, m.obs_dim,
+                                     trans, means, covs, init))
+    for want in ("transitions[s=1, a=0, s2=1] is not finite (nan)",
+                 "obs_means[s=0, dim=1] is not finite (inf)",
+                 "obs_covs[s=1, i=0, j=0] is not finite (-inf)",
+                 "initial_dist[s=0] is not finite (nan)"):
+        assert want in msgs
+    assert sum("not finite" in msg for msg in msgs) == 4
+
+
+def test_validate_env_reports_every_non_finite_entry():
+    env = _load_bundled_env()
+    trans, betas = env.transitions.copy(), env.beta_params.copy()
+    trans[2, 1, 0] = np.nan
+    betas[0, 1, 0] = np.nan
+    betas[1, 0, 1] = np.inf
+    msgs = validate_env(GroundTruthEnv(transitions=trans, beta_params=betas))
+    assert [msg for msg in msgs if "not finite" in msg] == [
+        "transitions[s=2, a=1, s2=0] is not finite (nan)",
+        "beta_params[s=0, dim=1, k=0] is not finite (nan)",
+        "beta_params[s=1, dim=0, k=1] is not finite (inf)",
+    ]
+    with pytest.raises(ValueError, match="not finite"):
+        env_from_dict(json.loads(json.dumps(env_to_dict(
+            GroundTruthEnv(transitions=trans, beta_params=env.beta_params)))))
+
+
+def test_validate_dataset_reports_every_non_finite_observation():
+    obs = np.zeros((4, 2))
+    obs[1, 0] = np.nan
+    obs[3, 1] = -np.inf
+    ds = [Trajectory(observations=np.zeros((2, 2)), actions=[0]),
+          Trajectory(observations=obs, actions=[0, 1, 0])]
+    assert validate_dataset(ds, num_actions=2, obs_dim=2) == [
+        "trajectory 1: observations[t=1, dim=0] is not finite (nan)",
+        "trajectory 1: observations[t=3, dim=1] is not finite (-inf)",
+    ]
 
 
 def test_regularize_cov_symmetrizes_and_lifts():
