@@ -29,7 +29,7 @@ from .model import (load_dataset, load_env, make_policy,
                     model_from_dict, model_to_dict, sample_trajectory,
                     save_dataset, validate_dataset, validate_env,
                     validate_model)
-from .fuzzy import fuzzy_model_from_dict
+from .fuzzy import fuzzy_model_from_dict, validate_fuzzy_dict
 from .rngs import derive_rng
 
 log = logging.getLogger(__name__)
@@ -328,10 +328,12 @@ def _detect_and_check(payload) -> tuple[str, list[str]]:
         return "env", validate_env(env)
     if "rules" in payload and "tnorm" in payload:
         try:
-            fuzzy_model_from_dict(payload)
+            problems = validate_fuzzy_dict(payload)
+            if not problems:
+                fuzzy_model_from_dict(payload)
         except (KeyError, TypeError, ValueError) as exc:
             return "fuzzy-model", [str(exc)]
-        return "fuzzy-model", []
+        return "fuzzy-model", problems
     if "model" in payload and isinstance(payload["model"], dict):
         try:
             model = model_from_dict(payload["model"])

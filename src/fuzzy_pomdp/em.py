@@ -1,8 +1,12 @@
 """Standard EM for Gaussian-emission, action-conditioned hidden Markov models.
 
-E-step: scaled forward-backward, run once per trajectory length on the
-whole batch of trajectories of that length, with one stacked Cholesky
-factorisation of all states' covariances for the batch's observations. M-step: closed-form maximum-likelihood
+A fit prepares its dataset once: trajectories grouped by length, with each
+group's observations and actions stacked, and the whole dataset's joined
+in order for count pooling. E-step: scaled forward-backward, run once per
+trajectory length on the whole batch of that length, with one stacked
+Cholesky factorisation of all states' covariances for the batch's
+observations; the posteriors come back pooled in dataset order and go
+straight into the expected counts. M-step: closed-form maximum-likelihood
 updates from pooled expected counts. The initial state distribution is held
 fixed, never re-estimated.
 """
@@ -98,41 +102,133 @@ class EmResult:
     iterations: int = 0
 
 
+class _Batch(tuple):
+    """Equal-length trajectories, with their arrays stacked once.
+
+    indices: the trajectories' positions in the dataset. obs: the (N*T, d)
+    observations joined in order. actions: the (N, T-1) actions.
+    """
+
+    def __new__(cls, trajectories, indices=None):
+        self = super().__new__(cls, trajectories)
+        if any(len(traj) != len(self[0]) for traj in self):
+            raise ValueError("trajectories in one batch must have the same length")
+        self.indices = np.arange(len(self)) if indices is None else indices
+        self.obs = np.concatenate([traj.observations for traj in self])
+        self.actions = np.stack([traj.actions for traj in self])
+        return self
+
+
+def _rows(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """For each row in dataset order, its row in the arrays joined in `order`."""
+    ends = np.empty_like(lengths)
+    ends[order] = np.cumsum(lengths[order])
+    return np.concatenate([np.arange(end - n, end) for n, end in zip(lengths, ends)])
+
+
+class _FitData(tuple):
+    """A dataset prepared once per fit: its trajectories, as a tuple, plus
+    the arrays that every E-step and count pooling read.
+
+    groups: one _Batch per distinct length, in order of first appearance.
+    obs, actions: the observations and actions joined in dataset order.
+    starts: (N+1,) offsets of each trajectory's first row in obs.
+    order: None when one group holds the whole dataset; otherwise the
+    (gamma rows, xi rows, trajectories) that put the groups' joined results
+    back in dataset order.
+    """
+
+    def __new__(cls, dataset):
+        self = super().__new__(cls, dataset)
+        if not self:
+            raise ValueError("dataset must be non-empty")
+        by_length: dict[int, list[int]] = {}
+        for i, traj in enumerate(self):
+            by_length.setdefault(len(traj), []).append(i)
+        self.groups = tuple(
+            _Batch([self[i] for i in indices], np.array(indices))
+            for indices in by_length.values()
+        )
+        lengths = np.array([len(traj) for traj in self])
+        self.starts = np.concatenate([[0], np.cumsum(lengths)])
+        self.actions = np.concatenate([traj.actions for traj in self])
+        if len(self.groups) == 1:
+            self.obs, self.order = self.groups[0].obs, None
+        else:
+            self.obs = np.concatenate([traj.observations for traj in self])
+            order = np.concatenate([batch.indices for batch in self.groups])
+            self.order = (_rows(lengths, order), _rows(lengths - 1, order), np.argsort(order))
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class PooledPosteriors:
+    """Smoothed posteriors of several trajectories, joined in order.
+
+    gamma (sum T, S) and xi (sum (T-1), S, S) are the per-trajectory arrays
+    joined along time; log_likelihoods (N,) holds one value per trajectory,
+    and starts (N+1,) the offset of each trajectory's first row in gamma.
+    Reads as a sequence of per-trajectory Posteriors.
+    """
+
+    gamma: np.ndarray
+    xi: np.ndarray
+    log_likelihoods: np.ndarray
+    starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.log_likelihoods)
+
+    def __getitem__(self, i: int) -> Posteriors:
+        i = range(len(self))[i]
+        lo, hi = self.starts[i], self.starts[i + 1]
+        return Posteriors(
+            gamma=self.gamma[lo:hi],
+            xi=self.xi[lo - i:hi - i - 1],
+            log_likelihood=float(self.log_likelihoods[i]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]):
     """Scaled forward-backward smoothing, vectorised over trajectories.
 
     batch is one Trajectory, which gives its Posteriors, or a sequence of
-    trajectories of one length, which gives their Posteriors in order. The
-    batch's observations are scored in one per_state_log_density call.
-    Emission densities are shifted by their per-step maximum before
+    trajectories of one length, which gives their PooledPosteriors in
+    order. The batch's observations are scored in one per_state_log_density
+    call. Emission densities are shifted by their per-step maximum before
     exponentiation, and messages are renormalized at every step; the log
     normalizers accumulate into the exact data log-likelihood.
     """
     single = isinstance(batch, Trajectory)
-    trajs = [batch] if single else list(batch)
-    num, horizon, num_states = len(trajs), len(trajs[0]), model.num_states
-    if any(len(traj) != horizon for traj in trajs):
-        raise ValueError("trajectories in one batch must have the same length")
-    obs = np.concatenate([traj.observations for traj in trajs])
-    log_b = per_state_log_density(model, obs).reshape(num, horizon, num_states)
+    if not isinstance(batch, _Batch):
+        batch = _Batch([batch] if single else batch)
+    num, horizon, num_states = len(batch), len(batch[0]), model.num_states
+    log_b = per_state_log_density(model, batch.obs).reshape(num, horizon, num_states)
     shift = log_b.max(axis=2)
     b = np.exp(log_b - shift[..., None])
     # trans[n, t] is the (state, next_state) matrix of the action at step t
-    trans = model.transitions.transpose(1, 0, 2)[np.stack([traj.actions for traj in trajs])]
+    trans = model.transitions.transpose(1, 0, 2)[batch.actions]
 
     alpha = np.empty((num, horizon, num_states))
     scale = np.empty((num, horizon))
     step = model.initial_dist * b[:, 0]
-    for t in range(horizon):
-        if t:
-            step = (alpha[:, t - 1, None, :] @ trans[:, t - 1])[:, 0] * b[:, t]
-        scale[:, t] = step.sum(axis=1)
-        failed = np.flatnonzero(scale[:, t] <= 0.0)
-        if failed.size:
-            raise ForwardBackwardError(
-                f"zero total observation likelihood at step {t}", int(failed[0])
-            )
-        alpha[:, t] = step / scale[:, t, None]
+    # a trajectory whose likelihood vanishes turns NaN from that step on,
+    # without touching the others; it is reported once the pass is done
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(horizon):
+            if t:
+                step = (alpha[:, t - 1, None, :] @ trans[:, t - 1])[:, 0] * b[:, t]
+            scale[:, t] = step.sum(axis=1)
+            alpha[:, t] = step / scale[:, t, None]
+    failed = scale <= 0.0
+    if failed.any():
+        t = int(failed.any(axis=0).argmax())
+        raise ForwardBackwardError(
+            f"zero total observation likelihood at step {t}", int(failed[:, t].argmax())
+        )
 
     beta = np.empty((num, horizon, num_states))
     beta[:, -1] = 1.0
@@ -143,32 +239,37 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
     gamma = alpha * beta
     ahead = b[:, 1:] * beta[:, 1:] / scale[:, 1:, None]
     xi = alpha[:, :-1, :, None] * trans * ahead[:, :, None, :]
-    log_likelihood = np.log(scale).sum(axis=1) + shift.sum(axis=1)
-    posteriors = [
-        Posteriors(gamma=gamma[n], xi=xi[n], log_likelihood=float(log_likelihood[n]))
-        for n in range(num)
-    ]
+    posteriors = PooledPosteriors(
+        gamma=gamma.reshape(num * horizon, num_states),
+        xi=xi.reshape(num * (horizon - 1), num_states, num_states),
+        log_likelihoods=np.log(scale).sum(axis=1) + shift.sum(axis=1),
+        starts=np.arange(num + 1) * horizon,
+    )
     return posteriors[0] if single else posteriors
 
 
 def accumulate_counts(
-    dataset: list[Trajectory],
-    posteriors: list[Posteriors],
+    dataset: Sequence[Trajectory],
+    posteriors: Sequence[Posteriors],
     num_actions: int,
 ) -> SufficientCounts:
     """Pool posterior expectations over a dataset into sufficient counts.
 
-    Trajectories and posteriors are joined along time, so lengths may
-    differ; transition counts go through a one-hot encoding of the actions.
+    e_step's PooledPosteriors are read as they are; any other sequence of
+    per-trajectory posteriors is first joined along time, so lengths may
+    differ. Transition counts go through a one-hot encoding of the actions.
     """
-    if len(dataset) != len(posteriors):
+    data = dataset if isinstance(dataset, _FitData) else _FitData(dataset)
+    if len(data) != len(posteriors):
         raise ValueError("dataset and posteriors must be parallel lists")
-    gamma = np.concatenate([post.gamma for post in posteriors])
-    xi = np.concatenate([post.xi for post in posteriors])
-    obs = np.concatenate([traj.observations for traj in dataset])
-    actions = np.concatenate([traj.actions for traj in dataset])
+    if isinstance(posteriors, PooledPosteriors):
+        gamma, xi = posteriors.gamma, posteriors.xi
+    else:
+        gamma = np.concatenate([post.gamma for post in posteriors])
+        xi = np.concatenate([post.xi for post in posteriors])
+    obs = data.obs
     return SufficientCounts(
-        trans=np.einsum("ma,msk->sak", np.eye(num_actions)[actions], xi),
+        trans=np.einsum("ma,msk->sak", np.eye(num_actions)[data.actions], xi),
         obs_weight=gamma.sum(axis=0),
         obs_sum=gamma.T @ obs,
         obs_outer=np.einsum("ts,td,te->sde", gamma, obs, obs),
@@ -226,24 +327,33 @@ def m_step_standard(
     return _mstep_from_counts(counts, prev, config.covariance_ridge)
 
 
-def e_step(model: PomdpModel, dataset: list[Trajectory]) -> tuple[list[Posteriors], float]:
+def e_step(
+    model: PomdpModel, dataset: Sequence[Trajectory]
+) -> tuple[PooledPosteriors, float]:
     """Forward-backward over the dataset, one batch per trajectory length.
 
-    Returns the posteriors in dataset order and the total log-likelihood.
+    dataset is a list of trajectories or a fit's prepared data. Returns the
+    posteriors pooled in dataset order and the total log-likelihood.
     """
-    by_length: dict[int, list[int]] = {}
-    for i, traj in enumerate(dataset):
-        by_length.setdefault(len(traj), []).append(i)
-    posteriors: list[Posteriors] = [None] * len(dataset)
-    for indices in by_length.values():
+    data = dataset if isinstance(dataset, _FitData) else _FitData(dataset)
+    parts = []
+    for batch in data.groups:
         try:
-            batch = forward_backward(model, [dataset[i] for i in indices])
+            parts.append(forward_backward(model, batch))
         except ForwardBackwardError as err:
-            index = indices[err.trajectory]
+            index = int(batch.indices[err.trajectory])
             raise ForwardBackwardError(f"trajectory {index}: {err}", index) from err
-        for i, post in zip(indices, batch):
-            posteriors[i] = post
-    return posteriors, float(sum(p.log_likelihood for p in posteriors))
+    if data.order is None:
+        posteriors = parts[0]
+    else:
+        gamma_rows, xi_rows, trajectories = data.order
+        posteriors = PooledPosteriors(
+            gamma=np.concatenate([part.gamma for part in parts])[gamma_rows],
+            xi=np.concatenate([part.xi for part in parts])[xi_rows],
+            log_likelihoods=np.concatenate([part.log_likelihoods for part in parts])[trajectories],
+            starts=data.starts,
+        )
+    return posteriors, float(sum(posteriors.log_likelihoods.tolist()))
 
 
 def _fit(
@@ -259,14 +369,13 @@ def _fit(
     budget runs out, and otherwise replaces the model with
     m_step(empirical counts, model, iteration).
     """
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
+    data = _FitData(dataset)
     model = init
     trace: list[float] = []
     converged = False
     for iteration in range(config.max_iterations + 1):
         try:
-            posteriors, total = e_step(model, dataset)
+            posteriors, total = e_step(model, data)
         except ForwardBackwardError as err:
             raise ForwardBackwardError(f"iteration {iteration}: {err}", err.trajectory) from err
         trace.append(total)
@@ -275,7 +384,7 @@ def _fit(
             break
         if iteration == config.max_iterations:
             break
-        counts = accumulate_counts(dataset, posteriors, model.num_actions)
+        counts = accumulate_counts(data, posteriors, model.num_actions)
         model = m_step(counts, model, iteration)
     return EmResult(
         model=model, loglik_trace=trace, converged=converged, iterations=len(trace) - 1

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .model import _non_finite
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +56,8 @@ class MembershipFunction:
             raise ValueError(
                 f"{self.shape} takes {SHAPE_ARITY[self.shape]} parameters, got {len(params)}"
             )
+        if not all(math.isfinite(p) for p in params):
+            raise ValueError(f"{self.shape} parameters must be finite: {params}")
         if self.shape in ("triangular", "trapezoidal"):
             if any(b < a for a, b in zip(params, params[1:])):
                 raise ValueError(f"{self.shape} breakpoints must be non-decreasing: {params}")
@@ -122,6 +127,8 @@ class FuzzyRule:
         cons = np.array(self.consequent, dtype=float)
         if cons.ndim != 2:
             raise ValueError("consequent must be a (obs_dim, obs_dim+1) coefficient array")
+        if not np.isfinite(cons).all():
+            raise ValueError(f"consequent entries must be finite: {cons.tolist()}")
         cons.flags.writeable = False
         _set(self, "clauses", clauses)
         _set(self, "consequent", cons)
@@ -141,8 +148,8 @@ class FuzzyVariable:
 
     def __post_init__(self):
         lo, hi = self.range
-        if not hi > lo:
-            raise ValueError(f"variable {self.name!r} range must satisfy lo < hi")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ValueError(f"variable {self.name!r} range must be finite with lo < hi")
         _set(self, "range", (float(lo), float(hi)))
 
 
@@ -257,50 +264,68 @@ def clause_memberships(rule: FuzzyRule, obs_batch: np.ndarray) -> np.ndarray:
     )
 
 
-def firing_strength(rule: FuzzyRule, obs, action: int, tnorm: str = "product") -> float:
-    """t-norm aggregation of the rule's clause memberships for one input.
-
-    A crisp action selector gates the result to 0 on mismatch; a rule with
-    an empty antecedent fires at 1.
-    """
-    if rule.action is not None and rule.action != action:
-        return 0.0
-    if not rule.clauses:
-        return 1.0
-    values = clause_memberships(rule, np.atleast_2d(obs))[0]
-    return float(np.prod(values) if tnorm == "product" else np.min(values))
-
-
-def firing_strengths_batch(rule: FuzzyRule, obs_batch, action: int, tnorm: str) -> np.ndarray:
-    """firing_strength vectorized over a batch of observations."""
-    obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
-    if rule.action is not None and rule.action != action:
-        return np.zeros(len(obs_batch))
+def _antecedent_strengths(rule: FuzzyRule, obs_batch: np.ndarray, tnorm: str) -> np.ndarray:
+    """t-norm aggregation of the rule's clause memberships, action gate aside."""
     if not rule.clauses:
         return np.ones(len(obs_batch))
     values = clause_memberships(rule, obs_batch)
     return values.prod(axis=1) if tnorm == "product" else values.min(axis=1)
 
 
-def infer(model: FuzzyModel, obs, action: int, zero_firing: str = "identity") -> np.ndarray:
+def firing_strengths_batch(rule: FuzzyRule, obs_batch, action: int, tnorm: str) -> np.ndarray:
+    """t-norm aggregation of the rule's clause memberships, one per observation.
+
+    A crisp action selector gates every result to 0 on mismatch; a rule
+    with an empty antecedent fires at 1.
+    """
+    obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
+    if rule.action is not None and rule.action != action:
+        return np.zeros(len(obs_batch))
+    return _antecedent_strengths(rule, obs_batch, tnorm)
+
+
+def firing_strength(rule: FuzzyRule, obs, action: int, tnorm: str = "product") -> float:
+    """firing_strengths_batch for one observation."""
+    return float(firing_strengths_batch(rule, obs, action, tnorm)[0])
+
+
+def infer(model: FuzzyModel, obs, action, zero_firing: str = "identity") -> np.ndarray:
     """Weighted-average Takagi-Sugeno prediction of the next observation.
 
-    When no rule fires, zero_firing selects the fallback: "identity"
-    returns the input observation unchanged (logged), "error" raises
-    InferenceError.
+    obs is one (d,) observation with one action, or an (n, d) batch with
+    (n,) actions, which gives an (n, d) prediction. Rule weights come from
+    the batched clause memberships, gated by each rule's action selector.
+    For an observation where no rule fires, zero_firing selects the
+    fallback: "identity" returns that observation unchanged (logged),
+    "error" raises InferenceError naming the first such row of a batch.
     """
     obs = np.asarray(obs, dtype=float)
-    weights = np.array(
-        [firing_strength(rule, obs, action, model.tnorm) for rule in model.rules]
-    )
-    total = weights.sum()
-    if total <= 0.0:
-        if zero_firing == "identity":
-            log.debug("no rule fires for obs=%s action=%s; returning input", obs, action)
-            return obs.copy()
-        raise InferenceError(f"no rule fires for obs={obs.tolist()} action={action}")
-    outputs = np.array([rule.predict(obs) for rule in model.rules])
-    return weights @ outputs / total
+    batch = np.atleast_2d(obs)
+    actions = np.atleast_1d(np.asarray(action, dtype=int))
+    if actions.shape != (len(batch),):
+        raise ValueError(f"need one action per observation, got {actions.shape} for {len(batch)}")
+    tables = model.tables
+    weights = np.empty((len(batch), len(model.rules)))
+    for r, rule in enumerate(model.rules):
+        weights[:, r] = _antecedent_strengths(rule, batch, model.tnorm)
+    gate = (tables.actions < 0) | (tables.actions == actions[:, None])  # (n, R)
+    weights = np.where(gate, weights, 0.0)
+    total = weights.sum(axis=1)
+    dead = total <= 0.0
+    if dead.any() and zero_firing != "identity":
+        row = int(dead.argmax())
+        where = "" if obs.ndim == 1 else f"row {row}: "
+        raise InferenceError(
+            f"{where}no rule fires for obs={batch[row].tolist()} action={actions[row]}"
+        )
+    for row in np.flatnonzero(dead):
+        log.debug("no rule fires for obs=%s action=%s; returning input", batch[row], actions[row])
+    # outputs[n, r] = consequent_r[:, 0] + consequent_r[:, 1:] @ obs[n]
+    cons = tables.consequents
+    outputs = cons[:, :, 0] + (cons[None, :, :, 1:] @ batch[:, None, :, None])[..., 0]
+    pred = np.divide((weights[:, None, :] @ outputs)[:, 0], total[:, None],
+                     out=batch.copy(), where=~dead[:, None])
+    return pred[0] if obs.ndim == 1 else pred
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +385,37 @@ def fuzzy_model_to_dict(model: FuzzyModel) -> dict:
     }
 
 
+def validate_fuzzy_dict(data: dict) -> list[str]:
+    """One message per NaN or infinite number in a fuzzy model file.
+
+    Term parameters and ranges are named by variable and term, consequent
+    entries by rule and index.
+    """
+    problems = []
+    for entry in data["variables"]:
+        name = entry["name"]
+        ranges = np.asarray(entry.get("range", (0.0, 1.0)), float)
+        problems += [f"variable {name!r}: {p}" for p in _non_finite("range", ranges, ("i",))]
+        for term in entry["terms"]:
+            params = np.asarray(term["params"], float)
+            problems += [
+                f"variable {name!r} term {term['label']!r}: {p}"
+                for p in _non_finite("params", params, ("i",))
+            ]
+    for i, entry in enumerate(data["rules"]):
+        consequent = np.asarray(entry["consequent"], float)
+        problems += [
+            f"rule {i}: {p}" for p in _non_finite("consequent", consequent, ("out", "coef"))
+        ]
+    return problems
+
+
 def fuzzy_model_from_dict(data: dict) -> FuzzyModel:
     if not data.get("rules"):
         raise ValueError("fuzzy model file must declare at least one rule")
+    problems = validate_fuzzy_dict(data)
+    if problems:
+        raise ValueError("; ".join(problems))
     variables = []
     for entry in data["variables"]:
         terms = {

@@ -22,7 +22,7 @@ import numpy as np
 
 from .em import EmConfig, SufficientCounts, _fit, _mstep_from_counts, run_em
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
-from .fuzzy import FuzzyModel, FuzzyRule, GaussianGroup, firing_strengths_batch
+from .fuzzy import FuzzyModel, GaussianGroup, firing_strengths_batch
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .model import (CovarianceError, PomdpModel, Trajectory, cholesky_factor,
                     per_state_log_density, sample_gaussian)
@@ -138,17 +138,12 @@ def matchant_matrix(
     return out
 
 
-def consequent_expectation(rule: FuzzyRule, model: PomdpModel, state: int) -> np.ndarray:
-    """Expected consequent value under the state's observation density.
+def _expectation_table(model: PomdpModel, fuzzy: FuzzyModel) -> np.ndarray:
+    """Expected consequent of every rule under every state's density, (S, R, d).
 
     Affine consequents make this exact: the expectation of an affine map of
     a Gaussian is the map applied to the mean.
     """
-    return rule.predict(model.obs_means[state])
-
-
-def _expectation_table(model: PomdpModel, fuzzy: FuzzyModel) -> np.ndarray:
-    """consequent_expectation for every (state, rule), shape (S, R, d)."""
     inputs = np.hstack([np.ones((model.num_states, 1)), model.obs_means])  # (S, d+1)
     return np.einsum("rde,se->srd", fuzzy.tables.consequents, inputs)
 

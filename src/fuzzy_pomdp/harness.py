@@ -261,14 +261,13 @@ def fuzzy_model_r2(fuzzy: FuzzyModel, env: GroundTruthEnv, num_trajectories: int
     construction; this quantifies rule quality without being a test target.
     """
     policy = make_policy(policy_spec, env.num_actions)
-    preds, actuals = [], []
-    for i in range(num_trajectories):
-        traj = sample_trajectory(env, policy, horizon, derive_rng(seed, "r2-holdout", i))
-        for t in range(len(traj) - 1):
-            preds.append(infer(fuzzy, traj.observations[t], int(traj.actions[t])))
-            actuals.append(traj.observations[t + 1])
-    preds = np.array(preds)
-    actuals = np.array(actuals)
+    holdout = [
+        sample_trajectory(env, policy, horizon, derive_rng(seed, "r2-holdout", i))
+        for i in range(num_trajectories)
+    ]
+    preds = infer(fuzzy, np.concatenate([traj.observations[:-1] for traj in holdout]),
+                  np.concatenate([traj.actions for traj in holdout]))
+    actuals = np.concatenate([traj.observations[1:] for traj in holdout])
     ss_res = float(((actuals - preds) ** 2).sum())
     ss_tot = float(((actuals - actuals.mean(axis=0)) ** 2).sum())
     return 1.0 - ss_res / ss_tot

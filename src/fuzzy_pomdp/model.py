@@ -90,10 +90,6 @@ class PomdpModel:
         _set(self, "initial_dist", init)
         _set(self, "state_labels", labels)
 
-    def transition_matrix(self, action: int) -> np.ndarray:
-        """The (from_state, to_state) matrix conditioned on one action."""
-        return self.transitions[:, action, :]
-
 
 @dataclass(frozen=True)
 class Trajectory:

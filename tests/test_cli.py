@@ -245,6 +245,21 @@ def test_validate_flags_nan_dataset(tmp_path, capsys):
     assert "trajectory 1: observations[t=2, dim=0] is not finite (nan)" in out
 
 
+def test_validate_flags_non_finite_fuzzy_model(tmp_path, capsys):
+    payload = json.loads(open(FUZZY).read())
+    payload["variables"][0]["terms"][0]["params"][1] = float("nan")
+    payload["rules"][3]["consequent"][0][2] = float("inf")
+    bad = tmp_path / "nan_rules.json"
+    bad.write_text(json.dumps(payload))  # written as the JSON tokens NaN and Infinity
+    assert run_cli("validate", FUZZY, bad) == 2
+    out = capsys.readouterr().out
+    assert f"{FUZZY}: fuzzy-model ok" in out
+    assert f"{bad}: fuzzy-model INVALID" in out
+    var, term = payload["variables"][0]["name"], payload["variables"][0]["terms"][0]["label"]
+    assert f"  - variable {var!r} term {term!r}: params[i=1] is not finite (nan)" in out
+    assert "  - rule 3: consequent[out=0, coef=2] is not finite (inf)" in out
+
+
 # ------------------------------------------------------------ experiments
 
 def test_reproduce_low_data_smoke(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
+from fuzzy_pomdp import em
 from fuzzy_pomdp.model import PomdpModel, Trajectory, relabel_states
 from fuzzy_pomdp.em import (
     EmConfig,
@@ -118,19 +119,26 @@ def test_e_step_sums_per_trajectory_likelihoods():
     assert abs(total - sum(p.log_likelihood for p in posts)) < 1e-9
 
 
-def test_zero_likelihood_names_the_step_and_the_dataset_index():
+def _pinned_model():
     # the chain is pinned to state 0, whose density at 100 underflows to
     # zero next to state 1's
-    m = PomdpModel(
+    return PomdpModel(
         num_states=2, num_actions=1, obs_dim=1,
         transitions=np.eye(2)[:, None, :],
         obs_means=np.array([[0.0], [100.0]]),
         obs_covs=np.ones((2, 1, 1)),
         initial_dist=np.array([1.0, 0.0]),
     )
-    good = Trajectory(observations=np.zeros((2, 1)), actions=np.zeros(1, dtype=int))
-    longer = Trajectory(observations=np.zeros((3, 1)), actions=np.zeros(2, dtype=int))
-    bad = Trajectory(observations=np.array([[0.0], [100.0]]), actions=np.zeros(1, dtype=int))
+
+
+def _pinned_traj(obs):
+    return Trajectory(observations=np.array(obs, dtype=float)[:, None],
+                      actions=np.zeros(len(obs) - 1, dtype=int))
+
+
+def test_zero_likelihood_names_the_step_and_the_dataset_index():
+    m = _pinned_model()
+    good, longer, bad = _pinned_traj([0, 0]), _pinned_traj([0, 0, 0]), _pinned_traj([0, 100])
     with pytest.raises(ForwardBackwardError,
                        match=r"^trajectory 2: zero total observation likelihood at step 1$"):
         e_step(m, [good, longer, bad])
@@ -138,6 +146,35 @@ def test_zero_likelihood_names_the_step_and_the_dataset_index():
                        match=r"^iteration 0: trajectory 2: .* step 1$") as info:
         run_em([good, longer, bad], m)
     assert info.value.trajectory == 2
+
+
+def test_zero_likelihood_in_a_later_length_group_names_the_dataset_index():
+    # the failing trajectory is the second of the second length group, and
+    # the one before it in that group fails later, at step 2
+    m = _pinned_model()
+    dataset = [_pinned_traj([0, 0]), _pinned_traj([0, 0, 100]), _pinned_traj([0, 100, 0]),
+               _pinned_traj([0, 0])]
+    with pytest.raises(ForwardBackwardError,
+                       match=r"^trajectory 2: zero total observation likelihood at step 1$") as info:
+        e_step(m, dataset)
+    assert info.value.trajectory == 2
+
+
+def test_run_em_prepares_its_dataset_once(monkeypatch):
+    rng = np.random.default_rng(106)
+    m = random_model(rng)
+    ds = random_dataset(rng, m, n=3, horizon=4) + random_dataset(rng, m, n=2, horizon=6)
+    built = []
+
+    class CountingFitData(em._FitData):
+        def __new__(cls, dataset):
+            built.append(len(dataset))
+            return super().__new__(cls, dataset)
+
+    monkeypatch.setattr(em, "_FitData", CountingFitData)
+    res = run_em(ds, m, EmConfig(max_iterations=5))
+    assert res.iterations >= 2
+    assert built == [5]
 
 
 # ------------------------------------------------------ count accumulation

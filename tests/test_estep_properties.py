@@ -44,10 +44,10 @@ def models(draw):
 
 
 @st.composite
-def cases(draw, max_len=5):
+def cases(draw, max_len=5, max_count=6):
     """A model plus a dataset of ragged lengths in its spaces."""
     model = draw(models())
-    lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(1, max_len), min_size=1, max_size=max_count))
     dataset = [
         Trajectory(
             observations=draw(arrays(float, (length, model.obs_dim),
@@ -94,6 +94,55 @@ def test_accumulated_counts_conserve_mass(case):
     assert abs(counts.trans.sum() - (steps - len(dataset))) < 1e-9
     assert counts.trans.shape == (model.num_states, model.num_actions, model.num_states)
     assert np.all(counts.trans >= 0.0) and np.all(counts.obs_weight >= 0.0)
+
+
+def pooled_counts_oracle(model, dataset):
+    """The E-step and count pooling written out: smoothing per length group,
+    posteriors placed in dataset order, then joined along time and pooled
+    with the three einsums.
+
+    Each group is smoothed as one batch, as e_step does: scoring a batch of
+    one can differ in the last ulp from scoring the whole group, because
+    the density solve runs over a different number of rows.
+    """
+    posts = [None] * len(dataset)
+    for length in dict.fromkeys(len(traj) for traj in dataset):
+        indices = [i for i, traj in enumerate(dataset) if len(traj) == length]
+        for i, post in zip(indices, forward_backward(model, [dataset[i] for i in indices])):
+            posts[i] = post
+    gamma = np.concatenate([post.gamma for post in posts])
+    xi = np.concatenate([post.xi for post in posts])
+    obs = np.concatenate([traj.observations for traj in dataset])
+    actions = np.concatenate([traj.actions for traj in dataset])
+    counts = SufficientCounts(
+        trans=np.einsum("ma,msk->sak", np.eye(model.num_actions)[actions], xi),
+        obs_weight=gamma.sum(axis=0),
+        obs_sum=gamma.T @ obs,
+        obs_outer=np.einsum("ts,td,te->sde", gamma, obs, obs),
+    )
+    return posts, counts, sum(post.log_likelihood for post in posts)
+
+
+# up to 12 trajectories: from 8 values on, np.sum adds in a different
+# order from the Python sum of the per-trajectory log-likelihoods
+@given(cases(max_len=6, max_count=12))
+def test_pooled_e_step_and_counts_equal_the_oracle_bit_for_bit(case):
+    model, dataset = case
+    posts, total = e_step(model, dataset)
+    counts = accumulate_counts(dataset, posts, model.num_actions)
+    want_posts, want_counts, want_total = pooled_counts_oracle(model, dataset)
+    assert total == want_total
+    assert len(posts) == len(dataset)
+    for post, want in zip(posts, want_posts):
+        assert np.array_equal(post.gamma, want.gamma)
+        assert np.array_equal(post.xi, want.xi)
+        assert post.log_likelihood == want.log_likelihood
+    for name in ("trans", "obs_weight", "obs_sum", "obs_outer"):
+        assert np.array_equal(getattr(counts, name), getattr(want_counts, name)), name
+    # a plain list of per-trajectory posteriors pools to the same counts
+    listed = accumulate_counts(dataset, list(posts), model.num_actions)
+    for name in ("trans", "obs_weight", "obs_sum", "obs_outer"):
+        assert np.array_equal(getattr(listed, name), getattr(want_counts, name)), name
 
 
 @st.composite

@@ -8,6 +8,7 @@ from fuzzy_pomdp.fuzzy import (
     FuzzyClause,
     FuzzyModel,
     FuzzyRule,
+    FuzzyVariable,
     InferenceError,
     MembershipFunction,
     clause_memberships,
@@ -19,6 +20,7 @@ from fuzzy_pomdp.fuzzy import (
     load_fuzzy_model,
     membership,
     save_fuzzy_model,
+    validate_fuzzy_dict,
 )
 from fuzzy_pomdp.harness import asset_path
 
@@ -80,6 +82,36 @@ def test_subnormal_width_edges_do_not_overflow():
 def test_membership_rejects_unknown_shape():
     with pytest.raises(ValueError):
         membership(MembershipFunction("sigmoid", (0.0, 1.0)), 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_terms_consequents_and_ranges_reject_non_finite_values(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        MembershipFunction("gaussian", (0.5, bad))
+    with pytest.raises(ValueError, match="must be finite"):
+        MembershipFunction("triangular", (0.0, bad, 1.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        constant_rule((bad, 0.0), 2)
+    with pytest.raises(ValueError, match="must be finite"):
+        FuzzyVariable(name="x", range=(0.0, bad))
+
+
+def test_fuzzy_model_from_dict_names_every_non_finite_entry():
+    data = fuzzy_model_to_dict(load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json")))
+    data["variables"][0]["terms"][1]["params"][1] = math.nan
+    data["variables"][1]["range"][0] = -math.inf
+    data["rules"][2]["consequent"][1][0] = math.inf
+    name0, term = data["variables"][0]["name"], data["variables"][0]["terms"][1]["label"]
+    name1 = data["variables"][1]["name"]
+    want = [
+        f"variable {name0!r} term {term!r}: params[i=1] is not finite (nan)",
+        f"variable {name1!r}: range[i=0] is not finite (-inf)",
+        "rule 2: consequent[out=1, coef=0] is not finite (inf)",
+    ]
+    assert validate_fuzzy_dict(data) == want
+    with pytest.raises(ValueError) as info:
+        fuzzy_model_from_dict(data)
+    assert str(info.value) == "; ".join(want)
 
 
 # ------------------------------------------------------------- rule firing
@@ -206,8 +238,54 @@ def test_infer_zero_firing_modes():
     fz = make_fuzzy([dead], obs_dim=1)
     obs = np.array([0.25])
     assert np.allclose(infer(fz, obs, 0), obs)
-    with pytest.raises(InferenceError):
+    with pytest.raises(InferenceError, match=r"^no rule fires for obs=\[0\.25\] action=0$"):
         infer(fz, obs, 0, zero_firing="error")
+
+
+def test_infer_zero_firing_is_per_row_in_a_batch():
+    dead = constant_rule((9.0,), 1, action=1)  # fires under action 1 only
+    fz = make_fuzzy([dead], obs_dim=1)
+    obs = np.array([[0.25], [0.5], [0.75]])
+    got = infer(fz, obs, np.array([1, 0, 0]))
+    assert np.array_equal(got, [[9.0], [0.5], [0.75]])
+    with pytest.raises(InferenceError, match=r"^row 1: no rule fires for obs=\[0\.5\] action=0$"):
+        infer(fz, obs, np.array([1, 0, 0]), zero_firing="error")
+    with pytest.raises(ValueError, match="one action per observation"):
+        infer(fz, obs, 0)
+
+
+def scalar_infer(model, obs, action):
+    """The weighted average computed one rule at a time, for one point."""
+    def strength(rule):
+        if rule.action is not None and rule.action != action:
+            return 0.0
+        if not rule.clauses:
+            return 1.0
+        values = clause_memberships(rule, obs[None])[0]
+        return float(np.prod(values) if model.tnorm == "product" else np.min(values))
+
+    weights = np.array([strength(rule) for rule in model.rules])
+    if weights.sum() <= 0.0:
+        return obs.copy()
+    outputs = np.array([rule.predict(obs) for rule in model.rules])
+    return weights @ outputs / weights.sum()
+
+
+@pytest.mark.parametrize("name", ["expert_fuzzy_synthetic.json", "mg_fuzzy_placeholder.json",
+                                  "random-minimum"])
+def test_batched_infer_equals_the_scalar_loop_bit_for_bit(name):
+    rng = np.random.default_rng(33)
+    if name == "random-minimum":
+        fz = random_fuzzy(rng, obs_dim=2, num_rules=5, tnorm="minimum")
+    else:
+        fz = load_fuzzy_model(asset_path(name))
+    for size in (1, 2, 17, 450):
+        obs = rng.uniform(-0.2, 1.2, size=(size, fz.obs_dim))
+        actions = rng.integers(fz.num_actions, size=size)
+        want = np.array([scalar_infer(fz, o, int(a)) for o, a in zip(obs, actions)])
+        assert np.array_equal(infer(fz, obs, actions), want)
+        assert np.array_equal(np.array([infer(fz, o, int(a)) for o, a in zip(obs, actions)]),
+                              want)
 
 
 # ------------------------------------------------------------ serialization

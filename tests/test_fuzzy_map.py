@@ -17,8 +17,8 @@ from fuzzy_pomdp.model import CovarianceError, PomdpModel, Trajectory, gaussian_
 from fuzzy_pomdp.em import EmConfig, SufficientCounts, m_step_standard, run_em
 from fuzzy_pomdp.fuzzy_map import (
     FuzzyMapConfig,
+    _expectation_table,
     compute_from_matchant,
-    consequent_expectation,
     m_step_fuzzy_map,
     match_antecedent,
     matchant_matrix,
@@ -225,13 +225,15 @@ def test_consequent_expectation_closed_forms(rng0):
     const = constant_rule((0.4, -0.2), 2)
     ident = identity_rule(2)
     aff = affine_rule([0.1, 0.2], [[0.3, -0.1], [0.0, 0.5]])
+    table = _expectation_table(m, make_fuzzy([const, ident, aff], obs_dim=2))
+    assert table.shape == (2, 3, 2)
     for s in range(2):
         mu = m.obs_means[s]
-        assert np.allclose(consequent_expectation(const, m, s), [0.4, -0.2])
-        assert np.allclose(consequent_expectation(ident, m, s), mu)
+        assert np.allclose(table[s, 0], [0.4, -0.2])
+        assert np.allclose(table[s, 1], mu)
         want = np.array([0.1, 0.2]) + np.array(
             [[0.3, -0.1], [0.0, 0.5]]) @ mu
-        assert np.allclose(consequent_expectation(aff, m, s), want)
+        assert np.allclose(table[s, 2], want)
 
 
 def test_consequent_expectation_matches_monte_carlo():
@@ -244,7 +246,8 @@ def test_consequent_expectation_matches_monte_carlo():
                                       size=200_000)
     mc = (np.array([0.5, -1.0])[None]
           + samples @ np.array([[1.2, 0.4], [-0.3, 0.8]]).T).mean(axis=0)
-    assert np.allclose(consequent_expectation(aff, m, s), mc, atol=2e-2)
+    table = _expectation_table(m, make_fuzzy([aff], obs_dim=2))
+    assert np.allclose(table[s, 0], mc, atol=2e-2)
 
 
 def consequent_likelihood(y, state, m):
@@ -328,7 +331,7 @@ def test_pseudocounts_match_flat_loop_oracle():
         fz = random_fuzzy(rng, obs_dim=D, num_actions=A, num_rules=R)
         cfg = FuzzyMapConfig(matchant_samples=50, seed=3)
         mat = matchant_matrix(m, fz, cfg)
-        y_star = np.array([[consequent_expectation(r, m, s) for r in fz.rules]
+        y_star = np.array([[r.predict(m.obs_means[s]) for r in fz.rules]
                            for s in range(S)])
 
         nt = np.zeros((S, A, S))

@@ -1,4 +1,5 @@
-"""Property tests for antecedent matching and the consequent table.
+"""Property tests for antecedent matching, the consequent table and the
+rule pseudo-counts.
 
 Random models carry full SPD covariances; random rule bases mix action
 gates, empty antecedents and clauses on any subset of the observation
@@ -14,6 +15,7 @@ from fuzzy_pomdp.fuzzy import FuzzyClause, FuzzyRule, MembershipFunction
 from fuzzy_pomdp.fuzzy_map import (
     FuzzyMapConfig,
     _expectation_table,
+    compute_from_matchant,
     match_antecedent,
     matchant_matrix,
 )
@@ -143,3 +145,15 @@ def test_expectation_table_matches_per_rule_predict(case):
                      for s in range(model.num_states)])
     assert table.shape == want.shape
     assert np.abs(table - want).max() <= 1e-12
+
+
+@given(cases(shapes=("gaussian", "triangular"), tnorms=("product", "minimum")))
+def test_pseudo_counts_conserve_match_mass_and_are_non_negative(case):
+    # each source state's transition row sums to 1, so the observation
+    # weight credited to landing states adds up to the total match mass
+    model, fuzzy = case
+    matchant = matchant_matrix(model, fuzzy, FuzzyMapConfig(matchant_samples=64, seed=5))
+    counts = compute_from_matchant(model, fuzzy, matchant)
+    assert abs(counts.obs_weight.sum() - matchant.sum()) <= 1e-9
+    assert np.all(counts.trans >= 0.0) and np.all(counts.obs_weight >= 0.0)
+    assert np.all(np.diagonal(counts.obs_outer, axis1=1, axis2=2) >= 0.0)
