@@ -7,7 +7,9 @@ Runs `harness.run_regime` on low_data seeds 0-5, high_noise seeds 0-2 and
 mg_pipeline seeds 0-1 against the package under each tree's `src/`, in one
 fresh process per tree. Then compares runs.csv, every model_*.json and
 mg_table.txt byte for byte, and summary.json with its config's `out_dir`
-left out. Prints each difference and exits 1 if there is any, 0 otherwise.
+left out, naming each dotted key path that differs or that only one side
+has (e.g. `config.kmeans_clusters: parent only`). Prints each difference
+and exits 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -38,10 +40,31 @@ def run_tree(tree: Path, out: Path) -> None:
                    cwd=tree, env=env, check=True)
 
 
-def _summary_text(path: Path) -> str:
+def _summary(path: Path) -> dict:
     summary = json.loads(path.read_text())
     summary["config"].pop("out_dir")
-    return json.dumps(summary, sort_keys=True)
+    return summary
+
+
+def key_differences(parent, change, path: str = "") -> list[str]:
+    """Dotted key paths at which two JSON values differ.
+
+    Dicts are compared key by key; any other value, lists included, is
+    compared whole, by its JSON text, so 1 and 1.0 differ.
+    """
+    if not (isinstance(parent, dict) and isinstance(change, dict)):
+        same = json.dumps(parent, sort_keys=True) == json.dumps(change, sort_keys=True)
+        return [] if same else [f"{path}: differs"]
+    found = []
+    for key in sorted(set(parent) | set(change)):
+        sub = f"{path}.{key}" if path else key
+        if key not in change:
+            found.append(f"{sub}: parent only")
+        elif key not in parent:
+            found.append(f"{sub}: change only")
+        else:
+            found += key_differences(parent[key], change[key], sub)
+    return found
 
 
 def differences(parent: Path, change: Path) -> list[str]:
@@ -54,8 +77,8 @@ def differences(parent: Path, change: Path) -> list[str]:
             if not (a / name).exists() or not (b / name).exists():
                 found.append(f"{regime}/{name}: written by one tree only")
             elif name == "summary.json":
-                if _summary_text(a / name) != _summary_text(b / name):
-                    found.append(f"{regime}/{name}: differs (out_dir ignored)")
+                keys = key_differences(_summary(a / name), _summary(b / name))
+                found += [f"{regime}/{name}: {key}" for key in keys]
             elif (a / name).read_bytes() != (b / name).read_bytes():
                 found.append(f"{regime}/{name}: differs")
     return found

@@ -8,7 +8,8 @@ Cholesky factorisation of all states' covariances for the batch's
 observations; the posteriors come back pooled in dataset order and go
 straight into the expected counts. M-step: closed-form maximum-likelihood
 updates from pooled expected counts. The initial state distribution is held
-fixed, never re-estimated.
+fixed, never re-estimated. One loop, `_fit`, runs every fit; with no data it
+skips the E-step, which is fuzzy-MAP's prior-only fitting.
 """
 
 from __future__ import annotations
@@ -356,39 +357,57 @@ def e_step(
     return posteriors, float(sum(posteriors.log_likelihoods.tolist()))
 
 
+def _max_param_delta(a: PomdpModel, b: PomdpModel) -> float:
+    return max(
+        float(np.abs(a.transitions - b.transitions).max()),
+        float(np.abs(a.obs_means - b.obs_means).max()),
+        float(np.abs(a.obs_covs - b.obs_covs).max()),
+    )
+
+
 def _fit(
     dataset: list[Trajectory],
     init: PomdpModel,
     config: EmConfig,
     m_step: Callable[[SufficientCounts, PomdpModel, int], PomdpModel],
 ) -> EmResult:
-    """The EM loop both fitters share.
+    """The EM loop every fit runs, prior-only fitting included.
 
-    Each iteration scores the current model with an E-step, stops once the
-    log-likelihood improvement falls below the tolerance or the iteration
-    budget runs out, and otherwise replaces the model with
-    m_step(empirical counts, model, iteration).
+    On data, each iteration scores the current model with an E-step, stops
+    once the log-likelihood improvement falls below the tolerance or the
+    iteration budget runs out, and otherwise replaces the model with
+    m_step(empirical counts, model, iteration). An empty dataset skips the
+    E-step: m_step gets zero counts, the trace stays empty, and the loop
+    stops once no parameter moves by the tolerance or more in an M-step.
+    `iterations` counts M-steps either way.
     """
-    data = _FitData(dataset)
+    data = _FitData(dataset) if dataset else None
     model = init
     trace: list[float] = []
     converged = False
+    iterations = 0
     for iteration in range(config.max_iterations + 1):
-        try:
-            posteriors, total = e_step(model, data)
-        except ForwardBackwardError as err:
-            raise ForwardBackwardError(f"iteration {iteration}: {err}", err.trajectory) from err
-        trace.append(total)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < config.loglik_tolerance:
-            converged = True
-            break
+        if data is not None:
+            try:
+                posteriors, total = e_step(model, data)
+            except ForwardBackwardError as err:
+                raise ForwardBackwardError(f"iteration {iteration}: {err}", err.trajectory) from err
+            trace.append(total)
+            if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < config.loglik_tolerance:
+                converged = True
+                break
         if iteration == config.max_iterations:
             break
-        counts = accumulate_counts(data, posteriors, model.num_actions)
-        model = m_step(counts, model, iteration)
-    return EmResult(
-        model=model, loglik_trace=trace, converged=converged, iterations=len(trace) - 1
-    )
+        if data is None:
+            counts = SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
+        else:
+            counts = accumulate_counts(data, posteriors, model.num_actions)
+        previous, model = model, m_step(counts, model, iteration)
+        iterations += 1
+        if data is None and _max_param_delta(previous, model) < config.loglik_tolerance:
+            converged = True
+            break
+    return EmResult(model=model, loglik_trace=trace, converged=converged, iterations=iterations)
 
 
 def run_em(
@@ -400,6 +419,8 @@ def run_em(
     loglik_trace[i] is the total data log-likelihood of the model after i
     M-steps; entry 0 scores the initialization.
     """
+    if not dataset:
+        raise ValueError("dataset must be non-empty")
     config = config or EmConfig()
     return _fit(
         dataset, init, config, lambda counts, model, _: m_step_standard(counts, model, config)

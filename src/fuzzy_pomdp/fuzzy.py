@@ -264,29 +264,14 @@ def clause_memberships(rule: FuzzyRule, obs_batch: np.ndarray) -> np.ndarray:
     )
 
 
-def _antecedent_strengths(rule: FuzzyRule, obs_batch: np.ndarray, tnorm: str) -> np.ndarray:
-    """t-norm aggregation of the rule's clause memberships, action gate aside."""
+def antecedent_strengths(rule: FuzzyRule, obs_batch, tnorm: str) -> np.ndarray:
+    """t-norm aggregation of the rule's clause memberships, one per row of an
+    (n, d) batch, action selector aside; an empty antecedent fires at 1."""
+    obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
     if not rule.clauses:
         return np.ones(len(obs_batch))
     values = clause_memberships(rule, obs_batch)
     return values.prod(axis=1) if tnorm == "product" else values.min(axis=1)
-
-
-def firing_strengths_batch(rule: FuzzyRule, obs_batch, action: int, tnorm: str) -> np.ndarray:
-    """t-norm aggregation of the rule's clause memberships, one per observation.
-
-    A crisp action selector gates every result to 0 on mismatch; a rule
-    with an empty antecedent fires at 1.
-    """
-    obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
-    if rule.action is not None and rule.action != action:
-        return np.zeros(len(obs_batch))
-    return _antecedent_strengths(rule, obs_batch, tnorm)
-
-
-def firing_strength(rule: FuzzyRule, obs, action: int, tnorm: str = "product") -> float:
-    """firing_strengths_batch for one observation."""
-    return float(firing_strengths_batch(rule, obs, action, tnorm)[0])
 
 
 def infer(model: FuzzyModel, obs, action, zero_firing: str = "identity") -> np.ndarray:
@@ -307,7 +292,7 @@ def infer(model: FuzzyModel, obs, action, zero_firing: str = "identity") -> np.n
     tables = model.tables
     weights = np.empty((len(batch), len(model.rules)))
     for r, rule in enumerate(model.rules):
-        weights[:, r] = _antecedent_strengths(rule, batch, model.tnorm)
+        weights[:, r] = antecedent_strengths(rule, batch, model.tnorm)
     gate = (tables.actions < 0) | (tables.actions == actions[:, None])  # (n, R)
     weights = np.where(gate, weights, 0.0)
     total = weights.sum(axis=1)

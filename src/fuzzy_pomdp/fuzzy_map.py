@@ -22,7 +22,7 @@ import numpy as np
 
 from .em import EmConfig, SufficientCounts, _fit, _mstep_from_counts, run_em
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
-from .fuzzy import FuzzyModel, GaussianGroup, firing_strengths_batch
+from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .model import (CovarianceError, PomdpModel, Trajectory, cholesky_factor,
                     per_state_log_density, sample_gaussian)
@@ -92,7 +92,7 @@ def match_antecedent(
     samples = sample_gaussian(
         model.obs_means[state], model.obs_covs[state], config.matchant_samples, rng
     )
-    return float(firing_strengths_batch(rule, samples, action, fuzzy.tnorm).mean())
+    return float(antecedent_strengths(rule, samples, fuzzy.tnorm).mean())
 
 
 def _gaussian_match(model: PomdpModel, group: GaussianGroup) -> np.ndarray:
@@ -209,14 +209,6 @@ def m_step_fuzzy_map(
     return model
 
 
-def _max_param_delta(a: PomdpModel, b: PomdpModel) -> float:
-    return max(
-        float(np.abs(a.transitions - b.transitions).max()),
-        float(np.abs(a.obs_means - b.obs_means).max()),
-        float(np.abs(a.obs_covs - b.obs_covs).max()),
-    )
-
-
 def run_fuzzy_map_em(
     dataset: list[Trajectory],
     init: PomdpModel,
@@ -227,11 +219,14 @@ def run_fuzzy_map_em(
     """EM whose every M-step folds in freshly computed fuzzy pseudo-counts.
 
     Pseudo-counts are recomputed against the current parameters each
-    iteration. An empty dataset switches to prior-only fitting (both
-    lambdas must be positive): the E-step is skipped and the stopping rule
-    becomes a parameter-change threshold. After the main loop, up to
+    iteration, inside the EM loop that plain EM runs (em._fit). An empty
+    dataset fits the prior alone (both lambdas must be positive): the same
+    loop skips the E-step, blends the pseudo-counts into zero counts, and
+    stops once no parameter moves by the tolerance; the trace stays empty
+    and every prior/data ratio is inf. After the main loop, up to
     `final_standard_em_iterations` plain EM iterations polish the result;
-    the polish stops early on the likelihood tolerance.
+    the polish stops early on the likelihood tolerance, and `iterations`
+    counts the M-steps of both.
 
     The log-likelihood trace is recorded but never guaranteed monotone:
     blending pseudo-counts into the M-step trades likelihood for prior
@@ -239,38 +234,14 @@ def run_fuzzy_map_em(
     """
     em_config = em_config or EmConfig()
     map_config = map_config or FuzzyMapConfig()
-    zero_lambda = map_config.lambda_t == 0.0 and map_config.lambda_o == 0.0
-    ratios: list[tuple[float, float]] = []
-    matchant = None
-
     if not dataset:
         if not (map_config.lambda_t > 0 and map_config.lambda_o > 0):
             raise ValueError("an empty dataset requires both lambdas > 0")
         if map_config.final_standard_em_iterations > 0:
             raise ValueError("standard EM polish needs a non-empty dataset")
-        model = init
-        converged = False
-        iterations = 0
-        empirical = SufficientCounts.zeros(init.num_states, init.num_actions, init.obs_dim)
-        for iteration in range(em_config.max_iterations):
-            matchant = matchant_matrix(model, fuzzy, map_config, iteration)
-            fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
-            new_model = m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
-            ratios.append((math.inf, math.inf))
-            delta = _max_param_delta(model, new_model)
-            model = new_model
-            iterations = iteration + 1
-            if delta < em_config.loglik_tolerance:
-                converged = True
-                break
-        return FuzzyMapResult(
-            model=model,
-            loglik_trace=[],
-            converged=converged,
-            iterations=iterations,
-            prior_data_ratios=ratios,
-            final_matchant=matchant,
-        )
+    zero_lambda = map_config.lambda_t == 0.0 and map_config.lambda_o == 0.0
+    ratios: list[tuple[float, float]] = []
+    matchant = None
 
     def m_step(empirical: SufficientCounts, model: PomdpModel, iteration: int) -> PomdpModel:
         nonlocal matchant
@@ -285,7 +256,7 @@ def run_fuzzy_map_em(
         return m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
 
     fit = _fit(dataset, init, em_config, m_step)
-    model, trace = fit.model, fit.loglik_trace
+    model, trace, iterations = fit.model, fit.loglik_trace, fit.iterations
     if map_config.final_standard_em_iterations > 0:
         polish = run_em(
             dataset,
@@ -294,11 +265,12 @@ def run_fuzzy_map_em(
         )
         # the polish's entry 0 scores the model the main loop ended on
         model, trace = polish.model, trace + polish.loglik_trace[1:]
+        iterations += polish.iterations
     return FuzzyMapResult(
         model=model,
         loglik_trace=trace,
         converged=fit.converged,
-        iterations=len(trace) - 1,
+        iterations=iterations,
         prior_data_ratios=ratios,
         final_matchant=matchant,
     )

@@ -37,7 +37,7 @@ from .rngs import derive_rng
 
 log = logging.getLogger(__name__)
 
-REGIMES = ("low_data", "high_noise", "mg_pipeline", "custom")
+REGIMES = ("low_data", "high_noise", "mg_pipeline")
 # runs.csv columns ahead of the per-state KL columns, which follow the env's
 # state labels (see kl_columns)
 CSV_COLUMNS = (
@@ -71,7 +71,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     num_states: int = 3
     restarts: int = 5
-    kmeans_clusters: int = 2
     generation_noise_sigma: float = 0.05
     matchant_samples: int = 1000
     final_standard_em_iterations: int = 0
@@ -222,7 +221,6 @@ def generate_fuzzy_trajectories(
     policy,
     output_noise_sigma: float,
     rng: np.random.Generator,
-    zero_firing: str = "identity",
 ) -> list[Trajectory]:
     """Roll the fuzzy model forward as a simulator.
 
@@ -243,7 +241,7 @@ def generate_fuzzy_trajectories(
             action = int(policy(t, rng))
             actions[t] = action
             try:
-                pred = infer(fuzzy, obs[t], action, zero_firing=zero_firing)
+                pred = infer(fuzzy, obs[t], action)
             except InferenceError as err:
                 raise InferenceError(f"timestep {t}: {err}") from err
             if output_noise_sigma > 0:
@@ -307,37 +305,38 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
     """Train both algorithms on identical data and inits for one seed.
 
     Returns {"em": result, "fuzzy_map": result, "dataset": ...} where each
-    result carries the trained model and its log-likelihood trace. For the
-    env-backed regimes both algorithms share the better-of-restarts
-    protocol with identical restart initializations.
+    result carries the trained model and its log-likelihood trace. Each
+    regime only builds the seed's dataset and its initializations: one
+    k-means init for mg_pipeline, `restarts` random inits otherwise. Both
+    algorithms then fit from every init, restart r's fuzzy-MAP fit seeded
+    by _map_config(config, seed, r), and each keeps its fit with the
+    highest final log-likelihood, the first one on a tie.
     """
-    em_config = _em_config(config)
     if config.regime == "mg_pipeline":
         policy = make_policy(config.policy, fuzzy.num_actions)
         dataset = generate_fuzzy_trajectories(
             fuzzy, config.num_trajectories, config.horizon, policy,
             config.generation_noise_sigma, derive_rng(seed, "mg-data"),
         )
-        init = kmeans_init(dataset, config.kmeans_clusters, derive_rng(seed, "kmeans"))
-        em_res = run_em(dataset, init, em_config)
-        fm_res = run_fuzzy_map_em(dataset, init, fuzzy, em_config, _map_config(config, seed, 0))
-        return {"em": em_res, "fuzzy_map": fm_res, "dataset": dataset}
-
-    dataset = synthetic_dataset(env, config, seed)
-    inits = [
-        random_init(dataset, config.num_states, env.num_actions, derive_rng(seed, "init", r))
-        for r in range(config.restarts)
-    ]
-    best_em = None
-    best_fm = None
+        inits = [kmeans_init(dataset, config.num_states, derive_rng(seed, "kmeans"))]
+    else:
+        dataset = synthetic_dataset(env, config, seed)
+        inits = [
+            random_init(dataset, config.num_states, env.num_actions, derive_rng(seed, "init", r))
+            for r in range(config.restarts)
+        ]
+    em_config = _em_config(config)
+    em_fits, fm_fits = [], []
     for r, init in enumerate(inits):
-        em_res = run_em(dataset, init, em_config)
-        if best_em is None or em_res.loglik_trace[-1] > best_em.loglik_trace[-1]:
-            best_em = em_res
-        fm_res = run_fuzzy_map_em(dataset, init, fuzzy, em_config, _map_config(config, seed, r))
-        if best_fm is None or fm_res.loglik_trace[-1] > best_fm.loglik_trace[-1]:
-            best_fm = fm_res
-    return {"em": best_em, "fuzzy_map": best_fm, "dataset": dataset}
+        em_fits.append(run_em(dataset, init, em_config))
+        fm_fits.append(
+            run_fuzzy_map_em(dataset, init, fuzzy, em_config, _map_config(config, seed, r))
+        )
+
+    def best(fits):
+        return max(fits, key=lambda fit: fit.loglik_trace[-1])
+
+    return {"em": best(em_fits), "fuzzy_map": best(fm_fits), "dataset": dataset}
 
 
 def _format_cell(value) -> str:

@@ -43,8 +43,13 @@ class EvalReport:
 
 
 @lru_cache(maxsize=8)
-def _unit_cube_grid(obs_dim: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def quadrature_grid(obs_dim: int, nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Legendre rule on [0,1]^d: (points, weights)."""
+    if obs_dim > MAX_QUADRATURE_DIM:
+        raise ValueError(
+            f"quadrature supports obs_dim <= {MAX_QUADRATURE_DIM}; "
+            "use the Monte-Carlo mode for higher dimensions"
+        )
     x, w = np.polynomial.legendre.leggauss(nodes)
     x = (x + 1.0) / 2.0
     w = w / 2.0
@@ -59,21 +64,12 @@ def _unit_cube_grid(obs_dim: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def kl_quadrature(logp_fn, logq_fn, obs_dim: int, nodes: int = DEFAULT_NODES) -> float:
-    """E_p[log p - log q] over [0,1]^d by tensor-product Gauss-Legendre.
+def kl_quadrature(logp: np.ndarray, logq: np.ndarray, weights: np.ndarray) -> float:
+    """E_p[log p - log q] from log densities on a quadrature_grid's points.
 
-    logp_fn/logq_fn take an (n, d) array of points and return (n,) log
-    densities. Returns the raw estimate, or +inf when it exceeds the
-    ceiling or the q density underflows where p carries mass.
+    Returns the raw estimate, clamped at 0 from below, or +inf when it
+    exceeds the ceiling or the q density underflows where p carries mass.
     """
-    if obs_dim > MAX_QUADRATURE_DIM:
-        raise ValueError(
-            f"quadrature supports obs_dim <= {MAX_QUADRATURE_DIM}; "
-            "use the Monte-Carlo mode for higher dimensions"
-        )
-    points, weights = _unit_cube_grid(obs_dim, nodes)
-    logp = np.asarray(logp_fn(points), dtype=float)
-    logq = np.asarray(logq_fn(points), dtype=float)
     p_mass = weights * np.exp(logp)
     underflow = logq < LOG_TINY
     if underflow.any() and p_mass[underflow].sum() > UNDERFLOW_MASS_TOL:
@@ -88,7 +84,7 @@ def kl_quadrature(logp_fn, logq_fn, obs_dim: int, nodes: int = DEFAULT_NODES) ->
     estimate = float((p_mass[keep] * (logp[keep] - logq[keep])).sum())
     if estimate > KL_CEILING:
         return INF
-    return estimate
+    return max(estimate, 0.0)
 
 
 def beta_product_log_density(points: np.ndarray, beta_params: np.ndarray) -> np.ndarray:
@@ -117,26 +113,23 @@ def kl_observation(
     """
     beta_params = np.asarray(beta_params, dtype=float)
     obs_dim = beta_params.shape[0]
-
-    def logp(points):
-        return beta_product_log_density(points, beta_params)
-
-    def logq(points):
-        return gaussian_log_density(points, mean, cov)
-
     if method == "quadrature":
-        raw = kl_quadrature(logp, logq, obs_dim, nodes)
-        return max(raw, 0.0) if np.isfinite(raw) else raw
+        points, weights = quadrature_grid(obs_dim, nodes)
+        return kl_quadrature(
+            beta_product_log_density(points, beta_params),
+            gaussian_log_density(points, mean, cov),
+            weights,
+        )
     if method != "mc":
         raise ValueError("method must be 'quadrature' or 'mc'")
     rng = rng if rng is not None else np.random.default_rng(0)
     samples = np.column_stack(
         [rng.beta(beta_params[j, 0], beta_params[j, 1], size=mc_samples) for j in range(obs_dim)]
     )
-    logq_vals = logq(samples)
+    logq_vals = gaussian_log_density(samples, mean, cov)
     if (logq_vals < LOG_TINY).any():
         return INF
-    diffs = logp(samples) - logq_vals
+    diffs = beta_product_log_density(samples, beta_params) - logq_vals
     estimate = float(diffs.mean())
     log.debug("mc kl estimate %.4f, standard error %.4f", estimate, diffs.std(ddof=1) / np.sqrt(mc_samples))
     if estimate > KL_CEILING:
@@ -145,25 +138,18 @@ def kl_observation(
 
 
 def _kl_matrix(truth: GroundTruthEnv, learned: PomdpModel, nodes: int) -> np.ndarray:
-    """cost[i, j] = KL(truth state i || learned state j)."""
-    n = truth.num_states
-    cost = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            cost[i, j] = kl_observation(
-                truth.beta_params[i], learned.obs_means[j], learned.obs_covs[j], nodes=nodes
-            )
-    return cost
+    """cost[i, j] = KL(truth state i || learned state j), each state's log
+    density evaluated on the grid once."""
+    points, weights = quadrature_grid(truth.obs_dim, nodes)
+    logq = gaussian_log_density(points, learned.obs_means, learned.obs_covs)  # (S, n)
+    logp = [beta_product_log_density(points, params) for params in truth.beta_params]
+    return np.array([[kl_quadrature(p, q, weights) for q in logq] for p in logp])
 
 
-def match_states(
-    learned: PomdpModel, truth: GroundTruthEnv, nodes: int = DEFAULT_NODES
-) -> tuple[int, ...]:
-    """Best bijection learned-state -> truth-state by total observation KL.
-
-    Exhaustive over all permutations; ties go to the lexicographically
-    smallest assignment.
-    """
+def _match(
+    learned: PomdpModel, truth: GroundTruthEnv, nodes: int
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """match_states' bijection and the KL cost matrix it was chosen from."""
     if learned.num_states != truth.num_states:
         raise ValueError(
             f"state count mismatch: learned {learned.num_states}, truth {truth.num_states}"
@@ -176,7 +162,18 @@ def match_states(
         if best_perm is None or total < best_total:
             best_perm = perm
             best_total = total
-    return tuple(best_perm)
+    return tuple(best_perm), cost
+
+
+def match_states(
+    learned: PomdpModel, truth: GroundTruthEnv, nodes: int = DEFAULT_NODES
+) -> tuple[int, ...]:
+    """Best bijection learned-state -> truth-state by total observation KL.
+
+    Exhaustive over all permutations; ties go to the lexicographically
+    smallest assignment.
+    """
+    return _match(learned, truth, nodes)[0]
 
 
 def l1_transition_distance(est: np.ndarray, truth: np.ndarray) -> float:
@@ -201,8 +198,12 @@ def l1_transition_total(est: np.ndarray, truth: np.ndarray) -> float:
 def evaluate_model(
     learned: PomdpModel, truth: GroundTruthEnv, nodes: int = DEFAULT_NODES
 ) -> EvalReport:
-    """Match states, realign the learned model, and score it against truth."""
-    matching = match_states(learned, truth, nodes)
+    """Match states, realign the learned model, and score it against truth.
+
+    Each state's KL is read from the cost matrix the matching was chosen
+    from, so every (truth, learned) pair is scored once.
+    """
+    matching, cost = _match(learned, truth, nodes)
     # matching[j] = truth index for learned state j; reorder learned states
     # into truth order before comparing tensors
     inverse = np.empty(truth.num_states, dtype=int)
@@ -211,12 +212,9 @@ def evaluate_model(
     est_trans = learned.transitions[inverse][:, :, inverse]
     l1_avg = l1_transition_distance(est_trans, truth.transitions)
     l1_tot = l1_transition_total(est_trans, truth.transitions)
-    kl_per_state: dict[str, float] = {}
-    for i, label in enumerate(truth.state_labels):
-        j = int(inverse[i])
-        kl_per_state[label] = kl_observation(
-            truth.beta_params[i], learned.obs_means[j], learned.obs_covs[j], nodes=nodes
-        )
+    kl_per_state = {
+        label: float(cost[i, inverse[i]]) for i, label in enumerate(truth.state_labels)
+    }
     notes = "initial state distribution fixed at uniform, never learned"
     return EvalReport(
         state_matching=matching,

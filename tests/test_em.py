@@ -337,6 +337,12 @@ def test_run_em_converged_flag_and_iterations():
     assert capped.iterations == 2 and not capped.converged
 
 
+def test_run_em_rejects_an_empty_dataset():
+    # the shared loop fits the prior alone on no data; plain EM has nothing to fit
+    with pytest.raises(ValueError, match="^dataset must be non-empty$"):
+        run_em([], random_model(np.random.default_rng(109), num_states=2))
+
+
 def test_run_em_deterministic():
     rng = np.random.default_rng(109)
     truth = random_model(rng)

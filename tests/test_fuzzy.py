@@ -11,9 +11,8 @@ from fuzzy_pomdp.fuzzy import (
     FuzzyVariable,
     InferenceError,
     MembershipFunction,
+    antecedent_strengths,
     clause_memberships,
-    firing_strength,
-    firing_strengths_batch,
     fuzzy_model_from_dict,
     fuzzy_model_to_dict,
     infer,
@@ -129,33 +128,34 @@ def _two_clause_rule(m0: float, m1: float, action=None):
 
 def test_firing_strength_product_and_min():
     rule, obs = _two_clause_rule(0.8, 0.5)
-    assert abs(firing_strength(rule, obs, 0, tnorm="product") - 0.4) < 1e-12
-    assert abs(firing_strength(rule, obs, 0, tnorm="min") - 0.5) < 1e-12
+    assert abs(antecedent_strengths(rule, obs, "product")[0] - 0.4) < 1e-12
+    assert abs(antecedent_strengths(rule, obs, "min")[0] - 0.5) < 1e-12
 
 
 def test_firing_strength_action_gate():
+    # the rule's antecedent fires at 0.4, but only under action 1
     rule, obs = _two_clause_rule(0.8, 0.5, action=1)
-    assert firing_strength(rule, obs, 0) == 0.0
-    assert firing_strength(rule, obs, 1) > 0.0
+    fz = make_fuzzy([rule], obs_dim=2)
+    with pytest.raises(InferenceError, match="no rule fires"):
+        infer(fz, obs, 0, zero_firing="error")
+    assert np.array_equal(infer(fz, obs, 1), [0.0, 0.0])
 
 
 def test_firing_strength_empty_antecedent_is_one():
     rule = constant_rule((0.0,), 1)
-    assert firing_strength(rule, np.array([123.0]), 0) == 1.0
+    assert np.array_equal(antecedent_strengths(rule, np.array([123.0]), "product"), [1.0])
 
 
 def test_clause_memberships_and_batch():
     rule, obs = _two_clause_rule(0.8, 0.5)
     ms = clause_memberships(rule, obs)
     assert np.allclose(ms, [0.8, 0.5])
-    batch = firing_strengths_batch(rule, np.stack([obs, obs * 0.0]), 0,
-                                   "product")
+    batch = antecedent_strengths(rule, np.stack([obs, obs * 0.0]), "product")
     assert batch.shape == (2,)
     assert abs(batch[0] - 0.4) < 1e-12
     assert batch[1] == 1.0  # both clauses at their centers
     free = constant_rule((0.0, 0.0), 2)
-    assert np.all(firing_strengths_batch(free, np.zeros((3, 2)), 0,
-                                         "product") == 1.0)
+    assert np.all(antecedent_strengths(free, np.zeros((3, 2)), "product") == 1.0)
 
 
 # ---------------------------------------------------------------- inference
@@ -205,7 +205,7 @@ def test_infer_output_is_convex_combination():
         for rule in fz.rules:
             if rule.action is not None and rule.action != a:
                 continue
-            if firing_strength(rule, obs, a, fz.tnorm) == 0.0:
+            if antecedent_strengths(rule, obs, fz.tnorm)[0] == 0.0:
                 continue
             bias = np.array([row[0] for row in rule.consequent])
             mat = np.array([row[1:] for row in rule.consequent])

@@ -572,6 +572,49 @@ def test_run_fuzzy_map_em_prior_only_mode():
                                         final_standard_em_iterations=1))
 
 
+def _prior_only_reference(init, fuzzy, em_config, map_config):
+    """Prior-only fitting as its own loop: M-steps on pseudo-counts blended
+    into zero counts until no parameter moves by the tolerance."""
+    def max_delta(a, b):
+        return max(float(np.abs(getattr(a, name) - getattr(b, name)).max())
+                   for name in ("transitions", "obs_means", "obs_covs"))
+
+    model, converged, iterations, matchant = init, False, 0, None
+    empirical = SufficientCounts.zeros(init.num_states, init.num_actions, init.obs_dim)
+    for iteration in range(em_config.max_iterations):
+        matchant = matchant_matrix(model, fuzzy, map_config, iteration)
+        fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
+        new_model = m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
+        delta, model, iterations = max_delta(model, new_model), new_model, iteration + 1
+        if delta < em_config.loglik_tolerance:
+            converged = True
+            break
+    return model, iterations, converged, matchant
+
+
+@pytest.mark.parametrize("tnorm, cap, converges", [
+    ("product", 200, True),
+    # Monte-Carlo matching, keyed by iteration, so the M-steps must see the
+    # same iteration numbers; its jitter keeps the fit from converging
+    ("minimum", 6, False),
+])
+def test_prior_only_fit_equals_a_loop_of_its_own(tnorm, cap, converges):
+    rng = np.random.default_rng(16)
+    init = diag_model(rng, num_states=2)
+    fz = random_fuzzy(rng, obs_dim=2, num_rules=4, tnorm=tnorm)
+    em_cfg = EmConfig(max_iterations=cap)
+    map_cfg = FuzzyMapConfig(lambda_t=1.0, lambda_o=0.5, matchant_samples=64, seed=9)
+    model, iterations, converged, matchant = _prior_only_reference(init, fz, em_cfg, map_cfg)
+    res = run_fuzzy_map_em([], init, fz, em_cfg, map_cfg)
+    assert converged == converges
+    for name in ("transitions", "obs_means", "obs_covs", "initial_dist"):
+        assert np.array_equal(getattr(res.model, name), getattr(model, name)), name
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert res.loglik_trace == []
+    assert res.prior_data_ratios == [(math.inf, math.inf)] * iterations
+    assert np.array_equal(res.final_matchant, matchant)
+
+
 def test_run_fuzzy_map_em_huge_lambda_is_prior_dominated():
     # one always-firing rule pinning a single target: with overwhelming
     # prior weight some state locks onto the target with a ridge-level

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from fuzzy_pomdp import cli
+from fuzzy_pomdp.em import EmConfig, run_em
+from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp.model import (
     GroundTruthEnv,
     Trajectory,
@@ -34,6 +36,7 @@ from fuzzy_pomdp.harness import (
 from fuzzy_pomdp.rngs import derive_rng
 
 from conftest import constant_rule, make_fuzzy, random_dataset, random_model
+from test_fuzzy_map import assert_same_fit
 
 
 # ----------------------------------------------------------------- assets
@@ -267,6 +270,37 @@ def test_run_paired_seed_trains_both_on_the_same_data(tmp_path):
     again = synthetic_dataset(env, cfg, seed=0)
     for a, b in zip(ds, again):
         assert np.array_equal(a.observations, b.observations)
+
+
+@pytest.mark.parametrize("num_states, tnorm", [(2, "product"), (3, "minimum")])
+def test_mg_seed_is_one_restart_from_a_kmeans_init(num_states, tnorm):
+    # mg_pipeline fits both algorithms once, from a k-means init with the
+    # config's state count, with the fuzzy-MAP seed of restart 0 (which the
+    # minimum t-norm's Monte-Carlo matching draws from)
+    fz = dataclasses.replace(load_fuzzy_model(asset_path("mg_fuzzy_placeholder.json")),
+                             tnorm=tnorm)
+    cfg = regime_config("mg_pipeline", seeds=[3], num_trajectories=8,
+                        num_states=num_states, max_iterations=12, matchant_samples=50)
+    seed = 3
+    out = run_paired_seed(None, fz, cfg, seed)
+    dataset = generate_fuzzy_trajectories(
+        fz, cfg.num_trajectories, cfg.horizon, make_policy(cfg.policy, fz.num_actions),
+        cfg.generation_noise_sigma, derive_rng(seed, "mg-data"))
+    for a, b in zip(out["dataset"], dataset, strict=True):
+        assert np.array_equal(a.observations, b.observations)
+        assert np.array_equal(a.actions, b.actions)
+    init = kmeans_init(dataset, num_states, derive_rng(seed, "kmeans"))
+    em_cfg = EmConfig(max_iterations=cfg.max_iterations, loglik_tolerance=cfg.loglik_tolerance)
+    map_cfg = FuzzyMapConfig(lambda_t=cfg.lambda_t, lambda_o=cfg.lambda_o,
+                             matchant_samples=cfg.matchant_samples, seed=seed * 1000,
+                             final_standard_em_iterations=cfg.final_standard_em_iterations)
+    em_fit = run_em(dataset, init, em_cfg)
+    fm_fit = run_fuzzy_map_em(dataset, init, fz, em_cfg, map_cfg)
+    assert out["em"].model.num_states == num_states
+    assert_same_fit(out["em"], em_fit)
+    assert_same_fit(out["fuzzy_map"], fm_fit)
+    assert out["fuzzy_map"].prior_data_ratios == fm_fit.prior_data_ratios
+    assert np.array_equal(out["fuzzy_map"].final_matchant, fm_fit.final_matchant)
 
 
 def test_run_regime_low_data_outputs(tmp_path):

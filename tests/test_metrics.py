@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fuzzy_pomdp.model import GroundTruthEnv, PomdpModel, load_env, relabel_states
 from fuzzy_pomdp.metrics import (
@@ -14,8 +16,11 @@ from fuzzy_pomdp.metrics import (
     l1_transition_distance,
     l1_transition_total,
     match_states,
+    quadrature_grid,
 )
 from fuzzy_pomdp.harness import asset_path
+
+from test_estep_properties import _floats
 
 
 def beta_moments(alpha: float, beta: float) -> tuple[float, float]:
@@ -152,17 +157,17 @@ def test_kl_quadrature_matches_gaussian_closed_form():
                         + (mu1[d] - mu0[d]) ** 2 / var1[d]
                         - 1.0 + math.log(var1[d] / var0[d]))
                  for d in range(2))
-    got = kl_quadrature(logp, logq, obs_dim=2, nodes=64)
+    points, weights = quadrature_grid(2, 64)
+    got = kl_quadrature(logp(points), logq(points), weights)
     assert abs(got - closed) < 1e-6
 
 
 def test_kl_quadrature_self_is_zero():
     beta = np.array([[5.0, 5.0], [2.0, 8.0]])
 
-    def logp(pts):
-        return beta_product_log_density(pts, beta)
-
-    assert abs(kl_quadrature(logp, logp, obs_dim=2)) < 1e-8
+    points, weights = quadrature_grid(2)
+    logp = beta_product_log_density(points, beta)
+    assert abs(kl_quadrature(logp, logp, weights)) < 1e-8
 
 
 def test_kl_observation_moment_matched_is_small_positive():
@@ -242,3 +247,41 @@ def test_evaluate_model_invariant_to_learned_relabeling():
     assert abs(base.l1_transition - shuffled.l1_transition) < 1e-9
     for k in base.kl_per_state:
         assert abs(base.kl_per_state[k] - shuffled.kl_per_state[k]) < 1e-9
+
+
+# --------------------------------------------------- one score per pair
+
+@st.composite
+def learned_models(draw, env):
+    """Models shaped like env, with means around the unit box and full
+    covariances from broad to tiny, so some pairs hit the inf sentinel; a
+    repeated state gives tied permutations."""
+    S, A, d = env.num_states, env.num_actions, env.obs_dim
+    means = draw(arrays(float, (S, d), elements=_floats(-0.5, 1.5)))
+    factors = draw(arrays(float, (S, d, d), elements=_floats(-1.0, 1.0)))
+    scales = draw(arrays(float, S, elements=_floats(-5.0, 0.0)))
+    covs = factors @ factors.transpose(0, 2, 1) + 0.05 * np.eye(d)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1)) * 10.0 ** scales[:, None, None]
+    if draw(st.booleans()):
+        means[1], covs[1] = means[0], covs[0]
+    trans = np.full((S, A, S), 1.0 / S)
+    return PomdpModel(S, A, d, trans, means, covs)
+
+
+@given(st.data())
+def test_evaluate_model_scores_each_pair_as_kl_observation_does(data):
+    env = bundled_env()
+    learned = data.draw(learned_models(env))
+    S = env.num_states
+    cost = np.array([[kl_observation(env.beta_params[i], learned.obs_means[j],
+                                     learned.obs_covs[j]) for j in range(S)]
+                     for i in range(S)])
+    # exhaustive argmin, lexicographically first on ties
+    best = min(itertools.permutations(range(S)),
+               key=lambda perm: sum(cost[perm[j], j] for j in range(S)))
+    assert match_states(learned, env) == best
+    report = evaluate_model(learned, env)
+    assert report.state_matching == best
+    for j, i in enumerate(best):
+        assert report.kl_per_state[env.state_labels[i]] == kl_observation(
+            env.beta_params[i], learned.obs_means[j], learned.obs_covs[j])
