@@ -1,15 +1,25 @@
 #!/usr/bin/env python3
-"""Check that two source trees write byte-identical regime outputs.
+"""Check that two source trees write the same regime and CLI outputs.
 
     python3 scripts/compare_outputs.py PARENT_TREE CHANGE_TREE
 
-Runs `harness.run_regime` on low_data seeds 0-5, high_noise seeds 0-2 and
-mg_pipeline seeds 0-1 against the package under each tree's `src/`, in one
-fresh process per tree. Then compares runs.csv, every model_*.json and
-mg_table.txt byte for byte, and summary.json with its config's `out_dir`
-left out, naming each dotted key path that differs or that only one side
-has (e.g. `config.kmeans_clusters: parent only`). Prints each difference
-and exits 1 if there is any, 0 otherwise.
+In one fresh process per tree, against the package under that tree's
+`src/`:
+- runs `harness.run_regime` on low_data seeds 0-5, high_noise seeds 0-2 and
+  mg_pipeline seeds 0-1;
+- runs a fixed CLI script (CLI_SCRIPT: both generators, `train` with em and
+  fuzzy-map, `eval` to a file and to stdout, `sweep`) in a work directory
+  holding copies of the tree's bundled assets, so both trees see identical
+  relative paths.
+
+Regime outputs, the sweep's per-cell ones included, are compared byte for
+byte: runs.csv, every model_*.json and mg_table.txt. summary.json is
+compared with its config's `out_dir` left out, naming each dotted key path
+that differs or that only one side has (e.g. `config.kmeans_clusters:
+parent only`). Every other CLI artifact is compared by content: JSON files
+as parsed values, CSV files line by line; a difference in bytes alone is
+printed as a note. Prints each difference and exits 1 if there is any,
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -24,19 +34,59 @@ from pathlib import Path
 
 CASES = {"low_data": list(range(6)), "high_noise": list(range(3)), "mg_pipeline": [0, 1]}
 
+ASSETS = {"env.json": "synthetic_env.json", "rules.json": "expert_fuzzy_synthetic.json",
+          "mg.json": "mg_fuzzy_placeholder.json"}
+# (argv, file that gets the command's stdout or None); paths are relative to
+# the work directory, and each output directory exists beforehand so that a
+# tree whose generators do not create directories runs the same script
+CLI_SCRIPT = [
+    (["gen-data", "env.json", "--n", "4", "--horizon", "6", "--seed", "3",
+      "--out", "data/ds.json"], None),
+    (["gen-fuzzy-data", "mg.json", "--n", "6", "--seed", "0",
+      "--out", "data/fds.json"], None),
+    (["train", "data/ds.json", "--algo", "em", "--init", "kmeans",
+      "--max-iterations", "20", "--seed", "1", "--out", "train/em.json"], None),
+    (["train", "data/ds.json", "--algo", "fuzzy-map", "--fuzzy-model", "rules.json",
+      "--max-iterations", "20", "--seed", "1", "--out", "train/fm.json"], None),
+    (["eval", "train/em.json", "env.json", "--out", "eval/em.json"], None),
+    (["eval", "train/fm.json", "env.json"], "eval/fm_stdout.json"),
+    (["sweep", "--regime", "low-data", "--seeds", "1", "--grid", "0,0.1",
+      "--out-dir", "sweep"], None),
+]
+CLI_DIRS = ("data", "train", "eval")
+REGIME_FILES = ("runs.csv", "mg_table.txt")
+
 RUNNER = """
-import json, sys
-from fuzzy_pomdp.harness import regime_config, run_regime
-out, cases = sys.argv[1], json.loads(sys.argv[2])
+import contextlib, io, json, os, shutil, sys
+from pathlib import Path
+from fuzzy_pomdp import cli
+from fuzzy_pomdp.harness import asset_path, regime_config, run_regime
+out, cases, assets, script, dirs = sys.argv[1], *map(json.loads, sys.argv[2:])
 for regime, seeds in cases.items():
     run_regime(regime_config(regime, seeds, out_dir=f"{out}/{regime}"))
+work = Path(out, "cli")
+for name in dirs:
+    (work / name).mkdir(parents=True)
+for name, asset in assets.items():
+    shutil.copyfile(asset_path(asset), work / name)
+os.chdir(work)
+for argv, stdout_file in script:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"cli {' '.join(argv)} exited {code}")
+    if stdout_file:
+        Path(stdout_file).write_text(sink.getvalue())
 """
 
 
 def run_tree(tree: Path, out: Path) -> None:
-    """Write every case's outputs under out/<regime>, using tree's package."""
+    """Write every case's outputs under out/<regime> and the CLI script's
+    under out/cli, using tree's package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    subprocess.run([sys.executable, "-c", RUNNER, str(out), json.dumps(CASES)],
+    args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS)]
+    subprocess.run([sys.executable, "-c", RUNNER, str(out), *args],
                    cwd=tree, env=env, check=True)
 
 
@@ -67,21 +117,37 @@ def key_differences(parent, change, path: str = "") -> list[str]:
     return found
 
 
-def differences(parent: Path, change: Path) -> list[str]:
-    """Every output file that is missing on one side or differs."""
-    found = []
-    for regime in CASES:
-        a, b = parent / regime, change / regime
-        names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
-        for name in names:
-            if not (a / name).exists() or not (b / name).exists():
-                found.append(f"{regime}/{name}: written by one tree only")
-            elif name == "summary.json":
-                keys = key_differences(_summary(a / name), _summary(b / name))
-                found += [f"{regime}/{name}: {key}" for key in keys]
-            elif (a / name).read_bytes() != (b / name).read_bytes():
-                found.append(f"{regime}/{name}: differs")
-    return found
+def compare_file(a: Path, b: Path, name: str) -> tuple[list[str], list[str]]:
+    """(differences, notes) between one file's two versions."""
+    if a.name == "summary.json":
+        return [f"{name}: {key}" for key in key_differences(_summary(a), _summary(b))], []
+    if a.read_bytes() == b.read_bytes():
+        return [], []
+    if a.name in REGIME_FILES or a.name.startswith("model_"):
+        return [f"{name}: differs"], []
+    if a.suffix == ".json":
+        keys = key_differences(json.loads(a.read_text()), json.loads(b.read_text()))
+        found = [f"{name}: {key}" for key in keys]
+    else:
+        same = a.read_text().splitlines() == b.read_text().splitlines()
+        found = [] if same else [f"{name}: lines differ"]
+    return found, [] if found else [f"{name}: same content, different bytes"]
+
+
+def differences(parent: Path, change: Path) -> tuple[list[str], list[str]]:
+    """Every output file that is missing on one side or differs, and notes."""
+    found, notes = [], []
+    files = {p.relative_to(root) for root in (parent, change)
+             for p in root.rglob("*") if p.is_file()}
+    for rel in sorted(files):
+        a, b = parent / rel, change / rel
+        if not (a.exists() and b.exists()):
+            found.append(f"{rel}: written by one tree only")
+            continue
+        diff, note = compare_file(a, b, str(rel))
+        found += diff
+        notes += note
+    return found, notes
 
 
 def main(argv=None) -> int:
@@ -93,11 +159,14 @@ def main(argv=None) -> int:
         outs = Path(tmp, "parent"), Path(tmp, "change")
         for tree, out in zip((args.parent, args.change), outs):
             run_tree(tree.resolve(), out)
-        found = differences(*outs)
+        found, notes = differences(*outs)
+    for line in notes:
+        print(f"note: {line}")
     for line in found:
         print(line)
     total = sum(len(seeds) for seeds in CASES.values())
-    print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds")
+    print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds "
+          f"and {len(CLI_SCRIPT)} CLI commands; {len(notes)} byte-only note(s)")
     return 1 if found else 0
 
 

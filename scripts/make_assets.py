@@ -181,7 +181,6 @@ def make_mg_placeholder() -> FuzzyModel:
 
 
 def main():
-    ASSETS.mkdir(parents=True, exist_ok=True)
     save_env(make_synthetic_env(), ASSETS / "synthetic_env.json")
     save_fuzzy_model(make_expert_fuzzy(), ASSETS / "expert_fuzzy_synthetic.json")
     save_fuzzy_model(make_mg_placeholder(), ASSETS / "mg_fuzzy_placeholder.json")

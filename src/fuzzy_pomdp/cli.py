@@ -23,12 +23,12 @@ from .em import EmConfig, run_em
 from .fuzzy import load_fuzzy_model
 from .fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from .harness import (add_noise, generate_fuzzy_trajectories, kl_columns, kmeans_init,
-                      random_init, regime_config, run_regime, _sanitize)
+                      random_init, regime_config, run_regime, write_runs_csv)
 from .metrics import evaluate_model
-from .model import (load_dataset, load_env, make_policy,
+from .model import (json_text, load_dataset, load_env, make_policy,
                     model_from_dict, model_to_dict, sample_trajectory,
                     save_dataset, validate_dataset, validate_env,
-                    validate_model)
+                    validate_model, write_json)
 from .fuzzy import fuzzy_model_from_dict, validate_fuzzy_dict
 from .rngs import derive_rng
 
@@ -50,17 +50,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_json(payload: dict, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_sanitize(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(out_path, command: str, params: dict) -> None:
     out = Path(out_path)
     manifest = out.parent / (out.stem + ".manifest.json")
-    _write_json({"command": command, "parameters": params}, manifest)
+    write_json({"command": command, "parameters": params}, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +114,27 @@ def _load_model_or_checkpoint(path):
     return model_from_dict(payload["model"] if "model" in payload else payload)
 
 
+def _check_dataset(dataset, num_actions: int, obs_dim: int) -> None:
+    problems = validate_dataset(dataset, num_actions, obs_dim)
+    if problems:
+        raise UsageError("invalid dataset: " + "; ".join(problems))
+
+
 def _build_init(args, dataset):
-    num_actions = args.actions
-    if num_actions is None:
-        num_actions = max((int(a) for t in dataset for a in t.actions), default=0) + 1
+    """The fit's initial model, after checking the dataset against the
+    action count and obs_dim that model has."""
     if args.init == "file":
         if not args.init_file:
             raise UsageError("--init file requires --init-file")
-        return _load_model_or_checkpoint(args.init_file)
+        init = _load_model_or_checkpoint(args.init_file)
+        _check_dataset(dataset, init.num_actions, init.obs_dim)
+        return init
+    num_actions = args.actions
+    if num_actions is None:
+        num_actions = max((int(a) for t in dataset for a in t.actions), default=0) + 1
+    _check_dataset(dataset, num_actions, dataset[0].obs_dim)
     if args.init == "kmeans":
-        return kmeans_init(dataset, args.states, derive_rng(args.seed, "kmeans"))
+        return kmeans_init(dataset, args.states, num_actions, derive_rng(args.seed, "kmeans"))
     return random_init(dataset, args.states, num_actions, derive_rng(args.seed, "cli-init"))
 
 
@@ -177,7 +181,7 @@ def cmd_train(args) -> int:
         "loglik_trace": [float(v) for v in result.loglik_trace],
         "converged": bool(result.converged),
     })
-    _write_json(report, args.out)
+    write_json(report, args.out)
     final = result.loglik_trace[-1] if result.loglik_trace else float("nan")
     print(f"wrote {args.out} (algo={args.algo}, lambda_t={args.lambda_t:g}, "
           f"lambda_o={args.lambda_o:g}, iterations={result.iterations}, "
@@ -197,10 +201,10 @@ def cmd_eval(args) -> int:
         "notes": report.notes,
     }
     if args.out:
-        _write_json(out, args.out)
+        write_json(out, args.out)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(_sanitize(out), indent=2, sort_keys=True))
+        print(json_text(out), end="")
     return 0
 
 
@@ -292,13 +296,7 @@ def cmd_sweep(args) -> int:
         print(f"{lam_t:>9g} {lam_o:>9g} {_fmt(row['em_median_l1_avg']):>10} "
               f"{_fmt(row['fuzzy_map_median_l1_avg']):>10} {_fmt(wr):>12}")
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        columns = list(lines[0])
-        with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in lines:
-                fh.write(",".join("" if row[c] is None else f"{row[c]:.12g}"
-                                  for c in columns) + "\n")
+        write_runs_csv(out_dir / "sweep.csv", lines, tuple(lines[0]))
         print(f"wrote {out_dir / 'sweep.csv'}")
     return 0
 

@@ -14,20 +14,15 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .model import _non_finite
+from .model import _non_finite, write_json
 
 log = logging.getLogger(__name__)
 
 TNORMS = ("product", "minimum")
 SHAPE_ARITY = {"triangular": 3, "trapezoidal": 4, "gaussian": 2}
-
-
-class InferenceError(ValueError):
-    """No rule fires for an input and no fallback is configured."""
 
 
 def _set(obj, name, value):
@@ -274,15 +269,13 @@ def antecedent_strengths(rule: FuzzyRule, obs_batch, tnorm: str) -> np.ndarray:
     return values.prod(axis=1) if tnorm == "product" else values.min(axis=1)
 
 
-def infer(model: FuzzyModel, obs, action, zero_firing: str = "identity") -> np.ndarray:
+def infer(model: FuzzyModel, obs, action) -> np.ndarray:
     """Weighted-average Takagi-Sugeno prediction of the next observation.
 
     obs is one (d,) observation with one action, or an (n, d) batch with
     (n,) actions, which gives an (n, d) prediction. Rule weights come from
     the batched clause memberships, gated by each rule's action selector.
-    For an observation where no rule fires, zero_firing selects the
-    fallback: "identity" returns that observation unchanged (logged),
-    "error" raises InferenceError naming the first such row of a batch.
+    An observation where no rule fires is returned unchanged (logged).
     """
     obs = np.asarray(obs, dtype=float)
     batch = np.atleast_2d(obs)
@@ -297,12 +290,6 @@ def infer(model: FuzzyModel, obs, action, zero_firing: str = "identity") -> np.n
     weights = np.where(gate, weights, 0.0)
     total = weights.sum(axis=1)
     dead = total <= 0.0
-    if dead.any() and zero_firing != "identity":
-        row = int(dead.argmax())
-        where = "" if obs.ndim == 1 else f"row {row}: "
-        raise InferenceError(
-            f"{where}no rule fires for obs={batch[row].tolist()} action={actions[row]}"
-        )
     for row in np.flatnonzero(dead):
         log.debug("no rule fires for obs=%s action=%s; returning input", batch[row], actions[row])
     # outputs[n, r] = consequent_r[:, 0] + consequent_r[:, 1:] @ obs[n]
@@ -453,7 +440,7 @@ def fuzzy_model_from_dict(data: dict) -> FuzzyModel:
 
 
 def save_fuzzy_model(model: FuzzyModel, path) -> None:
-    Path(path).write_text(json.dumps(fuzzy_model_to_dict(model), indent=2) + "\n")
+    write_json(fuzzy_model_to_dict(model), path)
 
 
 def load_fuzzy_model(path) -> FuzzyModel:

@@ -11,17 +11,16 @@ and initializations, so every comparison is paired.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .em import EmConfig, run_em
-from .fuzzy import FuzzyModel, InferenceError, infer, load_fuzzy_model
+from .fuzzy import FuzzyModel, infer, load_fuzzy_model
 from .fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from .metrics import evaluate_model
 from .model import (
@@ -32,6 +31,7 @@ from .model import (
     make_policy,
     model_to_dict,
     sample_trajectory,
+    write_json,
 )
 from .rngs import derive_rng
 
@@ -49,6 +49,12 @@ CSV_COLUMNS = (
     "l1_avg",
     "l1_total",
 )
+# the action-selection rule of every regime's data and of the r2 holdout
+POLICY = "uniform"
+# random inits per seed in the env-backed regimes; mg_pipeline fits once
+RESTARTS = 5
+# output noise std of mg_pipeline's rule-base rollouts
+MG_GENERATION_NOISE_SIGMA = 0.05
 
 
 def asset_path(name: str) -> Path:
@@ -65,17 +71,12 @@ class ExperimentConfig:
     noise_sigma: float = 0.0
     lambda_t: float = 0.0
     lambda_o: float = 0.0
-    policy: str = "uniform"
     env_path: str | None = None
     fuzzy_path: str | None = None
     out_dir: str | None = None
     num_states: int = 3
-    restarts: int = 5
-    generation_noise_sigma: float = 0.05
-    matchant_samples: int = 1000
     final_standard_em_iterations: int = 0
     max_iterations: int = 200
-    loglik_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -129,11 +130,10 @@ def add_noise(dataset: list[Trajectory], sigma: float, rng: np.random.Generator)
     return out
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-           tol: float = 1e-6, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Plain k-means with k-means++ seeding; returns (centroids, labels).
 
-    Stops when no centroid moves more than tol, or after max_iter Lloyd
+    Stops when no centroid moves more than 1e-6, or after 100 Lloyd
     iterations. An emptied cluster is reseeded at the point farthest from
     its centroid.
     """
@@ -154,7 +154,7 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
             probs = d2 / total
         centroids[j] = points[rng.choice(n, p=probs)]
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(100):
         dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = dists.argmin(axis=1)
         new_centroids = centroids.copy()
@@ -166,21 +166,21 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
                 new_centroids[j] = points[dists[:, j].argmax()]
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
-        if shift <= tol:
+        if shift <= 1e-6:
             break
     dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return centroids, dists.argmin(axis=1)
 
 
-def kmeans_init(dataset: list[Trajectory], k: int, rng: np.random.Generator) -> PomdpModel:
+def kmeans_init(dataset: list[Trajectory], k: int, num_actions: int,
+                rng: np.random.Generator) -> PomdpModel:
     """Cluster all observations; centroids become the initial state means.
 
     Covariances start at identity, transitions and the initial distribution
-    at uniform. Action count is taken from the dataset's action indices.
+    at uniform.
     """
     points = np.vstack([t.observations for t in dataset])
     centroids, _ = kmeans(points, k, rng)
-    num_actions = int(max(t.actions.max(initial=0) for t in dataset)) + 1
     d = points.shape[1]
     return PomdpModel(
         num_states=k,
@@ -240,10 +240,7 @@ def generate_fuzzy_trajectories(
         for t in range(horizon - 1):
             action = int(policy(t, rng))
             actions[t] = action
-            try:
-                pred = infer(fuzzy, obs[t], action)
-            except InferenceError as err:
-                raise InferenceError(f"timestep {t}: {err}") from err
+            pred = infer(fuzzy, obs[t], action)
             if output_noise_sigma > 0:
                 pred = pred + output_noise_sigma * rng.standard_normal(fuzzy.obs_dim)
             obs[t + 1] = np.clip(pred, lo, hi)
@@ -251,17 +248,17 @@ def generate_fuzzy_trajectories(
     return dataset
 
 
-def fuzzy_model_r2(fuzzy: FuzzyModel, env: GroundTruthEnv, num_trajectories: int = 50,
-                   horizon: int = 10, seed: int = 20260815, policy_spec: str = "uniform") -> float:
-    """One-step predictive R^2 of the fuzzy model on held-out env rollouts.
+def fuzzy_model_r2(fuzzy: FuzzyModel, env: GroundTruthEnv) -> float:
+    """One-step predictive R^2 of the fuzzy model on 50 held-out env
+    rollouts of 10 steps.
 
     The holdout stream is disjoint from every training stream by seed
     construction; this quantifies rule quality without being a test target.
     """
-    policy = make_policy(policy_spec, env.num_actions)
+    policy = make_policy(POLICY, env.num_actions)
     holdout = [
-        sample_trajectory(env, policy, horizon, derive_rng(seed, "r2-holdout", i))
-        for i in range(num_trajectories)
+        sample_trajectory(env, policy, 10, derive_rng(20260815, "r2-holdout", i))
+        for i in range(50)
     ]
     preds = infer(fuzzy, np.concatenate([traj.observations[:-1] for traj in holdout]),
                   np.concatenate([traj.actions for traj in holdout]))
@@ -271,18 +268,10 @@ def fuzzy_model_r2(fuzzy: FuzzyModel, env: GroundTruthEnv, num_trajectories: int
     return 1.0 - ss_res / ss_tot
 
 
-def _em_config(config: ExperimentConfig) -> EmConfig:
-    return EmConfig(
-        max_iterations=config.max_iterations,
-        loglik_tolerance=config.loglik_tolerance,
-    )
-
-
 def _map_config(config: ExperimentConfig, seed: int, restart: int) -> FuzzyMapConfig:
     return FuzzyMapConfig(
         lambda_t=config.lambda_t,
         lambda_o=config.lambda_o,
-        matchant_samples=config.matchant_samples,
         seed=seed * 1000 + restart,
         final_standard_em_iterations=config.final_standard_em_iterations,
     )
@@ -290,7 +279,7 @@ def _map_config(config: ExperimentConfig, seed: int, restart: int) -> FuzzyMapCo
 
 def synthetic_dataset(env: GroundTruthEnv, config: ExperimentConfig, seed: int) -> list[Trajectory]:
     """The per-seed training set for the env-backed regimes."""
-    policy = make_policy(config.policy, env.num_actions)
+    policy = make_policy(POLICY, env.num_actions)
     dataset = [
         sample_trajectory(env, policy, config.horizon, derive_rng(seed, "traj", i))
         for i in range(config.num_trajectories)
@@ -307,25 +296,26 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
     Returns {"em": result, "fuzzy_map": result, "dataset": ...} where each
     result carries the trained model and its log-likelihood trace. Each
     regime only builds the seed's dataset and its initializations: one
-    k-means init for mg_pipeline, `restarts` random inits otherwise. Both
+    k-means init for mg_pipeline, RESTARTS random inits otherwise. Both
     algorithms then fit from every init, restart r's fuzzy-MAP fit seeded
     by _map_config(config, seed, r), and each keeps its fit with the
     highest final log-likelihood, the first one on a tie.
     """
     if config.regime == "mg_pipeline":
-        policy = make_policy(config.policy, fuzzy.num_actions)
+        policy = make_policy(POLICY, fuzzy.num_actions)
         dataset = generate_fuzzy_trajectories(
             fuzzy, config.num_trajectories, config.horizon, policy,
-            config.generation_noise_sigma, derive_rng(seed, "mg-data"),
+            MG_GENERATION_NOISE_SIGMA, derive_rng(seed, "mg-data"),
         )
-        inits = [kmeans_init(dataset, config.num_states, derive_rng(seed, "kmeans"))]
+        inits = [kmeans_init(dataset, config.num_states, fuzzy.num_actions,
+                             derive_rng(seed, "kmeans"))]
     else:
         dataset = synthetic_dataset(env, config, seed)
         inits = [
             random_init(dataset, config.num_states, env.num_actions, derive_rng(seed, "init", r))
-            for r in range(config.restarts)
+            for r in range(RESTARTS)
         ]
-    em_config = _em_config(config)
+    em_config = EmConfig(max_iterations=config.max_iterations)
     em_fits, fm_fits = [], []
     for r, init in enumerate(inits):
         em_fits.append(run_em(dataset, init, em_config))
@@ -345,23 +335,6 @@ def _format_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
-
-
-def _sanitize(obj):
-    """Make a report JSON-safe: non-finite floats become strings."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
-    if isinstance(obj, np.floating):
-        return _sanitize(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    return obj
 
 
 def _median(values) -> float | None:
@@ -488,14 +461,10 @@ def run_regime(config: ExperimentConfig) -> dict:
 
     if config.out_dir:
         out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_runs_csv(out / "runs.csv", rows, CSV_COLUMNS + kl_cols)
-        (out / "summary.json").write_text(
-            json.dumps(_sanitize(summary), indent=2) + "\n"
-        )
+        write_json(summary, out / "summary.json")
         for (seed, algorithm), payload in checkpoints.items():
-            path = out / f"model_{seed}_{algorithm}.json"
-            path.write_text(json.dumps(_sanitize(payload), indent=2) + "\n")
+            write_json(payload, out / f"model_{seed}_{algorithm}.json")
         if mg_table is not None:
             (out / "mg_table.txt").write_text(mg_table)
 
@@ -508,6 +477,10 @@ def run_regime(config: ExperimentConfig) -> dict:
 
 
 def write_runs_csv(path, rows: list[dict], columns: tuple[str, ...]) -> None:
+    """The package's one CSV layout: a header, then one CRLF-ended line per
+    row (floats to 12 significant digits, None empty); creates parent dirs."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

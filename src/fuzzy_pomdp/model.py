@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -20,6 +21,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 DEFAULT_COV_RIDGE = 1e-6
+# tolerance on a probability vector's sum and on its negative entries
+STOCHASTIC_ATOL = 1e-9
 
 # Policy: callable (time_step, rng) -> action index.
 Policy = Callable[[int, np.random.Generator], int]
@@ -253,16 +256,16 @@ def sample_gaussian(mean, cov, n: int, rng: np.random.Generator) -> np.ndarray:
     return mean + z @ chol.T
 
 
-def _row_stochastic_violations(transitions: np.ndarray, atol: float) -> list[str]:
+def _row_stochastic_violations(transitions: np.ndarray) -> list[str]:
     """Negative entries and rows not summing to 1 in an (S, A, S) tensor."""
     violations = []
     row_sums = transitions.sum(axis=2)
     for s, a in np.ndindex(row_sums.shape):
-        if np.any(transitions[s, a] < -atol):
+        if np.any(transitions[s, a] < -STOCHASTIC_ATOL):
             violations.append(
                 f"transitions[s={s}, a={a}] has a negative entry: {transitions[s, a].tolist()}"
             )
-        if abs(row_sums[s, a] - 1.0) > atol:
+        if abs(row_sums[s, a] - 1.0) > STOCHASTIC_ATOL:
             violations.append(
                 f"transitions[s={s}, a={a}] sums to {row_sums[s, a]:.12g}, expected 1"
             )
@@ -278,7 +281,7 @@ def _non_finite(name: str, values: np.ndarray, axes: Sequence[str]) -> list[str]
     ]
 
 
-def validate_model(model: PomdpModel, atol: float = 1e-9) -> list[str]:
+def validate_model(model: PomdpModel) -> list[str]:
     """All invariant violations, empty when the model is well-formed.
 
     Each entry names the offending index and the failed constraint; every
@@ -289,7 +292,7 @@ def validate_model(model: PomdpModel, atol: float = 1e-9) -> list[str]:
         + _non_finite("obs_means", model.obs_means, ("s", "dim"))
         + _non_finite("obs_covs", model.obs_covs, ("s", "i", "j"))
         + _non_finite("initial_dist", model.initial_dist, ("s",))
-        + _row_stochastic_violations(model.transitions, atol)
+        + _row_stochastic_violations(model.transitions)
     )
     for s in range(model.num_states):
         cov = model.obs_covs[s]
@@ -303,19 +306,19 @@ def validate_model(model: PomdpModel, atol: float = 1e-9) -> list[str]:
             violations.append(
                 f"obs_covs[s={s}] is not positive definite (min eigenvalue {min_eig:.3g})"
             )
-    if abs(model.initial_dist.sum() - 1.0) > atol:
+    if abs(model.initial_dist.sum() - 1.0) > STOCHASTIC_ATOL:
         violations.append(f"initial_dist sums to {model.initial_dist.sum():.12g}, expected 1")
-    if np.any(model.initial_dist < -atol):
+    if np.any(model.initial_dist < -STOCHASTIC_ATOL):
         violations.append("initial_dist has a negative entry")
     return violations
 
 
-def validate_env(env: GroundTruthEnv, atol: float = 1e-9) -> list[str]:
+def validate_env(env: GroundTruthEnv) -> list[str]:
     """Invariant violations for a ground-truth environment."""
     violations = (
         _non_finite("transitions", env.transitions, ("s", "a", "s2"))
         + _non_finite("beta_params", env.beta_params, ("s", "dim", "k"))
-        + _row_stochastic_violations(env.transitions, atol)
+        + _row_stochastic_violations(env.transitions)
     )
     if np.any(env.beta_params <= 0):
         bad = np.argwhere(env.beta_params <= 0)
@@ -424,6 +427,37 @@ def relabel_states(model: PomdpModel, new_index: Sequence[int]) -> PomdpModel:
 # JSON file formats
 # ---------------------------------------------------------------------------
 
+def _sanitize(obj):
+    """Make a payload JSON-safe: non-finite floats become strings, numpy
+    scalars and arrays become Python numbers and lists."""
+    if isinstance(obj, dict):
+        return {k: _sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "inf" if obj > 0 else ("-inf" if obj < 0 else "nan")
+    if isinstance(obj, np.floating):
+        return _sanitize(float(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return _sanitize(obj.tolist())
+    return obj
+
+
+def json_text(payload) -> str:
+    """The package's one JSON layout: sanitized, two-space indent, keys in
+    insertion order, one trailing newline."""
+    return json.dumps(_sanitize(payload), indent=2) + "\n"
+
+
+def write_json(payload, path) -> None:
+    """Write payload as json_text, creating missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json_text(payload))
+
+
 def model_to_dict(model: PomdpModel) -> dict:
     return {
         "num_states": model.num_states,
@@ -451,7 +485,7 @@ def model_from_dict(data: dict) -> PomdpModel:
 
 
 def save_model(model: PomdpModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> PomdpModel:
@@ -489,7 +523,7 @@ def env_from_dict(data: dict) -> GroundTruthEnv:
 
 
 def save_env(env: GroundTruthEnv, path) -> None:
-    Path(path).write_text(json.dumps(env_to_dict(env), indent=2) + "\n")
+    write_json(env_to_dict(env), path)
 
 
 def load_env(path) -> GroundTruthEnv:
@@ -508,7 +542,7 @@ def dataset_from_list(data) -> list[Trajectory]:
 
 
 def save_dataset(dataset: Sequence[Trajectory], path) -> None:
-    Path(path).write_text(json.dumps(dataset_to_list(dataset), indent=2) + "\n")
+    write_json(dataset_to_list(dataset), path)
 
 
 def load_dataset(path) -> list[Trajectory]:

@@ -160,6 +160,38 @@ def test_train_fuzzy_map_echoes_lambdas_and_ratios(tmp_path):
                for r in ratios)
 
 
+def test_train_kmeans_init_honours_actions(tmp_path):
+    # a dataset that only ever takes action 0 still gets the requested
+    # action count, from either init
+    ds = tmp_path / "ds.json"
+    assert run_cli("gen-data", ENV, "--n", 4, "--horizon", 6, "--policy", "fixed:0",
+                   "--out", ds) == 0
+    for init in ("kmeans", "random"):
+        ckpt = tmp_path / f"{init}.json"
+        assert run_cli("train", ds, "--init", init, "--actions", 2,
+                       "--max-iterations", 3, "--out", ckpt) == 0
+        assert json.loads(ckpt.read_text())["model"]["num_actions"] == 2
+
+
+def test_train_rejects_an_invalid_dataset(tmp_path, capsys):
+    ds = gen_small_dataset(tmp_path)
+    payload = json.loads(ds.read_text())
+    payload[1]["observations"][2][0] = float("nan")
+    nan_ds = tmp_path / "nan.json"
+    nan_ds.write_text(json.dumps(payload))
+    ckpt = tmp_path / "ck.json"
+    first = next(i for i, t in enumerate(json.loads(ds.read_text())) if 1 in t["actions"])
+    for init in ("kmeans", "random"):
+        assert run_cli("train", nan_ds, "--init", init, "--out", ckpt) == 1
+        assert ("trajectory 1: observations[t=2, dim=0] is not finite (nan)"
+                in capsys.readouterr().err)
+        # --actions 1 on data that takes action 1
+        assert run_cli("train", ds, "--init", init, "--actions", 1, "--out", ckpt) == 1
+        err = capsys.readouterr().err
+        assert f"trajectory {first}: action index out of range [0, 1)" in err
+    assert not ckpt.exists()
+
+
 def test_train_init_file_round_trip(tmp_path):
     ds = gen_small_dataset(tmp_path)
     first = tmp_path / "first.json"
@@ -287,6 +319,22 @@ def test_sweep_grid_and_zero_cell_reduction(tmp_path):
     # the zero-lambda cell trains the same model twice
     assert abs(float(zero["em_median_l1_avg"])
                - float(zero["fuzzy_map_median_l1_avg"])) < 1e-9
+
+
+def test_writing_subcommands_create_missing_directories(tmp_path):
+    new = tmp_path / "a" / "b"
+    ds, fds, ckpt = new / "gen" / "ds.json", new / "fgen" / "fds.json", new / "ck" / "em.json"
+    assert run_cli("gen-data", ENV, "--out", ds) == 0
+    assert (new / "gen" / "ds.manifest.json").is_file()
+    assert run_cli("gen-fuzzy-data", MG, "--n", 2, "--out", fds) == 0
+    assert run_cli("train", ds, "--max-iterations", 3, "--out", ckpt) == 0
+    assert run_cli("eval", ckpt, ENV, "--out", new / "eval" / "report.json") == 0
+    assert run_cli("reproduce", "--regime", "low-data", "--seeds", 1,
+                   "--out-dir", new / "reproduce") == 0
+    assert run_cli("sweep", "--seeds", 1, "--grid", "0", "--out-dir", new / "sweep") == 0
+    for path in (fds, ckpt, new / "eval" / "report.json", new / "reproduce" / "runs.csv",
+                 new / "sweep" / "sweep.csv"):
+        assert path.is_file()
 
 
 def test_log_level_env_var(tmp_path, monkeypatch, capsys):

@@ -9,7 +9,6 @@ from fuzzy_pomdp.fuzzy import (
     FuzzyModel,
     FuzzyRule,
     FuzzyVariable,
-    InferenceError,
     MembershipFunction,
     antecedent_strengths,
     clause_memberships,
@@ -133,11 +132,11 @@ def test_firing_strength_product_and_min():
 
 
 def test_firing_strength_action_gate():
-    # the rule's antecedent fires at 0.4, but only under action 1
+    # the rule's antecedent fires at 0.4, but only under action 1; under
+    # action 0 no rule fires and inference returns the observation
     rule, obs = _two_clause_rule(0.8, 0.5, action=1)
     fz = make_fuzzy([rule], obs_dim=2)
-    with pytest.raises(InferenceError, match="no rule fires"):
-        infer(fz, obs, 0, zero_firing="error")
+    assert np.array_equal(infer(fz, obs, 0), obs)
     assert np.array_equal(infer(fz, obs, 1), [0.0, 0.0])
 
 
@@ -238,8 +237,6 @@ def test_infer_zero_firing_modes():
     fz = make_fuzzy([dead], obs_dim=1)
     obs = np.array([0.25])
     assert np.allclose(infer(fz, obs, 0), obs)
-    with pytest.raises(InferenceError, match=r"^no rule fires for obs=\[0\.25\] action=0$"):
-        infer(fz, obs, 0, zero_firing="error")
 
 
 def test_infer_zero_firing_is_per_row_in_a_batch():
@@ -248,8 +245,6 @@ def test_infer_zero_firing_is_per_row_in_a_batch():
     obs = np.array([[0.25], [0.5], [0.75]])
     got = infer(fz, obs, np.array([1, 0, 0]))
     assert np.array_equal(got, [[9.0], [0.5], [0.75]])
-    with pytest.raises(InferenceError, match=r"^row 1: no rule fires for obs=\[0\.5\] action=0$"):
-        infer(fz, obs, np.array([1, 0, 0]), zero_firing="error")
     with pytest.raises(ValueError, match="one action per observation"):
         infer(fz, obs, 0)
 

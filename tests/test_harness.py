@@ -20,6 +20,8 @@ from fuzzy_pomdp.model import (
 )
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
 from fuzzy_pomdp.harness import (
+    MG_GENERATION_NOISE_SIGMA,
+    POLICY,
     ExperimentConfig,
     add_noise,
     asset_path,
@@ -138,7 +140,7 @@ def test_kmeans_matches_exhaustive_partition_on_six_points():
 def test_kmeans_init_structure(rng0):
     m = random_model(rng0, obs_dim=2)
     ds = random_dataset(rng0, m, n=4, horizon=6)
-    init = kmeans_init(ds, 3, np.random.default_rng(1))
+    init = kmeans_init(ds, 3, 2, np.random.default_rng(1))
     assert validate_model(init) == []
     assert init.num_states == 3
     assert np.allclose(init.transitions, 1.0 / 3.0)
@@ -251,9 +253,7 @@ def test_synthetic_dataset_deterministic_per_seed():
 
 
 def _fast_low_data(tmp_path, seeds=range(2)):
-    return regime_config(
-        "low_data", seeds=seeds, out_dir=str(tmp_path),
-        restarts=2, max_iterations=8, matchant_samples=50)
+    return regime_config("low_data", seeds=seeds, out_dir=str(tmp_path), max_iterations=8)
 
 
 def test_run_paired_seed_trains_both_on_the_same_data(tmp_path):
@@ -280,19 +280,18 @@ def test_mg_seed_is_one_restart_from_a_kmeans_init(num_states, tnorm):
     fz = dataclasses.replace(load_fuzzy_model(asset_path("mg_fuzzy_placeholder.json")),
                              tnorm=tnorm)
     cfg = regime_config("mg_pipeline", seeds=[3], num_trajectories=8,
-                        num_states=num_states, max_iterations=12, matchant_samples=50)
+                        num_states=num_states, max_iterations=12)
     seed = 3
     out = run_paired_seed(None, fz, cfg, seed)
     dataset = generate_fuzzy_trajectories(
-        fz, cfg.num_trajectories, cfg.horizon, make_policy(cfg.policy, fz.num_actions),
-        cfg.generation_noise_sigma, derive_rng(seed, "mg-data"))
+        fz, cfg.num_trajectories, cfg.horizon, make_policy(POLICY, fz.num_actions),
+        MG_GENERATION_NOISE_SIGMA, derive_rng(seed, "mg-data"))
     for a, b in zip(out["dataset"], dataset, strict=True):
         assert np.array_equal(a.observations, b.observations)
         assert np.array_equal(a.actions, b.actions)
-    init = kmeans_init(dataset, num_states, derive_rng(seed, "kmeans"))
-    em_cfg = EmConfig(max_iterations=cfg.max_iterations, loglik_tolerance=cfg.loglik_tolerance)
-    map_cfg = FuzzyMapConfig(lambda_t=cfg.lambda_t, lambda_o=cfg.lambda_o,
-                             matchant_samples=cfg.matchant_samples, seed=seed * 1000,
+    init = kmeans_init(dataset, num_states, fz.num_actions, derive_rng(seed, "kmeans"))
+    em_cfg = EmConfig(max_iterations=cfg.max_iterations)
+    map_cfg = FuzzyMapConfig(lambda_t=cfg.lambda_t, lambda_o=cfg.lambda_o, seed=seed * 1000,
                              final_standard_em_iterations=cfg.final_standard_em_iterations)
     em_fit = run_em(dataset, init, em_cfg)
     fm_fit = run_fuzzy_map_em(dataset, init, fz, em_cfg, map_cfg)
@@ -355,7 +354,7 @@ def test_run_regime_custom_env_labels_name_the_kl_columns(tmp_path, capsys):
 
 def test_run_regime_mg_pipeline_smoke(tmp_path):
     cfg = regime_config("mg_pipeline", seeds=range(1), out_dir=str(tmp_path),
-                        max_iterations=15, matchant_samples=100)
+                        max_iterations=15)
     summary = run_regime(cfg)
     assert summary["num_failures"] == 0
     assert "mg_table" in summary
