@@ -25,10 +25,10 @@ from .fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from .harness import (add_noise, generate_fuzzy_trajectories, kl_columns, kmeans_init,
                       random_init, regime_config, run_regime, write_runs_csv)
 from .metrics import evaluate_model
-from .model import (json_text, load_dataset, load_env, make_policy,
-                    model_from_dict, model_to_dict, sample_trajectory,
-                    save_dataset, validate_dataset, validate_env,
-                    validate_model, write_json)
+from .model import (dataset_from_list, env_from_dict, json_text, load_dataset,
+                    load_env, make_policy, model_from_dict, model_to_dict,
+                    sample_trajectory, save_dataset, validate_dataset,
+                    validate_env, validate_model, write_json)
 from .fuzzy import fuzzy_model_from_dict, validate_fuzzy_dict
 from .rngs import derive_rng
 
@@ -36,6 +36,8 @@ log = logging.getLogger(__name__)
 
 REGIME_NAMES = {"low-data": "low_data", "high-noise": "high_noise", "mg": "mg_pipeline"}
 DEFAULT_SWEEP_GRID = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
+# train's state count for --init random and kmeans
+DEFAULT_STATES = 3
 
 
 class UsageError(Exception):
@@ -127,15 +129,21 @@ def _build_init(args, dataset):
         if not args.init_file:
             raise UsageError("--init file requires --init-file")
         init = _load_model_or_checkpoint(args.init_file)
+        for flag, given, held in (("--states", args.states, init.num_states),
+                                  ("--actions", args.actions, init.num_actions)):
+            if given is not None and given != held:
+                raise UsageError(f"{flag} {given} does not match the --init-file "
+                                 f"model, which has {held}")
         _check_dataset(dataset, init.num_actions, init.obs_dim)
         return init
+    num_states = DEFAULT_STATES if args.states is None else args.states
     num_actions = args.actions
     if num_actions is None:
         num_actions = max((int(a) for t in dataset for a in t.actions), default=0) + 1
     _check_dataset(dataset, num_actions, dataset[0].obs_dim)
     if args.init == "kmeans":
-        return kmeans_init(dataset, args.states, num_actions, derive_rng(args.seed, "kmeans"))
-    return random_init(dataset, args.states, num_actions, derive_rng(args.seed, "cli-init"))
+        return kmeans_init(dataset, num_states, num_actions, derive_rng(args.seed, "kmeans"))
+    return random_init(dataset, num_states, num_actions, derive_rng(args.seed, "cli-init"))
 
 
 def cmd_train(args) -> int:
@@ -306,7 +314,6 @@ def cmd_sweep(args) -> int:
 def _detect_and_check(payload) -> tuple[str, list[str]]:
     if isinstance(payload, list):
         try:
-            from .model import dataset_from_list
             dataset = dataset_from_list(payload)
         except (KeyError, TypeError, ValueError) as exc:
             return "dataset", [str(exc)]
@@ -318,7 +325,6 @@ def _detect_and_check(payload) -> tuple[str, list[str]]:
     if not isinstance(payload, dict):
         return "unknown", ["top-level JSON value is neither object nor array"]
     if "beta_params" in payload:
-        from .model import env_from_dict
         try:
             env = env_from_dict(payload)
         except (KeyError, TypeError, ValueError) as exc:
@@ -423,9 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=("random", "kmeans", "file"), default="random")
     p.add_argument("--init-file",
                    help="model or checkpoint JSON used when --init file")
-    p.add_argument("--states", type=int, default=3)
+    p.add_argument("--states", type=int, default=None,
+                   help=f"state count (default: {DEFAULT_STATES}; with --init file, "
+                        "the file's model, which a given value must equal)")
     p.add_argument("--actions", type=int, default=None,
-                   help="action count (default: inferred from the dataset)")
+                   help="action count (default: inferred from the dataset; with "
+                        "--init file, the file's model, which a given value must equal)")
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--matchant-samples", type=int, default=1000,

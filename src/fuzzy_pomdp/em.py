@@ -202,6 +202,10 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
     call. Emission densities are shifted by their per-step maximum before
     exponentiation, and messages are renormalized at every step; the log
     normalizers accumulate into the exact data log-likelihood.
+
+    A density can differ in the last ulp with the number of rows scored
+    together, so one trajectory smoothed alone can differ in the last ulp
+    from its posteriors inside a batch or an e_step.
     """
     single = isinstance(batch, Trajectory)
     if not isinstance(batch, _Batch):
@@ -334,7 +338,9 @@ def e_step(
     """Forward-backward over the dataset, one batch per trajectory length.
 
     dataset is a list of trajectories or a fit's prepared data. Returns the
-    posteriors pooled in dataset order and the total log-likelihood.
+    posteriors pooled in dataset order and the total log-likelihood. Each
+    trajectory is scored with its length group, so its posteriors can differ
+    in the last ulp from forward_backward on that trajectory alone.
     """
     data = dataset if isinstance(dataset, _FitData) else _FitData(dataset)
     parts = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaln, xlog1py, xlogy
 
 from .model import GroundTruthEnv, PomdpModel, gaussian_log_density
 
@@ -87,12 +87,33 @@ def kl_quadrature(logp: np.ndarray, logq: np.ndarray, weights: np.ndarray) -> fl
     return max(estimate, 0.0)
 
 
+def _beta_log_density(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """SciPy's beta.logpdf(x, a, b), bit for bit: inside [0, 1] the
+    expression it runs, in its operation order, from scipy.special."""
+    if not (a > 0 and b > 0):
+        return np.full(x.shape, np.nan)
+    inside = (0.0 <= x) & (x <= 1.0)
+    out = np.where(np.isnan(x), np.nan, -np.inf)
+    x_in = x[inside]
+    lp = xlog1py(b - 1.0, -x_in) + xlogy(a - 1.0, x_in)
+    lp -= betaln(a, b)
+    out[inside] = lp
+    return out
+
+
 def beta_product_log_density(points: np.ndarray, beta_params: np.ndarray) -> np.ndarray:
-    """Log density of independent per-dimension Beta components."""
+    """Log density of independent per-dimension Beta components.
+
+    beta_params[j] = (a, b) of dimension j. Each dimension is scored exactly
+    as SciPy's beta.logpdf scores it: -inf for a point outside the closed
+    interval [0, 1] (the log density at 0 or 1 itself may be finite or
+    +inf, as the parameters give), NaN for a NaN point, and NaN at every
+    point when a or b is not > 0.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(points.shape[0])
     for j in range(points.shape[1]):
-        out += beta_dist.logpdf(points[:, j], beta_params[j, 0], beta_params[j, 1])
+        out += _beta_log_density(points[:, j], beta_params[j, 0], beta_params[j, 1])
     return out
 
 

@@ -216,6 +216,27 @@ def test_train_init_file_round_trip(tmp_path):
                    "--max-iterations", 5, "--out", tmp_path / "x.json") == 1
 
 
+def test_train_init_file_checks_given_states_and_actions(tmp_path, capsys):
+    ds = gen_small_dataset(tmp_path)
+    first = tmp_path / "first.json"
+    assert run_cli("train", ds, "--states", 2, "--actions", 2,
+                   "--max-iterations", 3, "--out", first) == 0
+    out = tmp_path / "second.json"
+    warm = ("train", ds, "--init", "file", "--init-file", first,
+            "--max-iterations", 3, "--out", out)
+    assert run_cli(*warm, "--states", 4, "--actions", 2) == 1
+    assert ("--states 4 does not match the --init-file model, which has 2"
+            in capsys.readouterr().err)
+    assert run_cli(*warm, "--actions", 3) == 1
+    assert ("--actions 3 does not match the --init-file model, which has 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    # a value equal to the model's is accepted
+    assert run_cli(*warm, "--states", 2, "--actions", 2) == 0
+    model = json.loads(out.read_text())["model"]
+    assert (model["num_states"], model["num_actions"]) == (2, 2)
+
+
 def test_eval_report(tmp_path):
     ds = gen_small_dataset(tmp_path, n=6, horizon=8)
     ckpt = tmp_path / "ck.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import beta as beta_dist
 
 from fuzzy_pomdp.model import GroundTruthEnv, PomdpModel, load_env, relabel_states
 from fuzzy_pomdp.metrics import (
@@ -215,6 +216,40 @@ def test_beta_product_log_density_values():
     one = np.array([[0.25, 0.5]])
     got = beta_product_log_density(one, np.array([[2.0, 1.0], [1.0, 1.0]]))
     assert abs(got[0] - math.log(2 * 0.25)) < 1e-12
+
+
+@st.composite
+def beta_params_and_points(draw):
+    """(d, 2) Beta parameters from (0.05, 50), sometimes one of them <= 0,
+    and points: the quadrature grid plus rows that put 0, 1, 1e-300, NaN
+    or a value outside [0, 1] in one dimension at a time, and in all."""
+    d = draw(st.integers(1, 2))
+    params = draw(arrays(float, (d, 2), elements=_floats(0.05, 50.0)))
+    if draw(st.booleans()):
+        j, k = draw(st.integers(0, d - 1)), draw(st.integers(0, 1))
+        params[j, k] = draw(_floats(-5.0, 0.0))
+    outside = draw(st.lists(_floats(-10.0, 10.0).filter(lambda v: not 0.0 <= v <= 1.0),
+                            min_size=1, max_size=4))
+    specials = [0.0, 1.0, 1e-300, float("nan"), *outside]
+    rows = [np.full(d, s) for s in specials]
+    for s in specials:
+        for j in range(d):
+            row = np.full(d, 0.5)
+            row[j] = s
+            rows.append(row)
+    points = np.vstack([quadrature_grid(d)[0], *rows])
+    return params, points
+
+
+@given(beta_params_and_points())
+def test_beta_product_log_density_is_scipy_stats_bit_for_bit(case):
+    params, points = case
+    want = np.zeros(points.shape[0])
+    with np.errstate(all="ignore"):
+        for j in range(points.shape[1]):
+            want += beta_dist.logpdf(points[:, j], params[j, 0], params[j, 1])
+        got = beta_product_log_density(points, params)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 # ------------------------------------------------------------- full report
