@@ -10,16 +10,21 @@ In one fresh process per tree, against the package under that tree's
 - runs a fixed CLI script (CLI_SCRIPT: both generators, `train` with em and
   fuzzy-map, `eval` to a file and to stdout, `sweep`) in a work directory
   holding copies of the tree's bundled assets, so both trees see identical
-  relative paths.
+  relative paths;
+- fits plain EM and fuzzy-MAP EM (bundled expert rules, low_data's lambdas
+  and iteration cap, three polish iterations) from one random init on a
+  fixed ragged dataset (RAGGED_LENGTHS), the only case whose E-step splits
+  the data into several length groups, and writes each fit's model and
+  loglik_trace to ragged/model_<algorithm>.json.
 
-Regime outputs, the sweep's per-cell ones included, are compared byte for
-byte: runs.csv, every model_*.json and mg_table.txt. summary.json is
-compared with its config's `out_dir` left out, naming each dotted key path
-that differs or that only one side has (e.g. `config.kmeans_clusters:
-parent only`). Every other CLI artifact is compared by content: JSON files
-as parsed values, CSV files line by line; a difference in bytes alone is
-printed as a note. Prints each difference and exits 1 if there is any,
-0 otherwise.
+Regime outputs, the sweep's per-cell ones included, and the ragged fits
+are compared byte for byte: runs.csv, every model_*.json and mg_table.txt.
+summary.json is compared with its config's `out_dir` left out, naming each
+dotted key path that differs or that only one side has (e.g.
+`config.kmeans_clusters: parent only`). Every other CLI artifact is
+compared by content: JSON files as parsed values, CSV files line by line;
+a difference in bytes alone is printed as a note. Prints each difference
+and exits 1 if there is any, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -54,16 +59,38 @@ CLI_SCRIPT = [
       "--out-dir", "sweep"], None),
 ]
 CLI_DIRS = ("data", "train", "eval")
+# several distinct lengths, interleaved so that grouping by length reorders
+RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
 REGIME_FILES = ("runs.csv", "mg_table.txt")
 
 RUNNER = """
 import contextlib, io, json, os, shutil, sys
 from pathlib import Path
 from fuzzy_pomdp import cli
-from fuzzy_pomdp.harness import asset_path, regime_config, run_regime
-out, cases, assets, script, dirs = sys.argv[1], *map(json.loads, sys.argv[2:])
+from fuzzy_pomdp.em import EmConfig, run_em
+from fuzzy_pomdp.fuzzy import load_fuzzy_model
+from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
+from fuzzy_pomdp.harness import asset_path, random_init, regime_config, run_regime
+from fuzzy_pomdp.model import load_env, make_policy, model_to_dict, sample_trajectory, write_json
+from fuzzy_pomdp.rngs import derive_rng
+out, cases, assets, script, dirs, lengths = sys.argv[1], *map(json.loads, sys.argv[2:])
 for regime, seeds in cases.items():
     run_regime(regime_config(regime, seeds, out_dir=f"{out}/{regime}"))
+env = load_env(asset_path("synthetic_env.json"))
+policy = make_policy("uniform", env.num_actions)
+dataset = [sample_trajectory(env, policy, n, derive_rng(0, "ragged", i))
+           for i, n in enumerate(lengths)]
+init = random_init(dataset, 3, env.num_actions, derive_rng(0, "ragged-init"))
+low = regime_config("low_data", [0])
+em_config = EmConfig(max_iterations=low.max_iterations)
+map_config = FuzzyMapConfig(lambda_t=low.lambda_t, lambda_o=low.lambda_o,
+                            final_standard_em_iterations=3)
+rules = load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
+fits = {"em": run_em(dataset, init, em_config),
+        "fuzzy_map": run_fuzzy_map_em(dataset, init, rules, em_config, map_config)}
+for name, fit in fits.items():
+    write_json(dict(model_to_dict(fit.model), loglik_trace=list(fit.loglik_trace)),
+               f"{out}/ragged/model_{name}.json")
 work = Path(out, "cli")
 for name in dirs:
     (work / name).mkdir(parents=True)
@@ -82,10 +109,11 @@ for argv, stdout_file in script:
 
 
 def run_tree(tree: Path, out: Path) -> None:
-    """Write every case's outputs under out/<regime> and the CLI script's
-    under out/cli, using tree's package."""
+    """Write every case's outputs under out/<regime>, the CLI script's
+    under out/cli and the ragged fits under out/ragged, using tree's
+    package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS)]
+    args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS)]
     subprocess.run([sys.executable, "-c", RUNNER, str(out), *args],
                    cwd=tree, env=env, check=True)
 
@@ -165,8 +193,9 @@ def main(argv=None) -> int:
     for line in found:
         print(line)
     total = sum(len(seeds) for seeds in CASES.values())
-    print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds "
-          f"and {len(CLI_SCRIPT)} CLI commands; {len(notes)} byte-only note(s)")
+    print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds, "
+          f"{len(CLI_SCRIPT)} CLI commands and the ragged fits; "
+          f"{len(notes)} byte-only note(s)")
     return 1 if found else 0
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .em import EmConfig, run_em
 from .fuzzy import load_fuzzy_model
-from .fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
+from .fuzzy_map import FuzzyMapConfig, _check_obs_dim, run_fuzzy_map_em
 from .harness import (add_noise, generate_fuzzy_trajectories, kl_columns, kmeans_init,
                       random_init, regime_config, run_regime, write_runs_csv)
 from .metrics import evaluate_model
@@ -52,10 +52,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _write_manifest(out_path, command: str, params: dict) -> None:
-    out = Path(out_path)
-    manifest = out.parent / (out.stem + ".manifest.json")
-    write_json({"command": command, "parameters": params}, manifest)
+def _write_manifest(args) -> None:
+    """Record the subcommand and its parsed arguments beside args.out."""
+    params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")}
+    out = Path(args.out)
+    write_json({"command": args.subcommand, "parameters": params},
+               out.parent / (out.stem + ".manifest.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +81,7 @@ def cmd_gen_data(args) -> int:
     if args.noise > 0:
         dataset = add_noise(dataset, args.noise, derive_rng(args.seed, "gen-data-noise"))
     save_dataset(dataset, args.out)
-    _write_manifest(args.out, "gen-data", {
-        "env": args.env, "n": args.n, "horizon": args.horizon,
-        "noise": args.noise, "policy": args.policy, "seed": args.seed,
-        "out": args.out,
-    })
+    _write_manifest(args)
     print(f"wrote {args.out} ({args.n} trajectories of length {args.horizon})")
     return 0
 
@@ -100,11 +98,7 @@ def cmd_gen_fuzzy_data(args) -> int:
         fuzzy, args.n, args.horizon, policy, args.noise, derive_rng(args.seed, "mg-data")
     )
     save_dataset(dataset, args.out)
-    _write_manifest(args.out, "gen-fuzzy-data", {
-        "fuzzy": args.fuzzy, "n": args.n, "horizon": args.horizon,
-        "noise": args.noise, "policy": args.policy, "seed": args.seed,
-        "out": args.out,
-    })
+    _write_manifest(args)
     print(f"wrote {args.out} ({args.n} trajectories of length {args.horizon})")
     return 0
 
@@ -171,6 +165,10 @@ def cmd_train(args) -> int:
     }
     if args.algo == "fuzzy-map":
         fuzzy = load_fuzzy_model(args.fuzzy_model)
+        try:
+            _check_obs_dim(fuzzy, init)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         map_config = FuzzyMapConfig(
             lambda_t=args.lambda_t, lambda_o=args.lambda_o,
             matchant_samples=args.matchant_samples, seed=args.seed,

@@ -1,15 +1,15 @@
 """Standard EM for Gaussian-emission, action-conditioned hidden Markov models.
 
-A fit prepares its dataset once: trajectories grouped by length, with each
-group's observations and actions stacked, and the whole dataset's joined
-in order for count pooling. E-step: scaled forward-backward, run once per
-trajectory length on the whole batch of that length, with one stacked
-Cholesky factorisation of all states' covariances for the batch's
-observations; the posteriors come back pooled in dataset order and go
-straight into the expected counts. M-step: closed-form maximum-likelihood
-updates from pooled expected counts. The initial state distribution is held
-fixed, never re-estimated. One loop, `_fit`, runs every fit; with no data it
-skips the E-step, which is fuzzy-MAP's prior-only fitting.
+A fit prepares its dataset once, polish included: observations and actions
+joined in order, and one such preparation per trajectory length. E-step:
+scaled forward-backward, run once per length on the whole group of that
+length, with one stacked Cholesky factorisation of all states' covariances
+for the group's observations; one Posteriors joins the results in dataset
+order and goes straight into the expected counts. M-step: closed-form
+maximum-likelihood updates from pooled expected counts. The initial state
+distribution is held fixed, never re-estimated. One loop, `_fit`, runs
+every fit; with no data it skips the E-step, which is fuzzy-MAP's
+prior-only fitting.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (
-    DEFAULT_COV_RIDGE,
-    PomdpModel,
-    Trajectory,
-    per_state_log_density,
-    regularize_cov,
-)
+from .model import (DEFAULT_COV_RIDGE, PomdpModel, Trajectory, per_state_log_density,
+                    regularize_cov)
 
 log = logging.getLogger(__name__)
 
@@ -43,17 +38,38 @@ class ForwardBackwardError(RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Posteriors:
-    """Smoothed posteriors for one trajectory.
+    """Smoothed posteriors of one or more trajectories, joined along time.
 
-    gamma[t, s] is the probability of state s at time t; xi[t, s, s2] the
-    joint of (state t, state t+1), defined for t = 0..T-2 only.
+    gamma (sum T, S): gamma[t, s] is the probability of state s at row t.
+    xi (sum (T-1), S, S): the joint of (state t, state t+1), defined for each
+    trajectory's t = 0..T-2 only. log_likelihoods (N,) holds one value per
+    trajectory, and starts (N+1,) the offset of each one's first row in
+    gamma. Indexing or iterating gives each trajectory's own Posteriors.
     """
 
     gamma: np.ndarray
     xi: np.ndarray
-    log_likelihood: float
+    log_likelihoods: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def log_likelihood(self) -> float:
+        return float(sum(self.log_likelihoods.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.log_likelihoods)
+
+    def __getitem__(self, i: int) -> "Posteriors":
+        i = range(len(self))[i]
+        lo, hi = self.starts[i], self.starts[i + 1]
+        return Posteriors(
+            gamma=self.gamma[lo:hi],
+            xi=self.xi[lo - i:hi - i - 1],
+            log_likelihoods=self.log_likelihoods[i:i + 1],
+            starts=np.array([0, hi - lo]),
+        )
 
 
 @dataclass
@@ -103,23 +119,6 @@ class EmResult:
     iterations: int = 0
 
 
-class _Batch(tuple):
-    """Equal-length trajectories, with their arrays stacked once.
-
-    indices: the trajectories' positions in the dataset. obs: the (N*T, d)
-    observations joined in order. actions: the (N, T-1) actions.
-    """
-
-    def __new__(cls, trajectories, indices=None):
-        self = super().__new__(cls, trajectories)
-        if any(len(traj) != len(self[0]) for traj in self):
-            raise ValueError("trajectories in one batch must have the same length")
-        self.indices = np.arange(len(self)) if indices is None else indices
-        self.obs = np.concatenate([traj.observations for traj in self])
-        self.actions = np.stack([traj.actions for traj in self])
-        return self
-
-
 def _rows(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
     """For each row in dataset order, its row in the arrays joined in `order`."""
     ends = np.empty_like(lengths)
@@ -131,91 +130,70 @@ class _FitData(tuple):
     """A dataset prepared once per fit: its trajectories, as a tuple, plus
     the arrays that every E-step and count pooling read.
 
-    groups: one _Batch per distinct length, in order of first appearance.
     obs, actions: the observations and actions joined in dataset order.
     starts: (N+1,) offsets of each trajectory's first row in obs.
-    order: None when one group holds the whole dataset; otherwise the
-    (gamma rows, xi rows, trajectories) that put the groups' joined results
-    back in dataset order.
+    indices: the trajectories' positions in the dataset a length group was
+    taken from. groups: one _FitData per distinct length, in order of first
+    appearance; a dataset whose trajectories share one length is its own
+    only group. order: None for such a dataset; otherwise the (gamma rows,
+    xi rows, trajectories) that put the groups' joined results back in
+    dataset order.
     """
 
-    def __new__(cls, dataset):
+    def __new__(cls, dataset, indices=None):
         self = super().__new__(cls, dataset)
         if not self:
             raise ValueError("dataset must be non-empty")
-        by_length: dict[int, list[int]] = {}
-        for i, traj in enumerate(self):
-            by_length.setdefault(len(traj), []).append(i)
-        self.groups = tuple(
-            _Batch([self[i] for i in indices], np.array(indices))
-            for indices in by_length.values()
-        )
         lengths = np.array([len(traj) for traj in self])
+        self.indices = np.arange(len(self)) if indices is None else indices
         self.starts = np.concatenate([[0], np.cumsum(lengths)])
+        self.obs = np.concatenate([traj.observations for traj in self])
         self.actions = np.concatenate([traj.actions for traj in self])
-        if len(self.groups) == 1:
-            self.obs, self.order = self.groups[0].obs, None
-        else:
-            self.obs = np.concatenate([traj.observations for traj in self])
-            order = np.concatenate([batch.indices for batch in self.groups])
+        by_length: dict[int, list[int]] = {}
+        for i, length in enumerate(lengths.tolist()):
+            by_length.setdefault(length, []).append(i)
+        self._groups = self.order = None
+        if len(by_length) > 1:
+            self._groups = tuple(
+                cls([self[i] for i in group], np.array(group)) for group in by_length.values()
+            )
+            order = np.concatenate([group.indices for group in self._groups])
             self.order = (_rows(lengths, order), _rows(lengths - 1, order), np.argsort(order))
         return self
 
+    @property
+    def groups(self) -> tuple["_FitData", ...]:
+        return self._groups or (self,)
 
-@dataclass(frozen=True, eq=False)
-class PooledPosteriors:
-    """Smoothed posteriors of several trajectories, joined in order.
 
-    gamma (sum T, S) and xi (sum (T-1), S, S) are the per-trajectory arrays
-    joined along time; log_likelihoods (N,) holds one value per trajectory,
-    and starts (N+1,) the offset of each trajectory's first row in gamma.
-    Reads as a sequence of per-trajectory Posteriors.
-    """
-
-    gamma: np.ndarray
-    xi: np.ndarray
-    log_likelihoods: np.ndarray
-    starts: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.log_likelihoods)
-
-    def __getitem__(self, i: int) -> Posteriors:
-        i = range(len(self))[i]
-        lo, hi = self.starts[i], self.starts[i + 1]
-        return Posteriors(
-            gamma=self.gamma[lo:hi],
-            xi=self.xi[lo - i:hi - i - 1],
-            log_likelihood=float(self.log_likelihoods[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+def _prepared(dataset: Sequence[Trajectory]) -> _FitData:
+    """The dataset itself if a fit already prepared it, else its preparation."""
+    return dataset if isinstance(dataset, _FitData) else _FitData(dataset)
 
 
 def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]):
     """Scaled forward-backward smoothing, vectorised over trajectories.
 
-    batch is one Trajectory, which gives its Posteriors, or a sequence of
-    trajectories of one length, which gives their PooledPosteriors in
-    order. The batch's observations are scored in one per_state_log_density
-    call. Emission densities are shifted by their per-step maximum before
-    exponentiation, and messages are renormalized at every step; the log
-    normalizers accumulate into the exact data log-likelihood.
+    batch is one Trajectory or a sequence of trajectories of one length;
+    either gives one Posteriors, joined in order. The batch's observations
+    are scored in one per_state_log_density call. Emission densities are
+    shifted by their per-step maximum before exponentiation, and messages
+    are renormalized at every step; the log normalizers accumulate into the
+    exact data log-likelihood.
 
     A density can differ in the last ulp with the number of rows scored
     together, so one trajectory smoothed alone can differ in the last ulp
     from its posteriors inside a batch or an e_step.
     """
-    single = isinstance(batch, Trajectory)
-    if not isinstance(batch, _Batch):
-        batch = _Batch([batch] if single else batch)
+    batch = _prepared([batch] if isinstance(batch, Trajectory) else batch)
+    if batch.order is not None:
+        raise ValueError("trajectories in one batch must have the same length")
     num, horizon, num_states = len(batch), len(batch[0]), model.num_states
     log_b = per_state_log_density(model, batch.obs).reshape(num, horizon, num_states)
     shift = log_b.max(axis=2)
     b = np.exp(log_b - shift[..., None])
     # trans[n, t] is the (state, next_state) matrix of the action at step t
-    trans = model.transitions.transpose(1, 0, 2)[batch.actions]
+    trans = model.transitions.transpose(1, 0, 2)[batch.actions.reshape(num, horizon - 1)]
 
     alpha = np.empty((num, horizon, num_states))
     scale = np.empty((num, horizon))
@@ -244,13 +222,12 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
     gamma = alpha * beta
     ahead = b[:, 1:] * beta[:, 1:] / scale[:, 1:, None]
     xi = alpha[:, :-1, :, None] * trans * ahead[:, :, None, :]
-    posteriors = PooledPosteriors(
+    return Posteriors(
         gamma=gamma.reshape(num * horizon, num_states),
         xi=xi.reshape(num * (horizon - 1), num_states, num_states),
         log_likelihoods=np.log(scale).sum(axis=1) + shift.sum(axis=1),
-        starts=np.arange(num + 1) * horizon,
+        starts=batch.starts,
     )
-    return posteriors[0] if single else posteriors
 
 
 def accumulate_counts(
@@ -260,24 +237,23 @@ def accumulate_counts(
 ) -> SufficientCounts:
     """Pool posterior expectations over a dataset into sufficient counts.
 
-    e_step's PooledPosteriors are read as they are; any other sequence of
+    e_step's Posteriors are read as they are; any other sequence of
     per-trajectory posteriors is first joined along time, so lengths may
     differ. Transition counts go through a one-hot encoding of the actions.
     """
-    data = dataset if isinstance(dataset, _FitData) else _FitData(dataset)
+    data = _prepared(dataset)
     if len(data) != len(posteriors):
         raise ValueError("dataset and posteriors must be parallel lists")
-    if isinstance(posteriors, PooledPosteriors):
+    if isinstance(posteriors, Posteriors):
         gamma, xi = posteriors.gamma, posteriors.xi
     else:
         gamma = np.concatenate([post.gamma for post in posteriors])
         xi = np.concatenate([post.xi for post in posteriors])
-    obs = data.obs
     return SufficientCounts(
         trans=np.einsum("ma,msk->sak", np.eye(num_actions)[data.actions], xi),
         obs_weight=gamma.sum(axis=0),
-        obs_sum=gamma.T @ obs,
-        obs_outer=np.einsum("ts,td,te->sde", gamma, obs, obs),
+        obs_sum=gamma.T @ data.obs,
+        obs_outer=np.einsum("ts,td,te->sde", gamma, data.obs, data.obs),
     )
 
 
@@ -334,15 +310,15 @@ def m_step_standard(
 
 def e_step(
     model: PomdpModel, dataset: Sequence[Trajectory]
-) -> tuple[PooledPosteriors, float]:
+) -> tuple[Posteriors, float]:
     """Forward-backward over the dataset, one batch per trajectory length.
 
     dataset is a list of trajectories or a fit's prepared data. Returns the
-    posteriors pooled in dataset order and the total log-likelihood. Each
+    posteriors joined in dataset order and the total log-likelihood. Each
     trajectory is scored with its length group, so its posteriors can differ
     in the last ulp from forward_backward on that trajectory alone.
     """
-    data = dataset if isinstance(dataset, _FitData) else _FitData(dataset)
+    data = _prepared(dataset)
     parts = []
     for batch in data.groups:
         try:
@@ -354,13 +330,13 @@ def e_step(
         posteriors = parts[0]
     else:
         gamma_rows, xi_rows, trajectories = data.order
-        posteriors = PooledPosteriors(
+        posteriors = Posteriors(
             gamma=np.concatenate([part.gamma for part in parts])[gamma_rows],
             xi=np.concatenate([part.xi for part in parts])[xi_rows],
             log_likelihoods=np.concatenate([part.log_likelihoods for part in parts])[trajectories],
             starts=data.starts,
         )
-    return posteriors, float(sum(posteriors.log_likelihoods.tolist()))
+    return posteriors, posteriors.log_likelihood
 
 
 def _max_param_delta(a: PomdpModel, b: PomdpModel) -> float:
@@ -372,7 +348,7 @@ def _max_param_delta(a: PomdpModel, b: PomdpModel) -> float:
 
 
 def _fit(
-    dataset: list[Trajectory],
+    dataset: Sequence[Trajectory],
     init: PomdpModel,
     config: EmConfig,
     m_step: Callable[[SufficientCounts, PomdpModel, int], PomdpModel],
@@ -385,9 +361,10 @@ def _fit(
     m_step(empirical counts, model, iteration). An empty dataset skips the
     E-step: m_step gets zero counts, the trace stays empty, and the loop
     stops once no parameter moves by the tolerance or more in an M-step.
-    `iterations` counts M-steps either way.
+    `iterations` counts M-steps either way. dataset is a list of
+    trajectories or a fit's prepared data.
     """
-    data = _FitData(dataset) if dataset else None
+    data = _prepared(dataset) if dataset else None
     model = init
     trace: list[float] = []
     converged = False
@@ -417,13 +394,14 @@ def _fit(
 
 
 def run_em(
-    dataset: list[Trajectory], init: PomdpModel, config: EmConfig | None = None
+    dataset: Sequence[Trajectory], init: PomdpModel, config: EmConfig | None = None
 ) -> EmResult:
     """Alternate E and M steps until the log-likelihood improvement falls
     below the tolerance or the iteration budget runs out.
 
     loglik_trace[i] is the total data log-likelihood of the model after i
-    M-steps; entry 0 scores the initialization.
+    M-steps; entry 0 scores the initialization. dataset is a list of
+    trajectories or a fit's prepared data.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")

@@ -17,22 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _non_finite, write_json
+from .model import _frozen_array, _non_finite, _set, write_json
 
 log = logging.getLogger(__name__)
 
 TNORMS = ("product", "minimum")
 SHAPE_ARITY = {"triangular": 3, "trapezoidal": 4, "gaussian": 2}
-
-
-def _set(obj, name, value):
-    object.__setattr__(obj, name, value)
-
-
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -229,16 +219,17 @@ class FuzzyModel:
         for dims, rules in members.items():
             params = np.array([[c.term.params for c in self.rules[r].clauses] for r in rules])
             groups.append(GaussianGroup(
-                rules=_frozen(rules, int), dims=_frozen(dims, int),
-                centers=_frozen(params[..., 0]), variances=_frozen(params[..., 1] ** 2),
+                rules=_frozen_array(rules, int), dims=_frozen_array(dims, int),
+                centers=_frozen_array(params[..., 0]),
+                variances=_frozen_array(params[..., 1] ** 2),
             ))
         actions = [-1 if rule.action is None else rule.action for rule in self.rules]
         consequents = np.array([rule.consequent for rule in self.rules])
         return RuleTables(
             gaussian_groups=tuple(groups),
             mc_rules=tuple(mc_rules),
-            actions=_frozen(actions, int),
-            consequents=_frozen(consequents.reshape(-1, self.obs_dim, self.obs_dim + 1)),
+            actions=_frozen_array(actions, int),
+            consequents=_frozen_array(consequents.reshape(-1, self.obs_dim, self.obs_dim + 1)),
         )
 
     @property

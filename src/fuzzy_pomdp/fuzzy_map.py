@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em import EmConfig, SufficientCounts, _fit, _mstep_from_counts, run_em
+from .em import EmConfig, SufficientCounts, _fit, _mstep_from_counts, _prepared, run_em
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
@@ -226,12 +226,15 @@ def run_fuzzy_map_em(
     and every prior/data ratio is inf. After the main loop, up to
     `final_standard_em_iterations` plain EM iterations polish the result;
     the polish stops early on the likelihood tolerance, and `iterations`
-    counts the M-steps of both.
+    counts the M-steps of both. The dataset is prepared once, for the main
+    loop and the polish alike. A rule base whose obs_dim differs from the
+    model's raises ValueError before anything is fitted.
 
     The log-likelihood trace is recorded but never guaranteed monotone:
     blending pseudo-counts into the M-step trades likelihood for prior
     agreement whenever the lambdas are positive.
     """
+    _check_obs_dim(fuzzy, init)
     em_config = em_config or EmConfig()
     map_config = map_config or FuzzyMapConfig()
     if not dataset:
@@ -255,11 +258,12 @@ def run_fuzzy_map_em(
         ratios.append(_mass_ratios(empirical, fuzzy_counts, map_config))
         return m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
 
-    fit = _fit(dataset, init, em_config, m_step)
+    data = _prepared(dataset) if dataset else dataset
+    fit = _fit(data, init, em_config, m_step)
     model, trace, iterations = fit.model, fit.loglik_trace, fit.iterations
     if map_config.final_standard_em_iterations > 0:
         polish = run_em(
-            dataset,
+            data,
             model,
             replace(em_config, max_iterations=map_config.final_standard_em_iterations),
         )
@@ -274,6 +278,13 @@ def run_fuzzy_map_em(
         prior_data_ratios=ratios,
         final_matchant=matchant,
     )
+
+
+def _check_obs_dim(fuzzy: FuzzyModel, model: PomdpModel) -> None:
+    """Raise ValueError unless the rule base and the model share obs_dim."""
+    if fuzzy.obs_dim != model.obs_dim:
+        raise ValueError(f"the fuzzy model has obs_dim {fuzzy.obs_dim} but the POMDP "
+                         f"model has obs_dim {model.obs_dim}")
 
 
 def _mass_ratios(

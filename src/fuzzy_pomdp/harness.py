@@ -226,26 +226,31 @@ def generate_fuzzy_trajectories(
 
     Initial observations are uniform over each variable's declared range;
     each step applies the rule-base prediction plus isotropic Gaussian
-    noise, clamped back to the declared ranges.
+    noise, clamped back to the declared ranges. The random draws come
+    trajectory by trajectory (first observation, then each step's action
+    and noise), since none depends on a prediction; the predictions are
+    then made for all trajectories at once, one batched infer per step.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     ranges = fuzzy.variable_ranges
     lo, hi = ranges[:, 0], ranges[:, 1]
-    dataset = []
-    for _ in range(n):
-        obs = np.empty((horizon, fuzzy.obs_dim))
-        actions = np.empty(horizon - 1, dtype=int)
-        obs[0] = lo + (hi - lo) * rng.random(fuzzy.obs_dim)
+    # time-major, so that each step's batch is contiguous
+    obs = np.empty((horizon, n, fuzzy.obs_dim))
+    noise = np.empty((horizon - 1, n, fuzzy.obs_dim))
+    actions = np.empty((n, horizon - 1), dtype=int)
+    for i in range(n):
+        obs[0, i] = lo + (hi - lo) * rng.random(fuzzy.obs_dim)
         for t in range(horizon - 1):
-            action = int(policy(t, rng))
-            actions[t] = action
-            pred = infer(fuzzy, obs[t], action)
+            actions[i, t] = int(policy(t, rng))
             if output_noise_sigma > 0:
-                pred = pred + output_noise_sigma * rng.standard_normal(fuzzy.obs_dim)
-            obs[t + 1] = np.clip(pred, lo, hi)
-        dataset.append(Trajectory(observations=obs, actions=actions))
-    return dataset
+                noise[t, i] = output_noise_sigma * rng.standard_normal(fuzzy.obs_dim)
+    for t in range(horizon - 1):
+        pred = infer(fuzzy, obs[t], actions[:, t])
+        if output_noise_sigma > 0:
+            pred = pred + noise[t]
+        obs[t + 1] = np.clip(pred, lo, hi)
+    return [Trajectory(observations=obs[:, i].copy(), actions=actions[i]) for i in range(n)]
 
 
 def fuzzy_model_r2(fuzzy: FuzzyModel, env: GroundTruthEnv) -> float:

@@ -66,6 +66,19 @@ def test_train_fuzzy_map_requires_rule_file(tmp_path):
                    "--out", tmp_path / "c.json") == 1
 
 
+def test_train_fuzzy_map_rejects_a_rule_base_of_another_obs_dim(tmp_path, capsys):
+    # the mg rule base is 3-D, the generated dataset 2-D
+    ds = gen_small_dataset(tmp_path)
+    capsys.readouterr()
+    ckpt = tmp_path / "c.json"
+    for lam in ("0.1", "0"):
+        assert run_cli("train", ds, "--algo", "fuzzy-map", "--fuzzy-model", MG,
+                       "--lambda-t", lam, "--lambda-o", lam, "--out", ckpt) == 1
+        err = capsys.readouterr().err
+        assert "fuzzy model has obs_dim 3" in err and "model has obs_dim 2" in err
+    assert not ckpt.exists()
+
+
 def test_validate_corrupt_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json at all")

@@ -24,8 +24,9 @@ from fuzzy_pomdp.em import (
     m_step_standard,
     run_em,
 )
+from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 
-from conftest import random_dataset, random_model
+from conftest import random_dataset, random_fuzzy, random_model
 
 
 def enumeration_posteriors(model: PomdpModel, traj: Trajectory):
@@ -110,6 +111,15 @@ def test_forward_backward_survives_far_outliers():
     assert np.allclose(post.gamma.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_forward_backward_rejects_a_ragged_batch():
+    rng = np.random.default_rng(107)
+    m = random_model(rng)
+    ds = random_dataset(rng, m, n=2, horizon=3) + random_dataset(rng, m, n=1, horizon=4)
+    with pytest.raises(ValueError,
+                       match=r"^trajectories in one batch must have the same length$"):
+        forward_backward(m, ds)
+
+
 def test_e_step_sums_per_trajectory_likelihoods():
     rng = np.random.default_rng(104)
     m = random_model(rng)
@@ -161,20 +171,30 @@ def test_zero_likelihood_in_a_later_length_group_names_the_dataset_index():
 
 
 def test_run_em_prepares_its_dataset_once(monkeypatch):
+    # one preparation per fit: the dataset, then each of its two length
+    # groups; a fuzzy-MAP fit's polish reuses the main loop's
     rng = np.random.default_rng(106)
     m = random_model(rng)
     ds = random_dataset(rng, m, n=3, horizon=4) + random_dataset(rng, m, n=2, horizon=6)
+    ds = [ds[0], ds[3], ds[1], ds[4], ds[2]]
     built = []
 
     class CountingFitData(em._FitData):
-        def __new__(cls, dataset):
+        def __new__(cls, dataset, indices=None):
             built.append(len(dataset))
-            return super().__new__(cls, dataset)
+            return super().__new__(cls, dataset, indices)
 
     monkeypatch.setattr(em, "_FitData", CountingFitData)
     res = run_em(ds, m, EmConfig(max_iterations=5))
     assert res.iterations >= 2
-    assert built == [5]
+    assert built == [5, 3, 2]
+    built.clear()
+    fit = run_fuzzy_map_em(ds, m, random_fuzzy(rng, obs_dim=m.obs_dim),
+                           EmConfig(max_iterations=3),
+                           FuzzyMapConfig(lambda_t=0.1, lambda_o=0.1,
+                                          final_standard_em_iterations=3))
+    assert fit.iterations > 3
+    assert built == [5, 3, 2]
 
 
 # ------------------------------------------------------ count accumulation

@@ -572,6 +572,19 @@ def test_run_fuzzy_map_em_prior_only_mode():
                                         final_standard_em_iterations=1))
 
 
+@pytest.mark.parametrize("lambdas, dataset_size", [
+    ((0.0, 0.0), 3), ((0.1, 0.05), 3), ((1.0, 1.0), 0),
+])
+def test_run_fuzzy_map_em_rejects_a_rule_base_of_another_obs_dim(lambdas, dataset_size):
+    rng = np.random.default_rng(20)
+    init = random_model(rng, num_states=2, obs_dim=2)
+    ds = random_dataset(rng, init, n=dataset_size, horizon=5) if dataset_size else []
+    fz = random_fuzzy(rng, obs_dim=3)
+    map_cfg = FuzzyMapConfig(lambda_t=lambdas[0], lambda_o=lambdas[1])
+    with pytest.raises(ValueError, match=r"fuzzy model has obs_dim 3 .* model has obs_dim 2$"):
+        run_fuzzy_map_em(ds, init, fz, EmConfig(max_iterations=3), map_cfg)
+
+
 def _prior_only_reference(init, fuzzy, em_config, map_config):
     """Prior-only fitting as its own loop: M-steps on pseudo-counts blended
     into zero counts until no parameter moves by the tolerance."""

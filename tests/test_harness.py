@@ -18,7 +18,7 @@ from fuzzy_pomdp.model import (
     validate_dataset,
     validate_model,
 )
-from fuzzy_pomdp.fuzzy import load_fuzzy_model
+from fuzzy_pomdp.fuzzy import infer, load_fuzzy_model
 from fuzzy_pomdp.harness import (
     MG_GENERATION_NOISE_SIGMA,
     POLICY,
@@ -219,6 +219,39 @@ def test_generate_fuzzy_trajectories_stays_in_variable_ranges():
                                      0.8, np.random.default_rng(12))
     allobs = np.vstack([t.observations for t in ds])
     assert allobs.min() >= 0.0 and allobs.max() <= 1.0
+
+
+def _one_row_at_a_time(fuzzy, n, horizon, policy, sigma, rng):
+    """The simulator written out trajectory by trajectory, one infer call
+    per step, drawing in the same order as generate_fuzzy_trajectories."""
+    lo, hi = fuzzy.variable_ranges.T
+    dataset = []
+    for _ in range(n):
+        obs = np.empty((horizon, fuzzy.obs_dim))
+        actions = np.empty(horizon - 1, dtype=int)
+        obs[0] = lo + (hi - lo) * rng.random(fuzzy.obs_dim)
+        for t in range(horizon - 1):
+            actions[t] = int(policy(t, rng))
+            pred = infer(fuzzy, obs[t], actions[t])
+            if sigma > 0:
+                pred = pred + sigma * rng.standard_normal(fuzzy.obs_dim)
+            obs[t + 1] = np.clip(pred, lo, hi)
+        dataset.append(Trajectory(observations=obs, actions=actions))
+    return dataset
+
+
+@pytest.mark.parametrize("policy_spec", ["uniform", "cycle"])
+@pytest.mark.parametrize("sigma", [0.0, MG_GENERATION_NOISE_SIGMA, 0.8])
+def test_generate_fuzzy_trajectories_equals_one_row_at_a_time(policy_spec, sigma):
+    fz = load_fuzzy_model(asset_path("mg_fuzzy_placeholder.json"))
+    policy = make_policy(policy_spec, fz.num_actions)
+    for seed in range(5):
+        got = generate_fuzzy_trajectories(fz, 12, 9, policy, sigma, derive_rng(seed, "mg-data"))
+        want = _one_row_at_a_time(fz, 12, 9, policy, sigma, derive_rng(seed, "mg-data"))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.observations, b.observations)
+            assert np.array_equal(a.actions, b.actions)
 
 
 # -------------------------------------------------------- regime plumbing
