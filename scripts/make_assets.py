@@ -80,10 +80,7 @@ def make_expert_fuzzy() -> FuzzyModel:
     )
 
     def band_clauses(band: str):
-        return tuple(
-            FuzzyClause(dim=j, term=terms[band], var_name=variables[j].name, term_label=band)
-            for j in range(2)
-        )
+        return tuple(FuzzyClause(dim=j, term=terms[band], term_label=band) for j in range(2))
 
     # expected next indicator level per (band, action)
     next_level = {
@@ -153,14 +150,7 @@ def make_mg_placeholder() -> FuzzyModel:
     )
 
     def mw_clause(label):
-        return (
-            FuzzyClause(
-                dim=0,
-                term=terms[label],
-                var_name="muscle_weakness",
-                term_label=label,
-            ),
-        )
+        return (FuzzyClause(dim=0, term=terms[label], term_label=label),)
 
     # band rules hold the profile dims and leave the weakness score alone;
     # the cohort rule does the opposite

@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,8 +26,8 @@ from .fuzzy_map import FuzzyMapConfig, _check_obs_dim, run_fuzzy_map_em
 from .harness import (add_noise, generate_fuzzy_trajectories, kl_columns, kmeans_init,
                       random_init, regime_config, run_regime, write_runs_csv)
 from .metrics import evaluate_model
-from .model import (dataset_from_list, env_from_dict, json_text, load_dataset,
-                    load_env, make_policy, model_from_dict, model_to_dict,
+from .model import (_unchecked_env, dataset_from_list, json_text, load_dataset,
+                    load_env, load_model, make_policy, model_from_dict, model_to_dict,
                     sample_trajectory, save_dataset, validate_dataset,
                     validate_env, validate_model, write_json)
 from .fuzzy import fuzzy_model_from_dict, validate_fuzzy_dict
@@ -52,6 +53,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _bounded(cast, low, strict: bool = False):
+    """An argparse type: the text as cast gives it, finite and >= low
+    (> low when strict)."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} must be a finite value {'>' if strict else '>='} {low}")
+        return value
+    return parse
+
+
+COUNT = _bounded(int, 1)
+NONNEGATIVE_INT = _bounded(int, 0)
+NONNEGATIVE = _bounded(float, 0.0)
+POSITIVE = _bounded(float, 0.0, strict=True)
+
+
+def _grid(text: str) -> tuple[float, ...]:
+    return tuple(NONNEGATIVE(v) for v in text.split(","))
+
+
 def _write_manifest(args) -> None:
     """Record the subcommand and its parsed arguments beside args.out."""
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "func")}
@@ -65,12 +91,6 @@ def _write_manifest(args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if args.horizon < 1:
-        raise UsageError("--horizon must be at least 1")
-    if args.noise < 0:
-        raise UsageError("--noise must be nonnegative")
     env = load_env(args.env)
     num_actions = env.transitions.shape[1]
     policy = make_policy(args.policy, num_actions)
@@ -87,10 +107,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_gen_fuzzy_data(args) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if args.horizon < 1:
-        raise UsageError("--horizon must be at least 1")
     fuzzy = load_fuzzy_model(args.fuzzy)
     policy = make_policy(args.policy, fuzzy.num_actions)
     # same stream label as the mg regime, so --seed N reproduces its dataset
@@ -101,13 +117,6 @@ def cmd_gen_fuzzy_data(args) -> int:
     _write_manifest(args)
     print(f"wrote {args.out} ({args.n} trajectories of length {args.horizon})")
     return 0
-
-
-def _load_model_or_checkpoint(path):
-    # accept either a bare model JSON or a train checkpoint wrapping one
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return model_from_dict(payload["model"] if "model" in payload else payload)
 
 
 def _check_dataset(dataset, num_actions: int, obs_dim: int) -> None:
@@ -122,7 +131,7 @@ def _build_init(args, dataset):
     if args.init == "file":
         if not args.init_file:
             raise UsageError("--init file requires --init-file")
-        init = _load_model_or_checkpoint(args.init_file)
+        init = load_model(args.init_file)
         for flag, given, held in (("--states", args.states, init.num_states),
                                   ("--actions", args.actions, init.num_actions)):
             if given is not None and given != held:
@@ -196,7 +205,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model_or_checkpoint(args.model)
+    model = load_model(args.model)
     env = load_env(args.env)
     report = evaluate_model(model, env, nodes=args.nodes)
     out = {
@@ -245,8 +254,6 @@ def _print_regime_table(summary: dict) -> None:
 
 
 def cmd_reproduce(args) -> int:
-    if args.seeds < 1:
-        raise UsageError("--seeds must be at least 1")
     regime = REGIME_NAMES[args.regime]
     overrides = {}
     if args.lambda_t is not None:
@@ -269,17 +276,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.seeds < 1:
-        raise UsageError("--seeds must be at least 1")
-    try:
-        grid = tuple(float(v) for v in args.grid.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --grid value: {exc}") from None
-    if not grid or any(v < 0 for v in grid):
-        raise UsageError("--grid needs a comma-separated list of nonnegative reals")
     regime = REGIME_NAMES[args.regime]
-    pairs = (list(itertools.product(grid, grid)) if args.cross
-             else [(v, v) for v in grid])
+    pairs = (list(itertools.product(args.grid, args.grid)) if args.cross
+             else [(v, v) for v in args.grid])
     out_dir = Path(args.out_dir) if args.out_dir else None
     lines = []
     header = (f"{'lambda_t':>9} {'lambda_o':>9} {'em L1':>10} {'fm L1':>10} "
@@ -324,7 +323,7 @@ def _detect_and_check(payload) -> tuple[str, list[str]]:
         return "unknown", ["top-level JSON value is neither object nor array"]
     if "beta_params" in payload:
         try:
-            env = env_from_dict(payload)
+            env = _unchecked_env(payload)
         except (KeyError, TypeError, ValueError) as exc:
             return "env", [str(exc)]
         return "env", validate_env(env)
@@ -398,9 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="sample trajectories from a ground-truth env")
     p.add_argument("env", help="ground-truth environment JSON")
-    p.add_argument("--n", type=int, default=3, help="number of trajectories")
-    p.add_argument("--horizon", type=int, default=5, help="observations per trajectory")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--n", type=COUNT, default=3, help="number of trajectories")
+    p.add_argument("--horizon", type=COUNT, default=5, help="observations per trajectory")
+    p.add_argument("--noise", type=NONNEGATIVE, default=0.0,
                    help="additive observation noise std (0 disables)")
     p.add_argument("--policy", default="uniform", help="action-selection rule")
     p.add_argument("--seed", type=int, default=0)
@@ -409,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-fuzzy-data", help="roll out trajectories from a fuzzy model")
     p.add_argument("fuzzy", help="fuzzy model JSON")
-    p.add_argument("--n", type=int, default=40)
-    p.add_argument("--horizon", type=int, default=9)
-    p.add_argument("--noise", type=float, default=0.05,
+    p.add_argument("--n", type=COUNT, default=40)
+    p.add_argument("--horizon", type=COUNT, default=9)
+    p.add_argument("--noise", type=NONNEGATIVE, default=0.05,
                    help="rollout output noise std")
     p.add_argument("--policy", default="uniform")
     p.add_argument("--seed", type=int, default=0)
@@ -422,25 +421,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset JSON")
     p.add_argument("--algo", choices=("em", "fuzzy-map"), default="em")
     p.add_argument("--fuzzy-model", help="fuzzy model JSON (required for fuzzy-map)")
-    p.add_argument("--lambda-t", type=float, default=0.1)
-    p.add_argument("--lambda-o", type=float, default=0.05)
+    p.add_argument("--lambda-t", type=NONNEGATIVE, default=0.1)
+    p.add_argument("--lambda-o", type=NONNEGATIVE, default=0.05)
     p.add_argument("--init", choices=("random", "kmeans", "file"), default="random")
     p.add_argument("--init-file",
                    help="model or checkpoint JSON used when --init file")
-    p.add_argument("--states", type=int, default=None,
+    p.add_argument("--states", type=COUNT, default=None,
                    help=f"state count (default: {DEFAULT_STATES}; with --init file, "
                         "the file's model, which a given value must equal)")
-    p.add_argument("--actions", type=int, default=None,
+    p.add_argument("--actions", type=COUNT, default=None,
                    help="action count (default: inferred from the dataset; with "
                         "--init file, the file's model, which a given value must equal)")
-    p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--matchant-samples", type=int, default=1000,
+    p.add_argument("--max-iterations", type=COUNT, default=200)
+    p.add_argument("--tolerance", type=POSITIVE, default=1e-6)
+    p.add_argument("--matchant-samples", type=COUNT, default=1000,
                    help="Monte-Carlo draws per antecedent match, used only for rules "
                         "with triangular or trapezoidal terms or under the minimum "
                         "t-norm; Gaussian terms under the product t-norm are matched "
                         "exactly")
-    p.add_argument("--final-em-iterations", type=int, default=0,
+    p.add_argument("--final-em-iterations", type=NONNEGATIVE_INT, default=0,
                    help="up to this many plain-EM polish iterations after a fuzzy-map "
                         "fit; the polish stops early on --tolerance")
     p.add_argument("--seed", type=int, default=0)
@@ -450,24 +449,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a learned model against ground truth")
     p.add_argument("model", help="model or checkpoint JSON")
     p.add_argument("env", help="ground-truth environment JSON")
-    p.add_argument("--nodes", type=int, default=64, help="quadrature nodes per dim")
+    p.add_argument("--nodes", type=COUNT, default=64, help="quadrature nodes per dim")
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("reproduce", help="run a canned experiment regime")
     p.add_argument("--regime", choices=tuple(REGIME_NAMES), required=True)
-    p.add_argument("--seeds", type=int, default=20, help="number of seeds (0..N-1)")
+    p.add_argument("--seeds", type=COUNT, default=20, help="number of seeds (0..N-1)")
     p.add_argument("--out-dir", help="directory for runs.csv / summary.json")
-    p.add_argument("--lambda-t", type=float, default=None)
-    p.add_argument("--lambda-o", type=float, default=None)
+    p.add_argument("--lambda-t", type=NONNEGATIVE, default=None)
+    p.add_argument("--lambda-o", type=NONNEGATIVE, default=None)
     p.add_argument("--noise-is-std", action="store_true",
                    help="read the 0.25 noise figure as a std instead of a variance")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("sweep", help="grid-sweep the prior weights over a regime")
     p.add_argument("--regime", choices=tuple(REGIME_NAMES), default="low-data")
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--grid", default=",".join(f"{v:g}" for v in DEFAULT_SWEEP_GRID),
+    p.add_argument("--seeds", type=COUNT, default=5)
+    p.add_argument("--grid", type=_grid, default=DEFAULT_SWEEP_GRID,
                    help="comma-separated prior weights")
     p.add_argument("--cross", action="store_true",
                    help="sweep the full grid x grid product instead of the diagonal")

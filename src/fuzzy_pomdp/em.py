@@ -231,24 +231,15 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
 
 
 def accumulate_counts(
-    dataset: Sequence[Trajectory],
-    posteriors: Sequence[Posteriors],
-    num_actions: int,
+    dataset: Sequence[Trajectory], posteriors: Posteriors, num_actions: int
 ) -> SufficientCounts:
-    """Pool posterior expectations over a dataset into sufficient counts.
-
-    e_step's Posteriors are read as they are; any other sequence of
-    per-trajectory posteriors is first joined along time, so lengths may
-    differ. Transition counts go through a one-hot encoding of the actions.
+    """Pool the dataset's posteriors, as e_step returns them, into sufficient
+    counts. Transition counts go through a one-hot encoding of the actions.
     """
     data = _prepared(dataset)
     if len(data) != len(posteriors):
         raise ValueError("dataset and posteriors must be parallel lists")
-    if isinstance(posteriors, Posteriors):
-        gamma, xi = posteriors.gamma, posteriors.xi
-    else:
-        gamma = np.concatenate([post.gamma for post in posteriors])
-        xi = np.concatenate([post.xi for post in posteriors])
+    gamma, xi = posteriors.gamma, posteriors.xi
     return SufficientCounts(
         trans=np.einsum("ma,msk->sak", np.eye(num_actions)[data.actions], xi),
         obs_weight=gamma.sum(axis=0),

@@ -87,7 +87,6 @@ class FuzzyClause:
 
     dim: int
     term: MembershipFunction
-    var_name: str = ""
     term_label: str = ""
 
 
@@ -240,23 +239,13 @@ class FuzzyModel:
         return np.tile([0.0, 1.0], (self.obs_dim, 1))
 
 
-def clause_memberships(rule: FuzzyRule, obs_batch: np.ndarray) -> np.ndarray:
-    """Membership of every antecedent clause over a batch, shape (n, n_clauses)."""
-    obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
-    if not rule.clauses:
-        return np.ones((len(obs_batch), 0))
-    return np.column_stack(
-        [membership(c.term, obs_batch[:, c.dim]) for c in rule.clauses]
-    )
-
-
 def antecedent_strengths(rule: FuzzyRule, obs_batch, tnorm: str) -> np.ndarray:
     """t-norm aggregation of the rule's clause memberships, one per row of an
     (n, d) batch, action selector aside; an empty antecedent fires at 1."""
     obs_batch = np.atleast_2d(np.asarray(obs_batch, dtype=float))
     if not rule.clauses:
         return np.ones(len(obs_batch))
-    values = clause_memberships(rule, obs_batch)
+    values = np.column_stack([membership(c.term, obs_batch[:, c.dim]) for c in rule.clauses])
     return values.prod(axis=1) if tnorm == "product" else values.min(axis=1)
 
 
@@ -311,7 +300,6 @@ def fuzzy_model_to_dict(model: FuzzyModel) -> dict:
         variables = tuple(
             FuzzyVariable(name=f"obs_{j}", terms=collected[j]) for j in range(model.obs_dim)
         )
-    var_names = [v.name for v in variables]
     rules = []
     for rule in model.rules:
         antecedent = []
@@ -405,14 +393,8 @@ def fuzzy_model_from_dict(data: dict) -> FuzzyModel:
                 raise ValueError(
                     f"rule {i}: variable {cond['var']!r} has no term {cond['term']!r}"
                 )
-            clauses.append(
-                FuzzyClause(
-                    dim=dim,
-                    term=var.terms[cond["term"]],
-                    var_name=cond["var"],
-                    term_label=cond["term"],
-                )
-            )
+            clauses.append(FuzzyClause(dim=dim, term=var.terms[cond["term"]],
+                                       term_label=cond["term"]))
         action = entry.get("action")
         rules.append(
             FuzzyRule(

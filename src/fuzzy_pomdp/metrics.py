@@ -46,10 +46,7 @@ class EvalReport:
 def quadrature_grid(obs_dim: int, nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Legendre rule on [0,1]^d: (points, weights)."""
     if obs_dim > MAX_QUADRATURE_DIM:
-        raise ValueError(
-            f"quadrature supports obs_dim <= {MAX_QUADRATURE_DIM}; "
-            "use the Monte-Carlo mode for higher dimensions"
-        )
+        raise ValueError(f"quadrature supports obs_dim <= {MAX_QUADRATURE_DIM}")
     x, w = np.polynomial.legendre.leggauss(nodes)
     x = (x + 1.0) / 2.0
     w = w / 2.0
@@ -118,44 +115,17 @@ def beta_product_log_density(points: np.ndarray, beta_params: np.ndarray) -> np.
 
 
 def kl_observation(
-    beta_params: np.ndarray,
-    mean: np.ndarray,
-    cov: np.ndarray,
-    nodes: int = DEFAULT_NODES,
-    method: str = "quadrature",
-    mc_samples: int = 20000,
-    rng: np.random.Generator | None = None,
+    beta_params: np.ndarray, mean: np.ndarray, cov: np.ndarray, nodes: int = DEFAULT_NODES
 ) -> float:
-    """KL(Beta-product truth || learned Gaussian), with the +inf sentinel.
-
-    Quadrature handles up to 3 observation dimensions; "mc" estimates the
-    same expectation from Beta-product samples for higher dimensions (the
-    standard error scales as 1/sqrt(mc_samples)).
-    """
+    """KL(Beta-product truth || learned Gaussian) by quadrature, with the +inf
+    sentinel; up to MAX_QUADRATURE_DIM observation dimensions."""
     beta_params = np.asarray(beta_params, dtype=float)
-    obs_dim = beta_params.shape[0]
-    if method == "quadrature":
-        points, weights = quadrature_grid(obs_dim, nodes)
-        return kl_quadrature(
-            beta_product_log_density(points, beta_params),
-            gaussian_log_density(points, mean, cov),
-            weights,
-        )
-    if method != "mc":
-        raise ValueError("method must be 'quadrature' or 'mc'")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    samples = np.column_stack(
-        [rng.beta(beta_params[j, 0], beta_params[j, 1], size=mc_samples) for j in range(obs_dim)]
+    points, weights = quadrature_grid(beta_params.shape[0], nodes)
+    return kl_quadrature(
+        beta_product_log_density(points, beta_params),
+        gaussian_log_density(points, mean, cov),
+        weights,
     )
-    logq_vals = gaussian_log_density(samples, mean, cov)
-    if (logq_vals < LOG_TINY).any():
-        return INF
-    diffs = beta_product_log_density(samples, beta_params) - logq_vals
-    estimate = float(diffs.mean())
-    log.debug("mc kl estimate %.4f, standard error %.4f", estimate, diffs.std(ddof=1) / np.sqrt(mc_samples))
-    if estimate > KL_CEILING:
-        return INF
-    return max(estimate, 0.0)
 
 
 def _kl_matrix(truth: GroundTruthEnv, learned: PomdpModel, nodes: int) -> np.ndarray:

@@ -314,17 +314,15 @@ def validate_model(model: PomdpModel) -> list[str]:
 
 
 def validate_env(env: GroundTruthEnv) -> list[str]:
-    """Invariant violations for a ground-truth environment."""
-    violations = (
+    """Invariant violations for a ground-truth environment, one per bad entry."""
+    betas = env.beta_params
+    return (
         _non_finite("transitions", env.transitions, ("s", "a", "s2"))
-        + _non_finite("beta_params", env.beta_params, ("s", "dim", "k"))
+        + _non_finite("beta_params", betas, ("s", "dim", "k"))
         + _row_stochastic_violations(env.transitions)
+        + [f"beta_params[s={s}, dim={j}, k={k}] must be strictly positive ({betas[s, j, k]})"
+           for s, j, k in np.argwhere(np.isfinite(betas) & (betas <= 0))]
     )
-    if np.any(env.beta_params <= 0):
-        bad = np.argwhere(env.beta_params <= 0)
-        s, j, _ = bad[0]
-        violations.append(f"beta_params[s={s}, dim={j}] must be strictly positive")
-    return violations
 
 
 def validate_dataset(dataset: Sequence[Trajectory], num_actions: int, obs_dim: int) -> list[str]:
@@ -402,27 +400,6 @@ def make_policy(spec: str, num_actions: int) -> Policy:
     raise ValueError(f"unknown policy spec {spec!r}")
 
 
-def relabel_states(model: PomdpModel, new_index: Sequence[int]) -> PomdpModel:
-    """Permute the model's states; new_index[old] gives each state's new slot."""
-    new_index = np.asarray(new_index, dtype=int)
-    s = model.num_states
-    if sorted(new_index.tolist()) != list(range(s)):
-        raise ValueError(f"new_index must be a permutation of 0..{s - 1}")
-    old_of_new = np.empty(s, dtype=int)
-    old_of_new[new_index] = np.arange(s)
-    labels = tuple(model.state_labels[i] for i in old_of_new)
-    return PomdpModel(
-        num_states=s,
-        num_actions=model.num_actions,
-        obs_dim=model.obs_dim,
-        transitions=model.transitions[old_of_new][:, :, old_of_new],
-        obs_means=model.obs_means[old_of_new],
-        obs_covs=model.obs_covs[old_of_new],
-        initial_dist=model.initial_dist[old_of_new],
-        state_labels=labels,
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON file formats
 # ---------------------------------------------------------------------------
@@ -489,7 +466,9 @@ def save_model(model: PomdpModel, path) -> None:
 
 
 def load_model(path) -> PomdpModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    """A bare model file, or the model inside a `train` checkpoint."""
+    payload = json.loads(Path(path).read_text())
+    return model_from_dict(payload.get("model", payload))
 
 
 def env_to_dict(env: GroundTruthEnv) -> dict:
@@ -506,16 +485,21 @@ def env_to_dict(env: GroundTruthEnv) -> dict:
     }
 
 
-def env_from_dict(data: dict) -> GroundTruthEnv:
+def _unchecked_env(data: dict) -> GroundTruthEnv:
+    """The environment a file describes, its shapes checked but not its values."""
     betas = [
         [(entry["alpha"], entry["beta"]) for entry in state_params]
         for state_params in data["beta_params"]
     ]
-    env = GroundTruthEnv(
+    return GroundTruthEnv(
         transitions=data["transitions"],
         beta_params=betas,
         state_labels=tuple(data.get("state_labels", ())),
     )
+
+
+def env_from_dict(data: dict) -> GroundTruthEnv:
+    env = _unchecked_env(data)
     problems = validate_env(env)
     if problems:
         raise ValueError("invalid environment: " + "; ".join(problems))

@@ -50,13 +50,33 @@ def random_dataset(rng, model: PomdpModel, n=3, horizon=4) -> list:
     return out
 
 
+def relabel_states(model: PomdpModel, new_index) -> PomdpModel:
+    """Permute the model's states; new_index[old] gives each state's new slot."""
+    new_index = np.asarray(new_index, dtype=int)
+    s = model.num_states
+    if sorted(new_index.tolist()) != list(range(s)):
+        raise ValueError(f"new_index must be a permutation of 0..{s - 1}")
+    old_of_new = np.empty(s, dtype=int)
+    old_of_new[new_index] = np.arange(s)
+    labels = tuple(model.state_labels[i] for i in old_of_new)
+    return PomdpModel(
+        num_states=s,
+        num_actions=model.num_actions,
+        obs_dim=model.obs_dim,
+        transitions=model.transitions[old_of_new][:, :, old_of_new],
+        obs_means=model.obs_means[old_of_new],
+        obs_covs=model.obs_covs[old_of_new],
+        initial_dist=model.initial_dist[old_of_new],
+        state_labels=labels,
+    )
+
+
 def gauss_mf(center: float, sigma: float) -> MembershipFunction:
     return MembershipFunction("gaussian", (center, sigma))
 
 
 def gauss_clause(dim: int, center: float, sigma: float) -> FuzzyClause:
-    return FuzzyClause(dim=dim, term=gauss_mf(center, sigma),
-                       var_name=f"x{dim}", term_label=f"c{center:g}")
+    return FuzzyClause(dim=dim, term=gauss_mf(center, sigma), term_label=f"c{center:g}")
 
 
 def constant_rule(target, obs_dim: int, action=None,

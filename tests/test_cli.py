@@ -79,6 +79,51 @@ def test_train_fuzzy_map_rejects_a_rule_base_of_another_obs_dim(tmp_path, capsys
     assert not ckpt.exists()
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A dataset and a checkpoint trained on it, for train and eval."""
+    work = tmp_path_factory.mktemp("inputs")
+    ds = gen_small_dataset(work)
+    ckpt = work / "ck.json"
+    assert run_cli("train", ds, "--max-iterations", 2, "--out", ckpt) == 0
+    return {"DATASET": ds, "CHECKPOINT": ckpt}
+
+
+FUZZY_MAP = ("--algo", "fuzzy-map", "--fuzzy-model", FUZZY)
+
+
+# each numeric flag, or --grid value, out of its bound
+@pytest.mark.parametrize("argv", [
+    ("gen-data", ENV, "--n", "0"),
+    ("gen-data", ENV, "--horizon", "0"),
+    ("gen-data", ENV, "--noise", "-0.5"),
+    ("gen-fuzzy-data", MG, "--n", "0"),
+    ("gen-fuzzy-data", MG, "--horizon", "0"),
+    ("gen-fuzzy-data", MG, "--noise", "-0.5"),
+    ("gen-fuzzy-data", MG, "--noise", "nan"),
+    ("train", "DATASET", "--max-iterations", "0"),
+    ("train", "DATASET", "--tolerance", "0"),
+    ("train", "DATASET", *FUZZY_MAP, "--lambda-t", "-1"),
+    ("train", "DATASET", *FUZZY_MAP, "--lambda-o", "inf"),
+    ("train", "DATASET", *FUZZY_MAP, "--matchant-samples", "0"),
+    ("train", "DATASET", *FUZZY_MAP, "--final-em-iterations", "-1"),
+    ("train", "DATASET", "--states", "0"),
+    ("train", "DATASET", "--actions", "0"),
+    ("eval", "CHECKPOINT", ENV, "--nodes", "0"),
+    ("reproduce", "--regime", "low-data", "--seeds", "0"),
+    ("reproduce", "--regime", "low-data", "--seeds", "1", "--lambda-t", "-1"),
+    ("sweep", "--seeds", "1", "--grid", "0,nan"),
+    ("sweep", "--seeds", "0"),
+], ids=lambda argv: " ".join(str(a) for a in argv[:1] + argv[-2:]))
+def test_out_of_bound_numbers_exit_one_and_write_nothing(argv, inputs, tmp_path, capsys):
+    out = ("--out-dir", tmp_path / "out") if argv[0] in ("reproduce", "sweep") \
+        else ("--out", tmp_path / "out.json")
+    argv = [inputs.get(a, a) for a in argv]
+    assert run_cli(*argv, *out) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
 def test_validate_corrupt_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json at all")
@@ -309,6 +354,24 @@ def test_validate_flags_nan_dataset(tmp_path, capsys):
     assert f"{ds}: dataset ok" in out
     assert f"{bad}: dataset INVALID" in out
     assert "trajectory 1: observations[t=2, dim=0] is not finite (nan)" in out
+
+
+def test_validate_names_each_env_problem_on_its_own_line(tmp_path, capsys):
+    payload = json.loads(open(ENV).read())
+    payload["beta_params"][0][0]["alpha"] = -1.0
+    payload["beta_params"][2][1]["beta"] = 0.0
+    payload["transitions"][1][0][0] += 0.5
+    bad = tmp_path / "bad_env.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("validate", ENV, bad) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [f"{ENV}: env ok", f"{bad}: env INVALID"]
+    row = payload["transitions"][1][0]
+    assert lines[2:] == [
+        f"  - transitions[s=1, a=0] sums to {sum(row):.12g}, expected 1",
+        "  - beta_params[s=0, dim=0, k=0] must be strictly positive (-1.0)",
+        "  - beta_params[s=2, dim=1, k=1] must be strictly positive (0.0)",
+    ]
 
 
 def test_validate_flags_non_finite_fuzzy_model(tmp_path, capsys):

@@ -13,10 +13,11 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from fuzzy_pomdp import em
-from fuzzy_pomdp.model import PomdpModel, Trajectory, relabel_states
+from fuzzy_pomdp.model import PomdpModel, Trajectory
 from fuzzy_pomdp.em import (
     EmConfig,
     ForwardBackwardError,
+    Posteriors,
     SufficientCounts,
     accumulate_counts,
     e_step,
@@ -26,7 +27,7 @@ from fuzzy_pomdp.em import (
 )
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 
-from conftest import random_dataset, random_fuzzy, random_model
+from conftest import random_dataset, random_fuzzy, random_model, relabel_states
 
 
 def enumeration_posteriors(model: PomdpModel, traj: Trajectory):
@@ -199,6 +200,12 @@ def test_run_em_prepares_its_dataset_once(monkeypatch):
 
 # ------------------------------------------------------ count accumulation
 
+def one_posteriors(gamma, xi) -> Posteriors:
+    """Hand-written posteriors of one trajectory."""
+    return Posteriors(gamma=gamma, xi=xi, log_likelihoods=np.zeros(1),
+                      starts=np.array([0, len(gamma)]))
+
+
 def test_accumulate_counts_one_hot_posteriors():
     # degenerate (0/1) posteriors turn expected counts into literal tallies
     obs = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -208,13 +215,7 @@ def test_accumulate_counts_one_hot_posteriors():
     xi = np.zeros((2, 2, 2))
     xi[0, 0, 1] = 1.0  # t=0: state 0 -> 1 under action 1
     xi[1, 1, 1] = 1.0  # t=1: state 1 -> 1 under action 0
-
-    class P:
-        pass
-
-    p = P()
-    p.gamma, p.xi = gamma, xi
-    c = accumulate_counts(ds, [p], num_actions=2)
+    c = accumulate_counts(ds, one_posteriors(gamma, xi), num_actions=2)
     expect_trans = np.zeros((2, 2, 2))
     expect_trans[0, 1, 1] = 1.0
     expect_trans[1, 0, 1] = 1.0
@@ -232,13 +233,7 @@ def test_accumulate_counts_hand_spreadsheet():
     ds = [Trajectory(observations=obs, actions=np.array([0]))]
     gamma = np.array([[0.6, 0.4], [0.2, 0.8]])
     xi = np.array([[[0.1, 0.5], [0.1, 0.3]]])
-
-    class P:
-        pass
-
-    p = P()
-    p.gamma, p.xi = gamma, xi
-    c = accumulate_counts(ds, [p], num_actions=1)
+    c = accumulate_counts(ds, one_posteriors(gamma, xi), num_actions=1)
     assert np.allclose(c.trans[:, 0, :], xi[0])
     assert np.allclose(c.obs_weight, [0.8, 1.2])
     assert np.allclose(c.obs_sum[:, 0], [0.6 * 1 + 0.2 * 3, 0.4 * 1 + 0.8 * 3])

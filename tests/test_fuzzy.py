@@ -11,7 +11,6 @@ from fuzzy_pomdp.fuzzy import (
     FuzzyVariable,
     MembershipFunction,
     antecedent_strengths,
-    clause_memberships,
     fuzzy_model_from_dict,
     fuzzy_model_to_dict,
     infer,
@@ -147,7 +146,7 @@ def test_firing_strength_empty_antecedent_is_one():
 
 def test_clause_memberships_and_batch():
     rule, obs = _two_clause_rule(0.8, 0.5)
-    ms = clause_memberships(rule, obs)
+    ms = [membership(c.term, obs[c.dim]) for c in rule.clauses]
     assert np.allclose(ms, [0.8, 0.5])
     batch = antecedent_strengths(rule, np.stack([obs, obs * 0.0]), "product")
     assert batch.shape == (2,)
@@ -256,7 +255,8 @@ def scalar_infer(model, obs, action):
             return 0.0
         if not rule.clauses:
             return 1.0
-        values = clause_memberships(rule, obs[None])[0]
+        # a one-element array, as in a batch: a scalar can differ in the last ulp
+        values = [membership(c.term, obs[c.dim:c.dim + 1])[0] for c in rule.clauses]
         return float(np.prod(values) if model.tnorm == "product" else np.min(values))
 
     weights = np.array([strength(rule) for rule in model.rules])
@@ -287,7 +287,7 @@ def test_batched_infer_equals_the_scalar_loop_bit_for_bit(name):
 
 def test_rule_tables_are_built_once_and_split_the_rules():
     tri = FuzzyClause(dim=1, term=MembershipFunction("triangular", (0.0, 0.5, 1.0)),
-                      var_name="x1", term_label="mid")
+                      term_label="mid")
     rules = [
         affine_rule([0.1, 0.2], np.eye(2), action=1,
                     clauses=[gauss_clause(0, 0.2, 0.3), gauss_clause(1, 0.4, 0.5)]),

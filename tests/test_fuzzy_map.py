@@ -102,7 +102,7 @@ def test_match_antecedent_crisp_off_support_is_exactly_zero():
     m = diag_model(rng)
     from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction
     crisp = FuzzyClause(dim=0, term=MembershipFunction(
-        "triangular", (99.0, 99.0, 99.0)), var_name="x0", term_label="pin")
+        "triangular", (99.0, 99.0, 99.0)), term_label="pin")
     fz = make_fuzzy([constant_rule((0.0, 0.0), 2, clauses=(crisp,))],
                     obs_dim=2)
     assert match_antecedent(0, 0, 0, fz, m, FuzzyMapConfig()) == 0.0
@@ -188,7 +188,7 @@ def test_matchant_matrix_agrees_with_elementwise_calls():
     # draw for draw
     from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction
     tri = FuzzyClause(dim=0, term=MembershipFunction("triangular", (-1.0, 0.0, 1.0)),
-                      var_name="x0", term_label="tri")
+                      term_label="tri")
     mixed = make_fuzzy([constant_rule((0.0, 0.0), 2, clauses=(tri, gauss_clause(1, 0.2, 0.5))),
                         constant_rule((0.0, 0.0), 2, clauses=(gauss_clause(1, 0.2, 0.5),))],
                        obs_dim=2)

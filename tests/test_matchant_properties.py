@@ -63,8 +63,7 @@ def cases(draw, shapes=("gaussian",), tnorms=("product",)):
     for _ in range(draw(st.integers(1, 5))):
         dims = draw(st.lists(st.integers(0, model.obs_dim - 1), unique=True,
                              max_size=model.obs_dim))
-        clauses = [FuzzyClause(dim=d, term=draw(terms(shapes)), var_name=f"x{d}",
-                               term_label=f"t{i}_{d}")
+        clauses = [FuzzyClause(dim=d, term=draw(terms(shapes)), term_label=f"t{i}_{d}")
                    for i, d in enumerate(dims)]
         consequent = draw(arrays(float, (model.obs_dim, model.obs_dim + 1),
                                  elements=_floats(-2.0, 2.0)))

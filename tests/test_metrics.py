@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import beta as beta_dist
 
-from fuzzy_pomdp.model import GroundTruthEnv, PomdpModel, load_env, relabel_states
+from fuzzy_pomdp.model import GroundTruthEnv, PomdpModel, load_env
 from fuzzy_pomdp.metrics import (
     beta_product_log_density,
     evaluate_model,
@@ -21,6 +21,7 @@ from fuzzy_pomdp.metrics import (
 )
 from fuzzy_pomdp.harness import asset_path
 
+from conftest import relabel_states
 from test_estep_properties import _floats
 
 
@@ -195,17 +196,6 @@ def test_kl_observation_nonnegative_on_random_pairs():
         var = rng.uniform(0.005, 0.05, size=2)
         kl = kl_observation(beta, mean, np.diag(var))
         assert kl > -1e-9
-
-
-def test_kl_observation_mc_agrees_with_quadrature():
-    rng = np.random.default_rng(26)
-    beta = np.array([[4.0, 6.0], [7.0, 3.0]])
-    mean = np.array([0.4, 0.65])
-    cov = np.diag([0.02, 0.03])
-    quad = kl_observation(beta, mean, cov, method="quadrature")
-    mc = kl_observation(beta, mean, cov, method="mc", mc_samples=200_000,
-                        rng=rng)
-    assert abs(mc - quad) < 0.02
 
 
 def test_beta_product_log_density_values():

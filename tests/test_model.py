@@ -23,7 +23,6 @@ from fuzzy_pomdp.model import (
     model_from_dict,
     model_to_dict,
     regularize_cov,
-    relabel_states,
     sample_trajectory,
     save_dataset,
     save_env,
@@ -34,7 +33,7 @@ from fuzzy_pomdp.model import (
 )
 from fuzzy_pomdp.harness import asset_path
 
-from conftest import random_dataset, random_model
+from conftest import random_dataset, random_model, relabel_states
 
 
 # ---------------------------------------------------------------- densities

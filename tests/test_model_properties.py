@@ -137,8 +137,8 @@ def fuzzy_models(draw):
     rules = []
     for r in range(draw(st.integers(1, 5))):
         dims = draw(st.lists(st.integers(0, obs_dim - 1), unique=True, max_size=obs_dim))
-        clauses = [FuzzyClause(dim=d, term=draw(terms()), var_name=f"x{d}",
-                               term_label=f"r{r}_x{d}") for d in dims]
+        clauses = [FuzzyClause(dim=d, term=draw(terms()), term_label=f"r{r}_x{d}")
+                   for d in dims]
         consequent = draw(arrays(float, (obs_dim, obs_dim + 1), elements=_floats(-2.0, 2.0)))
         action = draw(st.none() | st.integers(0, num_actions - 1))
         rules.append(FuzzyRule(clauses=tuple(clauses), consequent=consequent, action=action))

@@ -1,6 +1,11 @@
-"""The package's top-level names are exactly the README's "Library surface",
-and importing and using it never loads scipy.stats."""
+"""What code outside the package relies on: the package's top-level names
+are exactly the README's "Library surface", importing and using it never
+loads scipy.stats, every function the benchmark times exists, and the
+bundled assets are what scripts/make_assets.py writes."""
+import importlib
+import importlib.util
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -8,8 +13,12 @@ import sys
 from pathlib import Path
 
 import fuzzy_pomdp
+from fuzzy_pomdp.fuzzy import fuzzy_model_to_dict
+from fuzzy_pomdp.harness import asset_path
+from fuzzy_pomdp.model import env_to_dict, json_text
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_surface() -> set[str]:
@@ -57,3 +66,40 @@ def test_package_never_imports_scipy_stats():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def perfbench_timed_functions() -> set[str]:
+    """Every `<module>.<function>` whose call count BENCHMARK.json reports
+    or whose time perfbench/run.py reads."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {m["name"].removesuffix(".calls") for m in spec["per_layer"]
+             if m["name"].endswith(".calls")}
+    run_py = (ROOT / "perfbench" / "run.py").read_text()
+    # m["<module>.<function>.s"] read, not assigned
+    return names | set(re.findall(r'm\["(\w+\.\w+)\.s"\](?!\s*=[^=])', run_py))
+
+
+def test_every_function_perfbench_times_exists():
+    timed = perfbench_timed_functions()
+    assert "metrics.kl_observation" in timed and "harness.kmeans_init" in timed
+    missing = []
+    for name in sorted(timed):
+        layer, function = name.split(".")
+        module = importlib.import_module(f"fuzzy_pomdp.{layer}")
+        obj = getattr(module, function, None)
+        if function.startswith("_") or not inspect.isfunction(obj) \
+                or obj.__module__ != module.__name__:
+            missing.append(name)
+    assert missing == []
+
+
+def test_bundled_assets_equal_make_assets_output():
+    spec = importlib.util.spec_from_file_location("make_assets", ROOT / "scripts" / "make_assets.py")
+    make_assets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_assets)
+    for name, payload in (
+        ("synthetic_env.json", env_to_dict(make_assets.make_synthetic_env())),
+        ("expert_fuzzy_synthetic.json", fuzzy_model_to_dict(make_assets.make_expert_fuzzy())),
+        ("mg_fuzzy_placeholder.json", fuzzy_model_to_dict(make_assets.make_mg_placeholder())),
+    ):
+        assert json_text(payload) == asset_path(name).read_text(), name
