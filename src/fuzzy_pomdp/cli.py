@@ -53,17 +53,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _bounded(cast, low, strict: bool = False):
-    """An argparse type: the text as cast gives it, finite and >= low
-    (> low when strict)."""
+def _bounded(cast, low, strict: bool = False, high=None):
+    """An argparse type: the text as cast gives it, finite, >= low (> low
+    when strict) and, when high is given, <= high."""
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            raise argparse.ArgumentTypeError(
-                f"{text!r} must be a finite value {'>' if strict else '>='} {low}")
+        if not (math.isfinite(value) and (value > low if strict else value >= low)
+                and (high is None or value <= high)):
+            bound = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
+            raise argparse.ArgumentTypeError(f"{text!r} must be a finite value {bound}")
         return value
     return parse
 
@@ -72,6 +73,9 @@ COUNT = _bounded(int, 1)
 NONNEGATIVE_INT = _bounded(int, 0)
 NONNEGATIVE = _bounded(float, 0.0)
 POSITIVE = _bounded(float, 0.0, strict=True)
+# the random streams key each integer by its low 32 bits, so a seed outside
+# this range would alias one inside it
+SEED = _bounded(int, 0, high=2**32 - 1)
 
 
 def _grid(text: str) -> tuple[float, ...]:
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=NONNEGATIVE, default=0.0,
                    help="additive observation noise std (0 disables)")
     p.add_argument("--policy", default="uniform", help="action-selection rule")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--out", default="dataset.json")
     p.set_defaults(func=cmd_gen_data)
 
@@ -413,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=NONNEGATIVE, default=0.05,
                    help="rollout output noise std")
     p.add_argument("--policy", default="uniform")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--out", default="fuzzy_dataset.json")
     p.set_defaults(func=cmd_gen_fuzzy_data)
 
@@ -442,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--final-em-iterations", type=NONNEGATIVE_INT, default=0,
                    help="up to this many plain-EM polish iterations after a fuzzy-map "
                         "fit; the polish stops early on --tolerance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--out", default="checkpoint.json")
     p.set_defaults(func=cmd_train)
 

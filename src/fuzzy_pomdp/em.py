@@ -137,7 +137,7 @@ class _FitData(tuple):
     appearance; a dataset whose trajectories share one length is its own
     only group. order: None for such a dataset; otherwise the (gamma rows,
     xi rows, trajectories) that put the groups' joined results back in
-    dataset order.
+    dataset order. one_hot(A) gives the actions' one-hot encoding.
     """
 
     def __new__(cls, dataset, indices=None):
@@ -153,6 +153,7 @@ class _FitData(tuple):
         for i, length in enumerate(lengths.tolist()):
             by_length.setdefault(length, []).append(i)
         self._groups = self.order = None
+        self._one_hot: dict[int, np.ndarray] = {}
         if len(by_length) > 1:
             self._groups = tuple(
                 cls([self[i] for i in group], np.array(group)) for group in by_length.values()
@@ -164,6 +165,16 @@ class _FitData(tuple):
     @property
     def groups(self) -> tuple["_FitData", ...]:
         return self._groups or (self,)
+
+    def one_hot(self, num_actions: int) -> np.ndarray:
+        """(sum (T-1), num_actions) read-only one-hot encoding of actions,
+        built once per action count and kept."""
+        table = self._one_hot.get(num_actions)
+        if table is None:
+            table = np.eye(num_actions)[self.actions]
+            table.flags.writeable = False
+            self._one_hot[num_actions] = table
+        return table
 
 
 def _prepared(dataset: Sequence[Trajectory]) -> _FitData:
@@ -241,7 +252,7 @@ def accumulate_counts(
         raise ValueError("dataset and posteriors must be parallel lists")
     gamma, xi = posteriors.gamma, posteriors.xi
     return SufficientCounts(
-        trans=np.einsum("ma,msk->sak", np.eye(num_actions)[data.actions], xi),
+        trans=np.einsum("ma,msk->sak", data.one_hot(num_actions), xi),
         obs_weight=gamma.sum(axis=0),
         obs_sum=gamma.T @ data.obs,
         obs_outer=np.einsum("ts,td,te->sde", gamma, data.obs, data.obs),

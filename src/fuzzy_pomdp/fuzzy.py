@@ -143,12 +143,16 @@ class GaussianGroup:
 
     rules holds the G rule indices and dims the k clause dims; centers and
     variances are (G, k), one row per rule and one column per clause dim.
+    variance_diagonals (G, k, k) holds each rule's variances as a diagonal
+    matrix and variance_products (G,) their product.
     """
 
     rules: np.ndarray
     dims: np.ndarray
     centers: np.ndarray
     variances: np.ndarray
+    variance_diagonals: np.ndarray
+    variance_products: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,17 @@ class RuleTables:
     mc_rules: tuple[int, ...]
     actions: np.ndarray
     consequents: np.ndarray
+    _gates: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+
+    def action_gate(self, num_actions: int) -> np.ndarray:
+        """(A, R) read-only: whether rule r may fire under action a, for
+        num_actions actions; built once per action count and kept."""
+        gate = self._gates.get(num_actions)
+        if gate is None:
+            gate = (self.actions < 0) | (self.actions == np.arange(num_actions)[:, None])
+            gate.flags.writeable = False
+            self._gates[num_actions] = gate
+        return gate
 
 
 @dataclass(frozen=True)
@@ -217,10 +232,12 @@ class FuzzyModel:
         groups = []
         for dims, rules in members.items():
             params = np.array([[c.term.params for c in self.rules[r].clauses] for r in rules])
+            variances = _frozen_array(params[..., 1] ** 2)
             groups.append(GaussianGroup(
                 rules=_frozen_array(rules, int), dims=_frozen_array(dims, int),
-                centers=_frozen_array(params[..., 0]),
-                variances=_frozen_array(params[..., 1] ** 2),
+                centers=_frozen_array(params[..., 0]), variances=variances,
+                variance_diagonals=_frozen_array(variances[:, :, None] * np.eye(len(dims))),
+                variance_products=_frozen_array(variances.prod(axis=1)),
             ))
         actions = [-1 if rule.action is None else rule.action for rule in self.rules]
         consequents = np.array([rule.consequent for rule in self.rules])

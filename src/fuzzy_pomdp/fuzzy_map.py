@@ -102,12 +102,12 @@ def _gaussian_match(model: PomdpModel, group: GaussianGroup) -> np.ndarray:
     d = mu_J - c, the integral of a rule's membership against N(mu, Sigma)
     is sqrt(det D / det(D + Sigma_JJ)) * exp(-d^T (D + Sigma_JJ)^-1 d / 2).
     """
-    dims, var = group.dims, group.variances  # var: (G, k)
+    dims = group.dims
     cov = model.obs_covs[:, dims][:, :, dims]  # (S, k, k)
-    mat = cov[:, None] + var[None, :, :, None] * np.eye(len(dims))  # (S, G, k, k)
+    mat = cov[:, None] + group.variance_diagonals[None]  # (S, G, k, k)
     diff = model.obs_means[:, None, dims] - group.centers[None]  # (S, G, k)
     quad = np.einsum("sgk,sgk->sg", diff, np.linalg.solve(mat, diff[..., None])[..., 0])
-    return np.sqrt(var.prod(axis=1) / np.linalg.det(mat)) * np.exp(-0.5 * quad)
+    return np.sqrt(group.variance_products / np.linalg.det(mat)) * np.exp(-0.5 * quad)
 
 
 def matchant_matrix(
@@ -128,8 +128,7 @@ def matchant_matrix(
     strength = np.ones((model.num_states, len(fuzzy.rules)))
     for group in tables.gaussian_groups:
         strength[:, group.rules] = _gaussian_match(model, group)
-    actions = tables.actions
-    gate = (actions < 0) | (actions == np.arange(model.num_actions)[:, None])  # (A, R)
+    gate = tables.action_gate(model.num_actions)  # (A, R)
     out = np.where(gate[None], strength[:, None, :], 0.0)
     for s in range(model.num_states):
         for a in range(model.num_actions):

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -23,6 +24,8 @@ log = logging.getLogger(__name__)
 DEFAULT_COV_RIDGE = 1e-6
 # tolerance on a probability vector's sum and on its negative entries
 STOCHASTIC_ATOL = 1e-9
+# numpy Generator.choice's tolerance on the sum of its probability vector
+_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
 
 # Policy: callable (time_step, rng) -> action index.
 Policy = Callable[[int, np.random.Generator], int]
@@ -167,6 +170,55 @@ class GroundTruthEnv:
     @property
     def obs_dim(self) -> int:
         return self.beta_params.shape[1]
+
+    @cached_property
+    def transition_cdfs(self) -> np.ndarray:
+        """(S, A, S) read-only: each transition row as the CDF that
+        Generator.choice searches, built on first use and kept. Raises the
+        ValueError that choice raises for the first row it would reject."""
+        num_states = self.num_states
+        cdfs = np.empty(self.transitions.shape)
+        for s, a in np.ndindex(cdfs.shape[:2]):
+            try:
+                cdfs[s, a] = _choice_cdf(self.transitions[s, a], num_states)
+            except ValueError as err:
+                raise ValueError(f"transitions[s={s}, a={a}]: {err}") from None
+        cdfs.flags.writeable = False
+        return cdfs
+
+    @cached_property
+    def beta_pairs(self) -> tuple[tuple[tuple[float, float], ...], ...]:
+        """beta_params as Python floats: one (alpha, beta) pair per state and
+        dimension, built on first use and kept."""
+        return tuple(tuple(map(tuple, state)) for state in self.beta_params.tolist())
+
+
+def _choice_cdf(p, size: int) -> np.ndarray:
+    """The CDF that numpy's Generator.choice(size, p=p) searches.
+
+    Raises the ValueError that choice raises for p: not one-dimensional,
+    not `size` entries, a NaN, a negative entry, or a sum more than
+    sqrt(eps) away from 1 (choice's sum is Kahan-compensated, so a sum
+    within an ulp of that bound may be judged differently). The CDF is
+    choice's own, the cumulative sum over its last entry, so
+    `cdf.searchsorted(rng.random(), side="right")` is the draw choice makes
+    from the same generator state.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if p.size != size:
+        raise ValueError("a and p must have same size")
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def regularize_cov(cov: np.ndarray, ridge: float = DEFAULT_COV_RIDGE) -> np.ndarray:
@@ -357,25 +409,31 @@ def sample_trajectory(
     each observation component comes from the current state's Beta emitter,
     and policy(t, rng) picks the action steering the next transition.
     Fully reproducible given the Generator state.
+
+    Each state is drawn as numpy's Generator.choice draws it, from the
+    env's transition_cdfs, and each observation component is one scalar
+    rng.beta call in dimension order, so the draws, and the generator state
+    after them, are those of rng.choice(S, p=row) and a vector rng.beta.
+    An initial_dist or transition row that choice would reject raises its
+    ValueError before the first draw.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     s_count = env.num_states
     if initial_dist is None:
         initial_dist = np.full(s_count, 1.0 / s_count)
-    state = int(rng.choice(s_count, p=initial_dist))
+    initial_cdf = _choice_cdf(initial_dist, s_count)
+    cdfs, betas = env.transition_cdfs, env.beta_pairs
+    state = int(initial_cdf.searchsorted(rng.random(), side="right"))
     states = [state]
-    observations = np.empty((horizon, env.obs_dim))
-    actions = np.empty(horizon - 1, dtype=int)
-    observations[0] = rng.beta(env.beta_params[state, :, 0], env.beta_params[state, :, 1])
+    observations = [[rng.beta(a, b) for a, b in betas[state]]]
+    actions = []
     for t in range(horizon - 1):
         action = int(policy(t, rng))
-        actions[t] = action
-        state = int(rng.choice(s_count, p=env.transitions[state, action]))
+        actions.append(action)
+        state = int(cdfs[state, action].searchsorted(rng.random(), side="right"))
         states.append(state)
-        observations[t + 1] = rng.beta(
-            env.beta_params[state, :, 0], env.beta_params[state, :, 1]
-        )
+        observations.append([rng.beta(a, b) for a, b in betas[state]])
     traj = Trajectory(observations=observations, actions=actions)
     if return_states:
         return traj, np.array(states)

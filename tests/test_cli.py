@@ -114,6 +114,12 @@ FUZZY_MAP = ("--algo", "fuzzy-map", "--fuzzy-model", FUZZY)
     ("reproduce", "--regime", "low-data", "--seeds", "1", "--lambda-t", "-1"),
     ("sweep", "--seeds", "1", "--grid", "0,nan"),
     ("sweep", "--seeds", "0"),
+    ("gen-data", ENV, "--seed", "-1"),
+    ("gen-data", ENV, "--seed", "4294967296"),
+    ("gen-fuzzy-data", MG, "--seed", "-1"),
+    ("gen-fuzzy-data", MG, "--seed", "4294967296"),
+    ("train", "DATASET", "--seed", "-1"),
+    ("train", "DATASET", "--seed", "4294967296"),
 ], ids=lambda argv: " ".join(str(a) for a in argv[:1] + argv[-2:]))
 def test_out_of_bound_numbers_exit_one_and_write_nothing(argv, inputs, tmp_path, capsys):
     out = ("--out-dir", tmp_path / "out") if argv[0] in ("reproduce", "sweep") \
@@ -122,6 +128,15 @@ def test_out_of_bound_numbers_exit_one_and_write_nothing(argv, inputs, tmp_path,
     assert run_cli(*argv, *out) == 1
     assert list(tmp_path.iterdir()) == []
     assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["0", "4294967295"])
+def test_seed_range_ends_are_accepted(seed, inputs, tmp_path):
+    for argv in (("gen-data", ENV, "--n", "1"), ("gen-fuzzy-data", MG, "--n", "1"),
+                 ("train", inputs["DATASET"], "--max-iterations", "1")):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run_cli(*argv, "--seed", seed, "--out", out) == 0
+        assert out.exists()
 
 
 def test_validate_corrupt_json_exits_two(tmp_path, capsys):

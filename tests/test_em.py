@@ -206,6 +206,18 @@ def one_posteriors(gamma, xi) -> Posteriors:
                       starts=np.array([0, len(gamma)]))
 
 
+def test_fit_data_one_hot_is_built_once_per_action_count():
+    rng = np.random.default_rng(107)
+    m = random_model(rng)
+    data = em._FitData(random_dataset(rng, m, n=3, horizon=4)
+                       + random_dataset(rng, m, n=2, horizon=2))
+    for num_actions in (m.num_actions, m.num_actions + 1):
+        table = data.one_hot(num_actions)
+        assert np.array_equal(table, np.eye(num_actions)[data.actions])
+        assert table is data.one_hot(num_actions)
+        assert not table.flags.writeable
+
+
 def test_accumulate_counts_one_hot_posteriors():
     # degenerate (0/1) posteriors turn expected counts into literal tallies
     obs = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])

@@ -74,6 +74,26 @@ def cases(draw, shapes=("gaussian",), tnorms=("product",)):
     return model, fuzzy
 
 
+@given(cases(shapes=("gaussian", "triangular"), tnorms=("product", "minimum")))
+def test_rule_tables_equal_the_expressions_they_replace(case):
+    _, fuzzy = case
+    tables = fuzzy.tables
+    for group in tables.gaussian_groups:
+        var = group.variances
+        assert np.array_equal(group.variance_diagonals[None],
+                              var[None, :, :, None] * np.eye(len(group.dims)))
+        assert np.array_equal(group.variance_products, var.prod(axis=1))
+        assert not group.variance_diagonals.flags.writeable
+        assert not group.variance_products.flags.writeable
+    # the model's action count may exceed the rule base's (1 to 3 here)
+    actions = tables.actions
+    for num_actions in (1, 2, 3):
+        gate = tables.action_gate(num_actions)
+        assert np.array_equal(gate, (actions < 0) | (actions == np.arange(num_actions)[:, None]))
+        assert gate is tables.action_gate(num_actions)
+        assert not gate.flags.writeable
+
+
 def _moment(rule, model, state, power):
     """E[firing^power] for gaussian clauses under the product t-norm, one cell.
 

@@ -107,6 +107,49 @@ def test_sample_trajectory_absorbing_state_stays_put():
     assert traj.observations.shape == (50, 1)
 
 
+def _env_with_row(row) -> GroundTruthEnv:
+    """A two-state, one-action env whose second transition row is row."""
+    trans = np.full((2, 1, 2), 0.5)
+    trans[1, 0] = row
+    return GroundTruthEnv(transitions=trans, beta_params=np.full((2, 1, 2), 2.0))
+
+
+# probability vectors that rng.choice rejects
+BAD_ROWS = {"nan": [np.nan, 1.0], "negative": [-0.25, 1.25],
+            "sum above": [0.5, 0.5 + 1e-6], "sum below": [0.5, 0.5 - 1e-6]}
+
+
+@pytest.mark.parametrize("row", BAD_ROWS.values(), ids=BAD_ROWS)
+def test_sample_trajectory_rejects_what_choice_rejects(row):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(2, p=row)
+    policy = make_policy("fixed:0", 1)
+    with pytest.raises(ValueError, match=r"transitions\[s=1, a=0\]"):
+        sample_trajectory(_env_with_row(row), policy, 3, np.random.default_rng(0))
+    good = _env_with_row([0.25, 0.75])
+    with pytest.raises(ValueError):
+        sample_trajectory(good, policy, 3, np.random.default_rng(0), initial_dist=row)
+
+
+@pytest.mark.parametrize("initial_dist", [[1.0], [0.25, 0.25, 0.5], [[0.5, 0.5]]],
+                         ids=["short", "long", "2-D"])
+def test_sample_trajectory_rejects_an_initial_dist_of_the_wrong_shape(initial_dist):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(2, p=initial_dist)
+    with pytest.raises(ValueError):
+        sample_trajectory(_env_with_row([0.25, 0.75]), make_policy("fixed:0", 1), 3,
+                          np.random.default_rng(0), initial_dist=initial_dist)
+
+
+def test_sample_trajectory_accepts_the_sums_choice_accepts():
+    # choice allows a sum up to sqrt(eps) ~ 1.5e-8 away from 1 and renormalizes
+    row = [0.5, 0.5 + 1e-9]
+    np.random.default_rng(0).choice(2, p=row)
+    traj = sample_trajectory(_env_with_row(row), make_policy("fixed:0", 1), 5,
+                             np.random.default_rng(0), initial_dist=row)
+    assert len(traj) == 5
+
+
 def test_sample_trajectory_empirical_transition_frequencies():
     # long single run started in the last state under a fixed action:
     # empirical next-state frequencies track that transition row

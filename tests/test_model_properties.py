@@ -1,9 +1,11 @@
-"""Property tests for the stacked Gaussian algebra and the JSON file formats.
+"""Property tests for the stacked Gaussian algebra, trajectory sampling and
+the JSON file formats.
 
 Random models carry up to four states in up to three dims with full SPD
 covariances. The one-state gaussian_log_density call is the reference for
-the stacked one, bit for bit; every file format must reproduce its input
-exactly after a trip through JSON text.
+the stacked one, bit for bit; rng.choice and a vector rng.beta are the
+reference for sample_trajectory, draw for draw; every file format must
+reproduce its input exactly after a trip through JSON text.
 """
 import json
 from dataclasses import replace
@@ -30,9 +32,11 @@ from fuzzy_pomdp.model import (
     env_from_dict,
     env_to_dict,
     gaussian_log_density,
+    make_policy,
     model_from_dict,
     model_to_dict,
     per_state_log_density,
+    sample_trajectory,
 )
 
 from conftest import make_fuzzy
@@ -81,6 +85,124 @@ def test_stack_with_a_non_pd_covariance_names_the_first_bad_state(model, data):
         with pytest.raises(CovarianceError) as stacked:
             call()
         assert str(stacked.value) == want
+
+
+def _sample_with_choice(env, policy, horizon, rng, initial_dist=None):
+    """The sampler as it was before the CDFs were cached: rng.choice for
+    every state, one vector rng.beta for every observation."""
+    s_count = env.num_states
+    if initial_dist is None:
+        initial_dist = np.full(s_count, 1.0 / s_count)
+    state = int(rng.choice(s_count, p=initial_dist))
+    states = [state]
+    observations = np.empty((horizon, env.obs_dim))
+    actions = np.empty(horizon - 1, dtype=int)
+    observations[0] = rng.beta(env.beta_params[state, :, 0], env.beta_params[state, :, 1])
+    for t in range(horizon - 1):
+        action = int(policy(t, rng))
+        actions[t] = action
+        state = int(rng.choice(s_count, p=env.transitions[state, action]))
+        states.append(state)
+        observations[t + 1] = rng.beta(
+            env.beta_params[state, :, 0], env.beta_params[state, :, 1]
+        )
+    return observations, actions, np.array(states)
+
+
+@st.composite
+def probability_rows(draw, shape, off=1e-9):
+    """Probability vectors along the last axis, with entries that are
+    exactly zero; each row's sum is off 1 by up to `off`, which choice
+    accepts."""
+    weights = draw(arrays(float, shape, elements=_floats(0.0, 1.0) | st.just(0.0)))
+    weights = np.where(weights.sum(axis=-1, keepdims=True) > 0.0, weights, 1.0)
+    scale = 1.0 + draw(arrays(float, shape[:-1] + (1,), elements=_floats(-off, off)))
+    return weights / weights.sum(axis=-1, keepdims=True) * scale
+
+
+@st.composite
+def envs(draw, obs_dim=None):
+    num_states = draw(st.integers(1, 4))
+    num_actions = draw(st.integers(1, 3))
+    obs_dim = draw(st.integers(1, 3)) if obs_dim is None else obs_dim
+    return GroundTruthEnv(
+        transitions=draw(probability_rows((num_states, num_actions, num_states))),
+        beta_params=draw(arrays(float, (num_states, obs_dim, 2), elements=_floats(0.05, 50.0))),
+    )
+
+
+def _assert_same_rollout(env, policy, horizon, new_rng, old_rng, initial_dist):
+    traj, states = sample_trajectory(env, policy, horizon, new_rng, initial_dist,
+                                     return_states=True)
+    observations, actions, old_states = _sample_with_choice(
+        env, policy, horizon, old_rng, initial_dist)
+    assert np.array_equal(traj.observations, observations)
+    assert np.array_equal(traj.actions, actions)
+    assert np.array_equal(states, old_states)
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
+@given(envs(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_sample_trajectory_draws_as_choice_and_vector_beta(env, horizon, seed, given_init,
+                                                           data):
+    initial_dist = data.draw(probability_rows((env.num_states,))) if given_init else None
+    _assert_same_rollout(env, make_policy("uniform", env.num_actions), horizon,
+                         np.random.default_rng(seed), np.random.default_rng(seed), initial_dist)
+
+
+# numpy's PCG64 steps its 128-bit state s -> s * _PCG_MULT + inc and outputs
+# rotr64(hi ^ lo, s >> 122) of the new state; Generator.random() is that
+# output's top 53 bits times 2**-53
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK64 = 2**64 - 1
+
+
+def _pcg_state(u: float, hi: int) -> int:
+    """A PCG64 state with high word hi whose output random() reads as u."""
+    out = int(u * 2**53) << 11
+    rot = hi >> 58
+    return (hi << 64) | ((((out << rot) | (out >> (64 - rot))) & _MASK64) ^ hi)
+
+
+def _rigged_rng(u0: float, u1: float) -> np.random.Generator:
+    """A PCG64 Generator whose first two random() draws are u0 and u1."""
+    first = _pcg_state(u0, 0x9E3779B97F4A7C15)
+    second = _pcg_state(u1, 0x5851F42D4C957F2C)
+    if (second - first) % 2 == 0:  # the increment must be odd
+        second = _pcg_state(u1, 0x5851F42D4C957F2D)
+    inc = (second - first * _PCG_MULT) % 2**128
+    start = (first - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": start, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+def _edges(p) -> list[float]:
+    """Uniforms random() can return that sit on an edge of choice's CDF for
+    p: 0, the largest below 1, and each CDF entry below 1 on the 2**-53 grid."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return [0.0, 1.0 - 2**-53] + [c for c in cdf.tolist() if c < 1.0 and (c * 2**53).is_integer()]
+
+
+@given(st.data())
+def test_sample_trajectory_draws_on_a_cdf_edge_as_choice_does(data):
+    # with no observation dims and the cycle policy nothing is drawn between
+    # states, so the first two uniforms pick the initial state and the first
+    # transition; each lands exactly on an edge of its CDF
+    env = data.draw(envs(obs_dim=0))
+    initial_dist = data.draw(st.none() | probability_rows((env.num_states,)))
+    start = np.full(env.num_states, 1.0 / env.num_states) if initial_dist is None \
+        else initial_dist
+    u0 = data.draw(st.sampled_from(_edges(start)))
+    first = int(_rigged_rng(u0, 0.0).choice(env.num_states, p=start))
+    u1 = data.draw(st.sampled_from(_edges(env.transitions[first, 0])))
+    check = _rigged_rng(u0, u1)
+    assert (check.random(), check.random()) == (u0, u1)
+    _assert_same_rollout(env, make_policy("cycle", env.num_actions),
+                         data.draw(st.integers(2, 12)),
+                         _rigged_rng(u0, u1), _rigged_rng(u0, u1), initial_dist)
 
 
 @given(models())
