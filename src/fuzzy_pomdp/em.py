@@ -6,9 +6,10 @@ scaled forward-backward, run once per length on the whole group of that
 length, with one stacked Cholesky factorisation of all states' covariances
 for the group's observations; one Posteriors joins the results in dataset
 order and goes straight into the expected counts. M-step: closed-form
-maximum-likelihood updates from pooled expected counts. The initial state
-distribution is held fixed, never re-estimated. One loop, `_fit`, runs
-every fit; with no data it skips the E-step, which is fuzzy-MAP's
+maximum-likelihood updates from pooled expected counts, which fuzzy-MAP EM
+first blends with its pseudo-counts. The initial state distribution is held
+fixed, never re-estimated. One loop, `_fit`, runs every fit and returns an
+EmResult; with no data it skips the E-step, which is fuzzy-MAP's
 prior-only fitting.
 """
 
@@ -20,14 +21,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (DEFAULT_COV_RIDGE, PomdpModel, Trajectory, per_state_log_density,
-                    regularize_cov)
+from .model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
+                    per_state_log_density, regularize_cov)
 
 log = logging.getLogger(__name__)
 
 
 class ForwardBackwardError(RuntimeError):
-    """Observation likelihood underflowed to zero at some step.
+    """Observation likelihood underflowed to zero, or was NaN, at some step.
 
     `trajectory` is the failing trajectory's position in the batch given to
     forward_backward; e_step names its index in the dataset instead.
@@ -117,6 +118,12 @@ class EmResult:
     loglik_trace: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    # fuzzy-MAP EM only, left empty by plain EM: per M-step, (lambda_t * fuzzy
+    # / empirical transition mass, lambda_o * fuzzy / empirical observation
+    # mass), inf on zero empirical mass; and the expected firing strength per
+    # (state, action, rule) at the last iteration
+    prior_data_ratios: list[tuple[float, float]] = field(default_factory=list)
+    final_matchant: np.ndarray | None = None
 
 
 def _rows(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -217,11 +224,12 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
                 step = (alpha[:, t - 1, None, :] @ trans[:, t - 1])[:, 0] * b[:, t]
             scale[:, t] = step.sum(axis=1)
             alpha[:, t] = step / scale[:, t, None]
-    failed = scale <= 0.0
+    # NaN scales (a NaN observation or parameter) fail too
+    failed = ~(scale > 0.0)
     if failed.any():
         t = int(failed.any(axis=0).argmax())
         raise ForwardBackwardError(
-            f"zero total observation likelihood at step {t}", int(failed[:, t].argmax())
+            f"zero or NaN total observation likelihood at step {t}", int(failed[:, t].argmax())
         )
 
     beta = np.empty((num, horizon, num_states))
@@ -265,7 +273,8 @@ def _mstep_from_counts(
     """Closed-form parameter updates from (possibly blended) counts.
 
     Zero-mass transition rows fall back to uniform; zero-mass states keep
-    their previous observation parameters. Both fallbacks are logged.
+    their previous observation parameters. Both fallbacks are logged. A
+    covariance regularize_cov rejects raises CovarianceError naming its state.
     """
     num_states = prev.num_states
     row_mass = counts.trans.sum(axis=2)
@@ -287,7 +296,10 @@ def _mstep_from_counts(
     means = np.where(live[:, None], mu, prev.obs_means)
     covs = prev.obs_covs.copy()
     for s in np.flatnonzero(live):
-        covs[s] = regularize_cov(raw[s], ridge)
+        try:
+            covs[s] = regularize_cov(raw[s], ridge)
+        except CovarianceError as err:
+            raise CovarianceError(f"state {s}: {err}") from None
     if not live.all():
         for s in np.flatnonzero(~live):
             log.debug("no observation mass for state %d; keeping previous parameters", s)

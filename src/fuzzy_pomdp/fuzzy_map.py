@@ -3,8 +3,9 @@
 Each iteration scores every (state, action, rule) triple by the expected
 firing strength of the rule's antecedent under the current observation
 model, pushes the rule's affine consequent through the current emission
-densities, and folds the resulting pseudo-counts into the M-step alongside
-the empirical expected counts, weighted by `lambda_t` / `lambda_o`.
+densities, and runs plain EM's M-step on the empirical expected counts
+blended with the resulting pseudo-counts, weighted by `lambda_t` / `lambda_o`.
+A fit returns plain EM's EmResult, its prior fields filled in.
 
 The expected firing strength is exact (a closed-form Gaussian integral) for
 rules whose clauses are all Gaussian under the product t-norm, and a seeded
@@ -16,16 +17,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import EmConfig, SufficientCounts, _fit, _mstep_from_counts, _prepared, run_em
+from .em import EmConfig, EmResult, SufficientCounts, _fit, _mstep_from_counts, _prepared, run_em
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
-from .model import (CovarianceError, PomdpModel, Trajectory, cholesky_factor,
-                    per_state_log_density, sample_gaussian)
+from .model import (PomdpModel, Trajectory, cholesky_factor, per_state_log_density,
+                    sample_gaussian)
 from .rngs import derive_rng
 
 log = logging.getLogger(__name__)
@@ -47,22 +48,6 @@ class FuzzyMapConfig:
             raise ValueError("matchant_samples must be >= 1")
         if self.final_standard_em_iterations < 0:
             raise ValueError("final_standard_em_iterations must be >= 0")
-
-
-@dataclass(frozen=True)
-class FuzzyMapResult:
-    model: PomdpModel
-    loglik_trace: list[float] = field(default_factory=list)
-    converged: bool = False
-    iterations: int = 0
-    # per-iteration (lambda_t * fuzzy transition mass / empirical transition
-    # mass, lambda_o * fuzzy observation mass / empirical observation mass);
-    # inf when the empirical mass is zero
-    prior_data_ratios: list[tuple[float, float]] = field(default_factory=list)
-    # expected firing strength per (state, action, rule) at the last
-    # iteration; the raw material for diagnosing rules that match the
-    # wrong state's observation distribution
-    final_matchant: np.ndarray | None = None
 
 
 def match_antecedent(
@@ -186,7 +171,7 @@ def m_step_fuzzy_map(
     em_config: EmConfig,
     map_config: FuzzyMapConfig,
 ) -> PomdpModel:
-    """M-step on empirical counts blended with weighted pseudo-counts.
+    """Plain EM's M-step on empirical counts blended with weighted pseudo-counts.
 
     With both lambdas zero this reproduces the standard M-step exactly
     (adding 0.0 leaves every count bit-identical).
@@ -197,15 +182,7 @@ def m_step_fuzzy_map(
         obs_sum=empirical.obs_sum + map_config.lambda_o * fuzzy_counts.obs_sum,
         obs_outer=empirical.obs_outer + map_config.lambda_o * fuzzy_counts.obs_outer,
     )
-    model = _mstep_from_counts(blended, prev, em_config.covariance_ridge)
-    min_eig = np.linalg.eigvalsh(model.obs_covs).min(axis=1)
-    bad = np.flatnonzero(min_eig < -1e-12)
-    if bad.size:
-        raise CovarianceError(
-            f"blended covariance for state {bad[0]} is not positive semidefinite "
-            f"(min eigenvalue {min_eig[bad[0]]:.3e})"
-        )
-    return model
+    return _mstep_from_counts(blended, prev, em_config.covariance_ridge)
 
 
 def run_fuzzy_map_em(
@@ -214,20 +191,22 @@ def run_fuzzy_map_em(
     fuzzy: FuzzyModel,
     em_config: EmConfig | None = None,
     map_config: FuzzyMapConfig | None = None,
-) -> FuzzyMapResult:
+) -> EmResult:
     """EM whose every M-step folds in freshly computed fuzzy pseudo-counts.
 
     Pseudo-counts are recomputed against the current parameters each
-    iteration, inside the EM loop that plain EM runs (em._fit). An empty
+    iteration, inside the EM loop that plain EM runs (em._fit), whose
+    EmResult gets prior_data_ratios and final_matchant filled in. An empty
     dataset fits the prior alone (both lambdas must be positive): the same
     loop skips the E-step, blends the pseudo-counts into zero counts, and
     stops once no parameter moves by the tolerance; the trace stays empty
     and every prior/data ratio is inf. After the main loop, up to
     `final_standard_em_iterations` plain EM iterations polish the result;
-    the polish stops early on the likelihood tolerance, and `iterations`
-    counts the M-steps of both. The dataset is prepared once, for the main
-    loop and the polish alike. A rule base whose obs_dim differs from the
-    model's raises ValueError before anything is fitted.
+    the polish stops early on the likelihood tolerance, its trace continues
+    the main loop's, and `iterations` counts the M-steps of both. The
+    dataset is prepared once, for the main loop and the polish alike. A
+    rule base whose obs_dim differs from the model's raises ValueError
+    before anything is fitted.
 
     The log-likelihood trace is recorded but never guaranteed monotone:
     blending pseudo-counts into the M-step trades likelihood for prior
@@ -259,24 +238,17 @@ def run_fuzzy_map_em(
 
     data = _prepared(dataset) if dataset else dataset
     fit = _fit(data, init, em_config, m_step)
-    model, trace, iterations = fit.model, fit.loglik_trace, fit.iterations
+    fit = replace(fit, prior_data_ratios=ratios, final_matchant=matchant)
     if map_config.final_standard_em_iterations > 0:
         polish = run_em(
             data,
-            model,
+            fit.model,
             replace(em_config, max_iterations=map_config.final_standard_em_iterations),
         )
         # the polish's entry 0 scores the model the main loop ended on
-        model, trace = polish.model, trace + polish.loglik_trace[1:]
-        iterations += polish.iterations
-    return FuzzyMapResult(
-        model=model,
-        loglik_trace=trace,
-        converged=fit.converged,
-        iterations=iterations,
-        prior_data_ratios=ratios,
-        final_matchant=matchant,
-    )
+        fit = replace(fit, model=polish.model, iterations=fit.iterations + polish.iterations,
+                      loglik_trace=fit.loglik_trace + polish.loglik_trace[1:])
+    return fit
 
 
 def _check_obs_dim(fuzzy: FuzzyModel, model: PomdpModel) -> None:

@@ -228,12 +228,20 @@ def regularize_cov(cov: np.ndarray, ridge: float = DEFAULT_COV_RIDGE) -> np.ndar
     parameter updates stay exact maximizers (an unconditional ridge makes
     the fitted likelihood creep downward near convergence). The guard kicks
     in below a smallest eigenvalue of `ridge`, where tiny datasets would
-    otherwise produce singular matrices.
+    otherwise produce singular matrices. A lifted smallest eigenvalue still
+    below -1e-12 (a second moment short of the squared mean) raises
+    CovarianceError.
     """
     cov = np.asarray(cov, dtype=float)
     sym = 0.5 * (cov + cov.T)
-    if ridge > 0.0 and float(np.linalg.eigvalsh(sym).min()) < ridge:
+    min_eig = float(np.linalg.eigvalsh(sym).min())
+    if ridge > 0.0 and min_eig < ridge:
         sym = sym + ridge * np.eye(cov.shape[0])
+        min_eig += ridge
+    if min_eig < -1e-12:
+        raise CovarianceError(
+            f"covariance is not positive semidefinite (min eigenvalue {min_eig:.3e})"
+        )
     return sym
 
 
@@ -524,9 +532,16 @@ def save_model(model: PomdpModel, path) -> None:
 
 
 def load_model(path) -> PomdpModel:
-    """A bare model file, or the model inside a `train` checkpoint."""
+    """A bare model file, or the model inside a `train` checkpoint.
+
+    Raises ValueError listing every validate_model problem of the content.
+    """
     payload = json.loads(Path(path).read_text())
-    return model_from_dict(payload.get("model", payload))
+    model = model_from_dict(payload.get("model", payload))
+    problems = validate_model(model)
+    if problems:
+        raise ValueError("invalid model: " + "; ".join(problems))
+    return model
 
 
 def env_to_dict(env: GroundTruthEnv) -> dict:

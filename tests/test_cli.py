@@ -310,6 +310,45 @@ def test_train_init_file_checks_given_states_and_actions(tmp_path, capsys):
     assert (model["num_states"], model["num_actions"]) == (2, 2)
 
 
+def _defective_model(defect: str) -> dict:
+    """A model shaped for the synthetic env with one defect in its content."""
+    model = {
+        "num_states": 3, "num_actions": 2, "obs_dim": 2,
+        "transitions": np.full((3, 2, 3), 1.0 / 3.0).tolist(),
+        "obs_means": [[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]],
+        "obs_covs": (0.01 * np.stack([np.eye(2)] * 3)).tolist(),
+    }
+    if defect == "row":
+        model["transitions"][0][1] = [0.6, 0.3, 0.3]
+    elif defect == "nan":
+        model["obs_means"][2][1] = float("nan")
+    else:
+        model["obs_covs"][1] = [[0.01, 0.0], [0.0, -0.01]]
+    return model
+
+
+@pytest.mark.parametrize("defect, problem", [
+    ("row", "transitions[s=0, a=1] sums to 1.2, expected 1"),
+    ("nan", "obs_means[s=2, dim=1] is not finite (nan)"),
+    ("cov", "obs_covs[s=1] is not positive definite (min eigenvalue -0.01)"),
+])
+def test_eval_and_train_reject_an_invalid_model_file(tmp_path, capsys, defect, problem):
+    ds = gen_small_dataset(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_defective_model(defect)))
+    # a bare model and a checkpoint holding it alike
+    ckpt = tmp_path / "ck.json"
+    ckpt.write_text(json.dumps({"model": _defective_model(defect)}))
+    for path in (bad, ckpt):
+        out = tmp_path / "out.json"
+        assert run_cli("eval", path, ENV, "--out", out) == 2
+        assert f"error: invalid model: {problem}" in capsys.readouterr().err
+        assert run_cli("train", ds, "--init", "file", "--init-file", path,
+                       "--max-iterations", 3, "--out", out) == 2
+        assert f"error: invalid model: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_eval_report(tmp_path):
     ds = gen_small_dataset(tmp_path, n=6, horizon=8)
     ckpt = tmp_path / "ck.json"

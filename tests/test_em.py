@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from fuzzy_pomdp import em
-from fuzzy_pomdp.model import PomdpModel, Trajectory
+from fuzzy_pomdp.model import CovarianceError, PomdpModel, Trajectory
 from fuzzy_pomdp.em import (
     EmConfig,
     ForwardBackwardError,
@@ -151,7 +151,8 @@ def test_zero_likelihood_names_the_step_and_the_dataset_index():
     m = _pinned_model()
     good, longer, bad = _pinned_traj([0, 0]), _pinned_traj([0, 0, 0]), _pinned_traj([0, 100])
     with pytest.raises(ForwardBackwardError,
-                       match=r"^trajectory 2: zero total observation likelihood at step 1$"):
+                       match=r"^trajectory 2: zero or NaN total observation likelihood "
+                             r"at step 1$"):
         e_step(m, [good, longer, bad])
     with pytest.raises(ForwardBackwardError,
                        match=r"^iteration 0: trajectory 2: .* step 1$") as info:
@@ -166,9 +167,37 @@ def test_zero_likelihood_in_a_later_length_group_names_the_dataset_index():
     dataset = [_pinned_traj([0, 0]), _pinned_traj([0, 0, 100]), _pinned_traj([0, 100, 0]),
                _pinned_traj([0, 0])]
     with pytest.raises(ForwardBackwardError,
-                       match=r"^trajectory 2: zero total observation likelihood at step 1$") as info:
+                       match=r"^trajectory 2: zero or NaN total observation likelihood "
+                             r"at step 1$") as info:
         e_step(m, dataset)
     assert info.value.trajectory == 2
+
+
+def test_nan_likelihood_names_the_dataset_index():
+    # NaN scales compare False against zero; they must fail all the same
+    m = _pinned_model()
+    good, bad = _pinned_traj([0, 0, 0]), _pinned_traj([0, np.nan, 0])
+    with pytest.raises(ForwardBackwardError,
+                       match=r"^trajectory 1: zero or NaN total observation likelihood "
+                             r"at step 1$") as info:
+        e_step(m, [good, bad])
+    assert info.value.trajectory == 1
+    with pytest.raises(ForwardBackwardError, match=r"^iteration 0: trajectory 1: "):
+        run_em([good, bad], m, EmConfig(max_iterations=50))
+
+
+def test_nan_mean_names_the_first_trajectory():
+    m = _pinned_model()
+    nan_mean = PomdpModel(
+        num_states=2, num_actions=1, obs_dim=1, transitions=m.transitions,
+        obs_means=np.array([[np.nan], [100.0]]), obs_covs=m.obs_covs,
+        initial_dist=m.initial_dist,
+    )
+    with pytest.raises(ForwardBackwardError,
+                       match=r"^trajectory 0: zero or NaN total observation likelihood "
+                             r"at step 0$") as info:
+        e_step(nan_mean, [_pinned_traj([0, 0, 0]), _pinned_traj([0, 0, 0])])
+    assert info.value.trajectory == 0
 
 
 def test_run_em_prepares_its_dataset_once(monkeypatch):
@@ -337,6 +366,25 @@ def test_m_step_covariance_matches_two_pass_oracle():
     assert np.array_equal(out.obs_covs[0], out.obs_covs[0].T)
 
 
+def test_m_step_standard_rejects_an_indefinite_covariance():
+    # weight 2, sum 4, second moment 0.5: variance 0.25 - 4 = -3.75, which
+    # no ridge lift repairs; state 1 has no mass and keeps its parameters
+    counts = SufficientCounts(
+        trans=np.ones((2, 1, 2)),
+        obs_weight=np.array([0.0, 2.0]),
+        obs_sum=np.array([[0.0], [4.0]]),
+        obs_outer=np.array([[[0.0]], [[0.5]]]),
+    )
+    prev = PomdpModel(
+        num_states=2, num_actions=1, obs_dim=1,
+        transitions=np.full((2, 1, 2), 0.5),
+        obs_means=np.zeros((2, 1)), obs_covs=np.ones((2, 1, 1)),
+    )
+    with pytest.raises(CovarianceError, match=r"^state 1: covariance is not positive "
+                                              r"semidefinite \(min eigenvalue -3\.750e\+00\)$"):
+        m_step_standard(counts, prev, EmConfig())
+
+
 # ----------------------------------------------------------------- run_em
 
 def test_run_em_loglik_monotone():
@@ -362,6 +410,16 @@ def test_run_em_converged_flag_and_iterations():
     assert res.iterations < 200
     capped = run_em(ds, init, EmConfig(max_iterations=2))
     assert capped.iterations == 2 and not capped.converged
+
+
+def test_run_em_leaves_the_prior_fields_empty():
+    rng = np.random.default_rng(108)
+    truth = random_model(rng, num_states=2)
+    res = run_em(random_dataset(rng, truth, n=3, horizon=6), random_model(rng, num_states=2),
+                 EmConfig(max_iterations=3))
+    assert isinstance(res, em.EmResult)
+    assert res.prior_data_ratios == []
+    assert res.final_matchant is None
 
 
 def test_run_em_rejects_an_empty_dataset():

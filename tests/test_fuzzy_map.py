@@ -484,9 +484,29 @@ def test_m_step_fuzzy_map_rejects_indefinite_blend():
         obs_sum=np.array([[4.0]]),
         obs_outer=np.array([[[0.5]]]),
     )
-    with pytest.raises(CovarianceError):
+    # rejected by regularize_cov, the check plain EM's M-step runs too
+    with pytest.raises(CovarianceError,
+                       match=r"^state 0: covariance is not positive semidefinite"):
         m_step_fuzzy_map(empty, bogus, prev, EmConfig(),
                          FuzzyMapConfig(lambda_t=1.0, lambda_o=1.0))
+
+
+def test_m_step_fuzzy_map_decomposes_each_updated_covariance_once(monkeypatch):
+    # state 2 has no mass, keeps its covariance and is not decomposed
+    rng = np.random.default_rng(14)
+    m = diag_model(rng, num_states=3, num_actions=1, obs_dim=2)
+    counts = SufficientCounts(
+        trans=np.ones((3, 1, 3)),
+        obs_weight=np.array([2.0, 3.0, 0.0]),
+        obs_sum=rng.normal(size=(3, 2)) * [[1.0], [1.0], [0.0]],
+        obs_outer=np.stack([np.eye(2) * 10.0, np.eye(2) * 10.0, np.zeros((2, 2))]),
+    )
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    m_step_fuzzy_map(counts, SufficientCounts.zeros(3, 1, 2), m, EmConfig(),
+                     FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5))
+    assert [np.shape(a) for a in calls] == [(2, 2), (2, 2)]
 
 
 # --------------------------------------------------------------- full loop

@@ -1,18 +1,20 @@
-"""Property tests for the stacked Gaussian algebra, trajectory sampling and
-the JSON file formats.
+"""Property tests for the stacked Gaussian algebra, the covariance gate,
+trajectory sampling and the JSON file formats.
 
 Random models carry up to four states in up to three dims with full SPD
 covariances. The one-state gaussian_log_density call is the reference for
-the stacked one, bit for bit; rng.choice and a vector rng.beta are the
-reference for sample_trajectory, draw for draw; every file format must
-reproduce its input exactly after a trip through JSON text.
+the stacked one, bit for bit; a symmetrize-and-lift followed by a second
+eigenvalue check is the reference for regularize_cov; rng.choice and a
+vector rng.beta are the reference for sample_trajectory, draw for draw;
+every file format must reproduce its input exactly after a trip through
+JSON text.
 """
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuzzy_pomdp.fuzzy import (
@@ -36,6 +38,7 @@ from fuzzy_pomdp.model import (
     model_from_dict,
     model_to_dict,
     per_state_log_density,
+    regularize_cov,
     sample_trajectory,
 )
 
@@ -85,6 +88,42 @@ def test_stack_with_a_non_pd_covariance_names_the_first_bad_state(model, data):
         with pytest.raises(CovarianceError) as stacked:
             call()
         assert str(stacked.value) == want
+
+
+def _lift_then_check(cov, ridge):
+    """The covariance gate as two steps, each with its own eigendecomposition:
+    symmetrize and lift below the ridge, then reject a lifted matrix whose
+    smallest eigenvalue is below -1e-12. Returns (matrix or None, that
+    smallest eigenvalue)."""
+    sym = 0.5 * (cov + cov.T)
+    if ridge > 0.0 and float(np.linalg.eigvalsh(sym).min()) < ridge:
+        sym = sym + ridge * np.eye(cov.shape[0])
+    min_eig = float(np.linalg.eigvalsh(sym).min())
+    return (None if min_eig < -1e-12 else sym), min_eig
+
+
+@st.composite
+def square_matrices(draw):
+    """1-3-dim matrices: arbitrary ones, mostly indefinite, and Gram
+    matrices of possibly deficient rank shifted down by up to 1e-6."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return draw(arrays(float, (dim, dim), elements=_floats(-2.0, 2.0)))
+    factor = draw(arrays(float, (dim, draw(st.integers(1, dim))), elements=_floats(-2.0, 2.0)))
+    shift = draw(st.sampled_from([0.0, 1e-13, 1e-12, 2e-12, 1e-9, 1e-6]))
+    return factor @ factor.T - shift * np.eye(dim)
+
+
+@given(square_matrices(), st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]))
+def test_regularize_cov_is_lift_then_check(cov, ridge):
+    want, min_eig = _lift_then_check(cov, ridge)
+    # one eigendecomposition rounds the lifted eigenvalue differently
+    assume(abs(min_eig + 1e-12) > 1e-14)
+    if want is None:
+        with pytest.raises(CovarianceError, match="not positive semidefinite"):
+            regularize_cov(cov, ridge)
+    else:
+        assert np.array_equal(regularize_cov(cov, ridge), want)
 
 
 def _sample_with_choice(env, policy, horizon, rng, initial_dist=None):
