@@ -23,14 +23,20 @@ summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
 `config.kmeans_clusters: parent only`). Every other CLI artifact is
 compared by content: JSON files as parsed values, CSV files line by line;
-a difference in bytes alone is printed as a note. Prints each difference
-and exits 1 if there is any, 0 otherwise.
+a difference in bytes alone is printed as a note. After the differences,
+one `size:` line per differing file gives how many of its numeric values
+differ and the largest absolute and relative difference among them (JSON
+leaves, CSV cells, whitespace-separated numbers in other text), when both
+versions hold the same number of them, so a rounding-level change shows
+its size. Exits 1 if there is any difference, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -145,26 +151,90 @@ def key_differences(parent, change, path: str = "") -> list[str]:
     return found
 
 
-def compare_file(a: Path, b: Path, name: str) -> tuple[list[str], list[str]]:
-    """(differences, notes) between one file's two versions."""
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _json_numbers(value) -> list[float]:
+    """Numeric leaves of a parsed JSON value in document order; booleans
+    are left out, number-like strings ("inf", "nan") are read as floats."""
+    if isinstance(value, dict):
+        return [x for item in value.values() for x in _json_numbers(item)]
+    if isinstance(value, list):
+        return [x for item in value for x in _json_numbers(item)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [float(value)]
+    if isinstance(value, str):
+        number = _number(value)
+        return [] if number is None else [number]
+    return []
+
+
+def numeric_values(path: Path) -> list[float]:
+    """A file's numbers in order: JSON leaves, CSV cells or, in any other
+    text, whitespace-separated tokens that parse as floats."""
+    text = path.read_text()
+    if path.name == "summary.json":
+        return _json_numbers(_summary(path))
+    if path.suffix == ".json":
+        return _json_numbers(json.loads(text))
+    if path.suffix == ".csv":
+        cells = [cell for row in csv.reader(text.splitlines()) for cell in row]
+    else:
+        cells = text.split()
+    return [x for x in map(_number, cells) if x is not None]
+
+
+def largest_difference(a: Path, b: Path) -> str:
+    """The largest absolute and relative difference between the numeric
+    values of two versions of a file, or why they cannot be paired."""
+    xs, ys = numeric_values(a), numeric_values(b)
+    if len(xs) != len(ys):
+        return f"{len(xs)} numeric values against {len(ys)}: not compared"
+    max_abs = max_rel = 0.0
+    differ = 0
+    for x, y in zip(xs, ys):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        differ += 1
+        gap = abs(x - y)
+        if not math.isfinite(gap):  # an inf or a NaN against another value
+            max_abs = max_rel = math.inf
+            continue
+        max_abs = max(max_abs, gap)
+        max_rel = max(max_rel, gap / max(abs(x), abs(y)))
+    return (f"{differ} of {len(xs)} numeric values differ; largest difference "
+            f"absolute {max_abs:.3g}, relative {max_rel:.3g}")
+
+
+def compare_file(a: Path, b: Path, name: str) -> tuple[list[str], list[str], list[str]]:
+    """(differences, notes, sizes) between one file's two versions; sizes
+    holds the largest numeric difference of a file that differs."""
     if a.name == "summary.json":
-        return [f"{name}: {key}" for key in key_differences(_summary(a), _summary(b))], []
-    if a.read_bytes() == b.read_bytes():
-        return [], []
-    if a.name in REGIME_FILES or a.name.startswith("model_"):
-        return [f"{name}: differs"], []
-    if a.suffix == ".json":
+        found = [f"{name}: {key}" for key in key_differences(_summary(a), _summary(b))]
+    elif a.read_bytes() == b.read_bytes():
+        return [], [], []
+    elif a.name in REGIME_FILES or a.name.startswith("model_"):
+        found = [f"{name}: differs"]
+    elif a.suffix == ".json":
         keys = key_differences(json.loads(a.read_text()), json.loads(b.read_text()))
         found = [f"{name}: {key}" for key in keys]
     else:
         same = a.read_text().splitlines() == b.read_text().splitlines()
         found = [] if same else [f"{name}: lines differ"]
-    return found, [] if found else [f"{name}: same content, different bytes"]
+    if not found:
+        notes = [] if a.name == "summary.json" else [f"{name}: same content, different bytes"]
+        return [], notes, []
+    return found, [], [f"{name}: {largest_difference(a, b)}"]
 
 
-def differences(parent: Path, change: Path) -> tuple[list[str], list[str]]:
-    """Every output file that is missing on one side or differs, and notes."""
-    found, notes = [], []
+def differences(parent: Path, change: Path) -> tuple[list[str], list[str], list[str]]:
+    """Every output file that is missing on one side or differs, notes, and
+    the largest numeric difference of each file that differs."""
+    found, notes, sizes = [], [], []
     files = {p.relative_to(root) for root in (parent, change)
              for p in root.rglob("*") if p.is_file()}
     for rel in sorted(files):
@@ -172,10 +242,11 @@ def differences(parent: Path, change: Path) -> tuple[list[str], list[str]]:
         if not (a.exists() and b.exists()):
             found.append(f"{rel}: written by one tree only")
             continue
-        diff, note = compare_file(a, b, str(rel))
+        diff, note, size = compare_file(a, b, str(rel))
         found += diff
         notes += note
-    return found, notes
+        sizes += size
+    return found, notes, sizes
 
 
 def main(argv=None) -> int:
@@ -187,11 +258,13 @@ def main(argv=None) -> int:
         outs = Path(tmp, "parent"), Path(tmp, "change")
         for tree, out in zip((args.parent, args.change), outs):
             run_tree(tree.resolve(), out)
-        found, notes = differences(*outs)
+        found, notes, sizes = differences(*outs)
     for line in notes:
         print(f"note: {line}")
     for line in found:
         print(line)
+    for line in sizes:
+        print(f"size: {line}")
     total = sum(len(seeds) for seeds in CASES.values())
     print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds, "
           f"{len(CLI_SCRIPT)} CLI commands and the ragged fits; "

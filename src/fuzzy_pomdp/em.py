@@ -1,11 +1,12 @@
 """Standard EM for Gaussian-emission, action-conditioned hidden Markov models.
 
 A fit prepares its dataset once, polish included: observations and actions
-joined in order, and one such preparation per trajectory length. E-step:
-scaled forward-backward, run once per length on the whole group of that
-length, with one stacked Cholesky factorisation of all states' covariances
-for the group's observations; one Posteriors joins the results in dataset
-order and goes straight into the expected counts. M-step: closed-form
+joined in order, their outer products, and one such preparation per
+trajectory length. E-step: scaled forward-backward, run once per length on
+the whole group of that length, scoring the group's observations with the
+model's emission factor (its covariances factored once per model); one
+Posteriors joins the results in dataset order and goes straight into the
+expected counts, each pooled with one matmul. M-step: closed-form
 maximum-likelihood updates from pooled expected counts, which fuzzy-MAP EM
 first blends with its pseudo-counts. The initial state distribution is held
 fixed, never re-estimated. One loop, `_fit`, runs every fit and returns an
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,6 +141,8 @@ class _FitData(tuple):
 
     obs, actions: the observations and actions joined in dataset order.
     starts: (N+1,) offsets of each trajectory's first row in obs.
+    obs_pairs: (sum T, d*d) read-only, each row's observation outer
+    product, flattened; built on first use and kept.
     indices: the trajectories' positions in the dataset a length group was
     taken from. groups: one _FitData per distinct length, in order of first
     appearance; a dataset whose trajectories share one length is its own
@@ -173,6 +177,13 @@ class _FitData(tuple):
     def groups(self) -> tuple["_FitData", ...]:
         return self._groups or (self,)
 
+    @cached_property
+    def obs_pairs(self) -> np.ndarray:
+        obs = self.obs
+        pairs = (obs[:, :, None] * obs[:, None, :]).reshape(len(obs), -1)
+        pairs.flags.writeable = False
+        return pairs
+
     def one_hot(self, num_actions: int) -> np.ndarray:
         """(sum (T-1), num_actions) read-only one-hot encoding of actions,
         built once per action count and kept."""
@@ -194,10 +205,15 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
 
     batch is one Trajectory or a sequence of trajectories of one length;
     either gives one Posteriors, joined in order. The batch's observations
-    are scored in one per_state_log_density call. Emission densities are
-    shifted by their per-step maximum before exponentiation, and messages
-    are renormalized at every step; the log normalizers accumulate into the
-    exact data log-likelihood.
+    are scored in one per_state_log_density call, with the model's emission
+    factor. Emission densities are shifted by their per-step maximum before
+    exponentiation, and messages are renormalized at every step; the log
+    normalizers accumulate into the exact data log-likelihood.
+
+    Each step's transition matrix is weighted once by the emission density
+    it lands on, m[n, t] = trans[n, t] * b[n, t+1]; the forward and the
+    backward pass then take one matmul per step with it, and xi is the
+    outer product of the messages around it.
 
     A density can differ in the last ulp with the number of rows scored
     together, so one trajectory smoothed alone can differ in the last ulp
@@ -212,35 +228,41 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
     b = np.exp(log_b - shift[..., None])
     # trans[n, t] is the (state, next_state) matrix of the action at step t
     trans = model.transitions.transpose(1, 0, 2)[batch.actions.reshape(num, horizon - 1)]
+    m = trans * b[:, 1:, None, :]
 
-    alpha = np.empty((num, horizon, num_states))
-    scale = np.empty((num, horizon))
-    step = model.initial_dist * b[:, 0]
+    # forward messages step by step, each a (num, 1, S) row batch
+    steps = m.transpose(1, 0, 2, 3)
+    step = (model.initial_dist * b[:, 0])[:, None, :]
+    alphas, scales = [], []
     # a trajectory whose likelihood vanishes turns NaN from that step on,
     # without touching the others; it is reported once the pass is done
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(horizon):
             if t:
-                step = (alpha[:, t - 1, None, :] @ trans[:, t - 1])[:, 0] * b[:, t]
-            scale[:, t] = step.sum(axis=1)
-            alpha[:, t] = step / scale[:, t, None]
+                step = alphas[-1] @ steps[t - 1]
+            scales.append(step.sum(axis=2, keepdims=True))
+            alphas.append(step / scales[-1])
+    alpha = np.concatenate(alphas, axis=1)
+    scale = np.concatenate(scales, axis=1)[..., 0]
     # NaN scales (a NaN observation or parameter) fail too
-    failed = ~(scale > 0.0)
-    if failed.any():
+    scored = scale > 0.0
+    if not scored.all():
+        failed = ~scored
         t = int(failed.any(axis=0).argmax())
         raise ForwardBackwardError(
             f"zero or NaN total observation likelihood at step {t}", int(failed[:, t].argmax())
         )
 
-    beta = np.empty((num, horizon, num_states))
+    # beta[n, t] = m[n, t] @ beta[n, t+1] / scale[n, t+1], the scale folded into m
+    m /= scale[:, 1:, None, None]
+    beta = np.empty((num, horizon, num_states, 1))
     beta[:, -1] = 1.0
     for t in range(horizon - 2, -1, -1):
-        ahead = b[:, t + 1] * beta[:, t + 1] / scale[:, t + 1, None]
-        beta[:, t] = (trans[:, t] @ ahead[..., None])[..., 0]
+        np.matmul(m[:, t], beta[:, t + 1], out=beta[:, t])
+    beta = beta[..., 0]
 
     gamma = alpha * beta
-    ahead = b[:, 1:] * beta[:, 1:] / scale[:, 1:, None]
-    xi = alpha[:, :-1, :, None] * trans * ahead[:, :, None, :]
+    xi = alpha[:, :-1, :, None] * m * beta[:, 1:, None, :]
     return Posteriors(
         gamma=gamma.reshape(num * horizon, num_states),
         xi=xi.reshape(num * (horizon - 1), num_states, num_states),
@@ -253,17 +275,21 @@ def accumulate_counts(
     dataset: Sequence[Trajectory], posteriors: Posteriors, num_actions: int
 ) -> SufficientCounts:
     """Pool the dataset's posteriors, as e_step returns them, into sufficient
-    counts. Transition counts go through a one-hot encoding of the actions.
+    counts, one matmul each: transition counts against a one-hot encoding of
+    the actions, observation outer products as gamma.T @ obs_pairs, the
+    prepared data's flattened per-row outer products.
     """
     data = _prepared(dataset)
     if len(data) != len(posteriors):
         raise ValueError("dataset and posteriors must be parallel lists")
     gamma, xi = posteriors.gamma, posteriors.xi
+    num_states, obs_dim = gamma.shape[1], data.obs.shape[1]
+    trans = data.one_hot(num_actions).T @ xi.reshape(len(xi), num_states * num_states)
     return SufficientCounts(
-        trans=np.einsum("ma,msk->sak", data.one_hot(num_actions), xi),
+        trans=trans.reshape(num_actions, num_states, num_states).transpose(1, 0, 2),
         obs_weight=gamma.sum(axis=0),
         obs_sum=gamma.T @ data.obs,
-        obs_outer=np.einsum("ts,td,te->sde", gamma, data.obs, data.obs),
+        obs_outer=(gamma.T @ data.obs_pairs).reshape(num_states, obs_dim, obs_dim),
     )
 
 

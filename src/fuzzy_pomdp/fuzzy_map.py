@@ -25,8 +25,7 @@ from .em import EmConfig, EmResult, SufficientCounts, _fit, _mstep_from_counts, 
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
-from .model import (PomdpModel, Trajectory, cholesky_factor, per_state_log_density,
-                    sample_gaussian)
+from .model import PomdpModel, Trajectory, per_state_log_density, sample_gaussian
 from .rngs import derive_rng
 
 log = logging.getLogger(__name__)
@@ -105,10 +104,11 @@ def matchant_matrix(
     for every state at once. Other rules fall back to the Monte-Carlo
     match_antecedent, cell by cell, with its draws. Action-gated cells are
     exactly 0 and empty antecedents exactly 1. The covariances are checked
-    with one stacked Cholesky factorisation; one that is not positive
-    definite raises CovarianceError naming its state.
+    by building the model's emission factor, which the E-step and
+    compute_from_matchant then reuse; a covariance that is not finite and
+    positive definite raises CovarianceError naming its state.
     """
-    cholesky_factor(model.obs_covs)
+    model.emission_factor  # built here, or CovarianceError
     tables = fuzzy.tables
     strength = np.ones((model.num_states, len(fuzzy.rules)))
     for group in tables.gaussian_groups:
@@ -129,7 +129,9 @@ def _expectation_table(model: PomdpModel, fuzzy: FuzzyModel) -> np.ndarray:
     a Gaussian is the map applied to the mean.
     """
     inputs = np.hstack([np.ones((model.num_states, 1)), model.obs_means])  # (S, d+1)
-    return np.einsum("rde,se->srd", fuzzy.tables.consequents, inputs)
+    consequents = fuzzy.tables.consequents  # (R, d, d+1)
+    return (inputs @ consequents.reshape(-1, consequents.shape[2]).T).reshape(
+        model.num_states, *consequents.shape[:2])
 
 
 def _likelihood_table(model: PomdpModel, y_star: np.ndarray) -> np.ndarray:
@@ -149,18 +151,24 @@ def compute_from_matchant(
     expected consequent under landing state s'. Observation counts: rule
     r's expected consequent is credited to landing state s' with weight
     sum_a T(s, a, s') * matchant(s, a, r), summed over source states,
-    actions and rules.
+    actions and rules; the outer products are pooled with one matmul over
+    the (S*R) rows of (source state, rule). The likelihoods use the model's
+    emission factor.
     """
     if len(fuzzy.rules) == 0:
         return SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
     y_star = _expectation_table(model, fuzzy)
     likelihood = _likelihood_table(model, y_star)
-    weight = np.einsum("sat,sar->srt", model.transitions, matchant)
+    weight = matchant.transpose(0, 2, 1) @ model.transitions  # (S, R, S')
+    # one row per (source state, rule), so each count is one matmul
+    rows = weight.reshape(-1, model.num_states).T  # (S', S*R)
+    obs_dim = model.obs_dim
+    pairs = (y_star[..., :, None] * y_star[..., None, :]).reshape(-1, obs_dim * obs_dim)
     return SufficientCounts(
-        trans=np.einsum("sar,srt->sat", matchant, likelihood),
+        trans=matchant @ likelihood,
         obs_weight=weight.sum(axis=(0, 1)),
-        obs_sum=np.einsum("srt,srd->td", weight, y_star),
-        obs_outer=np.einsum("srt,srd,sre->tde", weight, y_star, y_star),
+        obs_sum=rows @ y_star.reshape(-1, obs_dim),
+        obs_outer=(rows @ pairs).reshape(-1, obs_dim, obs_dim),
     )
 
 

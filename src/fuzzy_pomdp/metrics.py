@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betaln, xlog1py, xlogy
 
-from .model import GroundTruthEnv, PomdpModel, gaussian_log_density
+from .model import GroundTruthEnv, PomdpModel, gaussian_log_density, per_state_log_density
 
 log = logging.getLogger(__name__)
 
@@ -130,9 +130,10 @@ def kl_observation(
 
 def _kl_matrix(truth: GroundTruthEnv, learned: PomdpModel, nodes: int) -> np.ndarray:
     """cost[i, j] = KL(truth state i || learned state j), each state's log
-    density evaluated on the grid once."""
+    density evaluated on the grid once, with the learned model's emission
+    factor."""
     points, weights = quadrature_grid(truth.obs_dim, nodes)
-    logq = gaussian_log_density(points, learned.obs_means, learned.obs_covs)  # (S, n)
+    logq = per_state_log_density(learned, points).T  # (S, n)
     logp = [beta_product_log_density(points, params) for params in truth.beta_params]
     return np.array([[kl_quadrature(p, q, weights) for q in logq] for p in logp])
 

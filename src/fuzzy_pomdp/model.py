@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ DEFAULT_COV_RIDGE = 1e-6
 STOCHASTIC_ATOL = 1e-9
 # numpy Generator.choice's tolerance on the sum of its probability vector
 _CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
+_LOG_2PI = np.log(2.0 * np.pi)
 
 # Policy: callable (time_step, rng) -> action index.
 Policy = Callable[[int, np.random.Generator], int]
@@ -95,6 +96,15 @@ class PomdpModel:
         _set(self, "obs_covs", covs)
         _set(self, "initial_dist", init)
         _set(self, "state_labels", labels)
+
+    @cached_property
+    def emission_factor(self) -> "EmissionFactor":
+        """The covariances' read-only EmissionFactor, built on first use and
+        kept: every density the model scores (E-step, pseudo-count
+        likelihoods, evaluation) reuses it. A covariance that is not finite
+        and positive definite raises CovarianceError naming its state, on
+        every access."""
+        return _emission_factor(self.obs_covs)
 
 
 @dataclass(frozen=True)
@@ -228,11 +238,13 @@ def regularize_cov(cov: np.ndarray, ridge: float = DEFAULT_COV_RIDGE) -> np.ndar
     parameter updates stay exact maximizers (an unconditional ridge makes
     the fitted likelihood creep downward near convergence). The guard kicks
     in below a smallest eigenvalue of `ridge`, where tiny datasets would
-    otherwise produce singular matrices. A lifted smallest eigenvalue still
-    below -1e-12 (a second moment short of the squared mean) raises
-    CovarianceError.
+    otherwise produce singular matrices. A NaN or infinite entry, or a
+    lifted smallest eigenvalue still below -1e-12 (a second moment short of
+    the squared mean), raises CovarianceError.
     """
     cov = np.asarray(cov, dtype=float)
+    if not _all_finite(cov):
+        raise CovarianceError(f"covariance is not finite: {cov.tolist()}")
     sym = 0.5 * (cov + cov.T)
     min_eig = float(np.linalg.eigvalsh(sym).min())
     if ridge > 0.0 and min_eig < ridge:
@@ -245,25 +257,51 @@ def regularize_cov(cov: np.ndarray, ridge: float = DEFAULT_COV_RIDGE) -> np.ndar
     return sym
 
 
-def gaussian_log_density(obs, mean, cov) -> float | np.ndarray:
+class EmissionFactor(NamedTuple):
+    """One covariance, or an (S, d, d) stack, factored for density scoring.
+
+    inv_chol_t is the transposed inverse of each lower Cholesky factor, so
+    z = (x - mean) @ inv_chol_t whitens x and |z|^2 is its Mahalanobis
+    distance; log_norm is d log(2 pi) + log det cov, one value per state of
+    a stack. Both arrays are read-only.
+    """
+
+    inv_chol_t: np.ndarray
+    log_norm: np.ndarray
+
+
+def _emission_factor(cov) -> EmissionFactor:
+    """Factor one (d, d) covariance or an (S, d, d) stack for
+    gaussian_log_density; a failure raises cholesky_factor's CovarianceError."""
+    chol = cholesky_factor(cov)
+    inv_chol_t = np.ascontiguousarray(np.swapaxes(np.linalg.inv(chol), -1, -2))
+    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    log_norm = np.asarray(chol.shape[-1] * _LOG_2PI + log_det)
+    inv_chol_t.flags.writeable = False
+    log_norm.flags.writeable = False
+    return EmissionFactor(inv_chol_t, log_norm)
+
+
+def gaussian_log_density(obs, mean, cov, factor: EmissionFactor | None = None):
     """log N(obs; mean, cov) for one point (d,) or a batch (n, d).
 
     One density: mean (d,) and cov (d, d) give a float for one point and an
     (n,) array for a batch. Stacked densities: means (S, d) and covariances
-    (S, d, d) are factored in one call and give every state's values with a
-    leading state axis, (S,) or (S, n). Each cov must be symmetric positive
-    definite; a Cholesky failure raises CovarianceError, which names the
-    first failing state of a stack. Finite for any finite obs.
+    (S, d, d) give every state's values with a leading state axis, (S,) or
+    (S, n). The covariances are factored once, by _emission_factor, unless
+    `factor` brings their factor already built; either way every point is
+    whitened as z = (obs - mean) @ inv_chol_t and scored as
+    -(log_norm + |z|^2) / 2. Each cov must be symmetric positive definite;
+    a failure raises CovarianceError, which names the first failing state
+    of a stack. Finite for any finite obs.
     """
     mean = np.asarray(mean, dtype=float)
     obs = np.asarray(obs, dtype=float)
-    d = mean.shape[-1]
-    chol = cholesky_factor(cov)
-    diff = np.atleast_2d(obs) - mean[..., None, :]
-    z = np.linalg.solve(chol, np.swapaxes(diff, -1, -2))
-    maha = np.sum(z * z, axis=-2)
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    out = -0.5 * (d * np.log(2.0 * np.pi) + log_det[..., None] + maha)
+    inv_chol_t, log_norm = _emission_factor(cov) if factor is None else factor
+    z = ((obs[None] if obs.ndim == 1 else obs) - mean[..., None, :]) @ inv_chol_t
+    out = np.einsum("...d,...d->...", z, z)
+    out += log_norm[..., None]
+    out *= -0.5
     if obs.ndim == 1:
         out = out[..., 0]
         return float(out) if out.ndim == 0 else out
@@ -273,34 +311,46 @@ def gaussian_log_density(obs, mean, cov) -> float | np.ndarray:
 def per_state_log_density(model: PomdpModel, obs) -> np.ndarray:
     """Log observation densities under every state, shape (n, S) or (S,).
 
-    One stacked gaussian_log_density call over the states; a covariance
-    failure names the offending state.
+    gaussian_log_density with the model's own emission_factor, so a model
+    is factored once however often it is scored, and bit for bit the
+    stacked gaussian_log_density on its means and covariances, transposed.
     """
     return np.ascontiguousarray(
-        gaussian_log_density(obs, model.obs_means, model.obs_covs).T
+        gaussian_log_density(obs, model.obs_means, model.obs_covs, model.emission_factor).T
     )
 
 
 def cholesky_factor(cov) -> np.ndarray:
     """Lower Cholesky factor of one (d, d) covariance or an (S, d, d) stack.
 
-    A failure raises CovarianceError; for a stack the message names the
-    first state whose covariance is not positive definite.
+    A covariance with a NaN or infinite entry, or one that is not positive
+    definite, raises CovarianceError; for a stack the message names the
+    first such state.
     """
     cov = np.asarray(cov, dtype=float)
     try:
+        if not _all_finite(cov):
+            raise np.linalg.LinAlgError("covariance is not finite")
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         bad, prefix = cov, ""
         if cov.ndim == 3:
             state = next(s for s, mat in enumerate(cov) if not _factorable(mat))
             bad, prefix = cov[state], f"state {state}: "
+        problem = "positive definite" if _all_finite(bad) else "finite"
         raise CovarianceError(
-            f"{prefix}covariance is not positive definite: {bad.tolist()}"
+            f"{prefix}covariance is not {problem}: {bad.tolist()}"
         ) from exc
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    # a few entries: cheaper in Python floats than as np.isfinite(...).all()
+    return all(map(math.isfinite, values.ravel().tolist()))
+
+
 def _factorable(cov: np.ndarray) -> bool:
+    if not _all_finite(cov):
+        return False
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -7,6 +7,7 @@ E-step splits them into several equal-length batches. The brute-force
 enumeration of test_em is the reference for the posteriors.
 """
 import logging
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 from fuzzy_pomdp.em import (EmConfig, SufficientCounts, _mstep_from_counts, accumulate_counts,
                             e_step, forward_backward, run_em)
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
+from fuzzy_pomdp import model as model_module
 from fuzzy_pomdp.model import PomdpModel, Trajectory, regularize_cov
 
 from conftest import random_fuzzy
@@ -99,7 +101,9 @@ def test_accumulated_counts_conserve_mass(case):
 def pooled_counts_oracle(model, dataset):
     """The E-step and count pooling written out: smoothing per length group,
     posteriors placed in dataset order, then joined along time and pooled
-    with the three einsums.
+    as accumulate_counts pools them, one matmul per count: the transitions
+    against the actions' one-hot rows, the outer products against each
+    row's flattened observation outer product.
 
     Each group is smoothed as one batch, as e_step does: scoring a batch of
     one can differ in the last ulp from scoring the whole group, because
@@ -114,13 +118,20 @@ def pooled_counts_oracle(model, dataset):
     xi = np.concatenate([post.xi for post in posts])
     obs = np.concatenate([traj.observations for traj in dataset])
     actions = np.concatenate([traj.actions for traj in dataset])
+    num_states, num_actions = model.num_states, model.num_actions
+    trans = np.eye(num_actions)[actions].T @ xi.reshape(len(xi), num_states * num_states)
     counts = SufficientCounts(
-        trans=np.einsum("ma,msk->sak", np.eye(model.num_actions)[actions], xi),
+        trans=trans.reshape(num_actions, num_states, num_states).transpose(1, 0, 2),
         obs_weight=gamma.sum(axis=0),
         obs_sum=gamma.T @ obs,
-        obs_outer=np.einsum("ts,td,te->sde", gamma, obs, obs),
+        obs_outer=(gamma.T @ _outer_rows(obs)).reshape(-1, obs.shape[1], obs.shape[1]),
     )
     return posts, counts, sum(post.log_likelihood for post in posts)
+
+
+def _outer_rows(obs):
+    """(n, d*d): each row's observation outer product, flattened."""
+    return np.stack([np.outer(row, row).ravel() for row in obs])
 
 
 # up to 12 trajectories: from 8 values on, np.sum adds in a different
@@ -139,6 +150,25 @@ def test_pooled_e_step_and_counts_equal_the_oracle_bit_for_bit(case):
         assert post.log_likelihood == want.log_likelihood
     for name in ("trans", "obs_weight", "obs_sum", "obs_outer"):
         assert np.array_equal(getattr(counts, name), getattr(want_counts, name)), name
+
+
+@given(cases(max_len=6, max_count=12))
+def test_matmul_pooled_counts_equal_the_einsums_they_replaced(case):
+    # accumulate_counts pooled transitions with einsum("ma,msk->sak") and
+    # outer products with einsum("ts,td,te->sde") until one matmul per count
+    # replaced them; the two round differently, by a few ulps of the largest
+    # term, so each count is held to 1e-14 of its sum of absolute terms
+    model, dataset = case
+    posts, _ = e_step(model, dataset)
+    counts = accumulate_counts(dataset, posts, model.num_actions)
+    obs = np.concatenate([traj.observations for traj in dataset])
+    actions = np.concatenate([traj.actions for traj in dataset])
+    one_hot = np.eye(model.num_actions)[actions]
+    trans = np.einsum("ma,msk->sak", one_hot, posts.xi)
+    assert np.all(np.abs(counts.trans - trans) <= 1e-14 * trans)
+    outer = np.einsum("ts,td,te->sde", posts.gamma, obs, obs)
+    scale = np.einsum("ts,td,te->sde", posts.gamma, np.abs(obs), np.abs(obs))
+    assert np.all(np.abs(counts.obs_outer - outer) <= 1e-14 * scale)
 
 
 @st.composite
@@ -177,6 +207,22 @@ def test_zero_lambda_fuzzy_map_is_plain_em(case):
     mapped = run_fuzzy_map_em(dataset, model, fuzzy, config, FuzzyMapConfig())
     assert_same_fit(mapped, run_em(dataset, model, config))
     assert mapped.final_matchant is None
+
+
+@given(sampled_cases(), st.integers(1, 8), st.integers(0, 2))
+def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish):
+    # k M-steps score k+1 models: the init and each M-step's result, each
+    # factored once for its E-step, its matchant_matrix and its pseudo-counts
+    # (a rule base of Gaussian clauses under the product t-norm draws nothing)
+    model, dataset = case
+    fuzzy = random_fuzzy(np.random.default_rng(1), obs_dim=model.obs_dim,
+                         num_actions=model.num_actions)
+    config = FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5, final_standard_em_iterations=polish)
+    with mock.patch.object(model_module, "cholesky_factor",
+                           wraps=model_module.cholesky_factor) as factor:
+        fit = run_fuzzy_map_em(dataset, model, fuzzy, EmConfig(max_iterations=max_iterations),
+                               config)
+    assert factor.call_count == fit.iterations + 1
 
 
 def mstep_oracle(counts, prev, ridge):

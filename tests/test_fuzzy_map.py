@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fuzzy_pomdp.model import CovarianceError, PomdpModel, Trajectory, gaussian_log_density
+from fuzzy_pomdp.model import (CovarianceError, PomdpModel, Trajectory, gaussian_log_density,
+                               model_from_dict, model_to_dict)
 from fuzzy_pomdp.em import EmConfig, SufficientCounts, m_step_standard, run_em
 from fuzzy_pomdp.fuzzy_map import (
     FuzzyMapConfig,
@@ -216,6 +217,18 @@ def test_matchant_matrix_rejects_non_positive_definite_covariance():
                     obs_dim=2)
     with pytest.raises(CovarianceError):
         matchant_matrix(bad, fz, FuzzyMapConfig())
+
+
+def test_matchant_matrix_rejects_a_nan_covariance_read_from_a_file():
+    # the closed form and the cholesky factor of a NaN matrix come out as
+    # NaN without an error; the model's emission factor is the check
+    data = model_to_dict(diag_model(np.random.default_rng(19)))
+    data["obs_covs"][1][0][0] = "nan"  # as write_json stores a NaN
+    fz = make_fuzzy([constant_rule((0.0, 0.0), 2,
+                                   clauses=(gauss_clause(0, 0.1, 0.4),))],
+                    obs_dim=2)
+    with pytest.raises(CovarianceError, match=r"^state 1: covariance is not finite"):
+        matchant_matrix(model_from_dict(data), fz, FuzzyMapConfig())
 
 
 # ------------------------------------------------------- rule consequents

@@ -11,6 +11,7 @@ from fuzzy_pomdp.model import (
     GroundTruthEnv,
     PomdpModel,
     Trajectory,
+    cholesky_factor,
     dataset_from_list,
     dataset_to_list,
     env_from_dict,
@@ -310,6 +311,28 @@ def test_regularize_cov_symmetrizes_and_lifts():
     lifted = regularize_cov(singular, ridge=1e-6)
     assert np.linalg.eigvalsh(lifted).min() > 0
     assert abs(lifted[0, 0] - (1.0 + 1e-6)) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_covariance_is_rejected(bad):
+    cov = np.array([[bad, 0.0], [0.0, 1.0]])
+    # a NaN factors without a LAPACK error and an eigenvalue solver may
+    # return finite values for it, so both gates test finiteness first
+    for call in (cholesky_factor, regularize_cov):
+        with pytest.raises(CovarianceError, match=r"^covariance is not finite"):
+            call(cov)
+    stack = np.stack([np.eye(2), cov, -np.eye(2)])
+    with pytest.raises(CovarianceError, match=r"^state 1: covariance is not finite"):
+        cholesky_factor(stack)
+
+
+def test_nan_covariance_model_from_a_file_fails_on_its_emission_factor(rng0):
+    data = model_to_dict(random_model(rng0, num_states=3))
+    data["obs_covs"][2][1][1] = "nan"  # as write_json stores a NaN
+    model = model_from_dict(data)
+    for _ in range(2):  # a failed factor is not kept
+        with pytest.raises(CovarianceError, match=r"^state 2: covariance is not finite"):
+            model.emission_factor
 
 
 # ------------------------------------------------------------ serialization
