@@ -14,8 +14,10 @@ In one fresh process per tree, against the package under that tree's
 - fits plain EM and fuzzy-MAP EM (bundled expert rules, low_data's lambdas
   and iteration cap, three polish iterations) from one random init on a
   fixed ragged dataset (RAGGED_LENGTHS), the only case whose E-step splits
-  the data into several length groups, and writes each fit's model and
-  loglik_trace to ragged/model_<algorithm>.json.
+  the data into several length groups, plus a short fuzzy-MAP fit of the
+  same rules under the minimum t-norm, the only case that matches every
+  rule by Monte Carlo; and writes each fit's model and loglik_trace to
+  ragged/model_<algorithm>.json.
 
 Regime outputs, the sweep's per-cell ones included, and the ragged fits
 are compared byte for byte: runs.csv, every model_*.json and mg_table.txt.
@@ -70,7 +72,7 @@ RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
 REGIME_FILES = ("runs.csv", "mg_table.txt")
 
 RUNNER = """
-import contextlib, io, json, os, shutil, sys
+import contextlib, dataclasses, io, json, os, shutil, sys
 from pathlib import Path
 from fuzzy_pomdp import cli
 from fuzzy_pomdp.em import EmConfig, run_em
@@ -92,8 +94,12 @@ em_config = EmConfig(max_iterations=low.max_iterations)
 map_config = FuzzyMapConfig(lambda_t=low.lambda_t, lambda_o=low.lambda_o,
                             final_standard_em_iterations=3)
 rules = load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
+minimum = dataclasses.replace(rules, tnorm="minimum")
+mc_config = FuzzyMapConfig(lambda_t=low.lambda_t, lambda_o=low.lambda_o, matchant_samples=50)
 fits = {"em": run_em(dataset, init, em_config),
-        "fuzzy_map": run_fuzzy_map_em(dataset, init, rules, em_config, map_config)}
+        "fuzzy_map": run_fuzzy_map_em(dataset, init, rules, em_config, map_config),
+        "fuzzy_map_minimum": run_fuzzy_map_em(dataset, init, minimum,
+                                              EmConfig(max_iterations=5), mc_config)}
 for name, fit in fits.items():
     write_json(dict(model_to_dict(fit.model), loglik_trace=list(fit.loglik_trace)),
                f"{out}/ragged/model_{name}.json")

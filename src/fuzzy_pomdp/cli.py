@@ -22,7 +22,7 @@ import numpy as np
 
 from .em import EmConfig, run_em
 from .fuzzy import load_fuzzy_model
-from .fuzzy_map import FuzzyMapConfig, _check_obs_dim, run_fuzzy_map_em
+from .fuzzy_map import FuzzyMapConfig, _check_rule_base, run_fuzzy_map_em
 from .harness import (add_noise, generate_fuzzy_trajectories, kl_columns, kmeans_init,
                       random_init, regime_config, run_regime, write_runs_csv)
 from .metrics import evaluate_model
@@ -129,9 +129,10 @@ def _check_dataset(dataset, num_actions: int, obs_dim: int) -> None:
         raise UsageError("invalid dataset: " + "; ".join(problems))
 
 
-def _build_init(args, dataset):
+def _build_init(args, dataset, min_actions: int = 1):
     """The fit's initial model, after checking the dataset against the
-    action count and obs_dim that model has."""
+    action count and obs_dim that model has. Without --actions or an init
+    file, the action count is the dataset's, raised to min_actions."""
     if args.init == "file":
         if not args.init_file:
             raise UsageError("--init file requires --init-file")
@@ -146,7 +147,7 @@ def _build_init(args, dataset):
     num_states = DEFAULT_STATES if args.states is None else args.states
     num_actions = args.actions
     if num_actions is None:
-        num_actions = max((int(a) for t in dataset for a in t.actions), default=0) + 1
+        num_actions = max([min_actions, *(int(a) + 1 for t in dataset for a in t.actions)])
     _check_dataset(dataset, num_actions, dataset[0].obs_dim)
     if args.init == "kmeans":
         return kmeans_init(dataset, num_states, num_actions, derive_rng(args.seed, "kmeans"))
@@ -159,7 +160,9 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset)
     if not dataset:
         raise UsageError("dataset is empty")
-    init = _build_init(args, dataset)
+    # a fuzzy-map init has an action for every action the rule base has
+    fuzzy = load_fuzzy_model(args.fuzzy_model) if args.algo == "fuzzy-map" else None
+    init = _build_init(args, dataset, 1 if fuzzy is None else fuzzy.num_actions)
     uniform = np.full_like(init.transitions, 1.0 / init.num_states)
     em_config = EmConfig(max_iterations=args.max_iterations,
                          loglik_tolerance=args.tolerance)
@@ -176,10 +179,9 @@ def cmd_train(args) -> int:
             "transitions_uniform": bool(np.allclose(init.transitions, uniform)),
         },
     }
-    if args.algo == "fuzzy-map":
-        fuzzy = load_fuzzy_model(args.fuzzy_model)
+    if fuzzy is not None:
         try:
-            _check_obs_dim(fuzzy, init)
+            _check_rule_base(fuzzy, init)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         map_config = FuzzyMapConfig(

@@ -298,37 +298,37 @@ def _mstep_from_counts(
 ) -> PomdpModel:
     """Closed-form parameter updates from (possibly blended) counts.
 
-    Zero-mass transition rows fall back to uniform; zero-mass states keep
-    their previous observation parameters. Both fallbacks are logged. A
-    covariance regularize_cov rejects raises CovarianceError naming its state.
+    Every transition row and every state's moments are divided directly;
+    then, and only where they fire, the fallbacks overwrite them: a row
+    without transition mass becomes uniform, and a state without
+    observation mass keeps its previous mean and covariance. Both fallbacks
+    are logged. A covariance regularize_cov rejects raises CovarianceError
+    naming its state.
     """
     num_states = prev.num_states
     row_mass = counts.trans.sum(axis=2)
-    has_mass = row_mass > 0.0
+    weight = counts.obs_weight
+    has_mass, live = row_mass > 0.0, weight > 0.0
+    # a row or state without mass divides 0 by 0 here and is overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        transitions = counts.trans / row_mass[..., None]
+        means = counts.obs_sum / weight[:, None]
+        covs = counts.obs_outer / weight[:, None, None] - means[:, :, None] * means[:, None, :]
     if not has_mass.all():
         for s, a in np.argwhere(~has_mass):
             log.debug("no transition mass for state %d action %d; using uniform", s, a)
-    transitions = np.divide(
-        counts.trans,
-        row_mass[..., None],
-        out=np.full(counts.trans.shape, 1.0 / num_states),
-        where=has_mass[..., None],
-    )
-
-    live = counts.obs_weight > 0.0
-    weight = np.where(live, counts.obs_weight, 1.0)
-    mu = counts.obs_sum / weight[:, None]
-    raw = counts.obs_outer / weight[:, None, None] - mu[:, :, None] * mu[:, None, :]
-    means = np.where(live[:, None], mu, prev.obs_means)
-    covs = prev.obs_covs.copy()
-    for s in np.flatnonzero(live):
-        try:
-            covs[s] = regularize_cov(raw[s], ridge)
-        except CovarianceError as err:
-            raise CovarianceError(f"state {s}: {err}") from None
+            transitions[s, a] = 1.0 / num_states
+    for s, alive in enumerate(live.tolist()):
+        if alive:
+            try:
+                covs[s] = regularize_cov(covs[s], ridge)
+            except CovarianceError as err:
+                raise CovarianceError(f"state {s}: {err}") from None
     if not live.all():
         for s in np.flatnonzero(~live):
             log.debug("no observation mass for state %d; keeping previous parameters", s)
+            means[s] = prev.obs_means[s]
+            covs[s] = prev.obs_covs[s]
     return PomdpModel(
         num_states=num_states,
         num_actions=prev.num_actions,

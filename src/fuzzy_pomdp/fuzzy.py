@@ -141,14 +141,17 @@ class FuzzyVariable:
 class GaussianGroup:
     """Rules whose clauses are all Gaussian, on the same dims in the same order.
 
-    rules holds the G rule indices and dims the k clause dims; centers and
-    variances are (G, k), one row per rule and one column per clause dim.
-    variance_diagonals (G, k, k) holds each rule's variances as a diagonal
-    matrix and variance_products (G,) their product.
+    rules holds the G rule indices and dims the k clause dims. Rules that
+    share their clauses' centers and widths share one antecedent: centers
+    and variances are (U, k), one row per distinct antecedent in order of
+    first appearance and one column per clause dim, and antecedents (G,)
+    gives each rule's row. variance_diagonals (U, k, k) holds each row's
+    variances as a diagonal matrix and variance_products (U,) their product.
     """
 
     rules: np.ndarray
     dims: np.ndarray
+    antecedents: np.ndarray
     centers: np.ndarray
     variances: np.ndarray
     variance_diagonals: np.ndarray
@@ -160,7 +163,8 @@ class RuleTables:
     """A rule base in read-only array form, built once per FuzzyModel.
 
     gaussian_groups: the rules with a closed-form expected firing strength
-    (all clauses Gaussian, product t-norm), grouped by clause-dim tuple.
+    (all clauses Gaussian, product t-norm), grouped by clause-dim tuple,
+    each group's distinct antecedents stored once.
     mc_rules: the other rules with a non-empty antecedent, matched by
     Monte Carlo. actions[r]: rule r's action selector, -1 when the rule is
     active for every action. consequents: the (R, d, d+1) stacked affine
@@ -232,10 +236,18 @@ class FuzzyModel:
         groups = []
         for dims, rules in members.items():
             params = np.array([[c.term.params for c in self.rules[r].clauses] for r in rules])
-            variances = _frozen_array(params[..., 1] ** 2)
+            # a rule's antecedent is the row of its centers and variances; keyed
+            # by the row's bytes, so only bit-equal rows share one
+            rows = np.stack([params[..., 0], params[..., 1] ** 2], axis=1)  # (G, 2, k)
+            distinct: dict[bytes, int] = {}
+            index = [distinct.setdefault(row.tobytes(), len(distinct)) for row in rows]
+            # each distinct row, taken from the first rule that has it: (U, 2, k)
+            unique = rows[[index.index(u) for u in range(len(distinct))]]
+            variances = _frozen_array(unique[:, 1])
             groups.append(GaussianGroup(
                 rules=_frozen_array(rules, int), dims=_frozen_array(dims, int),
-                centers=_frozen_array(params[..., 0]), variances=variances,
+                antecedents=_frozen_array(index, int),
+                centers=_frozen_array(unique[:, 0]), variances=variances,
                 variance_diagonals=_frozen_array(variances[:, :, None] * np.eye(len(dims))),
                 variance_products=_frozen_array(variances.prod(axis=1)),
             ))

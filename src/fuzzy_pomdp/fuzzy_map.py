@@ -25,7 +25,7 @@ from .em import EmConfig, EmResult, SufficientCounts, _fit, _mstep_from_counts, 
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
-from .model import PomdpModel, Trajectory, per_state_log_density, sample_gaussian
+from .model import PomdpModel, Trajectory, per_state_log_density
 from .rngs import derive_rng
 
 log = logging.getLogger(__name__)
@@ -62,10 +62,13 @@ def match_antecedent(
 
     Averages the firing strength over `matchant_samples` draws from the
     state's Gaussian, seeded per (seed, state, action, rule, iteration),
-    whatever the membership shapes and t-norm. A crisp action mismatch
-    returns exactly 0; an empty antecedent exactly 1. matchant_matrix uses
-    it for the cells that have no closed form and is checked against it
-    for the rest.
+    whatever the membership shapes and t-norm. The draws use the lower
+    Cholesky factor the model's emission factor keeps, so matching factors
+    no covariance of its own; a covariance that is not finite and positive
+    definite raises CovarianceError naming its state. A crisp action
+    mismatch returns exactly 0; an empty antecedent exactly 1.
+    matchant_matrix uses it for the cells that have no closed form and is
+    checked against it for the rest.
     """
     rule = fuzzy.rules[rule_index]
     if rule.action is not None and rule.action != action:
@@ -73,9 +76,9 @@ def match_antecedent(
     if not rule.clauses:
         return 1.0
     rng = derive_rng(config.seed, "matchant", state, action, rule_index, iteration)
-    samples = sample_gaussian(
-        model.obs_means[state], model.obs_covs[state], config.matchant_samples, rng
-    )
+    mean = model.obs_means[state]
+    z = rng.standard_normal((config.matchant_samples, mean.shape[0]))
+    samples = mean + z @ model.emission_factor.chol[state].T
     return float(antecedent_strengths(rule, samples, fuzzy.tnorm).mean())
 
 
@@ -85,13 +88,18 @@ def _gaussian_match(model: PomdpModel, group: GaussianGroup) -> np.ndarray:
     With D = diag(sigma_J^2) over the group's clause dims J and
     d = mu_J - c, the integral of a rule's membership against N(mu, Sigma)
     is sqrt(det D / det(D + Sigma_JJ)) * exp(-d^T (D + Sigma_JJ)^-1 d / 2).
+    Rules sharing an antecedent share that matrix, so solve and det run on
+    the (S, U, k, k) stack of distinct antecedents, and each rule's column
+    is gathered from its antecedent's; a rule gets the bits its own matrix
+    would give, as each matrix still goes through one LAPACK call.
     """
     dims = group.dims
     cov = model.obs_covs[:, dims][:, :, dims]  # (S, k, k)
-    mat = cov[:, None] + group.variance_diagonals[None]  # (S, G, k, k)
-    diff = model.obs_means[:, None, dims] - group.centers[None]  # (S, G, k)
+    mat = cov[:, None] + group.variance_diagonals[None]  # (S, U, k, k)
+    diff = model.obs_means[:, None, dims] - group.centers[None]  # (S, U, k)
     quad = np.einsum("sgk,sgk->sg", diff, np.linalg.solve(mat, diff[..., None])[..., 0])
-    return np.sqrt(group.variance_products / np.linalg.det(mat)) * np.exp(-0.5 * quad)
+    strength = np.sqrt(group.variance_products / np.linalg.det(mat)) * np.exp(-0.5 * quad)
+    return strength[:, group.antecedents]
 
 
 def matchant_matrix(
@@ -101,10 +109,12 @@ def matchant_matrix(
 
     Exact for rules whose clauses are all Gaussian under the product t-norm:
     each group of rules sharing a clause-dim tuple (fuzzy.tables) is solved
-    for every state at once. Other rules fall back to the Monte-Carlo
-    match_antecedent, cell by cell, with its draws. Action-gated cells are
-    exactly 0 and empty antecedents exactly 1. The covariances are checked
-    by building the model's emission factor, which the E-step and
+    for every state at once, one matrix per state and distinct antecedent,
+    so rules with equal clauses cost one solve. Other rules fall back to
+    the Monte-Carlo match_antecedent, cell by cell, with its draws, which
+    come from the emission factor's Cholesky factors. Action-gated cells
+    are exactly 0 and empty antecedents exactly 1. The covariances are
+    checked by building the model's emission factor, which the E-step and
     compute_from_matchant then reuse; a covariance that is not finite and
     positive definite raises CovarianceError naming its state.
     """
@@ -213,14 +223,15 @@ def run_fuzzy_map_em(
     the polish stops early on the likelihood tolerance, its trace continues
     the main loop's, and `iterations` counts the M-steps of both. The
     dataset is prepared once, for the main loop and the polish alike. A
-    rule base whose obs_dim differs from the model's raises ValueError
-    before anything is fitted.
+    rule base whose obs_dim differs from the model's, or with a rule gated
+    on an action the model lacks, raises ValueError before anything is
+    fitted.
 
     The log-likelihood trace is recorded but never guaranteed monotone:
     blending pseudo-counts into the M-step trades likelihood for prior
     agreement whenever the lambdas are positive.
     """
-    _check_obs_dim(fuzzy, init)
+    _check_rule_base(fuzzy, init)
     em_config = em_config or EmConfig()
     map_config = map_config or FuzzyMapConfig()
     if not dataset:
@@ -259,11 +270,18 @@ def run_fuzzy_map_em(
     return fit
 
 
-def _check_obs_dim(fuzzy: FuzzyModel, model: PomdpModel) -> None:
-    """Raise ValueError unless the rule base and the model share obs_dim."""
+def _check_rule_base(fuzzy: FuzzyModel, model: PomdpModel) -> None:
+    """Raise ValueError unless the rule base fits the model: the same
+    obs_dim, and every rule's action selector an action of the model (a
+    rule gated on any other action would never fire)."""
     if fuzzy.obs_dim != model.obs_dim:
         raise ValueError(f"the fuzzy model has obs_dim {fuzzy.obs_dim} but the POMDP "
                          f"model has obs_dim {model.obs_dim}")
+    for r, rule in enumerate(fuzzy.rules):
+        if rule.action is not None and rule.action >= model.num_actions:
+            raise ValueError(f"rule {r} is gated on action {rule.action}, but the POMDP model "
+                             f"has {model.num_actions} action(s) and the fuzzy model "
+                             f"{fuzzy.num_actions}")
 
 
 def _mass_ratios(

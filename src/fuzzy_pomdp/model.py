@@ -258,16 +258,19 @@ def regularize_cov(cov: np.ndarray, ridge: float = DEFAULT_COV_RIDGE) -> np.ndar
 
 
 class EmissionFactor(NamedTuple):
-    """One covariance, or an (S, d, d) stack, factored for density scoring.
+    """One covariance, or an (S, d, d) stack, factored for density scoring
+    and sampling.
 
     inv_chol_t is the transposed inverse of each lower Cholesky factor, so
     z = (x - mean) @ inv_chol_t whitens x and |z|^2 is its Mahalanobis
     distance; log_norm is d log(2 pi) + log det cov, one value per state of
-    a stack. Both arrays are read-only.
+    a stack; chol is the lower Cholesky factor itself, so mean + z @ chol.T
+    turns standard normal rows z into draws. Every array is read-only.
     """
 
     inv_chol_t: np.ndarray
     log_norm: np.ndarray
+    chol: np.ndarray
 
 
 def _emission_factor(cov) -> EmissionFactor:
@@ -277,9 +280,9 @@ def _emission_factor(cov) -> EmissionFactor:
     inv_chol_t = np.ascontiguousarray(np.swapaxes(np.linalg.inv(chol), -1, -2))
     log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     log_norm = np.asarray(chol.shape[-1] * _LOG_2PI + log_det)
-    inv_chol_t.flags.writeable = False
-    log_norm.flags.writeable = False
-    return EmissionFactor(inv_chol_t, log_norm)
+    for array in (inv_chol_t, log_norm, chol):
+        array.flags.writeable = False
+    return EmissionFactor(inv_chol_t, log_norm, chol)
 
 
 def gaussian_log_density(obs, mean, cov, factor: EmissionFactor | None = None):
@@ -297,7 +300,7 @@ def gaussian_log_density(obs, mean, cov, factor: EmissionFactor | None = None):
     """
     mean = np.asarray(mean, dtype=float)
     obs = np.asarray(obs, dtype=float)
-    inv_chol_t, log_norm = _emission_factor(cov) if factor is None else factor
+    inv_chol_t, log_norm, _ = _emission_factor(cov) if factor is None else factor
     z = ((obs[None] if obs.ndim == 1 else obs) - mean[..., None, :]) @ inv_chol_t
     out = np.einsum("...d,...d->...", z, z)
     out += log_norm[..., None]
@@ -356,14 +359,6 @@ def _factorable(cov: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def sample_gaussian(mean, cov, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws from N(mean, cov) via a Cholesky factor, shape (n, d)."""
-    mean = np.asarray(mean, dtype=float)
-    chol = cholesky_factor(cov)
-    z = rng.standard_normal((n, mean.shape[0]))
-    return mean + z @ chol.T
 
 
 def _row_stochastic_violations(transitions: np.ndarray) -> list[str]:

@@ -11,7 +11,7 @@ import pytest
 from fuzzy_pomdp import cli
 from fuzzy_pomdp.harness import asset_path
 from fuzzy_pomdp.metrics import evaluate_model
-from fuzzy_pomdp.model import load_env, model_from_dict
+from fuzzy_pomdp.model import Trajectory, load_env, model_from_dict, save_dataset
 
 
 ENV = str(asset_path("synthetic_env.json"))
@@ -76,6 +76,26 @@ def test_train_fuzzy_map_rejects_a_rule_base_of_another_obs_dim(tmp_path, capsys
                        "--lambda-t", lam, "--lambda-o", lam, "--out", ckpt) == 1
         err = capsys.readouterr().err
         assert "fuzzy model has obs_dim 3" in err and "model has obs_dim 2" in err
+    assert not ckpt.exists()
+
+
+def test_train_fuzzy_map_gives_the_init_every_action_of_the_rule_base(tmp_path, capsys):
+    # action 1 never appears in this dataset, but the bundled rules 3-5 are
+    # gated on it: without --actions the model gets the rule base's 2 actions
+    rng = np.random.default_rng(4)
+    ds = tmp_path / "one_action.json"
+    save_dataset([Trajectory(observations=rng.uniform(size=(5, 2)), actions=np.zeros(4, int))
+                  for _ in range(3)], ds)
+    for algo, flags, num_actions in (("em", (), 1), ("fuzzy-map", ("--fuzzy-model", FUZZY), 2)):
+        ckpt = tmp_path / f"{algo}.json"
+        assert run_cli("train", ds, "--algo", algo, *flags, "--max-iterations", 3,
+                       "--out", ckpt) == 0
+        assert json.loads(ckpt.read_text())["model"]["num_actions"] == num_actions
+    capsys.readouterr()
+    ckpt = tmp_path / "c.json"
+    assert run_cli("train", ds, *FUZZY_MAP, "--actions", 1, "--out", ckpt) == 1
+    err = capsys.readouterr().err
+    assert "rule 3 is gated on action 1, but the POMDP model has 1 action(s)" in err
     assert not ckpt.exists()
 
 

@@ -15,11 +15,12 @@ from hypothesis.extra.numpy import arrays
 
 from fuzzy_pomdp.em import (EmConfig, SufficientCounts, _mstep_from_counts, accumulate_counts,
                             e_step, forward_backward, run_em)
+from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp import model as model_module
 from fuzzy_pomdp.model import PomdpModel, Trajectory, regularize_cov
 
-from conftest import random_fuzzy
+from conftest import identity_rule, make_fuzzy, random_fuzzy
 from test_em import enumeration_posteriors
 from test_fuzzy_map import assert_same_fit
 
@@ -209,15 +210,25 @@ def test_zero_lambda_fuzzy_map_is_plain_em(case):
     assert mapped.final_matchant is None
 
 
-@given(sampled_cases(), st.integers(1, 8), st.integers(0, 2))
-def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish):
+@given(sampled_cases(), st.integers(1, 8), st.integers(0, 2),
+       st.sampled_from(("gaussian", "minimum", "triangular")))
+def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish, rules):
     # k M-steps score k+1 models: the init and each M-step's result, each
-    # factored once for its E-step, its matchant_matrix and its pseudo-counts
-    # (a rule base of Gaussian clauses under the product t-norm draws nothing)
+    # factored once for its E-step, its matchant_matrix and its pseudo-counts;
+    # Monte-Carlo cells (the minimum t-norm, a triangular term) draw from
+    # that factor too
     model, dataset = case
-    fuzzy = random_fuzzy(np.random.default_rng(1), obs_dim=model.obs_dim,
-                         num_actions=model.num_actions)
-    config = FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5, final_standard_em_iterations=polish)
+    base = random_fuzzy(np.random.default_rng(1), obs_dim=model.obs_dim,
+                        num_actions=model.num_actions).rules
+    if rules != "gaussian":
+        term = (MembershipFunction("triangular", (-1.0, 0.0, 1.0)) if rules == "triangular"
+                else MembershipFunction("gaussian", (0.0, 1.0)))
+        base += (identity_rule(model.obs_dim, clauses=[FuzzyClause(0, term, "t")]),)
+    fuzzy = make_fuzzy(base, model.obs_dim, model.num_actions,
+                       tnorm="minimum" if rules == "minimum" else "product")
+    assert bool(fuzzy.tables.mc_rules) == (rules != "gaussian")
+    config = FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5, matchant_samples=16,
+                            final_standard_em_iterations=polish)
     with mock.patch.object(model_module, "cholesky_factor",
                            wraps=model_module.cholesky_factor) as factor:
         fit = run_fuzzy_map_em(dataset, model, fuzzy, EmConfig(max_iterations=max_iterations),

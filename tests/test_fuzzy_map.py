@@ -16,6 +16,8 @@ from scipy import stats
 from fuzzy_pomdp.model import (CovarianceError, PomdpModel, Trajectory, gaussian_log_density,
                                model_from_dict, model_to_dict)
 from fuzzy_pomdp.em import EmConfig, SufficientCounts, m_step_standard, run_em
+from fuzzy_pomdp.fuzzy import load_fuzzy_model
+from fuzzy_pomdp.harness import asset_path
 from fuzzy_pomdp.fuzzy_map import (
     FuzzyMapConfig,
     _expectation_table,
@@ -615,6 +617,23 @@ def test_run_fuzzy_map_em_rejects_a_rule_base_of_another_obs_dim(lambdas, datase
     fz = random_fuzzy(rng, obs_dim=3)
     map_cfg = FuzzyMapConfig(lambda_t=lambdas[0], lambda_o=lambdas[1])
     with pytest.raises(ValueError, match=r"fuzzy model has obs_dim 3 .* model has obs_dim 2$"):
+        run_fuzzy_map_em(ds, init, fz, EmConfig(max_iterations=3), map_cfg)
+
+
+@pytest.mark.parametrize("lambdas, dataset_size", [
+    ((0.0, 0.0), 3), ((0.1, 0.05), 3), ((1.0, 1.0), 0),
+])
+def test_run_fuzzy_map_em_rejects_a_rule_gated_on_an_action_the_model_lacks(
+        lambdas, dataset_size):
+    # the bundled rules 3-5 are gated on action 1, which a 1-action model
+    # lacks: they would never fire
+    rng = np.random.default_rng(20)
+    init = random_model(rng, num_states=2, num_actions=1, obs_dim=2)
+    ds = random_dataset(rng, init, n=dataset_size, horizon=5) if dataset_size else []
+    fz = load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
+    map_cfg = FuzzyMapConfig(lambda_t=lambdas[0], lambda_o=lambdas[1])
+    with pytest.raises(ValueError, match=r"^rule 3 is gated on action 1, but the POMDP model "
+                                         r"has 1 action\(s\) and the fuzzy model 2$"):
         run_fuzzy_map_em(ds, init, fz, EmConfig(max_iterations=3), map_cfg)
 
 

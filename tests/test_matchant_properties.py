@@ -74,17 +74,54 @@ def cases(draw, shapes=("gaussian",), tnorms=("product",)):
     return model, fuzzy
 
 
-@given(cases(shapes=("gaussian", "triangular"), tnorms=("product", "minimum")))
+@st.composite
+def shared_cases(draw, shapes=("gaussian",), tnorms=("product",)):
+    """Like cases(), but every rule takes its clause dims from a pool of one
+    to three tuples, a tuple and its reverse among them at times, and each
+    clause its term from a pool of one or two per dim, so that rules share
+    antecedents, and groups share dims in another order."""
+    model = draw(models())
+    dim_tuples = draw(st.lists(
+        st.lists(st.integers(0, model.obs_dim - 1), unique=True, max_size=model.obs_dim),
+        min_size=1, max_size=3))
+    if draw(st.booleans()):
+        dim_tuples.append(dim_tuples[0][::-1])
+    pool = [draw(st.lists(terms(shapes), min_size=1, max_size=2)) for _ in range(model.obs_dim)]
+    rules = []
+    for _ in range(draw(st.integers(1, 8))):
+        clauses = []
+        for d in draw(st.sampled_from(dim_tuples)):
+            j = draw(st.integers(0, len(pool[d]) - 1))
+            clauses.append(FuzzyClause(dim=d, term=pool[d][j], term_label=f"t{j}"))
+        consequent = draw(arrays(float, (model.obs_dim, model.obs_dim + 1),
+                                 elements=_floats(-2.0, 2.0)))
+        action = draw(st.none() | st.integers(0, model.num_actions - 1))
+        rules.append(FuzzyRule(clauses=tuple(clauses), consequent=consequent, action=action))
+    fuzzy = make_fuzzy(rules, model.obs_dim, model.num_actions,
+                       tnorm=draw(st.sampled_from(tnorms)))
+    return model, fuzzy
+
+
+@given(shared_cases(shapes=("gaussian", "triangular"), tnorms=("product", "minimum")))
 def test_rule_tables_equal_the_expressions_they_replace(case):
     _, fuzzy = case
     tables = fuzzy.tables
     for group in tables.gaussian_groups:
+        # each rule's antecedent row holds its own clauses' centers and widths
+        for r, row in zip(group.rules.tolist(), group.antecedents.tolist()):
+            clauses = fuzzy.rules[r].clauses
+            assert [c.dim for c in clauses] == group.dims.tolist()
+            assert group.centers[row].tolist() == [c.term.params[0] for c in clauses]
+            assert group.variances[row].tolist() == [c.term.params[1] ** 2 for c in clauses]
+        rows = {(c.tobytes(), v.tobytes()) for c, v in zip(group.centers, group.variances)}
+        assert len(rows) == len(group.centers) == group.antecedents.max() + 1
         var = group.variances
         assert np.array_equal(group.variance_diagonals[None],
                               var[None, :, :, None] * np.eye(len(group.dims)))
         assert np.array_equal(group.variance_products, var.prod(axis=1))
-        assert not group.variance_diagonals.flags.writeable
-        assert not group.variance_products.flags.writeable
+        for array in (group.antecedents, group.centers, group.variance_diagonals,
+                      group.variance_products):
+            assert not array.flags.writeable
     # the model's action count may exceed the rule base's (1 to 3 here)
     actions = tables.actions
     for num_actions in (1, 2, 3):
@@ -92,6 +129,38 @@ def test_rule_tables_equal_the_expressions_they_replace(case):
         assert np.array_equal(gate, (actions < 0) | (actions == np.arange(num_actions)[:, None]))
         assert gate is tables.action_gate(num_actions)
         assert not gate.flags.writeable
+
+
+def per_rule_matchant(model, fuzzy):
+    """matchant_matrix for a rule base of Gaussian clauses under the product
+    t-norm, computed as it was before rules shared antecedents: one (S, G,
+    k, k) solve and det per clause-dim tuple, one matrix per rule."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for r, rule in enumerate(fuzzy.rules):
+        if rule.clauses:
+            groups.setdefault(tuple(c.dim for c in rule.clauses), []).append(r)
+    strength = np.ones((model.num_states, len(fuzzy.rules)))
+    for dims, rules in groups.items():
+        dims = np.array(dims)
+        params = np.array([[c.term.params for c in fuzzy.rules[r].clauses] for r in rules])
+        variances = params[..., 1] ** 2
+        cov = model.obs_covs[:, dims][:, :, dims]
+        mat = cov[:, None] + (variances[:, :, None] * np.eye(len(dims)))[None]
+        diff = model.obs_means[:, None, dims] - params[..., 0][None]
+        quad = np.einsum("sgk,sgk->sg", diff, np.linalg.solve(mat, diff[..., None])[..., 0])
+        strength[:, rules] = (np.sqrt(variances.prod(axis=1) / np.linalg.det(mat))
+                              * np.exp(-0.5 * quad))
+    actions = np.array([-1 if rule.action is None else rule.action for rule in fuzzy.rules])
+    gate = (actions < 0) | (actions == np.arange(model.num_actions)[:, None])
+    return np.where(gate[None], strength[:, None, :], 0.0)
+
+
+@given(shared_cases())
+def test_shared_antecedents_match_bit_for_bit_as_one_matrix_per_rule(case):
+    model, fuzzy = case
+    got = matchant_matrix(model, fuzzy, FuzzyMapConfig())
+    want = per_rule_matchant(model, fuzzy)
+    assert got.tobytes() == want.tobytes()
 
 
 def _moment(rule, model, state, power):
