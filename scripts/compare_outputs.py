@@ -16,11 +16,14 @@ In one fresh process per tree, against the package under that tree's
   fixed ragged dataset (RAGGED_LENGTHS), the only case whose E-step splits
   the data into several length groups, plus a short fuzzy-MAP fit of the
   same rules under the minimum t-norm, the only case that matches every
-  rule by Monte Carlo; and writes each fit's model and loglik_trace to
+  rule by Monte Carlo, and a prior-only fit of the same rules on an empty
+  dataset (low_data's lambdas), the only case whose loop runs without an
+  E-step; and writes each fit's model and loglik_trace to
   ragged/model_<algorithm>.json.
 
-Regime outputs, the sweep's per-cell ones included, and the ragged fits
-are compared byte for byte: runs.csv, every model_*.json and mg_table.txt.
+Regime outputs, the sweep's per-cell ones included, and the ragged and
+prior-only fits are compared byte for byte: runs.csv, every model_*.json
+and mg_table.txt.
 summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
 `config.kmeans_clusters: parent only`). Every other CLI artifact is
@@ -96,10 +99,12 @@ map_config = FuzzyMapConfig(lambda_t=low.lambda_t, lambda_o=low.lambda_o,
 rules = load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
 minimum = dataclasses.replace(rules, tnorm="minimum")
 mc_config = FuzzyMapConfig(lambda_t=low.lambda_t, lambda_o=low.lambda_o, matchant_samples=50)
+prior_config = FuzzyMapConfig(lambda_t=low.lambda_t, lambda_o=low.lambda_o)
 fits = {"em": run_em(dataset, init, em_config),
         "fuzzy_map": run_fuzzy_map_em(dataset, init, rules, em_config, map_config),
         "fuzzy_map_minimum": run_fuzzy_map_em(dataset, init, minimum,
-                                              EmConfig(max_iterations=5), mc_config)}
+                                              EmConfig(max_iterations=5), mc_config),
+        "fuzzy_map_prior": run_fuzzy_map_em([], init, rules, em_config, prior_config)}
 for name, fit in fits.items():
     write_json(dict(model_to_dict(fit.model), loglik_trace=list(fit.loglik_trace)),
                f"{out}/ragged/model_{name}.json")
@@ -122,8 +127,8 @@ for argv, stdout_file in script:
 
 def run_tree(tree: Path, out: Path) -> None:
     """Write every case's outputs under out/<regime>, the CLI script's
-    under out/cli and the ragged fits under out/ragged, using tree's
-    package."""
+    under out/cli and the ragged and prior-only fits under out/ragged,
+    using tree's package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS)]
     subprocess.run([sys.executable, "-c", RUNNER, str(out), *args],
@@ -273,7 +278,7 @@ def main(argv=None) -> int:
         print(f"size: {line}")
     total = sum(len(seeds) for seeds in CASES.values())
     print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds, "
-          f"{len(CLI_SCRIPT)} CLI commands and the ragged fits; "
+          f"{len(CLI_SCRIPT)} CLI commands and the ragged and prior-only fits; "
           f"{len(notes)} byte-only note(s)")
     return 1 if found else 0
 

@@ -9,9 +9,9 @@ Posteriors joins the results in dataset order and goes straight into the
 expected counts, each pooled with one matmul. M-step: closed-form
 maximum-likelihood updates from pooled expected counts, which fuzzy-MAP EM
 first blends with its pseudo-counts. The initial state distribution is held
-fixed, never re-estimated. One loop, `_fit`, runs every fit and returns an
-EmResult; with no data it skips the E-step, which is fuzzy-MAP's
-prior-only fitting.
+fixed, never re-estimated. One loop, `_fit`, runs every fit, fuzzy-MAP's
+plain-EM polish included, and returns an EmResult; with no data it skips
+the E-step, which is fuzzy-MAP's prior-only fitting.
 """
 
 from __future__ import annotations
@@ -387,50 +387,63 @@ def _max_param_delta(a: PomdpModel, b: PomdpModel) -> float:
     )
 
 
+def _score(model: PomdpModel, data: _FitData, iteration: int, trace: list[float]) -> Posteriors:
+    """E-step of a fit, its log-likelihood appended to the trace; a
+    ForwardBackwardError names the fit's iteration."""
+    try:
+        posteriors, total = e_step(model, data)
+    except ForwardBackwardError as err:
+        raise ForwardBackwardError(f"iteration {iteration}: {err}", err.trajectory) from err
+    trace.append(total)
+    return posteriors
+
+
 def _fit(
     dataset: Sequence[Trajectory],
     init: PomdpModel,
     config: EmConfig,
-    m_step: Callable[[SufficientCounts, PomdpModel, int], PomdpModel],
+    m_step: Callable[[SufficientCounts, PomdpModel, int], PomdpModel] | None = None,
+    polish: int = 0,
 ) -> EmResult:
-    """The EM loop every fit runs, prior-only fitting included.
+    """The EM loop every fit runs, prior-only fitting and polish included.
 
-    On data, each iteration scores the current model with an E-step, stops
-    once the log-likelihood improvement falls below the tolerance or the
-    iteration budget runs out, and otherwise replaces the model with
-    m_step(empirical counts, model, iteration). An empty dataset skips the
-    E-step: m_step gets zero counts, the trace stays empty, and the loop
-    stops once no parameter moves by the tolerance or more in an M-step.
-    `iterations` counts M-steps either way. dataset is a list of
+    On data, one E-step scores the init. Up to `config.max_iterations`
+    M-steps m_step(empirical counts, model, iteration) follow, then up to
+    `polish` plain ones (m_step None is plain EM's), each new model scored
+    by an E-step. Each phase stops once the log-likelihood improvement falls
+    below the tolerance; the polish continues the trace without rescoring
+    the model it starts from. An empty dataset skips the E-step: m_step
+    gets zero counts, the trace stays empty, and the phase stops once no
+    parameter moves by the tolerance or more in an M-step. `converged` is
+    the first phase's; `iterations` counts M-steps across both phases, and
+    a ForwardBackwardError names that count. dataset is a list of
     trajectories or a fit's prepared data.
     """
+    def plain(counts: SufficientCounts, model: PomdpModel, _: int) -> PomdpModel:
+        return m_step_standard(counts, model, config)
+
     data = _prepared(dataset) if dataset else None
-    model = init
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    for iteration in range(config.max_iterations + 1):
-        if data is not None:
-            try:
-                posteriors, total = e_step(model, data)
-            except ForwardBackwardError as err:
-                raise ForwardBackwardError(f"iteration {iteration}: {err}", err.trajectory) from err
-            trace.append(total)
-            if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < config.loglik_tolerance:
-                converged = True
+    model, trace, iterations, converged = init, [], 0, []
+    if data is not None:
+        posteriors = _score(model, data, iterations, trace)
+    for step, budget in ((m_step or plain, config.max_iterations), (plain, polish)):
+        converged.append(False)
+        for _ in range(budget):
+            if data is None:
+                counts = SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
+            else:
+                counts = accumulate_counts(data, posteriors, model.num_actions)
+            previous, model = model, step(counts, model, iterations)
+            iterations += 1
+            if data is None:
+                change = _max_param_delta(previous, model)
+            else:
+                posteriors = _score(model, data, iterations, trace)
+                change = abs(trace[-1] - trace[-2])
+            if change < config.loglik_tolerance:
+                converged[-1] = True
                 break
-        if iteration == config.max_iterations:
-            break
-        if data is None:
-            counts = SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
-        else:
-            counts = accumulate_counts(data, posteriors, model.num_actions)
-        previous, model = model, m_step(counts, model, iteration)
-        iterations += 1
-        if data is None and _max_param_delta(previous, model) < config.loglik_tolerance:
-            converged = True
-            break
-    return EmResult(model=model, loglik_trace=trace, converged=converged, iterations=iterations)
+    return EmResult(model=model, loglik_trace=trace, converged=converged[0], iterations=iterations)
 
 
 def run_em(
@@ -445,7 +458,4 @@ def run_em(
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    config = config or EmConfig()
-    return _fit(
-        dataset, init, config, lambda counts, model, _: m_step_standard(counts, model, config)
-    )
+    return _fit(dataset, init, config or EmConfig())

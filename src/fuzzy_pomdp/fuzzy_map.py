@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import EmConfig, EmResult, SufficientCounts, _fit, _mstep_from_counts, _prepared, run_em
+from .em import EmConfig, EmResult, SufficientCounts, _fit, _mstep_from_counts
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
@@ -165,8 +165,6 @@ def compute_from_matchant(
     the (S*R) rows of (source state, rule). The likelihoods use the model's
     emission factor.
     """
-    if len(fuzzy.rules) == 0:
-        return SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
     y_star = _expectation_table(model, fuzzy)
     likelihood = _likelihood_table(model, y_star)
     weight = matchant.transpose(0, 2, 1) @ model.transitions  # (S, R, S')
@@ -218,14 +216,14 @@ def run_fuzzy_map_em(
     dataset fits the prior alone (both lambdas must be positive): the same
     loop skips the E-step, blends the pseudo-counts into zero counts, and
     stops once no parameter moves by the tolerance; the trace stays empty
-    and every prior/data ratio is inf. After the main loop, up to
-    `final_standard_em_iterations` plain EM iterations polish the result;
-    the polish stops early on the likelihood tolerance, its trace continues
-    the main loop's, and `iterations` counts the M-steps of both. The
-    dataset is prepared once, for the main loop and the polish alike. A
-    rule base whose obs_dim differs from the model's, or with a rule gated
-    on an action the model lacks, raises ValueError before anything is
-    fitted.
+    and every prior/data ratio is inf. After the fuzzy-MAP M-steps the same
+    loop runs up to `final_standard_em_iterations` plain ones, a polish
+    that stops early on the likelihood tolerance: its trace continues the
+    fuzzy-MAP phase's without rescoring the model it starts from,
+    `converged` stays the fuzzy-MAP phase's, and `iterations` counts the
+    M-steps of both. A rule base whose obs_dim differs from the model's, or
+    with a rule gated on an action the model lacks, raises ValueError
+    before anything is fitted.
 
     The log-likelihood trace is recorded but never guaranteed monotone:
     blending pseudo-counts into the M-step trades likelihood for prior
@@ -255,19 +253,8 @@ def run_fuzzy_map_em(
         ratios.append(_mass_ratios(empirical, fuzzy_counts, map_config))
         return m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
 
-    data = _prepared(dataset) if dataset else dataset
-    fit = _fit(data, init, em_config, m_step)
-    fit = replace(fit, prior_data_ratios=ratios, final_matchant=matchant)
-    if map_config.final_standard_em_iterations > 0:
-        polish = run_em(
-            data,
-            fit.model,
-            replace(em_config, max_iterations=map_config.final_standard_em_iterations),
-        )
-        # the polish's entry 0 scores the model the main loop ended on
-        fit = replace(fit, model=polish.model, iterations=fit.iterations + polish.iterations,
-                      loglik_trace=fit.loglik_trace + polish.loglik_trace[1:])
-    return fit
+    fit = _fit(dataset, init, em_config, m_step, map_config.final_standard_em_iterations)
+    return replace(fit, prior_data_ratios=ratios, final_matchant=matchant)
 
 
 def _check_rule_base(fuzzy: FuzzyModel, model: PomdpModel) -> None:

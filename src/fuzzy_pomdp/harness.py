@@ -72,7 +72,6 @@ class ExperimentConfig:
     lambda_t: float = 0.0
     lambda_o: float = 0.0
     env_path: str | None = None
-    fuzzy_path: str | None = None
     out_dir: str | None = None
     num_states: int = 3
     final_standard_em_iterations: int = 0
@@ -431,8 +430,8 @@ def run_regime(config: ExperimentConfig) -> dict:
         env = load_env(config.env_path or asset_path("synthetic_env.json"))
     state_labels = (env or load_env(asset_path("synthetic_env.json"))).state_labels
     kl_cols = kl_columns(state_labels)
-    default_fuzzy = "mg_fuzzy_placeholder.json" if is_mg else "expert_fuzzy_synthetic.json"
-    fuzzy = load_fuzzy_model(config.fuzzy_path or asset_path(default_fuzzy))
+    rules = "mg_fuzzy_placeholder.json" if is_mg else "expert_fuzzy_synthetic.json"
+    fuzzy = load_fuzzy_model(asset_path(rules))
 
     rows: list[dict] = []
     failures: list[dict] = []

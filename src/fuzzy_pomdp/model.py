@@ -120,7 +120,13 @@ class Trajectory:
 
     def __post_init__(self):
         obs = np.atleast_2d(np.asarray(self.observations, dtype=float))
-        acts = np.asarray(self.actions, dtype=int)
+        acts = np.asarray(self.actions)
+        if acts.dtype.kind == "f":  # 1.0 is action 1; a cast would turn 1.9 or nan into another
+            with np.errstate(invalid="ignore"):
+                lost = acts.astype(int) != acts
+            if lost.any():
+                raise ValueError(f"actions must be integers, got {float(acts[lost][0])}")
+        acts = np.asarray(acts, dtype=int)
         if obs.ndim != 2 or len(obs) < 1:
             raise ValueError("observations must be a non-empty (T, d) array")
         if acts.shape != (len(obs) - 1,):
@@ -570,10 +576,6 @@ def model_from_dict(data: dict) -> PomdpModel:
         initial_dist=data.get("initial_dist"),
         state_labels=tuple(data.get("state_labels", ())),
     )
-
-
-def save_model(model: PomdpModel, path) -> None:
-    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> PomdpModel:

@@ -15,7 +15,9 @@ from scipy import stats
 
 from fuzzy_pomdp.model import (CovarianceError, PomdpModel, Trajectory, gaussian_log_density,
                                model_from_dict, model_to_dict)
-from fuzzy_pomdp.em import EmConfig, SufficientCounts, m_step_standard, run_em
+from fuzzy_pomdp import em
+from fuzzy_pomdp.em import (EmConfig, ForwardBackwardError, SufficientCounts, m_step_standard,
+                            run_em)
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
 from fuzzy_pomdp.harness import asset_path
 from fuzzy_pomdp.fuzzy_map import (
@@ -745,3 +747,46 @@ def test_polish_is_run_em_from_the_unpolished_fit(k):
     assert polished.iterations == base.iterations + polish.iterations
     assert polished.converged == base.converged
     assert polished.prior_data_ratios == base.prior_data_ratios
+
+
+def _polished_fit(k):
+    rng = np.random.default_rng(19)
+    truth = random_model(rng, num_states=2, mean_scale=2.0)
+    ds = random_dataset(rng, truth, n=4, horizon=7)
+    init = diag_model(rng, num_states=2)
+    fz = random_fuzzy(rng, obs_dim=2)
+    map_cfg = FuzzyMapConfig(lambda_t=0.3, lambda_o=0.2, matchant_samples=64,
+                             final_standard_em_iterations=k)
+    return lambda: run_fuzzy_map_em(ds, init, fz, EmConfig(max_iterations=6), map_cfg)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_polished_fit_scores_each_model_once(k, monkeypatch):
+    # the polish continues the trace: the model the fuzzy-MAP phase ends on
+    # is scored once, not again as the polish's start
+    fit, calls = _polished_fit(k), []
+    e_step = em.e_step
+    monkeypatch.setattr(em, "e_step", lambda *args: calls.append(args) or e_step(*args))
+    res = fit()
+    assert len(calls) == res.iterations + 1 == len(res.loglik_trace)
+
+
+def test_a_forward_backward_error_in_the_polish_names_the_fits_iteration(monkeypatch):
+    # iterations are numbered across both phases; the E-step of the last
+    # model fails
+    fit = _polished_fit(3)
+    iterations = fit().iterations
+    e_step, calls = em.e_step, []
+
+    def failing(model, data):
+        calls.append(model)
+        if len(calls) == iterations + 1:
+            raise ForwardBackwardError("trajectory 2: zero or NaN total observation likelihood "
+                                       "at step 1", 2)
+        return e_step(model, data)
+
+    monkeypatch.setattr(em, "e_step", failing)
+    with pytest.raises(ForwardBackwardError,
+                       match=rf"^iteration {iterations}: trajectory 2: .* step 1$") as info:
+        fit()
+    assert info.value.trajectory == 2

@@ -27,10 +27,10 @@ from fuzzy_pomdp.model import (
     sample_trajectory,
     save_dataset,
     save_env,
-    save_model,
     validate_dataset,
     validate_env,
     validate_model,
+    write_json,
 )
 from fuzzy_pomdp.harness import asset_path
 
@@ -253,6 +253,27 @@ def test_validate_env_and_dataset():
         Trajectory(observations=np.zeros((4, 2)), actions=np.array([0, 1]))
 
 
+@pytest.mark.parametrize("bad, named", [
+    (1.9, "1.9"), (-0.5, "-0.5"), (0.5, "0.5"), (math.nan, "nan"), (math.inf, "inf"),
+    (1e30, r"1e\+30"),
+])
+def test_trajectory_rejects_actions_that_are_not_integers(tmp_path, bad, named):
+    # a cast to int would truncate them to another action without a word
+    with pytest.raises(ValueError, match=rf"^actions must be integers, got {named}$"):
+        Trajectory(observations=np.zeros((4, 2)), actions=[0, bad, 1])
+    p = tmp_path / "ds.json"
+    p.write_text(json.dumps([{"observations": [[0.0, 0.0]] * 2, "actions": [bad]}]))
+    with pytest.raises(ValueError, match=rf"got {named}$"):
+        load_dataset(p)
+
+
+def test_trajectory_accepts_integral_float_actions():
+    traj = Trajectory(observations=np.zeros((4, 2)), actions=[1.0, 0.0, -0.0])
+    assert traj.actions.dtype.kind == "i"
+    assert traj.actions.tolist() == [1, 0, 0]
+    assert Trajectory(observations=np.zeros((1, 2)), actions=[]).actions.shape == (0,)
+
+
 def test_validate_model_reports_every_non_finite_entry():
     m = random_model(np.random.default_rng(4))
     trans, means, covs = m.transitions.copy(), m.obs_means.copy(), m.obs_covs.copy()
@@ -340,7 +361,7 @@ def test_nan_covariance_model_from_a_file_fails_on_its_emission_factor(rng0):
 def test_model_round_trip(tmp_path, rng0):
     m = random_model(rng0, num_states=3, obs_dim=2)
     p = tmp_path / "m.json"
-    save_model(m, p)
+    write_json(model_to_dict(m), p)
     back = load_model(p)
     assert back.num_states == m.num_states
     assert np.allclose(back.transitions, m.transitions)
