@@ -16,14 +16,20 @@ In one fresh process per tree, against the package under that tree's
   fixed ragged dataset (RAGGED_LENGTHS), the only case whose E-step splits
   the data into several length groups, plus a short fuzzy-MAP fit of the
   same rules under the minimum t-norm, the only case that matches every
-  rule by Monte Carlo, and a prior-only fit of the same rules on an empty
+  rule by Monte Carlo, a prior-only fit of the same rules on an empty
   dataset (low_data's lambdas), the only case whose loop runs without an
-  E-step; and writes each fit's model and loglik_trace to
+  E-step, and a plain-EM and a fuzzy-MAP fit (low_data's lambdas and cap)
+  from an init whose last state sits far from every observation and that
+  no other state moves to, so its responsibilities and its pseudo-count
+  weight are exactly 0 and it keeps its parameters at every M-step (the
+  runner exits with an error unless both fits log "no observation mass"):
+  the only cases whose M-step regularizes the covariances of some states
+  but not all; and writes each fit's model and loglik_trace to
   ragged/model_<algorithm>.json.
 
-Regime outputs, the sweep's per-cell ones included, and the ragged and
-prior-only fits are compared byte for byte: runs.csv, every model_*.json
-and mg_table.txt.
+Regime outputs, the sweep's per-cell ones included, and the ragged,
+prior-only and frozen-state fits are compared byte for byte: runs.csv,
+every model_*.json and mg_table.txt.
 summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
 `config.kmeans_clusters: parent only`). Every other CLI artifact is
@@ -75,7 +81,7 @@ RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
 REGIME_FILES = ("runs.csv", "mg_table.txt")
 
 RUNNER = """
-import contextlib, dataclasses, io, json, os, shutil, sys
+import contextlib, dataclasses, io, json, logging.handlers, os, shutil, sys
 from pathlib import Path
 from fuzzy_pomdp import cli
 from fuzzy_pomdp.em import EmConfig, run_em
@@ -105,6 +111,24 @@ fits = {"em": run_em(dataset, init, em_config),
         "fuzzy_map_minimum": run_fuzzy_map_em(dataset, init, minimum,
                                               EmConfig(max_iterations=5), mc_config),
         "fuzzy_map_prior": run_fuzzy_map_em([], init, rules, em_config, prior_config)}
+far = init.num_states - 1
+means, transitions = init.obs_means.copy(), init.transitions.copy()
+means[far] = 100.0
+transitions[:far, :, far] = 0.0
+transitions /= transitions.sum(axis=2, keepdims=True)
+frozen_init = dataclasses.replace(init, obs_means=means, transitions=transitions)
+em_log = logging.getLogger("fuzzy_pomdp.em")
+level = em_log.level
+em_log.setLevel(logging.DEBUG)
+for name, fit in (("em", lambda: run_em(dataset, frozen_init, em_config)),
+                  ("fuzzy_map", lambda: run_fuzzy_map_em(dataset, frozen_init, rules,
+                                                         em_config, prior_config))):
+    em_log.addHandler(records := logging.handlers.BufferingHandler(10**6))
+    fits[f"{name}_frozen"] = fit()
+    em_log.removeHandler(records)
+    if not any(r.msg.startswith("no observation mass") for r in records.buffer):
+        sys.exit(f"the frozen-state {name} fit kept no state's parameters")
+em_log.setLevel(level)
 for name, fit in fits.items():
     write_json(dict(model_to_dict(fit.model), loglik_trace=list(fit.loglik_trace)),
                f"{out}/ragged/model_{name}.json")
@@ -127,8 +151,8 @@ for argv, stdout_file in script:
 
 def run_tree(tree: Path, out: Path) -> None:
     """Write every case's outputs under out/<regime>, the CLI script's
-    under out/cli and the ragged and prior-only fits under out/ragged,
-    using tree's package."""
+    under out/cli and the ragged, prior-only and frozen-state fits under
+    out/ragged, using tree's package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS)]
     subprocess.run([sys.executable, "-c", RUNNER, str(out), *args],
@@ -278,7 +302,7 @@ def main(argv=None) -> int:
         print(f"size: {line}")
     total = sum(len(seeds) for seeds in CASES.values())
     print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds, "
-          f"{len(CLI_SCRIPT)} CLI commands and the ragged and prior-only fits; "
+          f"{len(CLI_SCRIPT)} CLI commands and the ragged, prior-only and frozen-state fits; "
           f"{len(notes)} byte-only note(s)")
     return 1 if found else 0
 

@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
-                    per_state_log_density, regularize_cov)
+from .model import (_PSD_ATOL, DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
+                    _all_finite, per_state_log_density, regularize_cov)
 
 log = logging.getLogger(__name__)
 
@@ -293,6 +293,32 @@ def accumulate_counts(
     )
 
 
+def _regularized(stack: np.ndarray, states: Sequence[int], ridge: float) -> np.ndarray:
+    """regularize_cov(cov, ridge) for each cov of an (n, d, d) stack, the
+    covariances of `states`, stacked.
+
+    The stack is checked in one pass: one finiteness check, one symmetrize
+    and one stacked eigvalsh, whose eigenvalues are those of each matrix
+    alone. regularize_cov itself then runs only on the states it would
+    lift or reject, in state order, so every lift is still one call of it.
+    A non-finite stack goes through regularize_cov state by state, so the
+    first failing state raises, as in a per-state loop. A rejected
+    covariance raises CovarianceError naming its state.
+    """
+    if _all_finite(stack):
+        sym = 0.5 * (stack + stack.swapaxes(-1, -2))
+        bound = ridge if ridge > 0.0 else -_PSD_ATOL
+        check = np.flatnonzero(np.linalg.eigvalsh(sym)[:, 0] < bound)
+    else:
+        sym, check = stack, range(len(states))
+    for i in check:
+        try:
+            sym[i] = regularize_cov(stack[i], ridge)
+        except CovarianceError as err:
+            raise CovarianceError(f"state {states[i]}: {err}") from None
+    return sym
+
+
 def _mstep_from_counts(
     counts: SufficientCounts, prev: PomdpModel, ridge: float
 ) -> PomdpModel:
@@ -302,8 +328,9 @@ def _mstep_from_counts(
     then, and only where they fire, the fallbacks overwrite them: a row
     without transition mass becomes uniform, and a state without
     observation mass keeps its previous mean and covariance. Both fallbacks
-    are logged. A covariance regularize_cov rejects raises CovarianceError
-    naming its state.
+    are logged. The covariances of the states with mass are regularized as
+    one stack (_regularized); a covariance regularize_cov rejects raises
+    CovarianceError naming its state.
     """
     num_states = prev.num_states
     row_mass = counts.trans.sum(axis=2)
@@ -318,13 +345,11 @@ def _mstep_from_counts(
         for s, a in np.argwhere(~has_mass):
             log.debug("no transition mass for state %d action %d; using uniform", s, a)
             transitions[s, a] = 1.0 / num_states
-    for s, alive in enumerate(live.tolist()):
-        if alive:
-            try:
-                covs[s] = regularize_cov(covs[s], ridge)
-            except CovarianceError as err:
-                raise CovarianceError(f"state {s}: {err}") from None
-    if not live.all():
+    if live.all():
+        covs = _regularized(covs, range(num_states), ridge)
+    else:
+        states = np.flatnonzero(live)
+        covs[states] = _regularized(covs[states], states, ridge)
         for s in np.flatnonzero(~live):
             log.debug("no observation mass for state %d; keeping previous parameters", s)
             means[s] = prev.obs_means[s]

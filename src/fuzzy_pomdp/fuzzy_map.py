@@ -125,10 +125,11 @@ def matchant_matrix(
         strength[:, group.rules] = _gaussian_match(model, group)
     gate = tables.action_gate(model.num_actions)  # (A, R)
     out = np.where(gate[None], strength[:, None, :], 0.0)
-    for s in range(model.num_states):
-        for a in range(model.num_actions):
-            for r in tables.mc_rules:
-                out[s, a, r] = match_antecedent(s, a, r, fuzzy, model, config, iteration)
+    if tables.mc_rules:
+        for s in range(model.num_states):
+            for a in range(model.num_actions):
+                for r in tables.mc_rules:
+                    out[s, a, r] = match_antecedent(s, a, r, fuzzy, model, config, iteration)
     return out
 
 
@@ -138,7 +139,7 @@ def _expectation_table(model: PomdpModel, fuzzy: FuzzyModel) -> np.ndarray:
     Affine consequents make this exact: the expectation of an affine map of
     a Gaussian is the map applied to the mean.
     """
-    inputs = np.hstack([np.ones((model.num_states, 1)), model.obs_means])  # (S, d+1)
+    inputs = np.concatenate([np.ones((model.num_states, 1)), model.obs_means], axis=1)  # (S, d+1)
     consequents = fuzzy.tables.consequents  # (R, d, d+1)
     return (inputs @ consequents.reshape(-1, consequents.shape[2]).T).reshape(
         model.num_states, *consequents.shape[:2])

@@ -71,7 +71,6 @@ class ExperimentConfig:
     noise_sigma: float = 0.0
     lambda_t: float = 0.0
     lambda_o: float = 0.0
-    env_path: str | None = None
     out_dir: str | None = None
     num_states: int = 3
     final_standard_em_iterations: int = 0
@@ -421,15 +420,13 @@ def run_regime(config: ExperimentConfig) -> dict:
     itself always completes. Outputs (when out_dir is set): runs.csv,
     summary.json, model_<seed>_<alg>.json checkpoints, and for the
     mg_pipeline regime a human-readable mg_table.txt. The per-state KL
-    columns follow the env's state labels; mg_pipeline, which has no env,
-    keeps the bundled synthetic env's (empty) columns.
+    columns follow the bundled synthetic env's state labels; mg_pipeline,
+    which has no env, keeps them, empty.
     """
     is_mg = config.regime == "mg_pipeline"
-    env = None
-    if not is_mg:
-        env = load_env(config.env_path or asset_path("synthetic_env.json"))
-    state_labels = (env or load_env(asset_path("synthetic_env.json"))).state_labels
-    kl_cols = kl_columns(state_labels)
+    bundled = load_env(asset_path("synthetic_env.json"))
+    env = None if is_mg else bundled
+    kl_cols = kl_columns(bundled.state_labels)
     rules = "mg_fuzzy_placeholder.json" if is_mg else "expert_fuzzy_synthetic.json"
     fuzzy = load_fuzzy_model(asset_path(rules))
 
@@ -474,7 +471,7 @@ def run_regime(config: ExperimentConfig) -> dict:
 
     report = dict(summary)
     report["rows"] = rows
-    report["state_labels"] = state_labels
+    report["state_labels"] = bundled.state_labels
     if mg_table is not None:
         report["mg_table"] = mg_table
     return report

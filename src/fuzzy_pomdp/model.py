@@ -22,6 +22,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 DEFAULT_COV_RIDGE = 1e-6
+# regularize_cov rejects a lifted covariance with an eigenvalue below -_PSD_ATOL
+_PSD_ATOL = 1e-12
 # tolerance on a probability vector's sum and on its negative entries
 STOCHASTIC_ATOL = 1e-9
 # numpy Generator.choice's tolerance on the sum of its probability vector
@@ -121,7 +123,13 @@ class Trajectory:
     def __post_init__(self):
         obs = np.atleast_2d(np.asarray(self.observations, dtype=float))
         acts = np.asarray(self.actions)
-        if acts.dtype.kind == "f":  # 1.0 is action 1; a cast would turn 1.9 or nan into another
+        # a cast to int would parse "1", take True as 1 and turn 1.9 or nan
+        # into another action; 1.0 is action 1, and [] loads as floats
+        if acts.dtype.kind not in "iuf":
+            values = acts.ravel().tolist()
+            bad = next((x for x in values if type(x) not in (int, float)), acts.dtype)
+            raise ValueError(f"actions must be integers, got {bad!r}")
+        if acts.dtype.kind == "f":
             with np.errstate(invalid="ignore"):
                 lost = acts.astype(int) != acts
             if lost.any():
@@ -256,7 +264,7 @@ def regularize_cov(cov: np.ndarray, ridge: float = DEFAULT_COV_RIDGE) -> np.ndar
     if ridge > 0.0 and min_eig < ridge:
         sym = sym + ridge * np.eye(cov.shape[0])
         min_eig += ridge
-    if min_eig < -1e-12:
+    if min_eig < -_PSD_ATOL:
         raise CovarianceError(
             f"covariance is not positive semidefinite (min eigenvalue {min_eig:.3e})"
         )
@@ -283,8 +291,8 @@ def _emission_factor(cov) -> EmissionFactor:
     """Factor one (d, d) covariance or an (S, d, d) stack for
     gaussian_log_density; a failure raises cholesky_factor's CovarianceError."""
     chol = cholesky_factor(cov)
-    inv_chol_t = np.ascontiguousarray(np.swapaxes(np.linalg.inv(chol), -1, -2))
-    log_det = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    inv_chol_t = np.linalg.inv(chol).swapaxes(-1, -2).copy()
+    log_det = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1)
     log_norm = np.asarray(chol.shape[-1] * _LOG_2PI + log_det)
     for array in (inv_chol_t, log_norm, chol):
         array.flags.writeable = False

@@ -442,6 +442,18 @@ def test_validate_flags_a_dataset_with_non_integer_actions(tmp_path, capsys):
     assert "actions must be integers, got 0.5" in out
 
 
+def test_validate_flags_a_dataset_with_string_actions(tmp_path, capsys):
+    ds = gen_small_dataset(tmp_path)
+    payload = json.loads(ds.read_text())
+    payload[1]["actions"][0] = str(payload[1]["actions"][0])
+    bad = tmp_path / "strings.json"
+    bad.write_text(json.dumps(payload))
+    assert run_cli("validate", bad) == 2
+    out = capsys.readouterr().out
+    assert f"{bad}: dataset INVALID" in out
+    assert f"actions must be integers, got {payload[1]['actions'][0]!r}" in out
+
+
 def test_validate_names_each_env_problem_on_its_own_line(tmp_path, capsys):
     payload = json.loads(open(ENV).read())
     payload["beta_params"][0][0]["alpha"] = -1.0

@@ -10,15 +10,17 @@ import logging
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fuzzy_pomdp import em as em_module
 from fuzzy_pomdp.em import (EmConfig, SufficientCounts, _mstep_from_counts, accumulate_counts,
                             e_step, forward_backward, run_em)
 from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp import model as model_module
-from fuzzy_pomdp.model import PomdpModel, Trajectory, regularize_cov
+from fuzzy_pomdp.model import CovarianceError, PomdpModel, Trajectory, regularize_cov
 
 from conftest import identity_rule, make_fuzzy, random_fuzzy
 from test_em import enumeration_posteriors
@@ -296,3 +298,111 @@ def test_mstep_equals_per_pair_oracle_and_logs_each_fallback_once(caplog, case):
     assert rows == [tuple(i) for i in np.argwhere(counts.trans.sum(axis=2) == 0.0)]
     assert frozen == [(i,) for i in np.flatnonzero(counts.obs_weight == 0.0)]
     assert len(caplog.records) == len(rows) + len(frozen)
+
+
+# kinds of state for the covariance gate; "random" is drawn most often
+GATE_KINDS = ("random", "random", "at_ridge", "under_ridge", "massless", "nonfinite",
+              "indefinite")
+
+
+def gate_counts(kinds, obs_dim, scale, ridge, rng):
+    """Counts with one state of each kind in `kinds`, and a model to update.
+
+    random: a random covariance of size `scale` about a random mean, so a
+    small one lands on the ridge through rounding; at_ridge and under_ridge:
+    smallest eigenvalue ridge, or the float just below it; indefinite: one
+    still below -1e-12 after the lift; massless: zero weight; nonfinite: a
+    NaN or infinite second moment. The last four have zero mean and unit
+    weight, so the M-step's covariance is their second moment exactly, up
+    to an optional rotation.
+    """
+    num_states = len(kinds)
+    weight = np.ones(num_states)
+    sums = np.zeros((num_states, obs_dim))
+    outer = np.zeros((num_states, obs_dim, obs_dim))
+    lowest = {"at_ridge": ridge, "under_ridge": np.nextafter(ridge, -1.0),
+              "indefinite": -(ridge + scale) - 1e-11}
+    for s, kind in enumerate(kinds):
+        if kind == "random":
+            weight[s] = rng.uniform(0.01, 10.0)
+            mu = rng.uniform(-1.0, 1.0, obs_dim)
+            factor = rng.uniform(-1.0, 1.0, (obs_dim, obs_dim))
+            sums[s] = weight[s] * mu
+            outer[s] = weight[s] * (scale * factor @ factor.T + np.outer(mu, mu))
+        elif kind == "massless":
+            weight[s] = 0.0
+        elif kind == "nonfinite":
+            outer[s] = np.eye(obs_dim)
+            outer[s].flat[rng.integers(obs_dim * obs_dim)] = rng.choice([np.nan, np.inf, -np.inf])
+        else:
+            low = lowest[kind]
+            eigs = rng.permutation(np.r_[low, low + scale * rng.uniform(0.0, 1.0, obs_dim - 1)])
+            q = np.linalg.qr(rng.normal(size=(obs_dim, obs_dim)))[0]
+            outer[s] = (q * eigs) @ q.T if rng.random() < 0.5 else np.diag(eigs)
+    counts = SufficientCounts(trans=np.ones((num_states, 1, num_states)), obs_weight=weight,
+                              obs_sum=sums, obs_outer=outer)
+    prev = PomdpModel(num_states, 1, obs_dim,
+                      transitions=np.full((num_states, 1, num_states), 1.0 / num_states),
+                      obs_means=rng.normal(size=(num_states, obs_dim)),
+                      obs_covs=np.tile(np.eye(obs_dim), (num_states, 1, 1)))
+    return counts, prev
+
+
+def gate_reference(counts, prev, ridge):
+    """(covariances, lifted states) from regularize_cov run on each state
+    with mass, in state order, or the text of the first CovarianceError."""
+    covs, lifted = prev.obs_covs.copy(), []
+    for s, weight in enumerate(counts.obs_weight.tolist()):
+        if weight > 0.0:
+            mu = counts.obs_sum[s] / weight
+            raw = counts.obs_outer[s] / weight - np.outer(mu, mu)
+            try:
+                covs[s] = regularize_cov(raw, ridge)
+            except CovarianceError as err:
+                return f"state {s}: {err}"
+            if not np.array_equal(covs[s], 0.5 * (raw + raw.T)):
+                lifted.append(s)
+    return covs, lifted
+
+
+def assert_gate_is_reference(counts, prev, ridge):
+    want = gate_reference(counts, prev, ridge)
+    with mock.patch.object(em_module, "regularize_cov", wraps=regularize_cov) as calls:
+        try:
+            got = _mstep_from_counts(counts, prev, ridge).obs_covs
+        except CovarianceError as err:
+            got = str(err)
+    if isinstance(want, str):
+        assert got == want
+        return
+    covs, lifted = want
+    assert isinstance(got, np.ndarray) and np.array_equal(got, covs)
+    # regularize_cov runs on the lifted states alone, once each
+    assert [call.args[0].shape for call in calls.call_args_list] == [covs[0].shape] * len(lifted)
+
+
+@st.composite
+def gate_cases(draw):
+    kinds = draw(st.lists(st.sampled_from(GATE_KINDS), min_size=1, max_size=4))
+    obs_dim = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.integers(-8, 0))
+    ridge = draw(st.sampled_from([0.0, 1e-6, scale]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (*gate_counts(kinds, obs_dim, scale, ridge, rng), ridge)
+
+
+@given(gate_cases())
+def test_stacked_covariance_gate_is_regularize_cov_state_by_state(case):
+    assert_gate_is_reference(*case)
+
+
+@pytest.mark.parametrize("kinds, problem", [
+    (("random", "nonfinite", "massless", "indefinite"), "finite"),
+    (("random", "indefinite", "massless", "nonfinite"), "positive semidefinite"),
+])
+@pytest.mark.parametrize("ridge", [0.0, 1e-6])
+def test_the_first_failing_state_in_order_raises(kinds, problem, ridge):
+    counts, prev = gate_counts(kinds, 2, 1e-3, ridge, np.random.default_rng(5))
+    with pytest.raises(CovarianceError, match=rf"^state 1: covariance is not {problem}"):
+        _mstep_from_counts(counts, prev, ridge)
+    assert_gate_is_reference(counts, prev, ridge)

@@ -509,7 +509,8 @@ def test_m_step_fuzzy_map_rejects_indefinite_blend():
 
 
 def test_m_step_fuzzy_map_decomposes_each_updated_covariance_once(monkeypatch):
-    # state 2 has no mass, keeps its covariance and is not decomposed
+    # one stacked eigvalsh over the live states 0 and 1; state 2 has no
+    # mass, keeps its covariance and is not decomposed
     rng = np.random.default_rng(14)
     m = diag_model(rng, num_states=3, num_actions=1, obs_dim=2)
     counts = SufficientCounts(
@@ -523,7 +524,7 @@ def test_m_step_fuzzy_map_decomposes_each_updated_covariance_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     m_step_fuzzy_map(counts, SufficientCounts.zeros(3, 1, 2), m, EmConfig(),
                      FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5))
-    assert [np.shape(a) for a in calls] == [(2, 2), (2, 2)]
+    assert [np.shape(a) for a in calls] == [(2, 2, 2)]
 
 
 # --------------------------------------------------------------- full loop

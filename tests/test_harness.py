@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzy_pomdp import cli
+from fuzzy_pomdp import cli, harness
 from fuzzy_pomdp.em import EmConfig, run_em
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp.model import (
@@ -14,7 +14,6 @@ from fuzzy_pomdp.model import (
     Trajectory,
     load_env,
     make_policy,
-    save_env,
     validate_dataset,
     validate_model,
 )
@@ -362,14 +361,13 @@ def test_run_regime_low_data_outputs(tmp_path):
     assert summary_path.is_file()
 
 
-def test_run_regime_custom_env_labels_name_the_kl_columns(tmp_path, capsys):
+def test_run_regime_custom_env_labels_name_the_kl_columns(tmp_path, capsys, monkeypatch):
     bundled = load_env(asset_path("synthetic_env.json"))
-    env_path = tmp_path / "env.json"
-    save_env(GroundTruthEnv(transitions=bundled.transitions, beta_params=bundled.beta_params,
-                            state_labels=("Low", "Mid", "High")), env_path)
-    cfg = dataclasses.replace(_fast_low_data(tmp_path / "out", seeds=[0]),
-                              env_path=str(env_path))
-    summary = run_regime(cfg)
+    relabelled = GroundTruthEnv(transitions=bundled.transitions,
+                                beta_params=bundled.beta_params,
+                                state_labels=("Low", "Mid", "High"))
+    monkeypatch.setattr(harness, "load_env", lambda path: relabelled)
+    summary = run_regime(_fast_low_data(tmp_path / "out", seeds=[0]))
     want = ("kl_low", "kl_mid", "kl_high")
     with open(tmp_path / "out" / "runs.csv") as fh:
         rows = list(csv.DictReader(fh))

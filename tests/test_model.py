@@ -267,6 +267,24 @@ def test_trajectory_rejects_actions_that_are_not_integers(tmp_path, bad, named):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("actions, named", [
+    (["1"], "'1'"), ([b"1"], "b'1'"), ([True], "True"), ([0, "1"], "'0'"),
+    ([1, None], "None"), (np.array([], dtype=bool), r"dtype\('bool'\)"),
+])
+def test_trajectory_rejects_actions_that_are_not_numbers(actions, named):
+    # a cast to int would parse "1" and take True as action 1
+    with pytest.raises(ValueError, match=rf"^actions must be integers, got {named}$"):
+        Trajectory(observations=np.zeros((len(actions) + 1, 2)), actions=actions)
+
+
+@pytest.mark.parametrize("action, named", [("1", "'1'"), (True, "True")])
+def test_a_dataset_file_with_string_or_boolean_actions_does_not_load(tmp_path, action, named):
+    p = tmp_path / "ds.json"
+    p.write_text(json.dumps([{"observations": [[0.0, 0.0]] * 3, "actions": [action, action]}]))
+    with pytest.raises(ValueError, match=rf"^actions must be integers, got {named}$"):
+        load_dataset(p)
+
+
 def test_trajectory_accepts_integral_float_actions():
     traj = Trajectory(observations=np.zeros((4, 2)), actions=[1.0, 0.0, -0.0])
     assert traj.actions.dtype.kind == "i"
