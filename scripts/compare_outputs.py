@@ -8,9 +8,10 @@ In one fresh process per tree, against the package under that tree's
 - runs `harness.run_regime` on low_data seeds 0-5, high_noise seeds 0-2 and
   mg_pipeline seeds 0-1;
 - runs a fixed CLI script (CLI_SCRIPT: both generators, `train` with em and
-  fuzzy-map, `eval` to a file and to stdout, `sweep`) in a work directory
-  holding copies of the tree's bundled assets, so both trees see identical
-  relative paths;
+  fuzzy-map, `eval` to a file and to stdout, `sweep`, and `reproduce`, whose
+  printed regime table, read from `summary.json`, is captured to a file) in
+  a work directory holding copies of the tree's bundled assets, so both
+  trees see identical relative paths;
 - fits plain EM and fuzzy-MAP EM (bundled expert rules, low_data's lambdas
   and iteration cap, three polish iterations) from one random init on a
   fixed ragged dataset (RAGGED_LENGTHS), the only case whose E-step splits
@@ -27,9 +28,9 @@ In one fresh process per tree, against the package under that tree's
   but not all; and writes each fit's model and loglik_trace to
   ragged/model_<algorithm>.json.
 
-Regime outputs, the sweep's per-cell ones included, and the ragged,
-prior-only and frozen-state fits are compared byte for byte: runs.csv,
-every model_*.json and mg_table.txt.
+Regime outputs, the sweep's per-cell ones and `reproduce`'s included, and
+the ragged, prior-only and frozen-state fits are compared byte for byte:
+runs.csv, every model_*.json and mg_table.txt.
 summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
 `config.kmeans_clusters: parent only`). Every other CLI artifact is
@@ -74,6 +75,8 @@ CLI_SCRIPT = [
     (["eval", "train/fm.json", "env.json"], "eval/fm_stdout.json"),
     (["sweep", "--regime", "low-data", "--seeds", "1", "--grid", "0,0.1",
       "--out-dir", "sweep"], None),
+    (["reproduce", "--regime", "low-data", "--seeds", "2", "--out-dir", "reproduce"],
+     "reproduce/stdout.txt"),
 ]
 CLI_DIRS = ("data", "train", "eval")
 # several distinct lengths, interleaved so that grouping by length reorders

@@ -10,6 +10,7 @@ by the FUZZY_POMDP_LOG environment variable (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import logging
@@ -213,14 +214,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     env = load_env(args.env)
-    report = evaluate_model(model, env, nodes=args.nodes)
-    out = {
-        "state_matching": list(report.state_matching),
-        "l1_transition": report.l1_transition,
-        "l1_transition_total": report.l1_transition_total,
-        "kl_per_state": dict(report.kl_per_state),
-        "notes": report.notes,
-    }
+    out = dataclasses.asdict(evaluate_model(model, env, nodes=args.nodes))
     if args.out:
         write_json(out, args.out)
         print(f"wrote {args.out}")
@@ -312,6 +306,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _message(exc: Exception) -> str:
+    """What went wrong, for a person: a KeyError's text is only the key."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 # validate: file-type detection by structure, then per-type checks
 
 def _detect_and_check(payload) -> tuple[str, list[str]]:
@@ -319,7 +318,7 @@ def _detect_and_check(payload) -> tuple[str, list[str]]:
         try:
             dataset = dataset_from_list(payload)
         except (KeyError, TypeError, ValueError) as exc:
-            return "dataset", [str(exc)]
+            return "dataset", [_message(exc)]
         if not dataset:
             return "dataset", []
         obs_dim = len(dataset[0].observations[0])
@@ -331,7 +330,7 @@ def _detect_and_check(payload) -> tuple[str, list[str]]:
         try:
             env = _unchecked_env(payload)
         except (KeyError, TypeError, ValueError) as exc:
-            return "env", [str(exc)]
+            return "env", [_message(exc)]
         return "env", validate_env(env)
     if "rules" in payload and "tnorm" in payload:
         try:
@@ -339,13 +338,13 @@ def _detect_and_check(payload) -> tuple[str, list[str]]:
             if not problems:
                 fuzzy_model_from_dict(payload)
         except (KeyError, TypeError, ValueError) as exc:
-            return "fuzzy-model", [str(exc)]
+            return "fuzzy-model", [_message(exc)]
         return "fuzzy-model", problems
     if "model" in payload and isinstance(payload["model"], dict):
         try:
             model = model_from_dict(payload["model"])
         except (KeyError, TypeError, ValueError) as exc:
-            return "checkpoint", [str(exc)]
+            return "checkpoint", [_message(exc)]
         problems = validate_model(model)
         if not isinstance(payload.get("loglik_trace"), list):
             problems.append("checkpoint missing loglik_trace list")
@@ -354,7 +353,7 @@ def _detect_and_check(payload) -> tuple[str, list[str]]:
         try:
             model = model_from_dict(payload)
         except (KeyError, TypeError, ValueError) as exc:
-            return "pomdp-model", [str(exc)]
+            return "pomdp-model", [_message(exc)]
         return "pomdp-model", validate_model(model)
     if "per_algorithm" in payload and "config" in payload:
         missing = [k for k in ("regime", "seeds", "num_failures")
@@ -511,7 +510,7 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:  # runtime failure contract: exit 2, message on stderr
         log.debug("unhandled failure", exc_info=True)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 2
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (_PSD_ATOL, DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
-                    _all_finite, per_state_log_density, regularize_cov)
+                    _all_finite, _scoring_problems, per_state_log_density, regularize_cov)
 
 log = logging.getLogger(__name__)
 
@@ -195,9 +195,17 @@ class _FitData(tuple):
         return table
 
 
-def _prepared(dataset: Sequence[Trajectory]) -> _FitData:
-    """The dataset itself if a fit already prepared it, else its preparation."""
-    return dataset if isinstance(dataset, _FitData) else _FitData(dataset)
+def _prepared(dataset: Sequence[Trajectory], num_actions: int, obs_dim: int) -> _FitData:
+    """The dataset itself if a fit already prepared it, else its preparation,
+    after a ValueError has named each trajectory that a model with
+    num_actions actions and obs_dim-dimensional observations cannot score."""
+    if isinstance(dataset, _FitData):
+        return dataset
+    problems = [f"trajectory {i}: {msg}" for i, traj in enumerate(dataset)
+                for msg in _scoring_problems(traj, num_actions, obs_dim)]
+    if problems:
+        raise ValueError("invalid dataset: " + "; ".join(problems))
+    return _FitData(dataset)
 
 
 def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]):
@@ -219,7 +227,8 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
     together, so one trajectory smoothed alone can differ in the last ulp
     from its posteriors inside a batch or an e_step.
     """
-    batch = _prepared([batch] if isinstance(batch, Trajectory) else batch)
+    batch = _prepared([batch] if isinstance(batch, Trajectory) else batch,
+                      model.num_actions, model.obs_dim)
     if batch.order is not None:
         raise ValueError("trajectories in one batch must have the same length")
     num, horizon, num_states = len(batch), len(batch[0]), model.num_states
@@ -279,7 +288,7 @@ def accumulate_counts(
     the actions, observation outer products as gamma.T @ obs_pairs, the
     prepared data's flattened per-row outer products.
     """
-    data = _prepared(dataset)
+    data = _prepared(dataset, num_actions, dataset[0].obs_dim if len(dataset) else 0)
     if len(data) != len(posteriors):
         raise ValueError("dataset and posteriors must be parallel lists")
     gamma, xi = posteriors.gamma, posteriors.xi
@@ -378,12 +387,13 @@ def e_step(
 ) -> tuple[Posteriors, float]:
     """Forward-backward over the dataset, one batch per trajectory length.
 
-    dataset is a list of trajectories or a fit's prepared data. Returns the
-    posteriors joined in dataset order and the total log-likelihood. Each
-    trajectory is scored with its length group, so its posteriors can differ
-    in the last ulp from forward_backward on that trajectory alone.
+    dataset is a list of trajectories, checked as a fit checks them, or a
+    fit's prepared data. Returns the posteriors joined in dataset order and
+    the total log-likelihood. Each trajectory is scored with its length
+    group, so its posteriors can differ in the last ulp from
+    forward_backward on that trajectory alone.
     """
-    data = _prepared(dataset)
+    data = _prepared(dataset, model.num_actions, model.obs_dim)
     parts = []
     for batch in data.groups:
         try:
@@ -447,7 +457,7 @@ def _fit(
     def plain(counts: SufficientCounts, model: PomdpModel, _: int) -> PomdpModel:
         return m_step_standard(counts, model, config)
 
-    data = _prepared(dataset) if dataset else None
+    data = _prepared(dataset, init.num_actions, init.obs_dim) if dataset else None
     model, trace, iterations, converged = init, [], 0, []
     if data is not None:
         posteriors = _score(model, data, iterations, trace)
@@ -479,7 +489,8 @@ def run_em(
 
     loglik_trace[i] is the total data log-likelihood of the model after i
     M-steps; entry 0 scores the initialization. dataset is a list of
-    trajectories or a fit's prepared data.
+    trajectories or a fit's prepared data; a trajectory the init cannot
+    score raises ValueError before the first E-step.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")

@@ -38,6 +38,8 @@ from .rngs import derive_rng
 log = logging.getLogger(__name__)
 
 REGIMES = ("low_data", "high_noise", "mg_pipeline")
+# the two fitters of every seed's pair, in the order of its rows
+ALGORITHMS = ("em", "fuzzy_map")
 # runs.csv columns ahead of the per-state KL columns, which follow the env's
 # state labels (see kl_columns)
 CSV_COLUMNS = (
@@ -355,8 +357,7 @@ def kl_columns(state_labels) -> tuple[str, ...]:
 def _eval_row(config: ExperimentConfig, seed: int, algorithm: str,
               model: PomdpModel, env: GroundTruthEnv | None,
               kl_cols: tuple[str, ...]) -> dict:
-    lam_t = config.lambda_t if algorithm == "fuzzy_map" else 0.0
-    lam_o = config.lambda_o if algorithm == "fuzzy_map" else 0.0
+    lam_t, lam_o = (config.lambda_t, config.lambda_o) if algorithm == "fuzzy_map" else (0.0, 0.0)
     row = {
         "regime": config.regime,
         "seed": seed,
@@ -417,11 +418,12 @@ def run_regime(config: ExperimentConfig) -> dict:
     """Execute a full seed sweep and write all report files.
 
     Per-seed failures are recorded in the summary and skipped; the sweep
-    itself always completes. Outputs (when out_dir is set): runs.csv,
-    summary.json, model_<seed>_<alg>.json checkpoints, and for the
-    mg_pipeline regime a human-readable mg_table.txt. The per-state KL
-    columns follow the bundled synthetic env's state labels; mg_pipeline,
-    which has no env, keeps them, empty.
+    itself always completes. Each seed's two fits are scored as one
+    (em, fuzzy_map) pair of rows. Outputs (when out_dir is set): each
+    seed's model_<seed>_<alg>.json checkpoints as it finishes, then
+    runs.csv, summary.json, and for the mg_pipeline regime a human-readable
+    mg_table.txt. The per-state KL columns follow the bundled synthetic
+    env's state labels; mg_pipeline, which has no env, keeps them, empty.
     """
     is_mg = config.regime == "mg_pipeline"
     bundled = load_env(asset_path("synthetic_env.json"))
@@ -429,10 +431,10 @@ def run_regime(config: ExperimentConfig) -> dict:
     kl_cols = kl_columns(bundled.state_labels)
     rules = "mg_fuzzy_placeholder.json" if is_mg else "expert_fuzzy_synthetic.json"
     fuzzy = load_fuzzy_model(asset_path(rules))
+    out = Path(config.out_dir) if config.out_dir else None
 
-    rows: list[dict] = []
+    pairs: list[tuple[dict, dict]] = []
     failures: list[dict] = []
-    checkpoints: dict[tuple[int, str], dict] = {}
     mg_table = None
     for seed in config.seeds:
         try:
@@ -441,18 +443,19 @@ def run_regime(config: ExperimentConfig) -> dict:
             log.warning("seed %d failed: %s", seed, err)
             failures.append({"seed": seed, "error": str(err)})
             continue
-        for algorithm in ("em", "fuzzy_map"):
-            result = outcome[algorithm]
-            rows.append(_eval_row(config, seed, algorithm, result.model, env, kl_cols))
-            checkpoints[(seed, algorithm)] = dict(
-                model_to_dict(result.model),
-                iteration=result.iterations,
-                loglik_trace=list(result.loglik_trace),
-            )
+        pairs.append(tuple(_eval_row(config, seed, alg, outcome[alg].model, env, kl_cols)
+                           for alg in ALGORITHMS))
+        if out is not None:
+            for alg in ALGORITHMS:
+                fit = outcome[alg]
+                write_json(dict(model_to_dict(fit.model), iteration=fit.iterations,
+                                loglik_trace=list(fit.loglik_trace)),
+                           out / f"model_{seed}_{alg}.json")
         if is_mg and mg_table is None:
             mg_table = _mg_table(outcome["fuzzy_map"].model, fuzzy, seed)
 
-    summary = _summarize(config, rows, failures, kl_cols)
+    rows = [row for pair in pairs for row in pair]
+    summary = _summarize(config, pairs, failures, kl_cols)
     if env is not None:
         summary["expert_model_r2"] = fuzzy_model_r2(fuzzy, env)
         summary["notes"] = (
@@ -460,12 +463,9 @@ def run_regime(config: ExperimentConfig) -> dict:
             "hand-specified and validated on rollouts disjoint from training seeds"
         )
 
-    if config.out_dir:
-        out = Path(config.out_dir)
+    if out is not None:
         write_runs_csv(out / "runs.csv", rows, CSV_COLUMNS + kl_cols)
         write_json(summary, out / "summary.json")
-        for (seed, algorithm), payload in checkpoints.items():
-            write_json(payload, out / f"model_{seed}_{algorithm}.json")
         if mg_table is not None:
             (out / "mg_table.txt").write_text(mg_table)
 
@@ -489,39 +489,26 @@ def write_runs_csv(path, rows: list[dict], columns: tuple[str, ...]) -> None:
             writer.writerow([_format_cell(row.get(col)) for col in columns])
 
 
-def _summarize(config: ExperimentConfig, rows: list[dict], failures: list[dict],
-               kl_cols: tuple[str, ...]) -> dict:
+def _summarize(config: ExperimentConfig, pairs: list[tuple[dict, dict]],
+               failures: list[dict], kl_cols: tuple[str, ...]) -> dict:
     """Per-algorithm medians, and paired win rates on the row-average L1 and
     on the KL of the last state (the most severe one in the bundled env)."""
-    by_alg: dict[str, list[dict]] = {"em": [], "fuzzy_map": []}
-    for row in rows:
-        by_alg[row["algorithm"]].append(row)
-    per_algorithm = {}
-    for alg, alg_rows in by_alg.items():
-        per_algorithm[alg] = {
-            f"median_{metric}": _median([r[metric] for r in alg_rows])
-            for metric in ("l1_avg", "l1_total") + kl_cols
-        }
-    win_rates = {}
-    rel_improvements = []
-    em_by_seed = {r["seed"]: r for r in by_alg["em"]}
-    fm_by_seed = {r["seed"]: r for r in by_alg["fuzzy_map"]}
-    shared = sorted(set(em_by_seed) & set(fm_by_seed))
-    for metric in ("l1_avg", kl_cols[-1]):
-        wins = 0
-        counted = 0
-        for seed in shared:
-            a = em_by_seed[seed][metric]
-            b = fm_by_seed[seed][metric]
-            if a is None or b is None:
-                continue
-            counted += 1
-            if b < a:
-                wins += 1
-        win_rates[metric] = wins / counted if counted else None
-    for seed in shared:
-        a = em_by_seed[seed]["l1_avg"]
-        b = fm_by_seed[seed]["l1_avg"]
+    per_algorithm = {
+        alg: {f"median_{metric}": _median([pair[i][metric] for pair in pairs])
+              for metric in ("l1_avg", "l1_total") + kl_cols}
+        for i, alg in enumerate(ALGORITHMS)
+    }
+    wins: dict[str, list[bool]] = {"l1_avg": [], kl_cols[-1]: []}
+    rel_improvements, seen = [], set()
+    # a repeated seed refits the same data: only its last pair is compared
+    for em, fm in reversed(pairs):
+        if em["seed"] in seen:
+            continue
+        seen.add(em["seed"])
+        for metric, won in wins.items():
+            if em[metric] is not None and fm[metric] is not None:
+                won.append(fm[metric] < em[metric])
+        a, b = em["l1_avg"], fm["l1_avg"]
         if a is not None and b is not None and a > 0 and math.isfinite(a) and math.isfinite(b):
             rel_improvements.append((a - b) / a)
     return {
@@ -531,6 +518,7 @@ def _summarize(config: ExperimentConfig, rows: list[dict], failures: list[dict],
         "num_failures": len(failures),
         "failures": failures,
         "per_algorithm": per_algorithm,
-        "win_rates": win_rates,
+        "win_rates": {metric: sum(won) / len(won) if won else None
+                      for metric, won in wins.items()},
         "median_relative_improvement_l1": _median(rel_improvements),
     }

@@ -147,14 +147,9 @@ def _match(
             f"state count mismatch: learned {learned.num_states}, truth {truth.num_states}"
         )
     cost = _kl_matrix(truth, learned, nodes)
-    best_perm = None
-    best_total = INF
-    for perm in itertools.permutations(range(truth.num_states)):
-        total = sum(cost[perm[j], j] for j in range(truth.num_states))
-        if best_perm is None or total < best_total:
-            best_perm = perm
-            best_total = total
-    return tuple(best_perm), cost
+    best = min(itertools.permutations(range(truth.num_states)),
+               key=lambda perm: sum(cost[perm[j], j] for j in range(truth.num_states)))
+    return best, cost
 
 
 def match_states(
@@ -168,23 +163,23 @@ def match_states(
     return _match(learned, truth, nodes)[0]
 
 
-def l1_transition_distance(est: np.ndarray, truth: np.ndarray) -> float:
-    """Mean over (state, action) rows of the row-wise L1 deviation."""
+def _abs_deviation(est, truth) -> np.ndarray:
+    """|est - truth| entrywise; the two must have one shape."""
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
-    row_l1 = np.abs(est - truth).sum(axis=-1)
-    return float(row_l1.mean())
+    return np.abs(est - truth)
+
+
+def l1_transition_distance(est: np.ndarray, truth: np.ndarray) -> float:
+    """Mean over (state, action) rows of the row-wise L1 deviation."""
+    return float(_abs_deviation(est, truth).sum(axis=-1).mean())
 
 
 def l1_transition_total(est: np.ndarray, truth: np.ndarray) -> float:
     """Total absolute deviation summed over every tensor entry."""
-    est = np.asarray(est, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if est.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
-    return float(np.abs(est - truth).sum())
+    return float(_abs_deviation(est, truth).sum())
 
 
 def evaluate_model(
@@ -198,20 +193,14 @@ def evaluate_model(
     matching, cost = _match(learned, truth, nodes)
     # matching[j] = truth index for learned state j; reorder learned states
     # into truth order before comparing tensors
-    inverse = np.empty(truth.num_states, dtype=int)
-    for j, i in enumerate(matching):
-        inverse[i] = j
+    inverse = np.argsort(matching)
     est_trans = learned.transitions[inverse][:, :, inverse]
-    l1_avg = l1_transition_distance(est_trans, truth.transitions)
-    l1_tot = l1_transition_total(est_trans, truth.transitions)
-    kl_per_state = {
-        label: float(cost[i, inverse[i]]) for i, label in enumerate(truth.state_labels)
-    }
-    notes = "initial state distribution fixed at uniform, never learned"
     return EvalReport(
         state_matching=matching,
-        l1_transition=l1_avg,
-        l1_transition_total=l1_tot,
-        kl_per_state=kl_per_state,
-        notes=notes,
+        l1_transition=l1_transition_distance(est_trans, truth.transitions),
+        l1_transition_total=l1_transition_total(est_trans, truth.transitions),
+        kl_per_state={
+            label: float(cost[i, inverse[i]]) for i, label in enumerate(truth.state_labels)
+        },
+        notes="initial state distribution fixed at uniform, never learned",
     )

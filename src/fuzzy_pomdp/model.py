@@ -129,6 +129,11 @@ class Trajectory:
             values = acts.ravel().tolist()
             bad = next((x for x in values if type(x) not in (int, float)), acts.dtype)
             raise ValueError(f"actions must be integers, got {bad!r}")
+        # numpy reads [0, True] as the ints [0, 1], and [1.0, True] as floats
+        if isinstance(self.actions, (list, tuple)):
+            bad = next((x for x in self.actions if isinstance(x, (bool, np.bool_))), None)
+            if bad is not None:
+                raise ValueError(f"actions must be integers, got {bool(bad)!r}")
         if acts.dtype.kind == "f":
             with np.errstate(invalid="ignore"):
                 lost = acts.astype(int) != acts
@@ -444,22 +449,27 @@ def validate_env(env: GroundTruthEnv) -> list[str]:
     )
 
 
+def _scoring_problems(traj: Trajectory, num_actions: int, obs_dim: int) -> list[str]:
+    """Why a model with num_actions actions and obs_dim-dimensional
+    observations cannot score traj: another obs_dim, an action out of range.
+    Non-finite observations are left to the E-step's ForwardBackwardError."""
+    problems = []
+    if traj.obs_dim != obs_dim:
+        problems.append(f"obs_dim {traj.obs_dim}, expected {obs_dim}")
+    if len(traj.actions) and (traj.actions.min() < 0 or traj.actions.max() >= num_actions):
+        problems.append(f"action index out of range [0, {num_actions})")
+    return problems
+
+
 def validate_dataset(dataset: Sequence[Trajectory], num_actions: int, obs_dim: int) -> list[str]:
     """Dimensional checks for a dataset against a model or environment, plus
     one entry per NaN or infinite observation value."""
-    violations = []
-    for i, traj in enumerate(dataset):
-        if traj.obs_dim != obs_dim:
-            violations.append(f"trajectory {i}: obs_dim {traj.obs_dim}, expected {obs_dim}")
-        if len(traj.actions) and (traj.actions.min() < 0 or traj.actions.max() >= num_actions):
-            violations.append(
-                f"trajectory {i}: action index out of range [0, {num_actions})"
-            )
-        violations.extend(
-            f"trajectory {i}: {msg}"
-            for msg in _non_finite("observations", traj.observations, ("t", "dim"))
-        )
-    return violations
+    return [
+        f"trajectory {i}: {msg}"
+        for i, traj in enumerate(dataset)
+        for msg in _scoring_problems(traj, num_actions, obs_dim)
+        + _non_finite("observations", traj.observations, ("t", "dim"))
+    ]
 
 
 def sample_trajectory(

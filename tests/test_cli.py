@@ -454,6 +454,44 @@ def test_validate_flags_a_dataset_with_string_actions(tmp_path, capsys):
     assert f"actions must be integers, got {payload[1]['actions'][0]!r}" in out
 
 
+def test_validate_flags_a_boolean_among_integer_actions(tmp_path, capsys):
+    # numpy would read [0, true] as the actions [0, 1]
+    ds = gen_small_dataset(tmp_path)
+    payload = json.loads(ds.read_text())
+    payload[1]["actions"][2] = True
+    bad = tmp_path / "bools.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli("validate", bad) == 2
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"{bad}: dataset INVALID", "  - actions must be integers, got True"]
+
+
+def test_a_missing_key_is_named_as_missing(tmp_path, capsys):
+    ds = json.loads(gen_small_dataset(tmp_path).read_text())
+    del ds[1]["actions"]
+    no_actions = tmp_path / "no_actions.json"
+    no_actions.write_text(json.dumps(ds))
+    env = json.loads(open(ENV).read())
+    del env["beta_params"][0][1]["beta"]
+    no_beta = tmp_path / "no_beta.json"
+    no_beta.write_text(json.dumps(env))
+    capsys.readouterr()
+    assert run_cli("validate", no_actions, no_beta) == 2
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        f"{no_actions}: dataset INVALID", "  - missing key 'actions'",
+        f"{no_beta}: env INVALID", "  - missing key 'beta'"]
+    out = tmp_path / "out.json"
+    assert run_cli("train", no_actions, "--out", out) == 2
+    assert capsys.readouterr().err == "error: missing key 'actions'\n"
+    ckpt = tmp_path / "ck.json"
+    assert run_cli("train", gen_small_dataset(tmp_path), "--max-iterations", 2,
+                   "--out", ckpt) == 0
+    assert run_cli("eval", ckpt, no_beta) == 2
+    assert capsys.readouterr().err == "error: missing key 'beta'\n"
+    assert not out.exists()
+
+
 def test_validate_names_each_env_problem_on_its_own_line(tmp_path, capsys):
     payload = json.loads(open(ENV).read())
     payload["beta_params"][0][0]["alpha"] = -1.0

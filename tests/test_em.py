@@ -6,6 +6,7 @@ in the recursions shows up as a hard numeric mismatch.
 """
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,70 @@ def test_nan_likelihood_names_the_dataset_index():
     assert info.value.trajectory == 1
     with pytest.raises(ForwardBackwardError, match=r"^iteration 0: trajectory 1: "):
         run_em([good, bad], m, EmConfig(max_iterations=50))
+
+
+def _unscorable(kind: str) -> tuple[list, str]:
+    """A dataset a 2-action, 2-dim model cannot score, and the message that
+    names its bad trajectory."""
+    obs = np.random.default_rng(110).random((5, 2))
+    good = Trajectory(obs, [0, 1, 1, 0])
+    cases = {
+        "negative action": ([good, Trajectory(obs, [-1, 0, 1, -2])],
+                            "trajectory 1: action index out of range [0, 2)"),
+        "action past the last": ([Trajectory(obs, [5, 0, 1, 0]), good],
+                                 "trajectory 0: action index out of range [0, 2)"),
+        "1-D observations": ([Trajectory(obs[:, :1], [0, 0, 1, 0])],
+                             "trajectory 0: obs_dim 1, expected 2"),
+        "mixed obs_dims": ([good, Trajectory(obs[:, :1], [0, 0, 1, 0]), good],
+                           "trajectory 1: obs_dim 1, expected 2"),
+    }
+    return cases[kind]
+
+
+# accumulate_counts has no model: it checks the actions against its action
+# count, and the obs_dims against its first trajectory's
+@pytest.mark.parametrize("call, kind", [
+    (call, kind)
+    for call in ("run_em", "run_fuzzy_map_em", "e_step", "forward_backward", "accumulate_counts")
+    for kind in ("negative action", "action past the last", "1-D observations", "mixed obs_dims")
+    if (call, kind) != ("accumulate_counts", "1-D observations")
+])
+def test_every_entry_point_rejects_a_trajectory_the_model_cannot_score(kind, call):
+    # unchecked, a negative action indexes the last action's transitions and
+    # 1-D observations broadcast against 2-D means; the rest fail deep inside
+    # numpy
+    m = random_model(np.random.default_rng(111))
+    dataset, named = _unscorable(kind)
+    posteriors = e_step(m, random_dataset(np.random.default_rng(112), m, n=len(dataset),
+                                          horizon=5))[0]
+    calls = {
+        "run_em": lambda: run_em(dataset, m, EmConfig(max_iterations=3)),
+        "run_fuzzy_map_em": lambda: run_fuzzy_map_em(
+            dataset, m, random_fuzzy(np.random.default_rng(113)), EmConfig(max_iterations=3),
+            FuzzyMapConfig(lambda_t=0.1, lambda_o=0.1)),
+        "e_step": lambda: e_step(m, dataset),
+        "forward_backward": lambda: forward_backward(m, [t for t in dataset if len(t) == 5]),
+        "accumulate_counts": lambda: accumulate_counts(dataset, posteriors, m.num_actions),
+    }
+    with pytest.raises(ValueError, match=rf"^invalid dataset: {re.escape(named)}$"):
+        calls[call]()
+
+
+def test_a_fit_checks_its_dataset_once(monkeypatch):
+    rng = np.random.default_rng(114)
+    m = random_model(rng)
+    ds = random_dataset(rng, m, n=3, horizon=4) + random_dataset(rng, m, n=2, horizon=6)
+    checked = []
+    check = em._scoring_problems
+    monkeypatch.setattr(em, "_scoring_problems",
+                        lambda *args: checked.append(args) or check(*args))
+    assert run_em(ds, m, EmConfig(max_iterations=5)).iterations > 1
+    fit = run_fuzzy_map_em(ds, m, random_fuzzy(rng, obs_dim=m.obs_dim), EmConfig(max_iterations=3),
+                           FuzzyMapConfig(lambda_t=0.1, lambda_o=0.1,
+                                          final_standard_em_iterations=3))
+    assert fit.iterations > 3
+    # each trajectory once per fit, against the init's action count and obs_dim
+    assert checked == [(traj, m.num_actions, m.obs_dim) for traj in ds] * 2
 
 
 def test_nan_mean_names_the_first_trajectory():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fuzzy_pomdp import cli, harness
 from fuzzy_pomdp.em import EmConfig, run_em
@@ -12,6 +13,7 @@ from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp.model import (
     GroundTruthEnv,
     Trajectory,
+    json_text,
     load_env,
     make_policy,
     validate_dataset,
@@ -394,6 +396,84 @@ def test_run_regime_mg_pipeline_smoke(tmp_path):
     # two latent states in the learned transition table
     m = summary["rows"][0]
     assert m["algorithm"] in {"em", "fuzzy_map"}
+
+
+def regrouped_summary(config, rows, failures, kl_cols):
+    """Reference: the summary regrouped from the flat rows, by algorithm for
+    the medians and by seed (the last row of each) for the paired figures."""
+    by_alg = {"em": [], "fuzzy_map": []}
+    for row in rows:
+        by_alg[row["algorithm"]].append(row)
+    per_algorithm = {
+        alg: {f"median_{metric}": harness._median([r[metric] for r in alg_rows])
+              for metric in ("l1_avg", "l1_total") + kl_cols}
+        for alg, alg_rows in by_alg.items()
+    }
+    em_by_seed = {r["seed"]: r for r in by_alg["em"]}
+    fm_by_seed = {r["seed"]: r for r in by_alg["fuzzy_map"]}
+    shared = sorted(set(em_by_seed) & set(fm_by_seed))
+    win_rates = {}
+    for metric in ("l1_avg", kl_cols[-1]):
+        wins = counted = 0
+        for seed in shared:
+            a, b = em_by_seed[seed][metric], fm_by_seed[seed][metric]
+            if a is None or b is None:
+                continue
+            counted += 1
+            wins += b < a
+        win_rates[metric] = wins / counted if counted else None
+    rel_improvements = []
+    for seed in shared:
+        a, b = em_by_seed[seed]["l1_avg"], fm_by_seed[seed]["l1_avg"]
+        if a is not None and b is not None and a > 0 and math.isfinite(a) and math.isfinite(b):
+            rel_improvements.append((a - b) / a)
+    return {
+        "regime": config.regime,
+        "config": dataclasses.asdict(config),
+        "seeds": list(config.seeds),
+        "num_failures": len(failures),
+        "failures": failures,
+        "per_algorithm": per_algorithm,
+        "win_rates": win_rates,
+        "median_relative_improvement_l1": harness._median(rel_improvements),
+    }
+
+
+# L1 cells: empty, zero, non-finite or ordinary; KL cells: empty, the inf
+# sentinel or ordinary
+L1_CELLS = st.one_of(st.none(), st.sampled_from([0.0, math.inf, math.nan]),
+                     st.floats(0.0, 4.0))
+KL_CELLS = st.one_of(st.none(), st.just(math.inf), st.floats(0.0, 10.0))
+
+
+@st.composite
+def seed_sweeps(draw):
+    """A config, its (em, fuzzy_map) row pairs and its failures: seeds drawn
+    from a small range so they repeat, some of them failed."""
+    kl_cols = harness.kl_columns(draw(st.lists(st.sampled_from(["A", "B", "C", "D"]),
+                                               min_size=1, max_size=3, unique=True)))
+    seeds = draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    config = regime_config("low_data", seeds)
+    pairs, failures = [], []
+    for seed in seeds:
+        if draw(st.booleans()) and draw(st.booleans()):
+            failures.append({"seed": seed, "error": "boom"})
+            continue
+        pairs.append(tuple(
+            harness._eval_row(config, seed, alg, None, None, kl_cols)
+            | {"l1_avg": draw(L1_CELLS), "l1_total": draw(L1_CELLS)}
+            | {col: draw(KL_CELLS) for col in kl_cols}
+            for alg in harness.ALGORITHMS))
+    return config, pairs, failures, kl_cols
+
+
+@given(seed_sweeps())
+def test_summarize_over_pairs_equals_the_regrouped_rows(sweep):
+    config, pairs, failures, kl_cols = sweep
+    rows = [row for pair in pairs for row in pair]
+    # compared as summary.json's text, where every NaN reads "nan"
+    assert json_text(harness._summarize(config, pairs, failures, kl_cols)) == json_text(
+        regrouped_summary(config, rows, failures, kl_cols))
 
 
 def test_fuzzy_model_r2_bundled_expert_is_informative():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import beta as beta_dist
 
+from fuzzy_pomdp import metrics
 from fuzzy_pomdp.model import GroundTruthEnv, PomdpModel, load_env
 from fuzzy_pomdp.metrics import (
     beta_product_log_density,
@@ -99,6 +100,23 @@ def test_match_states_is_argmin_over_permutations():
         best_val = total_kl(best)
         for perm in itertools.permutations(range(3)):
             assert best_val <= total_kl(perm) + 1e-9
+
+
+TIED = np.ones((3, 3))
+TIED[[1, 0, 2, 2, 1, 0], [0, 1, 2, 0, 1, 2]] = 0.0  # (1, 0, 2) and (2, 1, 0) total 0
+
+
+@pytest.mark.parametrize("cost, best", [
+    (TIED, (1, 0, 2)),
+    (np.full((3, 3), np.inf), (0, 1, 2)),
+    (np.where(np.eye(3) > 0, np.inf, TIED), (1, 2, 0)),
+])
+def test_match_states_takes_the_first_least_cost_permutation(monkeypatch, cost, best):
+    # every total inf leaves the identity, the first permutation
+    env = bundled_env()
+    monkeypatch.setattr(metrics, "_kl_matrix", lambda truth, learned, nodes: cost)
+    assert match_states(moment_matched_model(env), env) == best
+    assert evaluate_model(moment_matched_model(env), env).state_matching == best
 
 
 # ------------------------------------------------------------ L1 distance

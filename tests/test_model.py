@@ -270,6 +270,8 @@ def test_trajectory_rejects_actions_that_are_not_integers(tmp_path, bad, named):
 @pytest.mark.parametrize("actions, named", [
     (["1"], "'1'"), ([b"1"], "b'1'"), ([True], "True"), ([0, "1"], "'0'"),
     ([1, None], "None"), (np.array([], dtype=bool), r"dtype\('bool'\)"),
+    # numpy reads these as the numbers [0, 1] and [1.0, 1.0]
+    ([0, True], "True"), ([1.0, True], "True"), ([0, np.True_], "True"),
 ])
 def test_trajectory_rejects_actions_that_are_not_numbers(actions, named):
     # a cast to int would parse "1" and take True as action 1
