@@ -12,6 +12,11 @@ In one fresh process per tree, against the package under that tree's
   printed regime table, read from `summary.json`, is captured to a file) in
   a work directory holding copies of the tree's bundled assets, so both
   trees see identical relative paths;
+- runs `validate` there (VALIDATE_RUNS) on one file of each kind it reads,
+  the script's outputs and assets, and on corrupt files made from them
+  (a missing key, a NaN, a wrong shape, an overflowing and a huge state
+  count), each followed by a valid file of its kind, capturing each run's
+  stdout and exit code to validate/<run>.txt;
 - fits plain EM and fuzzy-MAP EM (bundled expert rules, low_data's lambdas
   and iteration cap, three polish iterations) from one random init on a
   fixed ragged dataset (RAGGED_LENGTHS), the only case whose E-step splits
@@ -30,7 +35,7 @@ In one fresh process per tree, against the package under that tree's
 
 Regime outputs, the sweep's per-cell ones and `reproduce`'s included, and
 the ragged, prior-only and frozen-state fits are compared byte for byte:
-runs.csv, every model_*.json and mg_table.txt.
+runs.csv, every model_*.json, mg_table.txt and each validate run's output.
 summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
 `config.kmeans_clusters: parent only`). Every other CLI artifact is
@@ -78,7 +83,20 @@ CLI_SCRIPT = [
     (["reproduce", "--regime", "low-data", "--seeds", "2", "--out-dir", "reproduce"],
      "reproduce/stdout.txt"),
 ]
-CLI_DIRS = ("data", "train", "eval")
+CLI_DIRS = ("data", "train", "eval", "validate")
+# validate runs, (name, files), after the CLI script, in its work directory:
+# one file of each kind validate reads, then each corrupt file the runner
+# writes under validate/ followed by a valid file of its kind
+VALIDATE_RUNS = [
+    ("valid", ["data/ds.json", "env.json", "rules.json", "train/em.json",
+               "reproduce/model_0_em.json", "reproduce/summary.json",
+               "data/ds.manifest.json", "eval/em.json"]),
+    ("missing_key", ["validate/missing_key.json", "data/ds.json"]),
+    ("nan", ["validate/nan.json", "reproduce/model_0_em.json"]),
+    ("wrong_shape", ["validate/wrong_shape.json", "train/em.json"]),
+    ("overflowing_count", ["validate/overflowing_count.json", "reproduce/model_0_em.json"]),
+    ("huge_count", ["validate/huge_count.json", "reproduce/model_0_em.json"]),
+]
 # several distinct lengths, interleaved so that grouping by length reorders
 RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
 REGIME_FILES = ("runs.csv", "mg_table.txt")
@@ -93,7 +111,8 @@ from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp.harness import asset_path, random_init, regime_config, run_regime
 from fuzzy_pomdp.model import load_env, make_policy, model_to_dict, sample_trajectory, write_json
 from fuzzy_pomdp.rngs import derive_rng
-out, cases, assets, script, dirs, lengths = sys.argv[1], *map(json.loads, sys.argv[2:])
+out, cases, assets, script, dirs, lengths, validate_runs = (sys.argv[1],
+                                                           *map(json.loads, sys.argv[2:]))
 for regime, seeds in cases.items():
     run_regime(regime_config(regime, seeds, out_dir=f"{out}/{regime}"))
 env = load_env(asset_path("synthetic_env.json"))
@@ -149,15 +168,40 @@ for argv, stdout_file in script:
         sys.exit(f"cli {' '.join(argv)} exited {code}")
     if stdout_file:
         Path(stdout_file).write_text(sink.getvalue())
+dataset = json.loads(Path("data/ds.json").read_text())
+del dataset[0]["actions"]
+model = json.loads(Path("reproduce/model_0_em.json").read_text())
+checkpoint = json.loads(Path("train/em.json").read_text())
+checkpoint["model"]["obs_means"].pop()
+counted = {key: value for key, value in model.items() if key != "initial_dist"}
+states = f'"num_states": {model["num_states"]},'
+corrupt = {
+    "missing_key": json.dumps(dataset),
+    "nan": json.dumps(dict(model, obs_means=[[float("nan")] + model["obs_means"][0][1:],
+                                             *model["obs_means"][1:]])),
+    "wrong_shape": json.dumps(checkpoint),
+    "overflowing_count": json.dumps(counted).replace(states, '"num_states": 1e400,'),
+    "huge_count": json.dumps(counted).replace(states, '"num_states": 1000000000000,'),
+}
+for name, text in corrupt.items():
+    if name.endswith("count") and states in text:
+        sys.exit(f"no num_states to replace in {name}")
+    Path(f"validate/{name}.json").write_text(text)
+for name, files in validate_runs:
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["validate", *files])
+    Path(f"validate/{name}.txt").write_text(f"{sink.getvalue()}exit {code}\\n")
 """
 
 
 def run_tree(tree: Path, out: Path) -> None:
-    """Write every case's outputs under out/<regime>, the CLI script's
-    under out/cli and the ragged, prior-only and frozen-state fits under
-    out/ragged, using tree's package."""
+    """Write every case's outputs under out/<regime>, the CLI script's and
+    the validate runs' under out/cli and the ragged, prior-only and
+    frozen-state fits under out/ragged, using tree's package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS)]
+    args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS,
+                                    VALIDATE_RUNS)]
     subprocess.run([sys.executable, "-c", RUNNER, str(out), *args],
                    cwd=tree, env=env, check=True)
 
@@ -255,7 +299,7 @@ def compare_file(a: Path, b: Path, name: str) -> tuple[list[str], list[str], lis
         found = [f"{name}: {key}" for key in key_differences(_summary(a), _summary(b))]
     elif a.read_bytes() == b.read_bytes():
         return [], [], []
-    elif a.name in REGIME_FILES or a.name.startswith("model_"):
+    elif a.name in REGIME_FILES or a.name.startswith("model_") or a.parent.name == "validate":
         found = [f"{name}: differs"]
     elif a.suffix == ".json":
         keys = key_differences(json.loads(a.read_text()), json.loads(b.read_text()))
@@ -305,7 +349,8 @@ def main(argv=None) -> int:
         print(f"size: {line}")
     total = sum(len(seeds) for seeds in CASES.values())
     print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds, "
-          f"{len(CLI_SCRIPT)} CLI commands and the ragged, prior-only and frozen-state fits; "
+          f"{len(CLI_SCRIPT)} CLI commands, {len(VALIDATE_RUNS)} validate runs and the ragged, "
+          f"prior-only and frozen-state fits; "
           f"{len(notes)} byte-only note(s)")
     return 1 if found else 0
 

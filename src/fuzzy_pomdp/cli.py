@@ -97,8 +97,7 @@ def _write_manifest(args) -> None:
 
 def cmd_gen_data(args) -> int:
     env = load_env(args.env)
-    num_actions = env.transitions.shape[1]
-    policy = make_policy(args.policy, num_actions)
+    policy = make_policy(args.policy, env.num_actions)
     dataset = [
         sample_trajectory(env, policy, args.horizon, derive_rng(args.seed, "gen-data", i))
         for i in range(args.n)
@@ -313,48 +312,47 @@ def _message(exc: Exception) -> str:
 
 # validate: file-type detection by structure, then per-type checks
 
+def _checked(kind: str, check, payload) -> tuple[str, list[str]]:
+    """kind with check(payload)'s problems, or the one problem its build raised."""
+    try:
+        return kind, check(payload)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return kind, [_message(exc)]
+
+
+def _dataset_problems(payload) -> list[str]:
+    dataset = dataset_from_list(payload)
+    num_actions = max((int(a) for t in dataset for a in t.actions), default=0) + 1
+    return validate_dataset(dataset, num_actions, dataset[0].obs_dim if dataset else 0)
+
+
+def _fuzzy_problems(payload) -> list[str]:
+    problems = validate_fuzzy_dict(payload)
+    if not problems:
+        fuzzy_model_from_dict(payload)
+    return problems
+
+
+def _checkpoint_problems(payload) -> list[str]:
+    problems = validate_model(model_from_dict(payload["model"]))
+    if not isinstance(payload.get("loglik_trace"), list):
+        problems.append("checkpoint missing loglik_trace list")
+    return problems
+
+
 def _detect_and_check(payload) -> tuple[str, list[str]]:
     if isinstance(payload, list):
-        try:
-            dataset = dataset_from_list(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            return "dataset", [_message(exc)]
-        if not dataset:
-            return "dataset", []
-        obs_dim = len(dataset[0].observations[0])
-        num_actions = max((int(a) for t in dataset for a in t.actions), default=0) + 1
-        return "dataset", validate_dataset(dataset, num_actions, obs_dim)
+        return _checked("dataset", _dataset_problems, payload)
     if not isinstance(payload, dict):
         return "unknown", ["top-level JSON value is neither object nor array"]
     if "beta_params" in payload:
-        try:
-            env = _unchecked_env(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            return "env", [_message(exc)]
-        return "env", validate_env(env)
+        return _checked("env", lambda p: validate_env(_unchecked_env(p)), payload)
     if "rules" in payload and "tnorm" in payload:
-        try:
-            problems = validate_fuzzy_dict(payload)
-            if not problems:
-                fuzzy_model_from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            return "fuzzy-model", [_message(exc)]
-        return "fuzzy-model", problems
+        return _checked("fuzzy-model", _fuzzy_problems, payload)
     if "model" in payload and isinstance(payload["model"], dict):
-        try:
-            model = model_from_dict(payload["model"])
-        except (KeyError, TypeError, ValueError) as exc:
-            return "checkpoint", [_message(exc)]
-        problems = validate_model(model)
-        if not isinstance(payload.get("loglik_trace"), list):
-            problems.append("checkpoint missing loglik_trace list")
-        return "checkpoint", problems
+        return _checked("checkpoint", _checkpoint_problems, payload)
     if "transitions" in payload and "obs_means" in payload:
-        try:
-            model = model_from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            return "pomdp-model", [_message(exc)]
-        return "pomdp-model", validate_model(model)
+        return _checked("pomdp-model", lambda p: validate_model(model_from_dict(p)), payload)
     if "per_algorithm" in payload and "config" in payload:
         missing = [k for k in ("regime", "seeds", "num_failures")
                    if k not in payload]

@@ -281,21 +281,21 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
 
 
 def accumulate_counts(
-    dataset: Sequence[Trajectory], posteriors: Posteriors, num_actions: int
+    dataset: Sequence[Trajectory], posteriors: Posteriors, model: PomdpModel
 ) -> SufficientCounts:
-    """Pool the dataset's posteriors, as e_step returns them, into sufficient
-    counts, one matmul each: transition counts against a one-hot encoding of
-    the actions, observation outer products as gamma.T @ obs_pairs, the
-    prepared data's flattened per-row outer products.
+    """Pool the posteriors that e_step gives dataset under model into
+    sufficient counts, one matmul each: transitions against a one-hot
+    encoding of the actions, outer products as gamma.T @ obs_pairs. A list
+    of trajectories is checked against model first, as e_step checks it.
     """
-    data = _prepared(dataset, num_actions, dataset[0].obs_dim if len(dataset) else 0)
+    data = _prepared(dataset, model.num_actions, model.obs_dim)
     if len(data) != len(posteriors):
         raise ValueError("dataset and posteriors must be parallel lists")
     gamma, xi = posteriors.gamma, posteriors.xi
     num_states, obs_dim = gamma.shape[1], data.obs.shape[1]
-    trans = data.one_hot(num_actions).T @ xi.reshape(len(xi), num_states * num_states)
+    trans = data.one_hot(model.num_actions).T @ xi.reshape(len(xi), num_states * num_states)
     return SufficientCounts(
-        trans=trans.reshape(num_actions, num_states, num_states).transpose(1, 0, 2),
+        trans=trans.reshape(model.num_actions, num_states, num_states).transpose(1, 0, 2),
         obs_weight=gamma.sum(axis=0),
         obs_sum=gamma.T @ data.obs,
         obs_outer=(gamma.T @ data.obs_pairs).reshape(num_states, obs_dim, obs_dim),
@@ -467,7 +467,7 @@ def _fit(
             if data is None:
                 counts = SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
             else:
-                counts = accumulate_counts(data, posteriors, model.num_actions)
+                counts = accumulate_counts(data, posteriors, model)
             previous, model = model, step(counts, model, iterations)
             iterations += 1
             if data is None:

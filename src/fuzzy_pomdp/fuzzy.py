@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import _frozen_array, _non_finite, _set, write_json
+from .model import _count, _frozen_array, _non_finite, _set, write_json
 
 log = logging.getLogger(__name__)
 
@@ -116,10 +116,6 @@ class FuzzyRule:
         cons.flags.writeable = False
         _set(self, "clauses", clauses)
         _set(self, "consequent", cons)
-
-    def predict(self, obs: np.ndarray) -> np.ndarray:
-        """Affine consequent value for one observation vector."""
-        return self.consequent[:, 0] + self.consequent[:, 1:] @ np.asarray(obs, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -424,17 +420,16 @@ def fuzzy_model_from_dict(data: dict) -> FuzzyModel:
                 )
             clauses.append(FuzzyClause(dim=dim, term=var.terms[cond["term"]],
                                        term_label=cond["term"]))
-        action = entry.get("action")
         rules.append(
             FuzzyRule(
                 clauses=tuple(clauses),
                 consequent=entry["consequent"],
-                action=None if action is None else int(action),
+                action=None if entry.get("action") is None else _count(entry, "action"),
             )
         )
     return FuzzyModel(
-        obs_dim=int(data["obs_dim"]),
-        num_actions=int(data["num_actions"]),
+        obs_dim=_count(data, "obs_dim"),
+        num_actions=_count(data, "num_actions"),
         rules=tuple(rules),
         tnorm=data.get("tnorm", "product"),
         variables=tuple(variables),

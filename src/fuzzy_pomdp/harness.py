@@ -85,7 +85,11 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(int(s) for s in self.seeds)
+        repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"seed {repeated} is listed more than once")
+        object.__setattr__(self, "seeds", seeds)
 
 
 def regime_config(regime: str, seeds, out_dir: str | None = None, **overrides) -> ExperimentConfig:
@@ -153,7 +157,6 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nda
         else:
             probs = d2 / total
         centroids[j] = points[rng.choice(n, p=probs)]
-    labels = np.zeros(n, dtype=int)
     for _ in range(100):
         dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = dists.argmin(axis=1)
@@ -189,8 +192,6 @@ def kmeans_init(dataset: list[Trajectory], k: int, num_actions: int,
         transitions=np.full((k, num_actions, k), 1.0 / k),
         obs_means=centroids,
         obs_covs=np.tile(np.eye(d), (k, 1, 1)),
-        initial_dist=None,
-        state_labels=tuple(f"state_{i}" for i in range(k)),
     )
 
 
@@ -499,12 +500,8 @@ def _summarize(config: ExperimentConfig, pairs: list[tuple[dict, dict]],
         for i, alg in enumerate(ALGORITHMS)
     }
     wins: dict[str, list[bool]] = {"l1_avg": [], kl_cols[-1]: []}
-    rel_improvements, seen = [], set()
-    # a repeated seed refits the same data: only its last pair is compared
-    for em, fm in reversed(pairs):
-        if em["seed"] in seen:
-            continue
-        seen.add(em["seed"])
+    rel_improvements = []
+    for em, fm in pairs:
         for metric, won in wins.items():
             if em[metric] is not None and fm[metric] is not None:
                 won.append(fm[metric] < em[metric])

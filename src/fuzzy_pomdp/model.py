@@ -79,15 +79,15 @@ class PomdpModel:
         trans = _frozen_array(self.transitions)
         means = _frozen_array(self.obs_means)
         covs = _frozen_array(self.obs_covs)
-        init = self.initial_dist
-        init = np.full(s, 1.0 / s) if init is None else np.asarray(init, dtype=float)
-        init = _frozen_array(init)
+        # checked before the defaults below are built at the counts' size
         if trans.shape != (s, a, s):
             raise ValueError(f"transitions shape {trans.shape}, expected {(s, a, s)}")
         if means.shape != (s, d):
             raise ValueError(f"obs_means shape {means.shape}, expected {(s, d)}")
         if covs.shape != (s, d, d):
             raise ValueError(f"obs_covs shape {covs.shape}, expected {(s, d, d)}")
+        init = self.initial_dist
+        init = _frozen_array(np.full(s, 1.0 / s) if init is None else init)
         if init.shape != (s,):
             raise ValueError(f"initial_dist shape {init.shape}, expected {(s,)}")
         labels = tuple(self.state_labels) or tuple(f"state_{i}" for i in range(s))
@@ -583,11 +583,20 @@ def model_to_dict(model: PomdpModel) -> dict:
     }
 
 
+def _count(data: dict, key: str) -> int:
+    """data[key] as int() reads it, unless it is a bool, a string or a fraction."""
+    value = data[key]
+    count = int(value)
+    if isinstance(value, (bool, str)) or count != value:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return count
+
+
 def model_from_dict(data: dict) -> PomdpModel:
     return PomdpModel(
-        num_states=int(data["num_states"]),
-        num_actions=int(data["num_actions"]),
-        obs_dim=int(data["obs_dim"]),
+        num_states=_count(data, "num_states"),
+        num_actions=_count(data, "num_actions"),
+        obs_dim=_count(data, "obs_dim"),
         transitions=data["transitions"],
         obs_means=data["obs_means"],
         obs_covs=data["obs_covs"],

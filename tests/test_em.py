@@ -205,13 +205,12 @@ def _unscorable(kind: str) -> tuple[list, str]:
     return cases[kind]
 
 
-# accumulate_counts has no model: it checks the actions against its action
-# count, and the obs_dims against its first trajectory's
+# accumulate_counts checks the data against the model its posteriors came
+# from, so 1-D trajectories pooled with a 2-D model's posteriors raise too
 @pytest.mark.parametrize("call, kind", [
     (call, kind)
     for call in ("run_em", "run_fuzzy_map_em", "e_step", "forward_backward", "accumulate_counts")
     for kind in ("negative action", "action past the last", "1-D observations", "mixed obs_dims")
-    if (call, kind) != ("accumulate_counts", "1-D observations")
 ])
 def test_every_entry_point_rejects_a_trajectory_the_model_cannot_score(kind, call):
     # unchecked, a negative action indexes the last action's transitions and
@@ -228,7 +227,7 @@ def test_every_entry_point_rejects_a_trajectory_the_model_cannot_score(kind, cal
             FuzzyMapConfig(lambda_t=0.1, lambda_o=0.1)),
         "e_step": lambda: e_step(m, dataset),
         "forward_backward": lambda: forward_backward(m, [t for t in dataset if len(t) == 5]),
-        "accumulate_counts": lambda: accumulate_counts(dataset, posteriors, m.num_actions),
+        "accumulate_counts": lambda: accumulate_counts(dataset, posteriors, m),
     }
     with pytest.raises(ValueError, match=rf"^invalid dataset: {re.escape(named)}$"):
         calls[call]()
@@ -321,7 +320,8 @@ def test_accumulate_counts_one_hot_posteriors():
     xi = np.zeros((2, 2, 2))
     xi[0, 0, 1] = 1.0  # t=0: state 0 -> 1 under action 1
     xi[1, 1, 1] = 1.0  # t=1: state 1 -> 1 under action 0
-    c = accumulate_counts(ds, one_posteriors(gamma, xi), num_actions=2)
+    c = accumulate_counts(ds, one_posteriors(gamma, xi),
+                          random_model(np.random.default_rng(0), num_states=2, num_actions=2))
     expect_trans = np.zeros((2, 2, 2))
     expect_trans[0, 1, 1] = 1.0
     expect_trans[1, 0, 1] = 1.0
@@ -339,7 +339,8 @@ def test_accumulate_counts_hand_spreadsheet():
     ds = [Trajectory(observations=obs, actions=np.array([0]))]
     gamma = np.array([[0.6, 0.4], [0.2, 0.8]])
     xi = np.array([[[0.1, 0.5], [0.1, 0.3]]])
-    c = accumulate_counts(ds, one_posteriors(gamma, xi), num_actions=1)
+    c = accumulate_counts(ds, one_posteriors(gamma, xi), random_model(
+        np.random.default_rng(0), num_states=2, num_actions=1, obs_dim=1))
     assert np.allclose(c.trans[:, 0, :], xi[0])
     assert np.allclose(c.obs_weight, [0.8, 1.2])
     assert np.allclose(c.obs_sum[:, 0], [0.6 * 1 + 0.2 * 3, 0.4 * 1 + 0.8 * 3])
@@ -352,7 +353,7 @@ def test_accumulate_counts_mass_conservation():
     m = random_model(rng, num_states=3)
     ds = random_dataset(rng, m, n=4, horizon=6)
     posts, _ = e_step(m, ds)
-    c = accumulate_counts(ds, posts, m.num_actions)
+    c = accumulate_counts(ds, posts, m)
     steps = sum(len(t.observations) for t in ds)
     trans_steps = sum(len(t.actions) for t in ds)
     assert abs(c.obs_weight.sum() - steps) < 1e-9

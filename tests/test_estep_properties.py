@@ -93,7 +93,7 @@ def test_posteriors_match_brute_force_enumeration(case):
 def test_accumulated_counts_conserve_mass(case):
     model, dataset = case
     posts, _ = e_step(model, dataset)
-    counts = accumulate_counts(dataset, posts, model.num_actions)
+    counts = accumulate_counts(dataset, posts, model)
     steps = sum(len(traj) for traj in dataset)
     assert abs(counts.obs_weight.sum() - steps) < 1e-9
     assert abs(counts.trans.sum() - (steps - len(dataset))) < 1e-9
@@ -143,7 +143,7 @@ def _outer_rows(obs):
 def test_pooled_e_step_and_counts_equal_the_oracle_bit_for_bit(case):
     model, dataset = case
     posts, total = e_step(model, dataset)
-    counts = accumulate_counts(dataset, posts, model.num_actions)
+    counts = accumulate_counts(dataset, posts, model)
     want_posts, want_counts, want_total = pooled_counts_oracle(model, dataset)
     assert total == want_total
     assert len(posts) == len(dataset)
@@ -163,7 +163,7 @@ def test_matmul_pooled_counts_equal_the_einsums_they_replaced(case):
     # term, so each count is held to 1e-14 of its sum of absolute terms
     model, dataset = case
     posts, _ = e_step(model, dataset)
-    counts = accumulate_counts(dataset, posts, model.num_actions)
+    counts = accumulate_counts(dataset, posts, model)
     obs = np.concatenate([traj.observations for traj in dataset])
     actions = np.concatenate([traj.actions for traj in dataset])
     one_hot = np.eye(model.num_actions)[actions]

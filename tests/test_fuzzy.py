@@ -262,7 +262,8 @@ def scalar_infer(model, obs, action):
     weights = np.array([strength(rule) for rule in model.rules])
     if weights.sum() <= 0.0:
         return obs.copy()
-    outputs = np.array([rule.predict(obs) for rule in model.rules])
+    outputs = np.array([rule.consequent[:, 0] + rule.consequent[:, 1:] @ obs
+                        for rule in model.rules])
     return weights @ outputs / weights.sum()
 
 

@@ -8,6 +8,7 @@ and those cases anchor the numeric checks here.
 """
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -339,6 +340,29 @@ def test_observation_pseudocounts_single_clause_free_rule():
     assert np.allclose(o[:, 0, 0], want_w * c * c, atol=1e-12)
 
 
+def pseudocounts_oracle(m, fz, mat) -> SimpleNamespace:
+    """compute_from_matchant written as explicit loops over (state, action,
+    rule, landing state); the four counts as attributes, as
+    SufficientCounts holds them."""
+    S, A, R, D = m.num_states, m.num_actions, len(fz.rules), m.obs_dim
+    y_star = np.array([[r.consequent[:, 0] + r.consequent[:, 1:] @ m.obs_means[s]
+                        for r in fz.rules] for s in range(S)]).reshape(S, R, D)
+    nt = np.zeros((S, A, S))
+    w = np.zeros(S)
+    s_sum = np.zeros((S, D))
+    s_outer = np.zeros((S, D, D))
+    for s in range(S):
+        for a in range(A):
+            for r in range(R):
+                for t in range(S):
+                    nt[s, a, t] += mat[s, a, r] * consequent_likelihood(y_star[s, r], t, m)
+                    strength = m.transitions[s, a, t] * mat[s, a, r]
+                    w[t] += strength
+                    s_sum[t] += strength * y_star[s, r]
+                    s_outer[t] += strength * np.outer(y_star[s, r], y_star[s, r])
+    return SimpleNamespace(trans=nt, obs_weight=w, obs_sum=s_sum, obs_outer=s_outer)
+
+
 def test_pseudocounts_match_flat_loop_oracle():
     # einsum path vs explicit quadruple loop on random models and rules
     rng = np.random.default_rng(9)
@@ -348,34 +372,10 @@ def test_pseudocounts_match_flat_loop_oracle():
         fz = random_fuzzy(rng, obs_dim=D, num_actions=A, num_rules=R)
         cfg = FuzzyMapConfig(matchant_samples=50, seed=3)
         mat = matchant_matrix(m, fz, cfg)
-        y_star = np.array([[r.predict(m.obs_means[s]) for r in fz.rules]
-                           for s in range(S)])
-
-        nt = np.zeros((S, A, S))
-        for s in range(S):
-            for a in range(A):
-                for r in range(R):
-                    for t in range(S):
-                        nt[s, a, t] += mat[s, a, r] * consequent_likelihood(
-                            y_star[s, r], t, m)
         got = compute_from_matchant(m, fz, mat)
-        assert np.allclose(got.trans, nt, atol=1e-10)
-
-        w = np.zeros(S)
-        s_sum = np.zeros((S, D))
-        s_outer = np.zeros((S, D, D))
-        for s in range(S):
-            for a in range(A):
-                for r in range(R):
-                    for t in range(S):
-                        strength = m.transitions[s, a, t] * mat[s, a, r]
-                        w[t] += strength
-                        s_sum[t] += strength * y_star[s, r]
-                        s_outer[t] += strength * np.outer(y_star[s, r],
-                                                          y_star[s, r])
-        assert np.allclose(got.obs_weight, w, atol=1e-10)
-        assert np.allclose(got.obs_sum, s_sum, atol=1e-10)
-        assert np.allclose(got.obs_outer, s_outer, atol=1e-10)
+        want = pseudocounts_oracle(m, fz, mat)
+        for name in ("trans", "obs_weight", "obs_sum", "obs_outer"):
+            assert np.allclose(getattr(got, name), getattr(want, name), atol=1e-10), name
 
 
 def test_observation_pseudocount_mass_conservation():
@@ -413,7 +413,7 @@ def test_m_step_fuzzy_map_zero_lambda_reduces_to_standard(rng0):
     ds = random_dataset(rng0, m, n=3, horizon=5)
     from fuzzy_pomdp.em import accumulate_counts, e_step
     posts, _ = e_step(m, ds)
-    empirical = accumulate_counts(ds, posts, m.num_actions)
+    empirical = accumulate_counts(ds, posts, m)
     fz = random_fuzzy(rng0, obs_dim=2)
     fuzzy_counts = compute_from_matchant(
         m, fz, matchant_matrix(m, fz, FuzzyMapConfig(matchant_samples=32)))

@@ -400,7 +400,7 @@ def test_run_regime_mg_pipeline_smoke(tmp_path):
 
 def regrouped_summary(config, rows, failures, kl_cols):
     """Reference: the summary regrouped from the flat rows, by algorithm for
-    the medians and by seed (the last row of each) for the paired figures."""
+    the medians and by seed for the paired figures."""
     by_alg = {"em": [], "fuzzy_map": []}
     for row in rows:
         by_alg[row["algorithm"]].append(row)
@@ -411,6 +411,7 @@ def regrouped_summary(config, rows, failures, kl_cols):
     }
     em_by_seed = {r["seed"]: r for r in by_alg["em"]}
     fm_by_seed = {r["seed"]: r for r in by_alg["fuzzy_map"]}
+    assert len(em_by_seed) == len(by_alg["em"]), "a seed has two rows"
     shared = sorted(set(em_by_seed) & set(fm_by_seed))
     win_rates = {}
     for metric in ("l1_avg", kl_cols[-1]):
@@ -448,11 +449,11 @@ KL_CELLS = st.one_of(st.none(), st.just(math.inf), st.floats(0.0, 10.0))
 
 @st.composite
 def seed_sweeps(draw):
-    """A config, its (em, fuzzy_map) row pairs and its failures: seeds drawn
-    from a small range so they repeat, some of them failed."""
+    """A config, its (em, fuzzy_map) row pairs and its failures: distinct
+    seeds, some of them failed."""
     kl_cols = harness.kl_columns(draw(st.lists(st.sampled_from(["A", "B", "C", "D"]),
                                                min_size=1, max_size=3, unique=True)))
-    seeds = draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    seeds = draw(st.lists(st.integers(0, 20), min_size=1, max_size=12, unique=True))
     config = regime_config("low_data", seeds)
     pairs, failures = [], []
     for seed in seeds:
@@ -474,6 +475,14 @@ def test_summarize_over_pairs_equals_the_regrouped_rows(sweep):
     # compared as summary.json's text, where every NaN reads "nan"
     assert json_text(harness._summarize(config, pairs, failures, kl_cols)) == json_text(
         regrouped_summary(config, rows, failures, kl_cols))
+
+
+def test_a_seed_listed_twice_is_refused():
+    # fitting it twice would write its rows twice and count it twice in the
+    # per-algorithm medians
+    with pytest.raises(ValueError, match=r"^seed 0 is listed more than once$"):
+        regime_config("low_data", [0, 0, 1])
+    assert regime_config("low_data", [2, 0, 1]).seeds == (2, 0, 1)
 
 
 def test_fuzzy_model_r2_bundled_expert_is_informative():

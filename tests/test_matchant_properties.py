@@ -227,10 +227,11 @@ def test_monte_carlo_cells_are_bit_identical(case, seed, iteration):
 
 @given(cases())
 def test_expectation_table_matches_per_rule_predict(case):
+    # each rule's affine consequent, c0 + C @ mean, applied to each state's mean
     model, fuzzy = case
     table = _expectation_table(model, fuzzy)
-    want = np.array([[rule.predict(model.obs_means[s]) for rule in fuzzy.rules]
-                     for s in range(model.num_states)])
+    want = np.array([[rule.consequent[:, 0] + rule.consequent[:, 1:] @ model.obs_means[s]
+                      for rule in fuzzy.rules] for s in range(model.num_states)])
     assert table.shape == want.shape
     assert np.abs(table - want).max() <= 1e-12
 
