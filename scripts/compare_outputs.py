@@ -14,9 +14,10 @@ In one fresh process per tree, against the package under that tree's
   trees see identical relative paths;
 - runs `validate` there (VALIDATE_RUNS) on one file of each kind it reads,
   the script's outputs and assets, and on corrupt files made from them
-  (a missing key, a NaN, a wrong shape, an overflowing and a huge state
-  count), each followed by a valid file of its kind, capturing each run's
-  stdout and exit code to validate/<run>.txt;
+  (a missing key, a NaN, a wrong shape, an overflowing, a huge and a
+  5,000-digit state count, and an env whose counts do not match its
+  arrays) and on a file that is not UTF-8, each followed by a valid file,
+  capturing each run's stdout and exit code to validate/<run>.txt;
 - fits plain EM and fuzzy-MAP EM (bundled expert rules, low_data's lambdas
   and iteration cap, three polish iterations) from one random init on a
   fixed ragged dataset (RAGGED_LENGTHS), the only case whose E-step splits
@@ -96,6 +97,9 @@ VALIDATE_RUNS = [
     ("wrong_shape", ["validate/wrong_shape.json", "train/em.json"]),
     ("overflowing_count", ["validate/overflowing_count.json", "reproduce/model_0_em.json"]),
     ("huge_count", ["validate/huge_count.json", "reproduce/model_0_em.json"]),
+    ("long_count", ["validate/long_count.json", "reproduce/model_0_em.json"]),
+    ("env_counts", ["validate/env_counts.json", "env.json"]),
+    ("non_utf8", ["validate/non_utf8.json", "env.json"]),
 ]
 # several distinct lengths, interleaved so that grouping by length reorders
 RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
@@ -182,11 +186,15 @@ corrupt = {
     "wrong_shape": json.dumps(checkpoint),
     "overflowing_count": json.dumps(counted).replace(states, '"num_states": 1e400,'),
     "huge_count": json.dumps(counted).replace(states, '"num_states": 1000000000000,'),
+    "long_count": json.dumps(counted).replace(states, f'"num_states": {"7" * 5000},'),
+    "env_counts": json.dumps(dict(json.loads(Path("env.json").read_text()),
+                                  num_states=7, obs_dim=2.5)),
 }
 for name, text in corrupt.items():
     if name.endswith("count") and states in text:
         sys.exit(f"no num_states to replace in {name}")
     Path(f"validate/{name}.json").write_text(text)
+Path("validate/non_utf8.json").write_bytes('{"name": "caf\\xe9"}'.encode("latin-1"))
 for name, files in validate_runs:
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):

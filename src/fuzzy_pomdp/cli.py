@@ -371,7 +371,9 @@ def cmd_validate(args) -> int:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # a ValueError is a JSONDecodeError, a file that is not UTF-8, or an
+        # integer too long to convert
+        except (OSError, ValueError) as exc:
             print(f"{path}: unreadable ({exc})")
             failures += 1
             continue

@@ -14,6 +14,7 @@ import csv
 import logging
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -57,6 +58,9 @@ POLICY = "uniform"
 RESTARTS = 5
 # output noise std of mg_pipeline's rule-base rollouts
 MG_GENERATION_NOISE_SIGMA = 0.05
+# the bundled rule base of the env-backed regimes, and mg_pipeline's
+EXPERT_RULES = "expert_fuzzy_synthetic.json"
+MG_RULES = "mg_fuzzy_placeholder.json"
 
 
 def asset_path(name: str) -> Path:
@@ -274,6 +278,17 @@ def fuzzy_model_r2(fuzzy: FuzzyModel, env: GroundTruthEnv) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+@cache
+def _bundled_inputs(rules: str) -> tuple[GroundTruthEnv, FuzzyModel, float | None]:
+    """The bundled env, the rule base in asset `rules`, and that rule base's
+    expert_model_r2 on the env (None for MG_RULES, which is not scored on
+    it), loaded and scored once per process. Both objects are frozen and
+    their arrays read-only, so every run_regime call can share them."""
+    env = load_env(asset_path("synthetic_env.json"))
+    fuzzy = load_fuzzy_model(asset_path(rules))
+    return env, fuzzy, None if rules == MG_RULES else fuzzy_model_r2(fuzzy, env)
+
+
 def _map_config(config: ExperimentConfig, seed: int, restart: int) -> FuzzyMapConfig:
     return FuzzyMapConfig(
         lambda_t=config.lambda_t,
@@ -427,11 +442,9 @@ def run_regime(config: ExperimentConfig) -> dict:
     env's state labels; mg_pipeline, which has no env, keeps them, empty.
     """
     is_mg = config.regime == "mg_pipeline"
-    bundled = load_env(asset_path("synthetic_env.json"))
+    bundled, fuzzy, r2 = _bundled_inputs(MG_RULES if is_mg else EXPERT_RULES)
     env = None if is_mg else bundled
     kl_cols = kl_columns(bundled.state_labels)
-    rules = "mg_fuzzy_placeholder.json" if is_mg else "expert_fuzzy_synthetic.json"
-    fuzzy = load_fuzzy_model(asset_path(rules))
     out = Path(config.out_dir) if config.out_dir else None
 
     pairs: list[tuple[dict, dict]] = []
@@ -458,7 +471,7 @@ def run_regime(config: ExperimentConfig) -> dict:
     rows = [row for pair in pairs for row in pair]
     summary = _summarize(config, pairs, failures, kl_cols)
     if env is not None:
-        summary["expert_model_r2"] = fuzzy_model_r2(fuzzy, env)
+        summary["expert_model_r2"] = r2
         summary["notes"] = (
             "initial state distribution fixed at uniform; expert rules are "
             "hand-specified and validated on rollouts disjoint from training seeds"

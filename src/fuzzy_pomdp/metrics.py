@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, xlog1py, xlogy
 
 from .model import GroundTruthEnv, PomdpModel, gaussian_log_density, per_state_log_density
 
@@ -86,7 +85,13 @@ def kl_quadrature(logp: np.ndarray, logq: np.ndarray, weights: np.ndarray) -> fl
 
 def _beta_log_density(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """SciPy's beta.logpdf(x, a, b), bit for bit: inside [0, 1] the
-    expression it runs, in its operation order, from scipy.special."""
+    expression it runs, in its operation order, from scipy.special.
+
+    scipy.special is imported here, at the first density, not with the
+    package: it takes longer to load than the package and numpy together,
+    and only scoring a model against ground truth needs it."""
+    from scipy.special import betaln, xlog1py, xlogy
+
     if not (a > 0 and b > 0):
         return np.full(x.shape, np.nan)
     inside = (0.0 <= x) & (x <= 1.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,8 +31,9 @@ STOCHASTIC_ATOL = 1e-9
 _CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
 _LOG_2PI = np.log(2.0 * np.pi)
 
-# Policy: callable (time_step, rng) -> action index.
-Policy = Callable[[int, np.random.Generator], int]
+# Policy: callable (time_step, rng) -> action index. The Generator is named
+# as a string, so that importing the package does not load numpy.random
+Policy = Callable[[int, "np.random.Generator"], int]
 
 
 class CovarianceError(ValueError):
@@ -584,12 +586,12 @@ def model_to_dict(model: PomdpModel) -> dict:
 
 
 def _count(data: dict, key: str) -> int:
-    """data[key] as int() reads it, unless it is a bool, a string or a fraction."""
+    """data[key] as int() reads it, when it is a number int() keeps: not a
+    bool, a string, null or a fraction."""
     value = data[key]
-    count = int(value)
-    if isinstance(value, (bool, str)) or count != value:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    return count
+    return int(value)
 
 
 def model_from_dict(data: dict) -> PomdpModel:
@@ -633,16 +635,23 @@ def env_to_dict(env: GroundTruthEnv) -> dict:
 
 
 def _unchecked_env(data: dict) -> GroundTruthEnv:
-    """The environment a file describes, its shapes checked but not its values."""
+    """The environment a file describes, its shapes checked but not its
+    values. The arrays give the counts; a count the file also gives must be
+    an integer equal to theirs."""
     betas = [
         [(entry["alpha"], entry["beta"]) for entry in state_params]
         for state_params in data["beta_params"]
     ]
-    return GroundTruthEnv(
+    env = GroundTruthEnv(
         transitions=data["transitions"],
         beta_params=betas,
         state_labels=tuple(data.get("state_labels", ())),
     )
+    for key in ("num_states", "num_actions", "obs_dim"):
+        if key in data and _count(data, key) != getattr(env, key):
+            raise ValueError(f"{key} {data[key]} does not match the arrays, "
+                             f"which give {getattr(env, key)}")
+    return env
 
 
 def env_from_dict(data: dict) -> GroundTruthEnv:

@@ -14,6 +14,7 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from hypothesis import given, strategies as st
 from fuzzy_pomdp import cli
 from fuzzy_pomdp.fuzzy import infer, load_fuzzy_model
 from fuzzy_pomdp.harness import asset_path
-from fuzzy_pomdp.model import (PomdpModel, load_dataset, load_env, load_model,
-                               validate_dataset)
+from fuzzy_pomdp.model import (PomdpModel, env_to_dict, load_dataset, load_env,
+                               load_model, validate_dataset)
 
 MODEL = {
     "num_states": 2, "num_actions": 2, "obs_dim": 2,
@@ -83,9 +84,10 @@ BAD_COUNTS = {
     "action": (0.5, math.inf, -math.inf, 10**12, -1),
 }
 FUZZY_NUM_ACTIONS = (2.5, math.inf, 0, -1)
-# the counts each kind's loader reads; an env file's count fields are never
-# read (its arrays give the counts), a known gap, so they are left alone
-COUNTS = {"dataset": set(), "env": set(), "fuzzy-model": {"obs_dim", "num_actions", "action"},
+# the counts each kind's loader reads; an env's arrays give its counts, and
+# the count fields it also holds must equal them
+COUNTS = {"dataset": set(), "env": {"num_states", "num_actions", "obs_dim"},
+          "fuzzy-model": {"obs_dim", "num_actions", "action"},
           "pomdp-model": {"num_states", "num_actions", "obs_dim"}}
 COUNTS["checkpoint"] = COUNTS["pomdp-model"]
 
@@ -255,6 +257,67 @@ def test_a_count_int_would_silently_change_is_refused(tmp_path, count):
         load_model(path)
     assert _validate(path)[1] == [f"{path}: pomdp-model INVALID",
                                   f"  - num_states must be an integer, got {count!r}"]
+
+
+@pytest.mark.parametrize("content, problem", [
+    ('{"name": "caf\xe9"}'.encode("latin-1"),
+     "'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte"),
+    (f'{{"num_states": {"7" * 5000}}}'.encode(),
+     "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
+     "digits; use sys.set_int_max_str_digits() to increase the limit"),
+], ids=["latin-1", "5000-digit integer"])
+def test_validate_reports_an_undecodable_file_as_unreadable_and_goes_on(tmp_path, content,
+                                                                         problem):
+    # a file that is not UTF-8, or an integer too long to convert, raised a
+    # ValueError that stopped validate at that file
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_bytes(content)
+    good.write_text(json.dumps(_valid("pomdp-model")))
+    assert _validate(bad, good) == (2, [f"{bad}: unreadable ({problem})",
+                                        f"{good}: pomdp-model ok"],
+                                    "error: 1 of 2 files failed validation\n")
+
+
+@pytest.mark.parametrize("key, count, problem", [
+    ("num_states", 7, "num_states 7 does not match the arrays, which give 3"),
+    ("num_actions", 1, "num_actions 1 does not match the arrays, which give 2"),
+    ("obs_dim", 2.5, "obs_dim must be an integer, got 2.5"),
+], ids=["num_states", "num_actions", "obs_dim"])
+def test_an_env_count_must_be_the_integer_its_arrays_give(tmp_path, key, count, problem):
+    # an env file's count fields were never read, so these read "env ok"
+    payload = _valid("env")
+    payload[key] = count
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(payload))
+    good.write_text(json.dumps(_valid("env")))
+    assert _validate(bad, good) == (2, [f"{bad}: env INVALID", f"  - {problem}",
+                                        f"{good}: env ok"],
+                                    "error: 1 of 2 files failed validation\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        load_env(bad)
+
+
+def test_an_env_file_without_counts_still_loads(tmp_path):
+    payload = _valid("env")
+    for key in COUNTS["env"]:
+        del payload[key]
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(payload))
+    assert env_to_dict(load_env(path)) == _valid("env")
+
+
+@pytest.mark.parametrize("count", [None, "x", [2]])
+@pytest.mark.parametrize("kind", ["env", "pomdp-model"])
+def test_a_count_that_is_not_a_number_is_refused_by_name(tmp_path, kind, count):
+    # int() raised a TypeError or its own message, which named no key
+    payload = _valid(kind)
+    payload["num_states"] = count
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(payload))
+    problem = f"num_states must be an integer, got {count!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        LOADERS[kind](path)
+    assert _validate(path)[1] == [f"{path}: {kind} INVALID", f"  - {problem}"]
 
 
 def test_an_integral_float_count_still_loads(tmp_path):

@@ -1,6 +1,7 @@
 """Dataset generation, initializers, and the paired experiment runner."""
 import csv
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -369,6 +370,9 @@ def test_run_regime_custom_env_labels_name_the_kl_columns(tmp_path, capsys, monk
                                 beta_params=bundled.beta_params,
                                 state_labels=("Low", "Mid", "High"))
     monkeypatch.setattr(harness, "load_env", lambda path: relabelled)
+    # a cache of its own, so the relabelled env is loaded here and kept from other tests
+    monkeypatch.setattr(harness, "_bundled_inputs",
+                        functools.cache(harness._bundled_inputs.__wrapped__))
     summary = run_regime(_fast_low_data(tmp_path / "out", seeds=[0]))
     want = ("kl_low", "kl_mid", "kl_high")
     with open(tmp_path / "out" / "runs.csv") as fh:
@@ -383,6 +387,24 @@ def test_run_regime_custom_env_labels_name_the_kl_columns(tmp_path, capsys, monk
     assert summary["win_rates"]["kl_high"] is not None
     cli._print_regime_table(summary)
     assert "median KL High" in capsys.readouterr().out
+
+
+def test_run_regime_loads_and_scores_the_bundled_inputs_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    for fn in (harness.load_env, harness.load_fuzzy_model, harness.fuzzy_model_r2):
+        monkeypatch.setattr(harness, fn.__name__, counted(fn))
+    monkeypatch.setattr(harness, "_bundled_inputs",
+                        functools.cache(harness._bundled_inputs.__wrapped__))
+    first = run_regime(_fast_low_data(tmp_path / "a", seeds=[0]))
+    second = run_regime(_fast_low_data(tmp_path / "b", seeds=[1]))
+    assert calls == ["load_env", "load_fuzzy_model", "fuzzy_model_r2"]
+    env = load_env(asset_path("synthetic_env.json"))
+    fuzzy = load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
+    assert first["expert_model_r2"] == second["expert_model_r2"] == fuzzy_model_r2(fuzzy, env)
 
 
 def test_run_regime_mg_pipeline_smoke(tmp_path):

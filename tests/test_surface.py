@@ -1,7 +1,9 @@
 """What code outside the package relies on: the package's top-level names
 are exactly the README's "Library surface", importing and using it never
-loads scipy.stats, every function the benchmark times exists, and the
-bundled assets are what scripts/make_assets.py writes."""
+loads scipy.stats, a cold start loads neither scipy nor numpy.random, every
+function the benchmark times exists, and the bundled assets are what
+scripts/make_assets.py writes."""
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -36,36 +38,64 @@ def test_exports_match_readme_library_surface():
     assert exported == readme_surface()
 
 
-# imports every entry point, loads every bundled asset and scores one model,
-# then prints the scipy.stats modules that got loaded on the way
+# imports every entry point, loads every bundled asset and validates them,
+# then scores one model; prints validate's exit code, the scipy and
+# numpy.random modules loaded before the scoring, and whether scipy.special
+# and which scipy.stats modules were loaded after it
 _IMPORT_GRAPH_SCRIPT = """
-import sys
+import contextlib, io, json, sys
 import numpy as np
 import fuzzy_pomdp, fuzzy_pomdp.cli, fuzzy_pomdp.harness
 from fuzzy_pomdp import evaluate_model, load_env, load_fuzzy_model
 from fuzzy_pomdp.harness import asset_path
 from fuzzy_pomdp.model import PomdpModel
-env = load_env(asset_path("synthetic_env.json"))
-load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
-load_fuzzy_model(asset_path("mg_fuzzy_placeholder.json"))
+
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if any(m == p or m.startswith(p + ".")
+                                                for p in prefixes))
+
+assets = [asset_path(name) for name in ("synthetic_env.json", "expert_fuzzy_synthetic.json",
+                                        "mg_fuzzy_placeholder.json")]
+env = load_env(assets[0])
+for path in assets[1:]:
+    load_fuzzy_model(path)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fuzzy_pomdp.cli.main(["validate", *map(str, assets)])
+cold = loaded("scipy", "numpy.random")
 S, A, d = env.num_states, env.num_actions, env.obs_dim
 model = PomdpModel(S, A, d, np.full((S, A, S), 1.0 / S), np.full((S, d), 0.5),
                    np.tile(0.05 * np.eye(d), (S, 1, 1)))
 evaluate_model(model, env)
-print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]))
+print(json.dumps([code, cold, "scipy.special" in sys.modules, loaded("scipy.stats")]))
 """
 
 
-def test_package_never_imports_scipy_stats():
-    # a fresh interpreter, so no other test's scipy.stats import leaks in;
-    # running evaluate_model also catches an import deferred into a function
+@functools.cache
+def import_graph() -> tuple[int, list[str], bool, list[str]]:
+    """The script's findings, from a fresh interpreter, so that no other
+    test's imports leak in."""
     src = str(Path(fuzzy_pomdp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return tuple(json.loads(done.stdout))
+
+
+def test_package_never_imports_scipy_stats():
+    # running evaluate_model also catches an import deferred into a function
+    assert import_graph()[3] == []
+
+
+def test_a_cold_start_loads_neither_scipy_nor_numpy_random_until_a_model_is_scored():
+    # scipy.special takes longer to import than the package and numpy
+    # together, and only evaluate_model's Beta densities need it; nothing
+    # before a fit draws from numpy.random
+    code, cold, special, _ = import_graph()
+    assert code == 0
+    assert cold == []
+    assert special
 
 
 def perfbench_timed_functions() -> set[str]:
