@@ -8,8 +8,10 @@ In one fresh process per tree, against the package under that tree's
 - runs `harness.run_regime` on low_data seeds 0-5, high_noise seeds 0-2 and
   mg_pipeline seeds 0-1;
 - runs a fixed CLI script (CLI_SCRIPT: both generators, `train` with em and
-  fuzzy-map, `eval` to a file and to stdout, `sweep`, and `reproduce`, whose
-  printed regime table, read from `summary.json`, is captured to a file) in
+  fuzzy-map, `eval` to a file and to stdout, a diagonal `sweep` and a
+  `--cross` one over two seeds, whose printed rows are captured to a file,
+  and `reproduce`, whose printed regime table, read from `summary.json`, is
+  captured to a file) in
   a work directory holding copies of the tree's bundled assets, so both
   trees see identical relative paths;
 - runs `validate` there (VALIDATE_RUNS) on one file of each kind it reads,
@@ -36,7 +38,8 @@ In one fresh process per tree, against the package under that tree's
 
 Regime outputs, the sweep's per-cell ones and `reproduce`'s included, and
 the ragged, prior-only and frozen-state fits are compared byte for byte:
-runs.csv, every model_*.json, mg_table.txt and each validate run's output.
+runs.csv, sweep.csv, every model_*.json, mg_table.txt and each validate
+run's output.
 summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
 `config.kmeans_clusters: parent only`). Every other CLI artifact is
@@ -81,6 +84,8 @@ CLI_SCRIPT = [
     (["eval", "train/fm.json", "env.json"], "eval/fm_stdout.json"),
     (["sweep", "--regime", "low-data", "--seeds", "1", "--grid", "0,0.1",
       "--out-dir", "sweep"], None),
+    (["sweep", "--regime", "high-noise", "--seeds", "2", "--grid", "0,0.1", "--cross",
+      "--out-dir", "sweep_cross"], "sweep_cross/stdout.txt"),
     (["reproduce", "--regime", "low-data", "--seeds", "2", "--out-dir", "reproduce"],
      "reproduce/stdout.txt"),
 ]
@@ -103,7 +108,7 @@ VALIDATE_RUNS = [
 ]
 # several distinct lengths, interleaved so that grouping by length reorders
 RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
-REGIME_FILES = ("runs.csv", "mg_table.txt")
+REGIME_FILES = ("runs.csv", "mg_table.txt", "sweep.csv")
 
 RUNNER = """
 import contextlib, dataclasses, io, json, logging.handlers, os, shutil, sys

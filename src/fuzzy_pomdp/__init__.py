@@ -13,7 +13,7 @@ reached through its module (fuzzy_pomdp.em, fuzzy_pomdp.model, ...).
 from .em import EmConfig, forward_backward, run_em
 from .fuzzy import load_fuzzy_model
 from .fuzzy_map import FuzzyMapConfig, compute_from_matchant, match_antecedent, run_fuzzy_map_em
-from .metrics import evaluate_model, kl_observation, l1_transition_total, match_states
+from .metrics import evaluate_model, kl_observation, l1_transition_total
 from .model import load_dataset, load_env
 
 __version__ = "0.1.0"

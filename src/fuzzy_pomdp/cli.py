@@ -25,7 +25,7 @@ from .em import EmConfig, run_em
 from .fuzzy import load_fuzzy_model
 from .fuzzy_map import FuzzyMapConfig, _check_rule_base, run_fuzzy_map_em
 from .harness import (add_noise, generate_fuzzy_trajectories, kl_columns, kmeans_init,
-                      random_init, regime_config, run_regime, write_runs_csv)
+                      random_init, regime_config, run_regime, run_sweep, write_runs_csv)
 from .metrics import evaluate_model
 from .model import (_unchecked_env, dataset_from_list, json_text, load_dataset,
                     load_env, load_model, make_policy, model_from_dict, model_to_dict,
@@ -80,7 +80,16 @@ SEED = _bounded(int, 0, high=2**32 - 1)
 
 
 def _grid(text: str) -> tuple[float, ...]:
-    return tuple(NONNEGATIVE(v) for v in text.split(","))
+    texts = text.split(",")
+    values = tuple(NONNEGATIVE(v) for v in texts)
+    # a sweep cell is named by its values' :g forms; two values that are
+    # equal (0 and -0) or share a name would fit or write one cell twice
+    for i, value in enumerate(values):
+        for j in range(i):
+            if values[j] == value or f"{values[j]:g}" == f"{value:g}":
+                raise argparse.ArgumentTypeError(
+                    f"{texts[j]!r} and {texts[i]!r} name the same sweep cells")
+    return values
 
 
 def _write_manifest(args) -> None:
@@ -276,18 +285,17 @@ def cmd_reproduce(args) -> int:
 
 def cmd_sweep(args) -> int:
     regime = REGIME_NAMES[args.regime]
-    pairs = (list(itertools.product(args.grid, args.grid)) if args.cross
+    cells = (list(itertools.product(args.grid, args.grid)) if args.cross
              else [(v, v) for v in args.grid])
     out_dir = Path(args.out_dir) if args.out_dir else None
+    configs = [regime_config(regime, seeds=range(args.seeds), lambda_t=lam_t, lambda_o=lam_o,
+                             out_dir=str(out_dir / f"lt{lam_t:g}_lo{lam_o:g}") if out_dir else None)
+               for lam_t, lam_o in cells]
     lines = []
     header = (f"{'lambda_t':>9} {'lambda_o':>9} {'em L1':>10} {'fm L1':>10} "
               f"{'fm win rate':>12}")
     print(header)
-    for lam_t, lam_o in pairs:
-        cell_dir = str(out_dir / f"lt{lam_t:g}_lo{lam_o:g}") if out_dir else None
-        config = regime_config(regime, seeds=range(args.seeds), out_dir=cell_dir,
-                               lambda_t=lam_t, lambda_o=lam_o)
-        summary = run_regime(config)
+    for (lam_t, lam_o), summary in zip(cells, run_sweep(configs)):
         per = summary["per_algorithm"]
         wr = (summary.get("win_rates") or {}).get("l1_avg")
         row = {

@@ -103,15 +103,12 @@ class SufficientCounts:
 class EmConfig:
     max_iterations: int = 200
     loglik_tolerance: float = 1e-6
-    covariance_ridge: float = DEFAULT_COV_RIDGE
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.loglik_tolerance > 0:
             raise ValueError("loglik_tolerance must be > 0")
-        if self.covariance_ridge < 0:
-            raise ValueError("covariance_ridge must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -379,7 +376,7 @@ def m_step_standard(
     counts: SufficientCounts, prev: PomdpModel, config: EmConfig
 ) -> PomdpModel:
     """Maximum-likelihood M-step from empirical expected counts."""
-    return _mstep_from_counts(counts, prev, config.covariance_ridge)
+    return _mstep_from_counts(counts, prev, DEFAULT_COV_RIDGE)
 
 
 def e_step(

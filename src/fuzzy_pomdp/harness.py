@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -87,8 +87,14 @@ class ExperimentConfig:
             raise ValueError(f"regime must be one of {REGIMES}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        # each value outside these bounds would fail every seed
+        for name in ("noise_sigma", "lambda_t", "lambda_o"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name, low in (("num_trajectories", 1), ("horizon", 1), ("num_states", 1),
+                          ("max_iterations", 1), ("final_standard_em_iterations", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         seeds = tuple(int(s) for s in self.seeds)
         repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
         if repeated is not None:
@@ -289,15 +295,6 @@ def _bundled_inputs(rules: str) -> tuple[GroundTruthEnv, FuzzyModel, float | Non
     return env, fuzzy, None if rules == MG_RULES else fuzzy_model_r2(fuzzy, env)
 
 
-def _map_config(config: ExperimentConfig, seed: int, restart: int) -> FuzzyMapConfig:
-    return FuzzyMapConfig(
-        lambda_t=config.lambda_t,
-        lambda_o=config.lambda_o,
-        seed=seed * 1000 + restart,
-        final_standard_em_iterations=config.final_standard_em_iterations,
-    )
-
-
 def synthetic_dataset(env: GroundTruthEnv, config: ExperimentConfig, seed: int) -> list[Trajectory]:
     """The per-seed training set for the env-backed regimes."""
     policy = make_policy(POLICY, env.num_actions)
@@ -311,7 +308,8 @@ def synthetic_dataset(env: GroundTruthEnv, config: ExperimentConfig, seed: int) 
 
 
 def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
-                    config: ExperimentConfig, seed: int) -> dict:
+                    config: ExperimentConfig, seed: int, *,
+                    cells: list[tuple[float, float]] | None = None) -> dict:
     """Train both algorithms on identical data and inits for one seed.
 
     Returns {"em": result, "fuzzy_map": result, "dataset": ...} where each
@@ -319,8 +317,14 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
     regime only builds the seed's dataset and its initializations: one
     k-means init for mg_pipeline, RESTARTS random inits otherwise. Both
     algorithms then fit from every init, restart r's fuzzy-MAP fit seeded
-    by _map_config(config, seed, r), and each keeps its fit with the
-    highest final log-likelihood, the first one on a tie.
+    by seed * 1000 + r, and each keeps its fit with the highest final
+    log-likelihood, the first one on a tie.
+
+    Fuzzy-MAP is fitted at each (lambda_t, lambda_o) of cells, by default
+    the config's own pair only. With cells given, "fuzzy_map" lists each
+    cell's best fit, or the first error of its fits in the order em_0,
+    fm_0, em_1, fm_1, ..., where each em_r is fitted once for all cells
+    ("em" is None if every cell failed).
     """
     if config.regime == "mg_pipeline":
         policy = make_policy(POLICY, fuzzy.num_actions)
@@ -336,18 +340,38 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
             random_init(dataset, config.num_states, env.num_actions, derive_rng(seed, "init", r))
             for r in range(RESTARTS)
         ]
+    lambdas = [(config.lambda_t, config.lambda_o)] if cells is None else list(cells)
     em_config = EmConfig(max_iterations=config.max_iterations)
-    em_fits, fm_fits = [], []
+    # fm_fits holds, per cell, its fuzzy-MAP fits so far or the error that stopped it
+    em_fits, fm_fits = [], [[] for _ in lambdas]
     for r, init in enumerate(inits):
-        em_fits.append(run_em(dataset, init, em_config))
-        fm_fits.append(
-            run_fuzzy_map_em(dataset, init, fuzzy, em_config, _map_config(config, seed, r))
-        )
+        alive = [i for i, fits in enumerate(fm_fits) if isinstance(fits, list)]
+        if not alive:
+            break
+        try:
+            em_fits.append(run_em(dataset, init, em_config))
+        except Exception as err:
+            fm_fits = [err if i in alive else fits for i, fits in enumerate(fm_fits)]
+            break
+        for i in alive:
+            try:
+                map_config = FuzzyMapConfig(
+                    lambda_t=lambdas[i][0], lambda_o=lambdas[i][1], seed=seed * 1000 + r,
+                    final_standard_em_iterations=config.final_standard_em_iterations)
+                fm_fits[i].append(run_fuzzy_map_em(dataset, init, fuzzy, em_config, map_config))
+            except Exception as err:
+                fm_fits[i] = err
 
     def best(fits):
         return max(fits, key=lambda fit: fit.loglik_trace[-1])
 
-    return {"em": best(em_fits), "fuzzy_map": best(fm_fits), "dataset": dataset}
+    fuzzy_map = [fits if isinstance(fits, Exception) else best(fits) for fits in fm_fits]
+    if cells is None:
+        (fuzzy_map,) = fuzzy_map
+        if isinstance(fuzzy_map, Exception):
+            raise fuzzy_map
+    em = best(em_fits) if any(isinstance(fits, list) for fits in fm_fits) else None
+    return {"em": em, "fuzzy_map": fuzzy_map, "dataset": dataset}
 
 
 def _format_cell(value) -> str:
@@ -392,6 +416,12 @@ def _eval_row(config: ExperimentConfig, seed: int, algorithm: str,
     return row
 
 
+def _checkpoint(fit) -> dict:
+    """A fit's model_<seed>_<alg>.json payload."""
+    return dict(model_to_dict(fit.model), iteration=fit.iterations,
+                loglik_trace=list(fit.loglik_trace))
+
+
 def _mg_table(model: PomdpModel, fuzzy: FuzzyModel, seed: int) -> str:
     """Text table of the learned two-state model, lower-severity state first.
 
@@ -431,64 +461,81 @@ def _mg_table(model: PomdpModel, fuzzy: FuzzyModel, seed: int) -> str:
 
 
 def run_regime(config: ExperimentConfig) -> dict:
-    """Execute a full seed sweep and write all report files.
+    """Execute a full seed sweep and write all report files: run_sweep's
+    one-cell case."""
+    return run_sweep([config])[0]
 
-    Per-seed failures are recorded in the summary and skipped; the sweep
-    itself always completes. Each seed's two fits are scored as one
-    (em, fuzzy_map) pair of rows. Outputs (when out_dir is set): each
-    seed's model_<seed>_<alg>.json checkpoints as it finishes, then
-    runs.csv, summary.json, and for the mg_pipeline regime a human-readable
-    mg_table.txt. The per-state KL columns follow the bundled synthetic
-    env's state labels; mg_pipeline, which has no env, keeps them, empty.
+
+def run_sweep(configs: list[ExperimentConfig]) -> list[dict]:
+    """Run one regime at several prior-weight cells: one report per config,
+    and its out_dir's files, as run_regime gives for that config alone.
+
+    The configs may differ only in lambda_t, lambda_o and out_dir (a
+    ValueError names another field that differs). Each seed's data, inits
+    and plain-EM fits are made, and its plain-EM winner scored, once for
+    all cells. A seed that fails in a cell (see run_paired_seed) is
+    skipped there and recorded in its summary. Each seed's fits are scored
+    as one (em, fuzzy_map) pair of rows; where out_dir is set, their
+    model_<seed>_<alg>.json checkpoints are written as the seed finishes,
+    then runs.csv, summary.json and, for mg_pipeline, mg_table.txt. The
+    KL columns follow the bundled env's state labels, empty for mg_pipeline.
     """
-    is_mg = config.regime == "mg_pipeline"
+    if not configs:
+        raise ValueError("configs must be non-empty")
+    first = configs[0]
+    differ = [f.name for f in fields(first) for config in configs
+              if f.name not in ("lambda_t", "lambda_o", "out_dir")
+              and getattr(config, f.name) != getattr(first, f.name)]
+    if differ:
+        raise ValueError(f"sweep configs differ in {differ[0]}")
+    is_mg = first.regime == "mg_pipeline"
     bundled, fuzzy, r2 = _bundled_inputs(MG_RULES if is_mg else EXPERT_RULES)
     env = None if is_mg else bundled
     kl_cols = kl_columns(bundled.state_labels)
-    out = Path(config.out_dir) if config.out_dir else None
-
-    pairs: list[tuple[dict, dict]] = []
-    failures: list[dict] = []
-    mg_table = None
-    for seed in config.seeds:
+    outs = [Path(config.out_dir) if config.out_dir else None for config in configs]
+    pairs, failures = [[] for _ in configs], [[] for _ in configs]
+    mg_tables = [None] * len(configs)
+    for seed in first.seeds:
         try:
-            outcome = run_paired_seed(env, fuzzy, config, seed)
+            outcome = run_paired_seed(env, fuzzy, first, seed,
+                                      cells=[(c.lambda_t, c.lambda_o) for c in configs])
         except Exception as err:
-            log.warning("seed %d failed: %s", seed, err)
-            failures.append({"seed": seed, "error": str(err)})
-            continue
-        pairs.append(tuple(_eval_row(config, seed, alg, outcome[alg].model, env, kl_cols)
-                           for alg in ALGORITHMS))
+            outcome = {"em": None, "fuzzy_map": [err] * len(configs)}
+        if outcome["em"] is not None:
+            em_row = _eval_row(first, seed, "em", outcome["em"].model, env, kl_cols)
+            em_checkpoint = _checkpoint(outcome["em"])
+        for i, fit in enumerate(outcome["fuzzy_map"]):
+            if isinstance(fit, Exception):
+                log.warning("seed %d failed: %s", seed, fit)
+                failures[i].append({"seed": seed, "error": str(fit)})
+                continue
+            pairs[i].append((dict(em_row),
+                             _eval_row(configs[i], seed, "fuzzy_map", fit.model, env, kl_cols)))
+            if outs[i] is not None:
+                write_json(em_checkpoint, outs[i] / f"model_{seed}_em.json")
+                write_json(_checkpoint(fit), outs[i] / f"model_{seed}_fuzzy_map.json")
+            if is_mg and mg_tables[i] is None:
+                mg_tables[i] = _mg_table(fit.model, fuzzy, seed)
+
+    reports = []
+    for i, (config, out, mg_table) in enumerate(zip(configs, outs, mg_tables)):
+        rows = [row for pair in pairs[i] for row in pair]
+        summary = _summarize(config, pairs[i], failures[i], kl_cols)
+        if env is not None:
+            summary["expert_model_r2"] = r2
+            summary["notes"] = (
+                "initial state distribution fixed at uniform; expert rules are "
+                "hand-specified and validated on rollouts disjoint from training seeds"
+            )
         if out is not None:
-            for alg in ALGORITHMS:
-                fit = outcome[alg]
-                write_json(dict(model_to_dict(fit.model), iteration=fit.iterations,
-                                loglik_trace=list(fit.loglik_trace)),
-                           out / f"model_{seed}_{alg}.json")
-        if is_mg and mg_table is None:
-            mg_table = _mg_table(outcome["fuzzy_map"].model, fuzzy, seed)
-
-    rows = [row for pair in pairs for row in pair]
-    summary = _summarize(config, pairs, failures, kl_cols)
-    if env is not None:
-        summary["expert_model_r2"] = r2
-        summary["notes"] = (
-            "initial state distribution fixed at uniform; expert rules are "
-            "hand-specified and validated on rollouts disjoint from training seeds"
-        )
-
-    if out is not None:
-        write_runs_csv(out / "runs.csv", rows, CSV_COLUMNS + kl_cols)
-        write_json(summary, out / "summary.json")
+            write_runs_csv(out / "runs.csv", rows, CSV_COLUMNS + kl_cols)
+            write_json(summary, out / "summary.json")
+            if mg_table is not None:
+                (out / "mg_table.txt").write_text(mg_table)
+        reports.append(dict(summary, rows=rows, state_labels=bundled.state_labels))
         if mg_table is not None:
-            (out / "mg_table.txt").write_text(mg_table)
-
-    report = dict(summary)
-    report["rows"] = rows
-    report["state_labels"] = bundled.state_labels
-    if mg_table is not None:
-        report["mg_table"] = mg_table
-    return report
+            reports[-1]["mg_table"] = mg_table
+    return reports
 
 
 def write_runs_csv(path, rows: list[dict], columns: tuple[str, ...]) -> None:

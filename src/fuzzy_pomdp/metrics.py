@@ -146,7 +146,9 @@ def _kl_matrix(truth: GroundTruthEnv, learned: PomdpModel, nodes: int) -> np.nda
 def _match(
     learned: PomdpModel, truth: GroundTruthEnv, nodes: int
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """match_states' bijection and the KL cost matrix it was chosen from."""
+    """The best bijection learned state -> truth state by total observation
+    KL, and the KL cost matrix it was chosen from. Exhaustive over all
+    permutations; ties go to the lexicographically smallest assignment."""
     if learned.num_states != truth.num_states:
         raise ValueError(
             f"state count mismatch: learned {learned.num_states}, truth {truth.num_states}"
@@ -155,17 +157,6 @@ def _match(
     best = min(itertools.permutations(range(truth.num_states)),
                key=lambda perm: sum(cost[perm[j], j] for j in range(truth.num_states)))
     return best, cost
-
-
-def match_states(
-    learned: PomdpModel, truth: GroundTruthEnv, nodes: int = DEFAULT_NODES
-) -> tuple[int, ...]:
-    """Best bijection learned-state -> truth-state by total observation KL.
-
-    Exhaustive over all permutations; ties go to the lexicographically
-    smallest assignment.
-    """
-    return _match(learned, truth, nodes)[0]
 
 
 def _abs_deviation(est, truth) -> np.ndarray:

@@ -112,7 +112,8 @@ def inputs(tmp_path_factory):
 FUZZY_MAP = ("--algo", "fuzzy-map", "--fuzzy-model", FUZZY)
 
 
-# each numeric flag, or --grid value, out of its bound
+# each numeric flag, or --grid value, out of its bound, and --grid values
+# that would name one sweep cell twice
 @pytest.mark.parametrize("argv", [
     ("gen-data", ENV, "--n", "0"),
     ("gen-data", ENV, "--horizon", "0"),
@@ -134,6 +135,9 @@ FUZZY_MAP = ("--algo", "fuzzy-map", "--fuzzy-model", FUZZY)
     ("reproduce", "--regime", "low-data", "--seeds", "1", "--lambda-t", "-1"),
     ("sweep", "--seeds", "1", "--grid", "0,nan"),
     ("sweep", "--seeds", "0"),
+    ("sweep", "--seeds", "1", "--grid", "0.1,0.1000001"),
+    ("sweep", "--seeds", "1", "--grid", "0.1,0.1"),
+    ("sweep", "--seeds", "1", "--grid", "0,0.5,-0"),
     ("gen-data", ENV, "--seed", "-1"),
     ("gen-data", ENV, "--seed", "4294967296"),
     ("gen-fuzzy-data", MG, "--seed", "-1"),

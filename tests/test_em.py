@@ -425,7 +425,7 @@ def test_m_step_covariance_matches_two_pass_oracle():
             [(w[:, None, None] * np.einsum("ni,nj->nij", pts, pts)).sum(axis=0),
              np.eye(2)]),
     )
-    cfg = EmConfig(covariance_ridge=1e-6)
+    cfg = EmConfig()
     out = m_step_standard(counts, _prev_model(), cfg)
     # well-conditioned: the update is the exact two-pass estimate
     assert np.allclose(out.obs_covs[0], two_pass, atol=1e-12)

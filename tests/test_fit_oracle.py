@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fuzzy_pomdp.em import EmConfig, EmResult, run_em
 from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction, antecedent_strengths
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
-from fuzzy_pomdp.model import Trajectory
+from fuzzy_pomdp.model import DEFAULT_COV_RIDGE, Trajectory
 from fuzzy_pomdp.rngs import derive_rng
 
 from conftest import identity_rule, make_fuzzy, random_fuzzy, random_model
@@ -115,7 +115,7 @@ def reference_fit(dataset, init, config, fuzzy=None, map_config=None) -> EmResul
                 blended = SimpleNamespace(**{
                     name: getattr(counts, name) + (lam_t if name == "trans" else lam_o)
                     * getattr(pseudo, name) for name in COUNT_NAMES})
-            transitions, means, covs = mstep_oracle(blended, model, config.covariance_ridge)
+            transitions, means, covs = mstep_oracle(blended, model, DEFAULT_COV_RIDGE)
             model = dataclasses.replace(model, transitions=transitions, obs_means=means,
                                         obs_covs=covs)
             iterations += 1

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import functools
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -505,6 +506,167 @@ def test_a_seed_listed_twice_is_refused():
     with pytest.raises(ValueError, match=r"^seed 0 is listed more than once$"):
         regime_config("low_data", [0, 0, 1])
     assert regime_config("low_data", [2, 0, 1]).seeds == (2, 0, 1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda_t", -1.0), ("lambda_o", math.nan), ("lambda_t", math.inf),
+    ("noise_sigma", math.nan), ("num_trajectories", 0), ("horizon", 0),
+    ("num_states", 0), ("max_iterations", 0), ("final_standard_em_iterations", -1),
+])
+def test_a_value_that_would_fail_every_seed_is_refused(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        regime_config("low_data", seeds=range(2), **{field: value})
+
+
+# ----------------------------------------------------------------- sweeps
+
+CELLS = ((0.1, 0.05), (0.5, 0.5), (0.0, 0.0))
+
+
+def _sweep_configs(tmp_path, seeds=(0, 1), cells=CELLS):
+    return [regime_config("low_data", seeds=seeds, out_dir=str(tmp_path / f"cell{i}"),
+                          max_iterations=8, lambda_t=lam_t, lambda_o=lam_o)
+            for i, (lam_t, lam_o) in enumerate(cells)]
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_run_sweep_refuses_configs_that_differ_beyond_the_cell(tmp_path):
+    first, second = _sweep_configs(tmp_path, cells=CELLS[:2])
+    for name, value in (("seeds", (0, 2)), ("max_iterations", 9), ("horizon", 4)):
+        with pytest.raises(ValueError, match=rf"^sweep configs differ in {name}$"):
+            harness.run_sweep([first, dataclasses.replace(second, **{name: value})])
+    with pytest.raises(ValueError, match="non-empty"):
+        harness.run_sweep([])
+
+
+@pytest.mark.parametrize("regime, seeds, em_calls", [
+    ("low_data", (0, 1), 2 * harness.RESTARTS),
+    ("mg_pipeline", (0, 1), 2),
+])
+def test_a_sweep_fits_plain_em_once_per_seed_and_restart(regime, seeds, em_calls, monkeypatch):
+    calls = {"run_em": 0, "run_fuzzy_map_em": 0}
+    paired_seeds = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    def paired(*args, **kwargs):
+        # perfbench's tracer reads the seed as the 4th positional argument
+        paired_seeds.append(args[3])
+        return run_paired_seed(*args, **kwargs)
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
+    monkeypatch.setattr(harness, "run_paired_seed", paired)
+    configs = [regime_config(regime, seeds=seeds, max_iterations=6, num_trajectories=6,
+                             lambda_t=lam_t, lambda_o=lam_o) for lam_t, lam_o in CELLS]
+    harness.run_sweep(configs)
+    assert calls == {"run_em": em_calls, "run_fuzzy_map_em": len(CELLS) * em_calls}
+    assert paired_seeds == list(seeds)
+
+
+def test_run_regime_fits_each_restart_as_a_pair_in_order(monkeypatch, tmp_path):
+    order = []
+    for name, tag in (("run_em", "em"), ("run_fuzzy_map_em", "fm")):
+        fn = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *args, fn=fn, tag=tag: order.append(tag) or fn(*args))
+    run_regime(_sweep_configs(tmp_path, seeds=[0])[0])
+    assert order == ["em", "fm"] * harness.RESTARTS
+
+
+def _raising(fn, fails):
+    """fn, but a call for which fails(*args) gives a label raises RuntimeError(label)."""
+    def wrapper(*args):
+        label = fails(*args)
+        if label:
+            raise RuntimeError(label)
+        return fn(*args)
+    return wrapper
+
+
+def _expected_after_failures(clean, failed):
+    """The clean reports with each cell's failed seeds dropped and recorded:
+    failed[i] maps seed -> error text."""
+    want = []
+    for report, dropped in zip(clean, failed):
+        rows = [row for row in report["rows"] if row["seed"] not in dropped]
+        want.append((rows, [{"seed": seed, "error": text} for seed, text in dropped.items()]))
+    return want
+
+
+def test_a_fuzzy_map_error_fails_only_its_own_cell(tmp_path, monkeypatch):
+    clean = harness.run_sweep(_sweep_configs(tmp_path / "clean"))
+    fm_calls = []
+
+    def fails(dataset, init, fuzzy, em_config, map_config):
+        fm_calls.append((map_config.seed, map_config.lambda_t))
+        # seed 1, restart 2, in the second cell
+        if map_config.seed == 1002 and map_config.lambda_t == 0.5:
+            return "fuzzy-MAP broke"
+        return None
+
+    monkeypatch.setattr(harness, "run_fuzzy_map_em",
+                        _raising(harness.run_fuzzy_map_em, fails))
+    got = harness.run_sweep(_sweep_configs(tmp_path / "failed"))
+    want = _expected_after_failures(clean, [{}, {1: "fuzzy-MAP broke"}, {}])
+    assert [(report["rows"], report["failures"]) for report in got] == want
+    # the failed cell fits that seed no further, as one run_regime would
+    assert [seed for seed, lam in fm_calls if lam == 0.5 and seed >= 1000] == [
+        1000, 1001, 1002]
+    assert len(fm_calls) == 2 * len(CELLS) * harness.RESTARTS - 2
+    single = run_regime(_sweep_configs(tmp_path / "single")[1])
+    assert (single["rows"], single["failures"]) == want[1]
+
+
+def test_a_plain_em_error_fails_the_seed_in_every_cell(tmp_path, monkeypatch):
+    clean = harness.run_sweep(_sweep_configs(tmp_path / "clean"))
+    em_calls = []
+
+    def em_fails(dataset, init, em_config):
+        em_calls.append(None)
+        # seed 0 fits its 5 restarts first; the 7th call is seed 1, restart 1
+        return "plain EM broke" if len(em_calls) == 7 else None
+
+    def fm_fails(dataset, init, fuzzy, em_config, map_config):
+        # seed 1, restart 0, in the third cell: that cell's first error
+        return "fuzzy-MAP broke" if map_config.seed == 1000 and map_config.lambda_t == 0.0 \
+            else None
+
+    monkeypatch.setattr(harness, "run_em", _raising(harness.run_em, em_fails))
+    monkeypatch.setattr(harness, "run_fuzzy_map_em",
+                        _raising(harness.run_fuzzy_map_em, fm_fails))
+    got = harness.run_sweep(_sweep_configs(tmp_path / "failed"))
+    want = _expected_after_failures(
+        clean, [{1: "plain EM broke"}, {1: "plain EM broke"}, {1: "fuzzy-MAP broke"}])
+    assert [(report["rows"], report["failures"]) for report in got] == want
+    assert len(em_calls) == harness.RESTARTS + 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--regime", "high-noise", "--seeds", "2", "--grid", "0,0.1", "--cross"],
+    ["--regime", "mg", "--seeds", "2", "--grid", "0,0.5"],
+])
+def test_each_sweep_cell_writes_what_run_regime_writes(argv, tmp_path):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", *argv, "--out-dir", str(out)]) == 0
+    swept = _files(out)
+    cells = sorted({path.parts[0] for path in swept if len(path.parts) > 1})
+    assert len(cells) == (4 if "--cross" in argv else 2)
+    regime = cli.REGIME_NAMES[argv[1]]
+    for cell in cells:
+        lam_t, lam_o = (float(v) for v in cell.removeprefix("lt").split("_lo"))
+        shutil.rmtree(out / cell)
+        run_regime(regime_config(regime, seeds=range(2), out_dir=str(out / cell),
+                                 lambda_t=lam_t, lambda_o=lam_o))
+    assert _files(out) == swept
 
 
 def test_fuzzy_model_r2_bundled_expert_is_informative():

@@ -17,7 +17,6 @@ from fuzzy_pomdp.metrics import (
     kl_quadrature,
     l1_transition_distance,
     l1_transition_total,
-    match_states,
     quadrature_grid,
 )
 from fuzzy_pomdp.harness import asset_path
@@ -67,14 +66,14 @@ def bundled_env() -> GroundTruthEnv:
 def test_match_states_identity_for_aligned_model():
     env = bundled_env()
     learned = moment_matched_model(env)
-    assert match_states(learned, env) == (0, 1, 2)
+    assert evaluate_model(learned, env).state_matching == (0, 1, 2)
 
 
 def test_match_states_recovers_shuffles():
     env = bundled_env()
     for perm in itertools.permutations(range(3)):
         learned = moment_matched_model(env, perm)
-        assert match_states(learned, env) == perm
+        assert evaluate_model(learned, env).state_matching == perm
 
 
 def test_match_states_is_argmin_over_permutations():
@@ -96,7 +95,7 @@ def test_match_states_is_argmin_over_permutations():
                                noisy.obs_means[i], noisy.obs_covs[i])
                 for i in range(3))
 
-        best = match_states(noisy, env)
+        best = evaluate_model(noisy, env).state_matching
         best_val = total_kl(best)
         for perm in itertools.permutations(range(3)):
             assert best_val <= total_kl(perm) + 1e-9
@@ -115,7 +114,6 @@ def test_match_states_takes_the_first_least_cost_permutation(monkeypatch, cost, 
     # every total inf leaves the identity, the first permutation
     env = bundled_env()
     monkeypatch.setattr(metrics, "_kl_matrix", lambda truth, learned, nodes: cost)
-    assert match_states(moment_matched_model(env), env) == best
     assert evaluate_model(moment_matched_model(env), env).state_matching == best
 
 
@@ -322,7 +320,6 @@ def test_evaluate_model_scores_each_pair_as_kl_observation_does(data):
     # exhaustive argmin, lexicographically first on ties
     best = min(itertools.permutations(range(S)),
                key=lambda perm: sum(cost[perm[j], j] for j in range(S)))
-    assert match_states(learned, env) == best
     report = evaluate_model(learned, env)
     assert report.state_matching == best
     for j, i in enumerate(best):
