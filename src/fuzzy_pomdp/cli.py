@@ -154,6 +154,10 @@ def _build_init(args, dataset, min_actions: int = 1):
         _check_dataset(dataset, init.num_actions, init.obs_dim)
         return init
     num_states = DEFAULT_STATES if args.states is None else args.states
+    num_obs = sum(len(t.observations) for t in dataset)
+    if num_states > num_obs:
+        raise UsageError(f"{num_states} states need at least as many observations; "
+                         f"the dataset has {num_obs}")
     num_actions = args.actions
     if num_actions is None:
         num_actions = max([min_actions, *(int(a) + 1 for t in dataset for a in t.actions)])
@@ -222,7 +226,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     env = load_env(args.env)
-    out = dataclasses.asdict(evaluate_model(model, env, nodes=args.nodes))
+    out = dataclasses.asdict(evaluate_model(model, env))
     if args.out:
         write_json(out, args.out)
         print(f"wrote {args.out}")
@@ -462,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a learned model against ground truth")
     p.add_argument("model", help="model or checkpoint JSON")
     p.add_argument("env", help="ground-truth environment JSON")
-    p.add_argument("--nodes", type=COUNT, default=64, help="quadrature nodes per dim")
     p.add_argument("--out", help="write report JSON here instead of stdout")
     p.set_defaults(func=cmd_eval)
 

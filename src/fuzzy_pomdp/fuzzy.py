@@ -139,17 +139,16 @@ class GaussianGroup:
 
     rules holds the G rule indices and dims the k clause dims. Rules that
     share their clauses' centers and widths share one antecedent: centers
-    and variances are (U, k), one row per distinct antecedent in order of
-    first appearance and one column per clause dim, and antecedents (G,)
-    gives each rule's row. variance_diagonals (U, k, k) holds each row's
-    variances as a diagonal matrix and variance_products (U,) their product.
+    (U, k) has one row per distinct antecedent, in order of first appearance,
+    and one column per clause dim; antecedents (G,) gives each rule's row.
+    variance_diagonals (U, k, k) holds each row's squared widths as a
+    diagonal matrix and variance_products (U,) their product.
     """
 
     rules: np.ndarray
     dims: np.ndarray
     antecedents: np.ndarray
     centers: np.ndarray
-    variances: np.ndarray
     variance_diagonals: np.ndarray
     variance_products: np.ndarray
 
@@ -239,11 +238,11 @@ class FuzzyModel:
             index = [distinct.setdefault(row.tobytes(), len(distinct)) for row in rows]
             # each distinct row, taken from the first rule that has it: (U, 2, k)
             unique = rows[[index.index(u) for u in range(len(distinct))]]
-            variances = _frozen_array(unique[:, 1])
+            variances = unique[:, 1]
             groups.append(GaussianGroup(
                 rules=_frozen_array(rules, int), dims=_frozen_array(dims, int),
                 antecedents=_frozen_array(index, int),
-                centers=_frozen_array(unique[:, 0]), variances=variances,
+                centers=_frozen_array(unique[:, 0]),
                 variance_diagonals=_frozen_array(variances[:, :, None] * np.eye(len(dims))),
                 variance_products=_frozen_array(variances.prod(axis=1)),
             ))

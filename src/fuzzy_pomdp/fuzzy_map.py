@@ -185,7 +185,6 @@ def m_step_fuzzy_map(
     empirical: SufficientCounts,
     fuzzy_counts: SufficientCounts,
     prev: PomdpModel,
-    em_config: EmConfig,
     map_config: FuzzyMapConfig,
 ) -> PomdpModel:
     """Plain EM's M-step on empirical counts blended with weighted pseudo-counts.
@@ -252,7 +251,7 @@ def run_fuzzy_map_em(
             matchant = matchant_matrix(model, fuzzy, map_config, iteration)
             fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
         ratios.append(_mass_ratios(empirical, fuzzy_counts, map_config))
-        return m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
+        return m_step_fuzzy_map(empirical, fuzzy_counts, model, map_config)
 
     fit = _fit(dataset, init, em_config, m_step, map_config.final_standard_em_iterations)
     return replace(fit, prior_data_ratios=ratios, final_matchant=matchant)

@@ -95,6 +95,10 @@ class ExperimentConfig:
                           ("max_iterations", 1), ("final_standard_em_iterations", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
+        # every init gives each state its own observation to start from
+        num_obs = self.num_trajectories * self.horizon
+        if self.num_states > num_obs:
+            raise ValueError(f"num_states must be at most num_trajectories * horizon ({num_obs})")
         seeds = tuple(int(s) for s in self.seeds)
         repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
         if repeated is not None:
@@ -211,6 +215,8 @@ def random_init(dataset: list[Trajectory], num_states: int, num_actions: int,
     pooled-variance diagonal covariances (wide covariances keep early
     responsibilities soft), Dirichlet-random transition rows."""
     points = np.vstack([t.observations for t in dataset])
+    if num_states > len(points):
+        raise ValueError(f"need at least {num_states} observations, got {len(points)}")
     d = points.shape[1]
     idx = rng.choice(len(points), size=num_states, replace=False)
     pooled_var = np.maximum(points.var(axis=0), 1e-3)

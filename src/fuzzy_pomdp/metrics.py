@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import GroundTruthEnv, PomdpModel, gaussian_log_density, per_state_log_density
+from .model import EmissionFactor, GroundTruthEnv, PomdpModel, gaussian_log_density
 
 log = logging.getLogger(__name__)
 
@@ -26,7 +26,7 @@ KL_CEILING = 1e4
 # quadrature mass allowed to sit on points where the learned density underflows
 UNDERFLOW_MASS_TOL = 1e-12
 LOG_TINY = float(np.log(np.finfo(float).tiny))
-DEFAULT_NODES = 64
+NODES = 64  # Gauss-Legendre nodes per observation dimension
 MAX_QUADRATURE_DIM = 3
 
 
@@ -42,11 +42,11 @@ class EvalReport:
 
 
 @lru_cache(maxsize=8)
-def quadrature_grid(obs_dim: int, nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Legendre rule on [0,1]^d: (points, weights)."""
+def quadrature_grid(obs_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Legendre rule on [0,1]^d, NODES per dim: (points, weights)."""
     if obs_dim > MAX_QUADRATURE_DIM:
         raise ValueError(f"quadrature supports obs_dim <= {MAX_QUADRATURE_DIM}")
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(NODES)
     x = (x + 1.0) / 2.0
     w = w / 2.0
     axes = np.meshgrid(*([x] * obs_dim), indexing="ij")
@@ -119,41 +119,31 @@ def beta_product_log_density(points: np.ndarray, beta_params: np.ndarray) -> np.
     return out
 
 
-def kl_observation(
-    beta_params: np.ndarray, mean: np.ndarray, cov: np.ndarray, nodes: int = DEFAULT_NODES
-) -> float:
-    """KL(Beta-product truth || learned Gaussian) by quadrature, with the +inf
-    sentinel; up to MAX_QUADRATURE_DIM observation dimensions."""
-    beta_params = np.asarray(beta_params, dtype=float)
-    points, weights = quadrature_grid(beta_params.shape[0], nodes)
-    return kl_quadrature(
-        beta_product_log_density(points, beta_params),
-        gaussian_log_density(points, mean, cov),
-        weights,
-    )
-
-
-def _kl_matrix(truth: GroundTruthEnv, learned: PomdpModel, nodes: int) -> np.ndarray:
-    """cost[i, j] = KL(truth state i || learned state j), each state's log
-    density evaluated on the grid once, with the learned model's emission
-    factor."""
-    points, weights = quadrature_grid(truth.obs_dim, nodes)
-    logq = per_state_log_density(learned, points).T  # (S, n)
-    logp = [beta_product_log_density(points, params) for params in truth.beta_params]
+def _kl_costs(beta_params: np.ndarray, means: np.ndarray, covs: np.ndarray,
+              factor: EmissionFactor | None = None) -> np.ndarray:
+    """cost[i, j] = KL(truth state i || learned state j) by quadrature, for
+    truth Beta parameters (T, d, 2) and learned means (S, d) and covariances
+    (S, d, d), with `factor` their EmissionFactor if already built. Every
+    state's log density is evaluated on the grid once."""
+    points, weights = quadrature_grid(beta_params.shape[1])
+    logq = gaussian_log_density(points, means, covs, factor)  # (S, n)
+    logp = [beta_product_log_density(points, params) for params in beta_params]
     return np.array([[kl_quadrature(p, q, weights) for q in logq] for p in logp])
 
 
-def _match(
-    learned: PomdpModel, truth: GroundTruthEnv, nodes: int
-) -> tuple[tuple[int, ...], np.ndarray]:
+def kl_observation(beta_params: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+    """KL(Beta-product truth || learned Gaussian) by quadrature, with the +inf
+    sentinel; up to MAX_QUADRATURE_DIM observation dimensions."""
+    one_state = (np.asarray(x, dtype=float)[None] for x in (beta_params, mean, cov))
+    return float(_kl_costs(*one_state)[0, 0])
+
+
+def _match(learned: PomdpModel, truth: GroundTruthEnv) -> tuple[tuple[int, ...], np.ndarray]:
     """The best bijection learned state -> truth state by total observation
     KL, and the KL cost matrix it was chosen from. Exhaustive over all
     permutations; ties go to the lexicographically smallest assignment."""
-    if learned.num_states != truth.num_states:
-        raise ValueError(
-            f"state count mismatch: learned {learned.num_states}, truth {truth.num_states}"
-        )
-    cost = _kl_matrix(truth, learned, nodes)
+    cost = _kl_costs(truth.beta_params, learned.obs_means, learned.obs_covs,
+                     learned.emission_factor)
     best = min(itertools.permutations(range(truth.num_states)),
                key=lambda perm: sum(cost[perm[j], j] for j in range(truth.num_states)))
     return best, cost
@@ -178,15 +168,20 @@ def l1_transition_total(est: np.ndarray, truth: np.ndarray) -> float:
     return float(_abs_deviation(est, truth).sum())
 
 
-def evaluate_model(
-    learned: PomdpModel, truth: GroundTruthEnv, nodes: int = DEFAULT_NODES
-) -> EvalReport:
+def evaluate_model(learned: PomdpModel, truth: GroundTruthEnv) -> EvalReport:
     """Match states, realign the learned model, and score it against truth.
 
     Each state's KL is read from the cost matrix the matching was chosen
-    from, so every (truth, learned) pair is scored once.
+    from, so every (truth, learned) pair is scored once. A learned model
+    whose state count, action count or obs_dim differs from the truth's
+    raises ValueError naming both.
     """
-    matching, cost = _match(learned, truth, nodes)
+    for name, label in (("num_states", "state count"), ("num_actions", "action count"),
+                        ("obs_dim", "obs_dim")):
+        if getattr(learned, name) != getattr(truth, name):
+            raise ValueError(f"{label} mismatch: learned {getattr(learned, name)}, "
+                             f"truth {getattr(truth, name)}")
+    matching, cost = _match(learned, truth)
     # matching[j] = truth index for learned state j; reorder learned states
     # into truth order before comparing tensors
     inverse = np.argsort(matching)

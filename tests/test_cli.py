@@ -130,7 +130,6 @@ FUZZY_MAP = ("--algo", "fuzzy-map", "--fuzzy-model", FUZZY)
     ("train", "DATASET", *FUZZY_MAP, "--final-em-iterations", "-1"),
     ("train", "DATASET", "--states", "0"),
     ("train", "DATASET", "--actions", "0"),
-    ("eval", "CHECKPOINT", ENV, "--nodes", "0"),
     ("reproduce", "--regime", "low-data", "--seeds", "0"),
     ("reproduce", "--regime", "low-data", "--seeds", "1", "--lambda-t", "-1"),
     ("sweep", "--seeds", "1", "--grid", "0,nan"),
@@ -286,6 +285,12 @@ def test_train_rejects_an_invalid_dataset(tmp_path, capsys):
         assert run_cli("train", ds, "--init", init, "--actions", 1, "--out", ckpt) == 1
         err = capsys.readouterr().err
         assert f"trajectory {first}: action index out of range [0, 1)" in err
+    # 2 observations cannot seed 3 states
+    short = gen_small_dataset(tmp_path / "short", n=1, horizon=2)
+    for init in ("kmeans", "random"):
+        assert run_cli("train", short, "--init", init, "--out", ckpt) == 1
+        assert ("3 states need at least as many observations; the dataset has 2"
+                in capsys.readouterr().err)
     assert not ckpt.exists()
 
 

@@ -304,7 +304,8 @@ def test_rule_tables_are_built_once_and_split_the_rules():
         ([0, 3], [0, 1]), ([4], [1])]
     first = tables.gaussian_groups[0]
     assert np.array_equal(first.centers, [[0.2, 0.4], [0.7, 0.1]])
-    assert np.array_equal(first.variances, np.array([[0.3, 0.5], [0.2, 0.6]]) ** 2)
+    assert np.array_equal(np.diagonal(first.variance_diagonals, axis1=1, axis2=2),
+                          np.array([[0.3, 0.5], [0.2, 0.6]]) ** 2)
     assert tables.mc_rules == (2,)
     assert tables.actions.tolist() == [1, -1, 0, -1, -1]
     assert np.array_equal(tables.consequents, np.stack([r.consequent for r in rules]))

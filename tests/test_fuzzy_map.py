@@ -418,7 +418,7 @@ def test_m_step_fuzzy_map_zero_lambda_reduces_to_standard(rng0):
     fuzzy_counts = compute_from_matchant(
         m, fz, matchant_matrix(m, fz, FuzzyMapConfig(matchant_samples=32)))
     plain = m_step_standard(empirical, m, EmConfig())
-    blended = m_step_fuzzy_map(empirical, fuzzy_counts, m, EmConfig(),
+    blended = m_step_fuzzy_map(empirical, fuzzy_counts, m,
                                FuzzyMapConfig(lambda_t=0.0, lambda_o=0.0))
     assert np.array_equal(blended.transitions, plain.transitions)
     assert np.array_equal(blended.obs_means, plain.obs_means)
@@ -443,7 +443,7 @@ def test_m_step_fuzzy_map_prior_only():
     empty = SufficientCounts(
         trans=np.zeros((2, 1, 2)), obs_weight=np.zeros(2),
         obs_sum=np.zeros((2, 1)), obs_outer=np.zeros((2, 1, 1)))
-    out = m_step_fuzzy_map(empty, pseudo, prev, EmConfig(),
+    out = m_step_fuzzy_map(empty, pseudo, prev,
                            FuzzyMapConfig(lambda_t=1.0, lambda_o=1.0))
     assert np.allclose(out.transitions[0, 0], [0.25, 0.75])
     assert np.allclose(out.transitions[1, 0], [0.25, 0.75])
@@ -469,7 +469,7 @@ def test_m_step_fuzzy_map_blending_arithmetic():
         obs_sum=rng.normal(scale=0.3, size=(2, 1)),
         obs_outer=rng.uniform(1.0, 2.0, size=(2, 1, 1)),
     )
-    out = m_step_fuzzy_map(emp, pseudo, m, EmConfig(),
+    out = m_step_fuzzy_map(emp, pseudo, m,
                            FuzzyMapConfig(lambda_t=lam_t, lambda_o=lam_o))
     for s in range(2):
         row = emp.trans[s, 0] + lam_t * pseudo.trans[s, 0]
@@ -504,7 +504,7 @@ def test_m_step_fuzzy_map_rejects_indefinite_blend():
     # rejected by regularize_cov, the check plain EM's M-step runs too
     with pytest.raises(CovarianceError,
                        match=r"^state 0: covariance is not positive semidefinite"):
-        m_step_fuzzy_map(empty, bogus, prev, EmConfig(),
+        m_step_fuzzy_map(empty, bogus, prev,
                          FuzzyMapConfig(lambda_t=1.0, lambda_o=1.0))
 
 
@@ -522,7 +522,7 @@ def test_m_step_fuzzy_map_decomposes_each_updated_covariance_once(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-    m_step_fuzzy_map(counts, SufficientCounts.zeros(3, 1, 2), m, EmConfig(),
+    m_step_fuzzy_map(counts, SufficientCounts.zeros(3, 1, 2), m,
                      FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5))
     assert [np.shape(a) for a in calls] == [(2, 2, 2)]
 
@@ -652,7 +652,7 @@ def _prior_only_reference(init, fuzzy, em_config, map_config):
     for iteration in range(em_config.max_iterations):
         matchant = matchant_matrix(model, fuzzy, map_config, iteration)
         fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
-        new_model = m_step_fuzzy_map(empirical, fuzzy_counts, model, em_config, map_config)
+        new_model = m_step_fuzzy_map(empirical, fuzzy_counts, model, map_config)
         delta, model, iterations = max_delta(model, new_model), new_model, iteration + 1
         if delta < em_config.loglik_tolerance:
             converged = True

@@ -177,6 +177,13 @@ def test_random_init_deterministic():
     assert np.array_equal(i1.transitions, i2.transitions)
 
 
+def test_random_init_refuses_fewer_observations_than_states():
+    rng = np.random.default_rng(36)
+    ds = random_dataset(rng, random_model(rng, obs_dim=2), n=1, horizon=2)
+    with pytest.raises(ValueError, match=r"^need at least 3 observations, got 2$"):
+        random_init(ds, 3, 2, np.random.default_rng(9))
+
+
 # ------------------------------------------------------- fuzzy simulator
 
 def test_generate_fuzzy_trajectories_shapes():
@@ -512,6 +519,8 @@ def test_a_seed_listed_twice_is_refused():
     ("lambda_t", -1.0), ("lambda_o", math.nan), ("lambda_t", math.inf),
     ("noise_sigma", math.nan), ("num_trajectories", 0), ("horizon", 0),
     ("num_states", 0), ("max_iterations", 0), ("final_standard_em_iterations", -1),
+    # low_data's 3 trajectories of 5 steps hold 15 observations
+    ("num_states", 16),
 ])
 def test_a_value_that_would_fail_every_seed_is_refused(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be "):

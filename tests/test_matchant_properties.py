@@ -107,15 +107,15 @@ def test_rule_tables_equal_the_expressions_they_replace(case):
     _, fuzzy = case
     tables = fuzzy.tables
     for group in tables.gaussian_groups:
+        var = np.diagonal(group.variance_diagonals, axis1=1, axis2=2)
         # each rule's antecedent row holds its own clauses' centers and widths
         for r, row in zip(group.rules.tolist(), group.antecedents.tolist()):
             clauses = fuzzy.rules[r].clauses
             assert [c.dim for c in clauses] == group.dims.tolist()
             assert group.centers[row].tolist() == [c.term.params[0] for c in clauses]
-            assert group.variances[row].tolist() == [c.term.params[1] ** 2 for c in clauses]
-        rows = {(c.tobytes(), v.tobytes()) for c, v in zip(group.centers, group.variances)}
+            assert var[row].tolist() == [c.term.params[1] ** 2 for c in clauses]
+        rows = {(c.tobytes(), v.tobytes()) for c, v in zip(group.centers, var)}
         assert len(rows) == len(group.centers) == group.antecedents.max() + 1
-        var = group.variances
         assert np.array_equal(group.variance_diagonals[None],
                               var[None, :, :, None] * np.eye(len(group.dims)))
         assert np.array_equal(group.variance_products, var.prod(axis=1))

@@ -113,7 +113,7 @@ TIED[[1, 0, 2, 2, 1, 0], [0, 1, 2, 0, 1, 2]] = 0.0  # (1, 0, 2) and (2, 1, 0) to
 def test_match_states_takes_the_first_least_cost_permutation(monkeypatch, cost, best):
     # every total inf leaves the identity, the first permutation
     env = bundled_env()
-    monkeypatch.setattr(metrics, "_kl_matrix", lambda truth, learned, nodes: cost)
+    monkeypatch.setattr(metrics, "_kl_costs", lambda *args: cost)
     assert evaluate_model(moment_matched_model(env), env).state_matching == best
 
 
@@ -175,7 +175,7 @@ def test_kl_quadrature_matches_gaussian_closed_form():
                         + (mu1[d] - mu0[d]) ** 2 / var1[d]
                         - 1.0 + math.log(var1[d] / var0[d]))
                  for d in range(2))
-    points, weights = quadrature_grid(2, 64)
+    points, weights = quadrature_grid(2)
     got = kl_quadrature(logp(points), logq(points), weights)
     assert abs(got - closed) < 1e-6
 
@@ -288,6 +288,19 @@ def test_evaluate_model_invariant_to_learned_relabeling():
     assert abs(base.l1_transition - shuffled.l1_transition) < 1e-9
     for k in base.kl_per_state:
         assert abs(base.kl_per_state[k] - shuffled.kl_per_state[k]) < 1e-9
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2, 2, 2), "state count mismatch: learned 2, truth 3"),
+    ((3, 3, 2), "action count mismatch: learned 3, truth 2"),
+    ((3, 2, 3), "obs_dim mismatch: learned 3, truth 2"),
+], ids=("states", "actions", "obs_dim"))
+def test_evaluate_model_refuses_a_model_of_another_shape(shape, message):
+    S, A, d = shape
+    learned = PomdpModel(S, A, d, np.full((S, A, S), 1.0 / S), np.full((S, d), 0.5),
+                         np.tile(0.05 * np.eye(d), (S, 1, 1)))
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        evaluate_model(learned, bundled_env())
 
 
 # --------------------------------------------------- one score per pair
