@@ -230,7 +230,8 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
         raise ValueError("trajectories in one batch must have the same length")
     num, horizon, num_states = len(batch), len(batch[0]), model.num_states
     log_b = per_state_log_density(model, batch.obs).reshape(num, horizon, num_states)
-    shift = log_b.max(axis=2)
+    # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
+    shift = np.maximum.reduce(log_b, 2)
     b = np.exp(log_b - shift[..., None])
     # trans[n, t] is the (state, next_state) matrix of the action at step t
     trans = model.transitions.transpose(1, 0, 2)[batch.actions.reshape(num, horizon - 1)]
@@ -246,13 +247,13 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
         for t in range(horizon):
             if t:
                 step = alphas[-1] @ steps[t - 1]
-            scales.append(step.sum(axis=2, keepdims=True))
+            scales.append(np.add.reduce(step, 2, keepdims=True))
             alphas.append(step / scales[-1])
     alpha = np.concatenate(alphas, axis=1)
     scale = np.concatenate(scales, axis=1)[..., 0]
     # NaN scales (a NaN observation or parameter) fail too
     scored = scale > 0.0
-    if not scored.all():
+    if not np.logical_and.reduce(scored, None):
         failed = ~scored
         t = int(failed.any(axis=0).argmax())
         raise ForwardBackwardError(
@@ -272,7 +273,7 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
     return Posteriors(
         gamma=gamma.reshape(num * horizon, num_states),
         xi=xi.reshape(num * (horizon - 1), num_states, num_states),
-        log_likelihoods=np.log(scale).sum(axis=1) + shift.sum(axis=1),
+        log_likelihoods=np.add.reduce(np.log(scale), 1) + np.add.reduce(shift, 1),
         starts=batch.starts,
     )
 
@@ -293,7 +294,7 @@ def accumulate_counts(
     trans = data.one_hot(model.num_actions).T @ xi.reshape(len(xi), num_states * num_states)
     return SufficientCounts(
         trans=trans.reshape(model.num_actions, num_states, num_states).transpose(1, 0, 2),
-        obs_weight=gamma.sum(axis=0),
+        obs_weight=np.add.reduce(gamma, 0),
         obs_sum=gamma.T @ data.obs,
         obs_outer=(gamma.T @ data.obs_pairs).reshape(num_states, obs_dim, obs_dim),
     )
@@ -314,7 +315,8 @@ def _regularized(stack: np.ndarray, states: Sequence[int], ridge: float) -> np.n
     if _all_finite(stack):
         sym = 0.5 * (stack + stack.swapaxes(-1, -2))
         bound = ridge if ridge > 0.0 else -_PSD_ATOL
-        check = np.flatnonzero(np.linalg.eigvalsh(sym)[:, 0] < bound)
+        smallest = np.linalg.eigvalsh(sym)[:, 0].tolist()
+        check = [i for i, eig in enumerate(smallest) if eig < bound]
     else:
         sym, check = stack, range(len(states))
     for i in check:
@@ -323,6 +325,13 @@ def _regularized(stack: np.ndarray, states: Sequence[int], ridge: float) -> np.n
         except CovarianceError as err:
             raise CovarianceError(f"state {states[i]}: {err}") from None
     return sym
+
+
+def _divided(counts: SufficientCounts, row_mass: np.ndarray, weight: np.ndarray):
+    """Transition rows, means and covariances: each count over its mass."""
+    means = counts.obs_sum / weight[:, None]
+    covs = counts.obs_outer / weight[:, None, None] - means[:, :, None] * means[:, None, :]
+    return counts.trans / row_mass[..., None], means, covs
 
 
 def _mstep_from_counts(
@@ -336,22 +345,26 @@ def _mstep_from_counts(
     observation mass keeps its previous mean and covariance. Both fallbacks
     are logged. The covariances of the states with mass are regularized as
     one stack (_regularized); a covariance regularize_cov rejects raises
-    CovarianceError naming its state.
+    CovarianceError naming its state. The new model holds the arrays made
+    here, frozen in place (PomdpModel._adopting).
     """
     num_states = prev.num_states
-    row_mass = counts.trans.sum(axis=2)
+    # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
+    row_mass = np.add.reduce(counts.trans, 2)
     weight = counts.obs_weight
     has_mass, live = row_mass > 0.0, weight > 0.0
-    # a row or state without mass divides 0 by 0 here and is overwritten below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        transitions = counts.trans / row_mass[..., None]
-        means = counts.obs_sum / weight[:, None]
-        covs = counts.obs_outer / weight[:, None, None] - means[:, :, None] * means[:, None, :]
-    if not has_mass.all():
+    all_rows, all_live = np.logical_and.reduce(has_mass, None), np.logical_and.reduce(live, None)
+    if all_rows and all_live:
+        transitions, means, covs = _divided(counts, row_mass, weight)
+    else:
+        # a row or state without mass divides 0 by 0, and is overwritten below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            transitions, means, covs = _divided(counts, row_mass, weight)
+    if not all_rows:
         for s, a in np.argwhere(~has_mass):
             log.debug("no transition mass for state %d action %d; using uniform", s, a)
             transitions[s, a] = 1.0 / num_states
-    if live.all():
+    if all_live:
         covs = _regularized(covs, range(num_states), ridge)
     else:
         states = np.flatnonzero(live)
@@ -360,16 +373,7 @@ def _mstep_from_counts(
             log.debug("no observation mass for state %d; keeping previous parameters", s)
             means[s] = prev.obs_means[s]
             covs[s] = prev.obs_covs[s]
-    return PomdpModel(
-        num_states=num_states,
-        num_actions=prev.num_actions,
-        obs_dim=prev.obs_dim,
-        transitions=transitions,
-        obs_means=means,
-        obs_covs=covs,
-        initial_dist=prev.initial_dist,
-        state_labels=prev.state_labels,
-    )
+    return PomdpModel._adopting(prev, transitions, means, covs)
 
 
 def m_step_standard(

@@ -163,24 +163,39 @@ class RuleTables:
     mc_rules: the other rules with a non-empty antecedent, matched by
     Monte Carlo. actions[r]: rule r's action selector, -1 when the rule is
     active for every action. consequents: the (R, d, d+1) stacked affine
-    consequents.
+    consequents; consequent_matrix: the same as one (d+1, R*d) matrix, so
+    that inputs (S, d+1) @ consequent_matrix gives every rule's consequent
+    under every input row.
+
+    The strength table of a model has one column per distinct antecedent,
+    group after group in order (strength_width columns), then a column of
+    ones and a column of zeros. antecedent_columns[r] is rule r's column:
+    its antecedent's, or the ones column for a rule outside every group
+    (an empty antecedent fires at 1; a Monte-Carlo rule's cells are
+    overwritten).
     """
 
     gaussian_groups: tuple[GaussianGroup, ...]
     mc_rules: tuple[int, ...]
     actions: np.ndarray
     consequents: np.ndarray
-    _gates: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    consequent_matrix: np.ndarray
+    strength_width: int
+    antecedent_columns: np.ndarray
+    _cell_columns: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
-    def action_gate(self, num_actions: int) -> np.ndarray:
-        """(A, R) read-only: whether rule r may fire under action a, for
-        num_actions actions; built once per action count and kept."""
-        gate = self._gates.get(num_actions)
-        if gate is None:
+    def cell_columns(self, num_actions: int) -> np.ndarray:
+        """(A, R) read-only: the strength-table column of cell (a, r) for
+        num_actions actions, rule r's antecedent column where r may fire
+        under action a and the zeros column where its action gate shuts
+        it; built once per action count and kept."""
+        columns = self._cell_columns.get(num_actions)
+        if columns is None:
             gate = (self.actions < 0) | (self.actions == np.arange(num_actions)[:, None])
-            gate.flags.writeable = False
-            self._gates[num_actions] = gate
-        return gate
+            columns = np.where(gate, self.antecedent_columns, self.strength_width + 1)
+            columns.flags.writeable = False
+            self._cell_columns[num_actions] = columns
+        return columns
 
 
 @dataclass(frozen=True)
@@ -229,6 +244,8 @@ class FuzzyModel:
             else:
                 mc_rules.append(r)
         groups = []
+        columns: dict[int, int] = {}  # strength-table column by grouped rule
+        width = 0
         for dims, rules in members.items():
             params = np.array([[c.term.params for c in self.rules[r].clauses] for r in rules])
             # a rule's antecedent is the row of its centers and variances; keyed
@@ -239,6 +256,8 @@ class FuzzyModel:
             # each distinct row, taken from the first rule that has it: (U, 2, k)
             unique = rows[[index.index(u) for u in range(len(distinct))]]
             variances = unique[:, 1]
+            columns.update((r, width + u) for r, u in zip(rules, index))
+            width += len(unique)
             groups.append(GaussianGroup(
                 rules=_frozen_array(rules, int), dims=_frozen_array(dims, int),
                 antecedents=_frozen_array(index, int),
@@ -248,11 +267,19 @@ class FuzzyModel:
             ))
         actions = [-1 if rule.action is None else rule.action for rule in self.rules]
         consequents = np.array([rule.consequent for rule in self.rules])
+        consequents = _frozen_array(consequents.reshape(-1, self.obs_dim, self.obs_dim + 1))
+        matrix = consequents.reshape(-1, self.obs_dim + 1).T
+        matrix.flags.writeable = False
         return RuleTables(
             gaussian_groups=tuple(groups),
             mc_rules=tuple(mc_rules),
             actions=_frozen_array(actions, int),
-            consequents=_frozen_array(consequents.reshape(-1, self.obs_dim, self.obs_dim + 1)),
+            consequents=consequents,
+            consequent_matrix=matrix,
+            strength_width=width,
+            # a rule outside every group reads the ones column, after the groups'
+            antecedent_columns=_frozen_array(
+                [columns.get(r, width) for r in range(len(self.rules))], int),
         )
 
     @property

@@ -25,10 +25,14 @@ from .em import EmConfig, EmResult, SufficientCounts, _fit, _mstep_from_counts
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
-from .model import DEFAULT_COV_RIDGE, PomdpModel, Trajectory, per_state_log_density
+from .model import DEFAULT_COV_RIDGE, PomdpModel, Trajectory, gaussian_log_density
 from .rngs import derive_rng
 
 log = logging.getLogger(__name__)
+
+# the last two columns of matchant_matrix's strength table
+_ONE_ZERO = np.array([1.0, 0.0])
+_ONE_ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -82,24 +86,25 @@ def match_antecedent(
     return float(antecedent_strengths(rule, samples, fuzzy.tnorm).mean())
 
 
-def _gaussian_match(model: PomdpModel, group: GaussianGroup) -> np.ndarray:
-    """Exact expected product-t-norm firing strength, shape (S, G).
+def _gaussian_match(model: PomdpModel, group: GaussianGroup, out: np.ndarray) -> None:
+    """Exact expected product-t-norm firing strength of each of the group's
+    distinct antecedents, written to out, shape (S, U).
 
     With D = diag(sigma_J^2) over the group's clause dims J and
     d = mu_J - c, the integral of a rule's membership against N(mu, Sigma)
     is sqrt(det D / det(D + Sigma_JJ)) * exp(-d^T (D + Sigma_JJ)^-1 d / 2).
     Rules sharing an antecedent share that matrix, so solve and det run on
-    the (S, U, k, k) stack of distinct antecedents, and each rule's column
-    is gathered from its antecedent's; a rule gets the bits its own matrix
-    would give, as each matrix still goes through one LAPACK call.
+    the (S, U, k, k) stack of distinct antecedents, whose columns each rule
+    then reads; a rule gets the bits its own matrix would give, as each
+    matrix still goes through one LAPACK call.
     """
     dims = group.dims
     cov = model.obs_covs[:, dims][:, :, dims]  # (S, k, k)
     mat = cov[:, None] + group.variance_diagonals[None]  # (S, U, k, k)
     diff = model.obs_means[:, None, dims] - group.centers[None]  # (S, U, k)
     quad = np.einsum("sgk,sgk->sg", diff, np.linalg.solve(mat, diff[..., None])[..., 0])
-    strength = np.sqrt(group.variance_products / np.linalg.det(mat)) * np.exp(-0.5 * quad)
-    return strength[:, group.antecedents]
+    np.multiply(np.sqrt(group.variance_products / np.linalg.det(mat)), np.exp(-0.5 * quad),
+                out=out)
 
 
 def matchant_matrix(
@@ -110,21 +115,28 @@ def matchant_matrix(
     Exact for rules whose clauses are all Gaussian under the product t-norm:
     each group of rules sharing a clause-dim tuple (fuzzy.tables) is solved
     for every state at once, one matrix per state and distinct antecedent,
-    so rules with equal clauses cost one solve. Other rules fall back to
-    the Monte-Carlo match_antecedent, cell by cell, with its draws, which
-    come from the emission factor's Cholesky factors. Action-gated cells
-    are exactly 0 and empty antecedents exactly 1. The covariances are
-    checked by building the model's emission factor, which the E-step and
-    compute_from_matchant then reuse; a covariance that is not finite and
-    positive definite raises CovarianceError naming its state.
+    so rules with equal clauses cost one solve. Each state's strengths fill
+    one row of a strength table, with a ones and a zeros column after them,
+    and every cell is one gather from it through the rule base's cell
+    columns: empty antecedents read exactly 1, action-gated cells exactly
+    0. Other rules fall back to the Monte-Carlo match_antecedent, cell by
+    cell, with its draws, which come from the emission factor's Cholesky
+    factors. The covariances are checked by building the model's emission
+    factor, which the E-step and compute_from_matchant then reuse; a
+    covariance that is not finite and positive definite raises
+    CovarianceError naming its state.
     """
     model.emission_factor  # built here, or CovarianceError
     tables = fuzzy.tables
-    strength = np.ones((model.num_states, len(fuzzy.rules)))
+    width = tables.strength_width
+    table = np.empty((model.num_states, width + 2))
+    table[:, width:] = _ONE_ZERO
+    start = 0
     for group in tables.gaussian_groups:
-        strength[:, group.rules] = _gaussian_match(model, group)
-    gate = tables.action_gate(model.num_actions)  # (A, R)
-    out = np.where(gate[None], strength[:, None, :], 0.0)
+        stop = start + len(group.centers)
+        _gaussian_match(model, group, table[:, start:stop])
+        start = stop
+    out = table.take(tables.cell_columns(model.num_actions), 1)  # C-ordered (S, A, R)
     if tables.mc_rules:
         for s in range(model.num_states):
             for a in range(model.num_actions):
@@ -139,17 +151,22 @@ def _expectation_table(model: PomdpModel, fuzzy: FuzzyModel) -> np.ndarray:
     Affine consequents make this exact: the expectation of an affine map of
     a Gaussian is the map applied to the mean.
     """
-    inputs = np.concatenate([np.ones((model.num_states, 1)), model.obs_means], axis=1)  # (S, d+1)
-    consequents = fuzzy.tables.consequents  # (R, d, d+1)
-    return (inputs @ consequents.reshape(-1, consequents.shape[2]).T).reshape(
-        model.num_states, *consequents.shape[:2])
+    num_states, obs_dim = model.num_states, model.obs_dim
+    inputs = np.empty((num_states, obs_dim + 1))  # rows (1, mean)
+    inputs[:, 0] = 1.0
+    inputs[:, 1:] = model.obs_means
+    return (inputs @ fuzzy.tables.consequent_matrix).reshape(num_states, -1, obs_dim)
 
 
 def _likelihood_table(model: PomdpModel, y_star: np.ndarray) -> np.ndarray:
-    """Density of each expected consequent under each state, shape (S, R, S')."""
+    """Density of each expected consequent under each state, shape (S, R, S').
+
+    The densities are scored with the model's emission factor as one
+    (S', S*R) stack, and exp writes them transposed, C-ordered."""
     num_states, num_rules, obs_dim = y_star.shape
-    log_dens = per_state_log_density(model, y_star.reshape(num_states * num_rules, obs_dim))
-    return np.exp(log_dens).reshape(num_states, num_rules, model.num_states)
+    log_dens = gaussian_log_density(y_star.reshape(num_states * num_rules, obs_dim),
+                                    model.obs_means, model.obs_covs, model.emission_factor)
+    return np.exp(log_dens.T, order="C").reshape(num_states, num_rules, model.num_states)
 
 
 def compute_from_matchant(
@@ -175,7 +192,7 @@ def compute_from_matchant(
     pairs = (y_star[..., :, None] * y_star[..., None, :]).reshape(-1, obs_dim * obs_dim)
     return SufficientCounts(
         trans=matchant @ likelihood,
-        obs_weight=weight.sum(axis=(0, 1)),
+        obs_weight=np.add.reduce(weight, (0, 1)),
         obs_sum=rows @ y_star.reshape(-1, obs_dim),
         obs_outer=(rows @ pairs).reshape(-1, obs_dim, obs_dim),
     )
@@ -274,10 +291,11 @@ def _check_rule_base(fuzzy: FuzzyModel, model: PomdpModel) -> None:
 def _mass_ratios(
     empirical: SufficientCounts, fuzzy_counts: SufficientCounts, config: FuzzyMapConfig
 ) -> tuple[float, float]:
-    t_data = float(empirical.trans.sum())
-    o_data = float(empirical.obs_weight.sum())
-    t_prior = config.lambda_t * float(fuzzy_counts.trans.sum())
-    o_prior = config.lambda_o * float(fuzzy_counts.obs_weight.sum())
+    # np.add.reduce(x, None) is what x.sum() runs, without its wrapper
+    t_data = float(np.add.reduce(empirical.trans, None))
+    o_data = float(np.add.reduce(empirical.obs_weight, None))
+    t_prior = config.lambda_t * float(np.add.reduce(fuzzy_counts.trans, None))
+    o_prior = config.lambda_o * float(np.add.reduce(fuzzy_counts.obs_weight, None))
     return (
         t_prior / t_data if t_data > 0 else math.inf,
         o_prior / o_data if o_data > 0 else math.inf,

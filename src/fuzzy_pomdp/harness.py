@@ -330,7 +330,9 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
     the config's own pair only. With cells given, "fuzzy_map" lists each
     cell's best fit, or the first error of its fits in the order em_0,
     fm_0, em_1, fm_1, ..., where each em_r is fitted once for all cells
-    ("em" is None if every cell failed).
+    ("em" is None if every cell failed). A cell with both lambdas 0 and no
+    polish (final_standard_em_iterations 0) is plain EM bit for bit, so its
+    fm_r is em_r itself, not a second fit.
     """
     if config.regime == "mg_pipeline":
         policy = make_policy(POLICY, fuzzy.num_actions)
@@ -360,9 +362,14 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
             fm_fits = [err if i in alive else fits for i, fits in enumerate(fm_fits)]
             break
         for i in alive:
+            lambda_t, lambda_o = lambdas[i]
+            if lambda_t == lambda_o == 0.0 and not config.final_standard_em_iterations:
+                # no prior weight and no polish: fuzzy-MAP EM's fit is this one, bit for bit
+                fm_fits[i].append(em_fits[-1])
+                continue
             try:
                 map_config = FuzzyMapConfig(
-                    lambda_t=lambdas[i][0], lambda_o=lambdas[i][1], seed=seed * 1000 + r,
+                    lambda_t=lambda_t, lambda_o=lambda_o, seed=seed * 1000 + r,
                     final_standard_em_iterations=config.final_standard_em_iterations)
                 fm_fits[i].append(run_fuzzy_map_em(dataset, init, fuzzy, em_config, map_config))
             except Exception as err:

@@ -101,6 +101,25 @@ class PomdpModel:
         _set(self, "initial_dist", init)
         _set(self, "state_labels", labels)
 
+    @classmethod
+    def _adopting(cls, prev: "PomdpModel", transitions: np.ndarray, obs_means: np.ndarray,
+                  obs_covs: np.ndarray) -> "PomdpModel":
+        """prev with new parameters, from float arrays of prev's shapes that
+        the package has just built and that nothing else refers to.
+
+        Each array is frozen in place and kept, in the layout it has, where
+        the constructor would check its shape and copy it (a copy that keeps
+        the same layout); prev's initial_dist and state_labels are shared.
+        """
+        model = object.__new__(cls)
+        for name in ("num_states", "num_actions", "obs_dim", "initial_dist", "state_labels"):
+            _set(model, name, getattr(prev, name))
+        for name, array in (("transitions", transitions), ("obs_means", obs_means),
+                            ("obs_covs", obs_covs)):
+            array.flags.writeable = False
+            _set(model, name, array)
+        return model
+
     @cached_property
     def emission_factor(self) -> "EmissionFactor":
         """The covariances' read-only EmissionFactor, built on first use and
@@ -299,7 +318,7 @@ def _emission_factor(cov) -> EmissionFactor:
     gaussian_log_density; a failure raises cholesky_factor's CovarianceError."""
     chol = cholesky_factor(cov)
     inv_chol_t = np.linalg.inv(chol).swapaxes(-1, -2).copy()
-    log_det = 2.0 * np.log(chol.diagonal(0, -2, -1)).sum(axis=-1)
+    log_det = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), -1)
     log_norm = np.asarray(chol.shape[-1] * _LOG_2PI + log_det)
     for array in (inv_chol_t, log_norm, chol):
         array.flags.writeable = False

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from fuzzy_pomdp import cli
+from fuzzy_pomdp import cli, harness
 from fuzzy_pomdp.harness import asset_path
 from fuzzy_pomdp.metrics import evaluate_model
 from fuzzy_pomdp.model import Trajectory, load_env, model_from_dict, save_dataset
@@ -561,6 +561,27 @@ def test_sweep_grid_and_zero_cell_reduction(tmp_path):
     # the zero-lambda cell trains the same model twice
     assert abs(float(zero["em_median_l1_avg"])
                - float(zero["fuzzy_map_median_l1_avg"])) < 1e-9
+
+
+def test_a_zero_cell_sweep_fits_fuzzy_map_only_for_the_nonzero_cell(tmp_path, monkeypatch):
+    calls = {"run_em": [], "run_fuzzy_map_em": []}
+
+    def counted(name):
+        fn = getattr(harness, name)
+
+        def wrapper(*args):
+            calls[name].append(args[-1])
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    assert run_cli("sweep", "--regime", "low-data", "--seeds", 1, "--grid", "0,0.1",
+                   "--out-dir", tmp_path) == 0
+    # the (0, 0) cell takes the plain-EM fits, one per restart
+    assert len(calls["run_em"]) == harness.RESTARTS
+    assert [(c.lambda_t, c.lambda_o) for c in calls["run_fuzzy_map_em"]] == [
+        (0.1, 0.1)] * harness.RESTARTS
 
 
 def test_writing_subcommands_create_missing_directories(tmp_path):

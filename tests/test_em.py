@@ -5,8 +5,10 @@ over every latent state sequence explicitly, so any indexing or scaling slip
 in the recursions shows up as a hard numeric mismatch.
 """
 import itertools
+import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from fuzzy_pomdp import em
+from fuzzy_pomdp.fuzzy import load_fuzzy_model
+from fuzzy_pomdp.harness import asset_path
 from fuzzy_pomdp.model import CovarianceError, PomdpModel, Trajectory
 from fuzzy_pomdp.em import (
     EmConfig,
@@ -539,3 +543,91 @@ def test_run_em_single_state_degenerates_to_gaussian_fit():
     assert np.allclose(res.model.obs_means[0], obs.mean(axis=0), atol=1e-9)
     emp_cov = np.cov(obs.T, bias=True)
     assert np.allclose(res.model.obs_covs[0], emp_cov, atol=1e-9)
+
+
+# ------------------------------------------- fitted models and fallbacks
+
+def _frozen_state_case():
+    """A 3-state init whose last state sits far from every observation and
+    that no state moves to, on a 2-dim dataset, with the bundled expert
+    rules: the far state's responsibilities and its pseudo-count weight are
+    exactly 0, so every M-step of either fitter finds it without transition
+    or observation mass and keeps its parameters."""
+    rng = np.random.default_rng(123)
+    init = random_model(rng, num_states=3, num_actions=2, obs_dim=2)
+    means, transitions = init.obs_means.copy(), init.transitions.copy()
+    means[-1] = 100.0
+    transitions[:-1, :, -1] = 0.0
+    transitions /= transitions.sum(axis=2, keepdims=True)
+    init = PomdpModel(3, 2, 2, transitions=transitions, obs_means=means,
+                      obs_covs=init.obs_covs, initial_dist=init.initial_dist)
+    rules = load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
+    return init, random_dataset(rng, init, n=4, horizon=6), rules
+
+
+def _fits(init, dataset, rules):
+    config = EmConfig(max_iterations=6)
+    return {
+        "em": lambda: run_em(dataset, init, config),
+        "fuzzy_map": lambda: run_fuzzy_map_em(dataset, init, rules, config,
+                                              FuzzyMapConfig(lambda_t=0.1, lambda_o=0.05)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["em", "fuzzy_map"])
+def test_the_m_step_fallbacks_fire_without_a_warning(kind, caplog):
+    init, dataset, rules = _frozen_state_case()
+    with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="fuzzy_pomdp.em"):
+        # a 0/0 of a state without mass would warn, and so raise, here
+        warnings.simplefilter("error")
+        fit = _fits(init, dataset, rules)[kind]()
+    assert all(map(math.isfinite, fit.loglik_trace))
+    messages = [record.getMessage() for record in caplog.records]
+    assert "no transition mass for state 2 action 0; using uniform" in messages
+    assert "no observation mass for state 2; keeping previous parameters" in messages
+    assert np.array_equal(fit.model.obs_means[2], init.obs_means[2])
+    assert np.array_equal(fit.model.obs_covs[2], init.obs_covs[2])
+    assert np.array_equal(fit.model.transitions[2], np.full((2, 3), 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("kind", ["em", "fuzzy_map"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["", "frozen_state"])
+def test_a_fitted_model_holds_read_only_arrays(kind, frozen):
+    init, dataset, rules = _frozen_state_case()
+    if not frozen:
+        init = random_model(np.random.default_rng(5), num_states=3, num_actions=2, obs_dim=2)
+    model = _fits(init, dataset, rules)[kind]().model
+    for name in ("transitions", "obs_means", "obs_covs", "initial_dist"):
+        array = getattr(model, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_an_m_step_model_shares_no_memory_with_the_counts():
+    rng = np.random.default_rng(7)
+    prev = random_model(rng, num_states=3, num_actions=2, obs_dim=2)
+    dataset = random_dataset(rng, prev)
+    counts = accumulate_counts(dataset, e_step(prev, dataset)[0], prev)
+    model = m_step_standard(counts, prev, EmConfig())
+    arrays = [getattr(model, name) for name in ("transitions", "obs_means", "obs_covs")]
+    before = [array.copy() for array in arrays]
+    for count in (counts.trans, counts.obs_weight, counts.obs_sum, counts.obs_outer):
+        assert not any(np.shares_memory(array, count) for array in arrays)
+        count[...] = np.nan
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_a_model_built_from_writable_arrays_copies_them():
+    rng = np.random.default_rng(8)
+    source = random_model(rng, num_states=2, num_actions=2, obs_dim=2)
+    arrays = {name: getattr(source, name).copy()
+              for name in ("transitions", "obs_means", "obs_covs", "initial_dist")}
+    model = PomdpModel(2, 2, 2, **arrays)
+    for name, array in arrays.items():
+        assert array.flags.writeable
+        assert not np.shares_memory(getattr(model, name), array)
+        array[...] = np.nan
+        assert np.array_equal(getattr(model, name), getattr(source, name)), name
+        assert not getattr(model, name).flags.writeable

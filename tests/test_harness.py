@@ -577,7 +577,9 @@ def test_a_sweep_fits_plain_em_once_per_seed_and_restart(regime, seeds, em_calls
     configs = [regime_config(regime, seeds=seeds, max_iterations=6, num_trajectories=6,
                              lambda_t=lam_t, lambda_o=lam_o) for lam_t, lam_o in CELLS]
     harness.run_sweep(configs)
-    assert calls == {"run_em": em_calls, "run_fuzzy_map_em": len(CELLS) * em_calls}
+    # the zero cell takes plain EM's fits, except under mg's polish
+    fm_cells = len(CELLS) - (configs[0].final_standard_em_iterations == 0)
+    assert calls == {"run_em": em_calls, "run_fuzzy_map_em": fm_cells * em_calls}
     assert paired_seeds == list(seeds)
 
 
@@ -630,7 +632,8 @@ def test_a_fuzzy_map_error_fails_only_its_own_cell(tmp_path, monkeypatch):
     # the failed cell fits that seed no further, as one run_regime would
     assert [seed for seed, lam in fm_calls if lam == 0.5 and seed >= 1000] == [
         1000, 1001, 1002]
-    assert len(fm_calls) == 2 * len(CELLS) * harness.RESTARTS - 2
+    # the zero cell takes plain EM's fits
+    assert len(fm_calls) == 2 * (len(CELLS) - 1) * harness.RESTARTS - 2
     single = run_regime(_sweep_configs(tmp_path / "single")[1])
     assert (single["rows"], single["failures"]) == want[1]
 
@@ -645,8 +648,8 @@ def test_a_plain_em_error_fails_the_seed_in_every_cell(tmp_path, monkeypatch):
         return "plain EM broke" if len(em_calls) == 7 else None
 
     def fm_fails(dataset, init, fuzzy, em_config, map_config):
-        # seed 1, restart 0, in the third cell: that cell's first error
-        return "fuzzy-MAP broke" if map_config.seed == 1000 and map_config.lambda_t == 0.0 \
+        # seed 1, restart 0, in the second cell: that cell's first error
+        return "fuzzy-MAP broke" if map_config.seed == 1000 and map_config.lambda_t == 0.5 \
             else None
 
     monkeypatch.setattr(harness, "run_em", _raising(harness.run_em, em_fails))
@@ -654,7 +657,7 @@ def test_a_plain_em_error_fails_the_seed_in_every_cell(tmp_path, monkeypatch):
                         _raising(harness.run_fuzzy_map_em, fm_fails))
     got = harness.run_sweep(_sweep_configs(tmp_path / "failed"))
     want = _expected_after_failures(
-        clean, [{1: "plain EM broke"}, {1: "plain EM broke"}, {1: "fuzzy-MAP broke"}])
+        clean, [{1: "plain EM broke"}, {1: "fuzzy-MAP broke"}, {1: "plain EM broke"}])
     assert [(report["rows"], report["failures"]) for report in got] == want
     assert len(em_calls) == harness.RESTARTS + 2
 

@@ -122,13 +122,43 @@ def test_rule_tables_equal_the_expressions_they_replace(case):
         for array in (group.antecedents, group.centers, group.variance_diagonals,
                       group.variance_products):
             assert not array.flags.writeable
+    # the flattened consequents: the matrix _expectation_table multiplied by
+    obs_dim = fuzzy.obs_dim
+    matrix = tables.consequent_matrix
+    assert matrix.tobytes("A") == tables.consequents.reshape(-1, obs_dim + 1).T.tobytes("A")
+    assert matrix.strides == tables.consequents.reshape(-1, obs_dim + 1).T.strides
+    assert np.array_equal(matrix.T.reshape(-1, obs_dim, obs_dim + 1),
+                          [rule.consequent for rule in fuzzy.rules])
+    # the strength table's columns: gathering a table of made-up group
+    # strengths through them gives what the ones fill, the per-group
+    # scatter and the action gate gave
+    num_states = 2
+    widths = [len(group.centers) for group in tables.gaussian_groups]
+    assert tables.strength_width == sum(widths)
+    # (no made-up strength is 0 or 1, so no column passes for a constant one)
+    parts = [np.arange(num_states * w, dtype=float).reshape(num_states, w) + 2 + 100 * g
+             for g, w in enumerate(widths)]
+    table = np.concatenate(parts + [np.tile([1.0, 0.0], (num_states, 1))], axis=1)
+    strength = np.ones((num_states, len(fuzzy.rules)))
+    for group, part in zip(tables.gaussian_groups, parts):
+        strength[:, group.rules] = part[:, group.antecedents]
+    assert np.array_equal(table[:, tables.antecedent_columns], strength)
+    # a rule outside every group, Monte-Carlo or empty, reads the ones column
+    grouped = {r for group in tables.gaussian_groups for r in group.rules.tolist()}
+    assert [r for r, col in enumerate(tables.antecedent_columns.tolist())
+            if col == tables.strength_width] == [r for r in range(len(fuzzy.rules))
+                                                 if r not in grouped]
+    assert not tables.antecedent_columns.flags.writeable
+    assert not matrix.flags.writeable
     # the model's action count may exceed the rule base's (1 to 3 here)
     actions = tables.actions
     for num_actions in (1, 2, 3):
-        gate = tables.action_gate(num_actions)
-        assert np.array_equal(gate, (actions < 0) | (actions == np.arange(num_actions)[:, None]))
-        assert gate is tables.action_gate(num_actions)
-        assert not gate.flags.writeable
+        gate = (actions < 0) | (actions == np.arange(num_actions)[:, None])
+        columns = tables.cell_columns(num_actions)
+        assert np.array_equal(table.take(columns, 1),
+                              np.where(gate[None], strength[:, None, :], 0.0))
+        assert columns is tables.cell_columns(num_actions)
+        assert not columns.flags.writeable
 
 
 def per_rule_matchant(model, fuzzy):
