@@ -34,11 +34,15 @@ In one fresh process per tree, against the package under that tree's
   runner exits with an error unless both fits log "no observation mass"):
   the only cases whose M-step regularizes the covariances of some states
   but not all; and writes each fit's model and loglik_trace to
-  ragged/model_<algorithm>.json.
+  ragged/model_<algorithm>.json;
+- runs `e_step` once on the ragged dataset under the same random init and
+  writes its gamma, xi, per-trajectory log-likelihoods and total to
+  ragged/posteriors.json, so the E-step itself is compared, not only
+  through the models fitted with it.
 
 Regime outputs, the sweep's per-cell ones and `reproduce`'s included, and
-the ragged, prior-only and frozen-state fits are compared byte for byte:
-runs.csv, sweep.csv, every model_*.json, mg_table.txt and each validate
+every file under ragged/ are compared byte for byte: runs.csv, sweep.csv,
+every model_*.json, ragged/posteriors.json, mg_table.txt and each validate
 run's output.
 summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
@@ -114,7 +118,7 @@ RUNNER = """
 import contextlib, dataclasses, io, json, logging.handlers, os, shutil, sys
 from pathlib import Path
 from fuzzy_pomdp import cli
-from fuzzy_pomdp.em import EmConfig, run_em
+from fuzzy_pomdp.em import EmConfig, e_step, run_em
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp.harness import asset_path, random_init, regime_config, run_regime
@@ -163,6 +167,10 @@ em_log.setLevel(level)
 for name, fit in fits.items():
     write_json(dict(model_to_dict(fit.model), loglik_trace=list(fit.loglik_trace)),
                f"{out}/ragged/model_{name}.json")
+posteriors, total = e_step(init, dataset)
+write_json({"gamma": posteriors.gamma.tolist(), "xi": posteriors.xi.tolist(),
+            "log_likelihoods": posteriors.log_likelihoods.tolist(), "total": total},
+           f"{out}/ragged/posteriors.json")
 work = Path(out, "cli")
 for name in dirs:
     (work / name).mkdir(parents=True)
@@ -211,7 +219,8 @@ for name, files in validate_runs:
 def run_tree(tree: Path, out: Path) -> None:
     """Write every case's outputs under out/<regime>, the CLI script's and
     the validate runs' under out/cli and the ragged, prior-only and
-    frozen-state fits under out/ragged, using tree's package."""
+    frozen-state fits and the ragged E-step under out/ragged, using tree's
+    package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS,
                                     VALIDATE_RUNS)]
@@ -312,7 +321,8 @@ def compare_file(a: Path, b: Path, name: str) -> tuple[list[str], list[str], lis
         found = [f"{name}: {key}" for key in key_differences(_summary(a), _summary(b))]
     elif a.read_bytes() == b.read_bytes():
         return [], [], []
-    elif a.name in REGIME_FILES or a.name.startswith("model_") or a.parent.name == "validate":
+    elif (a.name in REGIME_FILES or a.name.startswith("model_")
+          or a.parent.name in ("validate", "ragged")):
         found = [f"{name}: differs"]
     elif a.suffix == ".json":
         keys = key_differences(json.loads(a.read_text()), json.loads(b.read_text()))
@@ -363,7 +373,7 @@ def main(argv=None) -> int:
     total = sum(len(seeds) for seeds in CASES.values())
     print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds, "
           f"{len(CLI_SCRIPT)} CLI commands, {len(VALIDATE_RUNS)} validate runs and the ragged, "
-          f"prior-only and frozen-state fits; "
+          f"prior-only and frozen-state fits and the ragged E-step; "
           f"{len(notes)} byte-only note(s)")
     return 1 if found else 0
 

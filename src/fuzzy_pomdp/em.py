@@ -1,12 +1,13 @@
 """Standard EM for Gaussian-emission, action-conditioned hidden Markov models.
 
 A fit prepares its dataset once, polish included: observations and actions
-joined in order, their outer products, and one such preparation per
-trajectory length. E-step: scaled forward-backward, run once per length on
-the whole group of that length, scoring the group's observations with the
-model's emission factor (its covariances factored once per model); one
-Posteriors joins the results in dataset order and goes straight into the
-expected counts, each pooled with one matmul. M-step: closed-form
+joined in order, their outer products, and for each trajectory length the
+rows of its trajectories in the joined arrays. E-step: forward_backward,
+scaled smoothing run once per length on all the trajectories of that
+length, scoring their observations with the model's emission factor (its
+covariances factored once per model); one Posteriors holds the results in
+dataset order and goes straight into the expected counts, each pooled with
+one matmul. M-step: closed-form
 maximum-likelihood updates from pooled expected counts, which fuzzy-MAP EM
 first blends with its pseudo-counts. The initial state distribution is held
 fixed, never re-estimated. One loop, `_fit`, runs every fit, fuzzy-MAP's
@@ -19,11 +20,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import (_PSD_ATOL, DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
+from .model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
                     _all_finite, _scoring_problems, per_state_log_density, regularize_cov)
 
 log = logging.getLogger(__name__)
@@ -32,8 +33,7 @@ log = logging.getLogger(__name__)
 class ForwardBackwardError(RuntimeError):
     """Observation likelihood underflowed to zero, or was NaN, at some step.
 
-    `trajectory` is the failing trajectory's position in the batch given to
-    forward_backward; e_step names its index in the dataset instead.
+    `trajectory` is the failing trajectory's index in the dataset.
     """
 
     def __init__(self, message: str, trajectory: int = 0):
@@ -125,54 +125,53 @@ class EmResult:
     final_matchant: np.ndarray | None = None
 
 
-def _rows(lengths: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """For each row in dataset order, its row in the arrays joined in `order`."""
-    ends = np.empty_like(lengths)
-    ends[order] = np.cumsum(lengths[order])
-    return np.concatenate([np.arange(end - n, end) for n, end in zip(lengths, ends)])
+class _Length(NamedTuple):
+    """The trajectories of one length in a _FitData, by index into its
+    joined arrays: their dataset indices (n,), their rows in obs and gamma
+    (n*T,) and in xi (n*(T-1),), their observations (n*T, d) and their
+    actions (n, T-1)."""
+
+    trajectories: np.ndarray
+    rows: np.ndarray
+    xi_rows: np.ndarray
+    obs: np.ndarray
+    actions: np.ndarray
 
 
 class _FitData(tuple):
-    """A dataset prepared once per fit: its trajectories, as a tuple, plus
-    the arrays that every E-step and count pooling read.
+    """A dataset prepared once per fit for a model with num_actions
+    actions: its trajectories, as a tuple, plus the arrays that every E-step
+    and count pooling read.
 
     obs, actions: the observations and actions joined in dataset order.
     starts: (N+1,) offsets of each trajectory's first row in obs.
-    obs_pairs: (sum T, d*d) read-only, each row's observation outer
-    product, flattened; built on first use and kept.
-    indices: the trajectories' positions in the dataset a length group was
-    taken from. groups: one _FitData per distinct length, in order of first
-    appearance; a dataset whose trajectories share one length is its own
-    only group. order: None for such a dataset; otherwise the (gamma rows,
-    xi rows, trajectories) that put the groups' joined results back in
-    dataset order. one_hot(A) gives the actions' one-hot encoding.
+    by_length: one _Length per distinct trajectory length, in order of
+    first appearance. obs_pairs: (sum T, d*d), each row's observation outer
+    product, flattened; one_hot: (sum (T-1), num_actions), the actions'
+    one-hot encoding; both read-only, built on first use and kept.
     """
 
-    def __new__(cls, dataset, indices=None):
+    def __new__(cls, dataset, num_actions: int):
         self = super().__new__(cls, dataset)
         if not self:
             raise ValueError("dataset must be non-empty")
-        lengths = np.array([len(traj) for traj in self])
-        self.indices = np.arange(len(self)) if indices is None else indices
+        lengths = [len(traj) for traj in self]
+        self.num_actions = num_actions
         self.starts = np.concatenate([[0], np.cumsum(lengths)])
         self.obs = np.concatenate([traj.observations for traj in self])
         self.actions = np.concatenate([traj.actions for traj in self])
-        by_length: dict[int, list[int]] = {}
-        for i, length in enumerate(lengths.tolist()):
-            by_length.setdefault(length, []).append(i)
-        self._groups = self.order = None
-        self._one_hot: dict[int, np.ndarray] = {}
-        if len(by_length) > 1:
-            self._groups = tuple(
-                cls([self[i] for i in group], np.array(group)) for group in by_length.values()
-            )
-            order = np.concatenate([group.indices for group in self._groups])
-            self.order = (_rows(lengths, order), _rows(lengths - 1, order), np.argsort(order))
+        groups: dict[int, list[int]] = {}
+        for i, length in enumerate(lengths):
+            groups.setdefault(length, []).append(i)
+        self.by_length = []
+        for length, members in groups.items():
+            index = np.array(members)
+            # trajectory i's rows start at starts[i] in obs, at starts[i] - i in xi
+            rows = (self.starts[index][:, None] + np.arange(length)).ravel()
+            xi_rows = (self.starts[index] - index)[:, None] + np.arange(length - 1)
+            self.by_length.append(_Length(index, rows, xi_rows.ravel(), self.obs[rows],
+                                          self.actions[xi_rows]))
         return self
-
-    @property
-    def groups(self) -> tuple["_FitData", ...]:
-        return self._groups or (self,)
 
     @cached_property
     def obs_pairs(self) -> np.ndarray:
@@ -181,14 +180,10 @@ class _FitData(tuple):
         pairs.flags.writeable = False
         return pairs
 
-    def one_hot(self, num_actions: int) -> np.ndarray:
-        """(sum (T-1), num_actions) read-only one-hot encoding of actions,
-        built once per action count and kept."""
-        table = self._one_hot.get(num_actions)
-        if table is None:
-            table = np.eye(num_actions)[self.actions]
-            table.flags.writeable = False
-            self._one_hot[num_actions] = table
+    @cached_property
+    def one_hot(self) -> np.ndarray:
+        table = np.eye(self.num_actions)[self.actions]
+        table.flags.writeable = False
         return table
 
 
@@ -202,39 +197,20 @@ def _prepared(dataset: Sequence[Trajectory], num_actions: int, obs_dim: int) -> 
                 for msg in _scoring_problems(traj, num_actions, obs_dim)]
     if problems:
         raise ValueError("invalid dataset: " + "; ".join(problems))
-    return _FitData(dataset)
+    return _FitData(dataset, num_actions)
 
 
-def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]):
-    """Scaled forward-backward smoothing, vectorised over trajectories.
-
-    batch is one Trajectory or a sequence of trajectories of one length;
-    either gives one Posteriors, joined in order. The batch's observations
-    are scored in one per_state_log_density call, with the model's emission
-    factor. Emission densities are shifted by their per-step maximum before
-    exponentiation, and messages are renormalized at every step; the log
-    normalizers accumulate into the exact data log-likelihood.
-
-    Each step's transition matrix is weighted once by the emission density
-    it lands on, m[n, t] = trans[n, t] * b[n, t+1]; the forward and the
-    backward pass then take one matmul per step with it, and xi is the
-    outer product of the messages around it.
-
-    A density can differ in the last ulp with the number of rows scored
-    together, so one trajectory smoothed alone can differ in the last ulp
-    from its posteriors inside a batch or an e_step.
-    """
-    batch = _prepared([batch] if isinstance(batch, Trajectory) else batch,
-                      model.num_actions, model.obs_dim)
-    if batch.order is not None:
-        raise ValueError("trajectories in one batch must have the same length")
-    num, horizon, num_states = len(batch), len(batch[0]), model.num_states
-    log_b = per_state_log_density(model, batch.obs).reshape(num, horizon, num_states)
+def _smooth(model: PomdpModel, obs: np.ndarray, actions: np.ndarray):
+    """(gamma, xi, log_likelihoods) of n trajectories of one length T, from
+    their (n*T, d) observations and (n, T-1) actions; a ForwardBackwardError
+    names a trajectory by its position among the n."""
+    num, horizon, num_states = len(actions), actions.shape[1] + 1, model.num_states
+    log_b = per_state_log_density(model, obs).reshape(num, horizon, num_states)
     # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
     shift = np.maximum.reduce(log_b, 2)
     b = np.exp(log_b - shift[..., None])
     # trans[n, t] is the (state, next_state) matrix of the action at step t
-    trans = model.transitions.transpose(1, 0, 2)[batch.actions.reshape(num, horizon - 1)]
+    trans = model.transitions.transpose(1, 0, 2)[actions]
     m = trans * b[:, 1:, None, :]
 
     # forward messages step by step, each a (num, 1, S) row batch
@@ -270,12 +246,54 @@ def forward_backward(model: PomdpModel, batch: Trajectory | Sequence[Trajectory]
 
     gamma = alpha * beta
     xi = alpha[:, :-1, :, None] * m * beta[:, 1:, None, :]
-    return Posteriors(
-        gamma=gamma.reshape(num * horizon, num_states),
-        xi=xi.reshape(num * (horizon - 1), num_states, num_states),
-        log_likelihoods=np.add.reduce(np.log(scale), 1) + np.add.reduce(shift, 1),
-        starts=batch.starts,
-    )
+    return (gamma.reshape(num * horizon, num_states),
+            xi.reshape(num * (horizon - 1), num_states, num_states),
+            np.add.reduce(np.log(scale), 1) + np.add.reduce(shift, 1))
+
+
+def forward_backward(model: PomdpModel, dataset: Trajectory | Sequence[Trajectory]) -> Posteriors:
+    """Scaled forward-backward smoothing, vectorised over trajectories.
+
+    dataset is one Trajectory, a list of trajectories of any lengths,
+    checked as a fit checks them, or a fit's prepared data; it gives one
+    Posteriors in dataset order. The trajectories of each length are
+    smoothed together, their observations scored in one
+    per_state_log_density call with the model's emission factor. Emission
+    densities are shifted by their per-step maximum before exponentiation,
+    and messages are renormalized at every step; the log normalizers
+    accumulate into the exact data log-likelihood.
+
+    Each step's transition matrix is weighted once by the emission density
+    it lands on, m[n, t] = trans[n, t] * b[n, t+1]; the forward and the
+    backward pass then take one matmul per step with it, and xi is the
+    outer product of the messages around it.
+
+    A density can differ in the last ulp with the number of rows scored
+    together, so one trajectory smoothed alone can differ in the last ulp
+    from its posteriors inside a larger dataset. A ForwardBackwardError
+    names the failing trajectory's dataset index.
+    """
+    data = _prepared([dataset] if isinstance(dataset, Trajectory) else dataset,
+                     model.num_actions, model.obs_dim)
+    parts = []
+    for length in data.by_length:
+        try:
+            parts.append(_smooth(model, length.obs, length.actions))
+        except ForwardBackwardError as err:
+            index = int(length.trajectories[err.trajectory])
+            raise ForwardBackwardError(f"trajectory {index}: {err}", index) from err
+    if len(parts) == 1:
+        gamma, xi, log_likelihoods = parts[0]
+    else:
+        num_states = model.num_states
+        gamma = np.empty((len(data.obs), num_states))
+        xi = np.empty((len(data.actions), num_states, num_states))
+        log_likelihoods = np.empty(len(data))
+        for length, (part_gamma, part_xi, part_ll) in zip(data.by_length, parts):
+            gamma[length.rows] = part_gamma
+            xi[length.xi_rows] = part_xi
+            log_likelihoods[length.trajectories] = part_ll
+    return Posteriors(gamma=gamma, xi=xi, log_likelihoods=log_likelihoods, starts=data.starts)
 
 
 def accumulate_counts(
@@ -291,7 +309,7 @@ def accumulate_counts(
         raise ValueError("dataset and posteriors must be parallel lists")
     gamma, xi = posteriors.gamma, posteriors.xi
     num_states, obs_dim = gamma.shape[1], data.obs.shape[1]
-    trans = data.one_hot(model.num_actions).T @ xi.reshape(len(xi), num_states * num_states)
+    trans = data.one_hot.T @ xi.reshape(len(xi), num_states * num_states)
     return SufficientCounts(
         trans=trans.reshape(model.num_actions, num_states, num_states).transpose(1, 0, 2),
         obs_weight=np.add.reduce(gamma, 0),
@@ -300,9 +318,9 @@ def accumulate_counts(
     )
 
 
-def _regularized(stack: np.ndarray, states: Sequence[int], ridge: float) -> np.ndarray:
-    """regularize_cov(cov, ridge) for each cov of an (n, d, d) stack, the
-    covariances of `states`, stacked.
+def _regularized(stack: np.ndarray, states: Sequence[int]) -> np.ndarray:
+    """regularize_cov(cov, DEFAULT_COV_RIDGE) for each cov of an (n, d, d)
+    stack, the covariances of `states`, stacked.
 
     The stack is checked in one pass: one finiteness check, one symmetrize
     and one stacked eigvalsh, whose eigenvalues are those of each matrix
@@ -314,14 +332,13 @@ def _regularized(stack: np.ndarray, states: Sequence[int], ridge: float) -> np.n
     """
     if _all_finite(stack):
         sym = 0.5 * (stack + stack.swapaxes(-1, -2))
-        bound = ridge if ridge > 0.0 else -_PSD_ATOL
         smallest = np.linalg.eigvalsh(sym)[:, 0].tolist()
-        check = [i for i, eig in enumerate(smallest) if eig < bound]
+        check = [i for i, eig in enumerate(smallest) if eig < DEFAULT_COV_RIDGE]
     else:
         sym, check = stack, range(len(states))
     for i in check:
         try:
-            sym[i] = regularize_cov(stack[i], ridge)
+            sym[i] = regularize_cov(stack[i], DEFAULT_COV_RIDGE)
         except CovarianceError as err:
             raise CovarianceError(f"state {states[i]}: {err}") from None
     return sym
@@ -334,9 +351,7 @@ def _divided(counts: SufficientCounts, row_mass: np.ndarray, weight: np.ndarray)
     return counts.trans / row_mass[..., None], means, covs
 
 
-def _mstep_from_counts(
-    counts: SufficientCounts, prev: PomdpModel, ridge: float
-) -> PomdpModel:
+def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel:
     """Closed-form parameter updates from (possibly blended) counts.
 
     Every transition row and every state's moments are divided directly;
@@ -365,10 +380,10 @@ def _mstep_from_counts(
             log.debug("no transition mass for state %d action %d; using uniform", s, a)
             transitions[s, a] = 1.0 / num_states
     if all_live:
-        covs = _regularized(covs, range(num_states), ridge)
+        covs = _regularized(covs, range(num_states))
     else:
         states = np.flatnonzero(live)
-        covs[states] = _regularized(covs[states], states, ridge)
+        covs[states] = _regularized(covs[states], states)
         for s in np.flatnonzero(~live):
             log.debug("no observation mass for state %d; keeping previous parameters", s)
             means[s] = prev.obs_means[s]
@@ -380,38 +395,15 @@ def m_step_standard(
     counts: SufficientCounts, prev: PomdpModel, config: EmConfig
 ) -> PomdpModel:
     """Maximum-likelihood M-step from empirical expected counts."""
-    return _mstep_from_counts(counts, prev, DEFAULT_COV_RIDGE)
+    return _mstep_from_counts(counts, prev)
 
 
 def e_step(
     model: PomdpModel, dataset: Sequence[Trajectory]
 ) -> tuple[Posteriors, float]:
-    """Forward-backward over the dataset, one batch per trajectory length.
-
-    dataset is a list of trajectories, checked as a fit checks them, or a
-    fit's prepared data. Returns the posteriors joined in dataset order and
-    the total log-likelihood. Each trajectory is scored with its length
-    group, so its posteriors can differ in the last ulp from
-    forward_backward on that trajectory alone.
-    """
-    data = _prepared(dataset, model.num_actions, model.obs_dim)
-    parts = []
-    for batch in data.groups:
-        try:
-            parts.append(forward_backward(model, batch))
-        except ForwardBackwardError as err:
-            index = int(batch.indices[err.trajectory])
-            raise ForwardBackwardError(f"trajectory {index}: {err}", index) from err
-    if data.order is None:
-        posteriors = parts[0]
-    else:
-        gamma_rows, xi_rows, trajectories = data.order
-        posteriors = Posteriors(
-            gamma=np.concatenate([part.gamma for part in parts])[gamma_rows],
-            xi=np.concatenate([part.xi for part in parts])[xi_rows],
-            log_likelihoods=np.concatenate([part.log_likelihoods for part in parts])[trajectories],
-            starts=data.starts,
-        )
+    """forward_backward's posteriors of dataset, in dataset order, and
+    their total log-likelihood."""
+    posteriors = forward_backward(model, dataset)
     return posteriors, posteriors.log_likelihood
 
 

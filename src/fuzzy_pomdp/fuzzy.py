@@ -8,16 +8,14 @@ of rule consequents, predicting the next observation.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .model import _count, _frozen_array, _non_finite, _set, write_json
+from .model import _count, _frozen_array, _non_finite, _read_json, _set, write_json
 
 log = logging.getLogger(__name__)
 
@@ -135,19 +133,19 @@ class FuzzyVariable:
 
 @dataclass(frozen=True)
 class GaussianGroup:
-    """Rules whose clauses are all Gaussian, on the same dims in the same order.
+    """The distinct antecedents of the rules whose clauses are all Gaussian,
+    on the same k dims in the same order.
 
-    rules holds the G rule indices and dims the k clause dims. Rules that
-    share their clauses' centers and widths share one antecedent: centers
-    (U, k) has one row per distinct antecedent, in order of first appearance,
-    and one column per clause dim; antecedents (G,) gives each rule's row.
-    variance_diagonals (U, k, k) holds each row's squared widths as a
-    diagonal matrix and variance_products (U,) their product.
+    dims holds the clause dims. Rules that share their clauses' centers and
+    widths share one antecedent: centers (U, k) has one row per distinct
+    antecedent, in order of first appearance, and one column per clause dim;
+    a rule's RuleTables.antecedent_columns entry is its row plus the group's
+    first strength-table column. variance_diagonals (U, k, k) holds each
+    row's squared widths as a diagonal matrix and variance_products (U,)
+    their product.
     """
 
-    rules: np.ndarray
     dims: np.ndarray
-    antecedents: np.ndarray
     centers: np.ndarray
     variance_diagonals: np.ndarray
     variance_products: np.ndarray
@@ -259,8 +257,7 @@ class FuzzyModel:
             columns.update((r, width + u) for r, u in zip(rules, index))
             width += len(unique)
             groups.append(GaussianGroup(
-                rules=_frozen_array(rules, int), dims=_frozen_array(dims, int),
-                antecedents=_frozen_array(index, int),
+                dims=_frozen_array(dims, int),
                 centers=_frozen_array(unique[:, 0]),
                 variance_diagonals=_frozen_array(variances[:, :, None] * np.eye(len(dims))),
                 variance_products=_frozen_array(variances.prod(axis=1)),
@@ -467,4 +464,4 @@ def save_fuzzy_model(model: FuzzyModel, path) -> None:
 
 
 def load_fuzzy_model(path) -> FuzzyModel:
-    return fuzzy_model_from_dict(json.loads(Path(path).read_text()))
+    return fuzzy_model_from_dict(_read_json(path, dict, "fuzzy model file"))

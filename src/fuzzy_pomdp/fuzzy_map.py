@@ -25,7 +25,7 @@ from .em import EmConfig, EmResult, SufficientCounts, _fit, _mstep_from_counts
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
-from .model import DEFAULT_COV_RIDGE, PomdpModel, Trajectory, gaussian_log_density
+from .model import PomdpModel, Trajectory, gaussian_log_density
 from .rngs import derive_rng
 
 log = logging.getLogger(__name__)
@@ -215,7 +215,7 @@ def m_step_fuzzy_map(
         obs_sum=empirical.obs_sum + map_config.lambda_o * fuzzy_counts.obs_sum,
         obs_outer=empirical.obs_outer + map_config.lambda_o * fuzzy_counts.obs_outer,
     )
-    return _mstep_from_counts(blended, prev, DEFAULT_COV_RIDGE)
+    return _mstep_from_counts(blended, prev)
 
 
 def run_fuzzy_map_em(

@@ -613,6 +613,25 @@ def _count(data: dict, key: str) -> int:
     return int(value)
 
 
+# a parsed JSON value's type, by the name JSON gives it
+_JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number",
+               float: "number", type(None): "null"}
+
+
+def _json_of(value, kind: type, what: str):
+    """value, after a ValueError naming what if it is not a JSON object
+    (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{what}: expected a JSON {_JSON_TYPES[kind]}, got a JSON {got}")
+    return value
+
+
+def _read_json(path, kind: type, what: str):
+    """The JSON value in the file at path, which must be of kind (dict or list)."""
+    return _json_of(json.loads(Path(path).read_text()), kind, what)
+
+
 def model_from_dict(data: dict) -> PomdpModel:
     return PomdpModel(
         num_states=_count(data, "num_states"),
@@ -631,8 +650,8 @@ def load_model(path) -> PomdpModel:
 
     Raises ValueError listing every validate_model problem of the content.
     """
-    payload = json.loads(Path(path).read_text())
-    model = model_from_dict(payload.get("model", payload))
+    payload = _read_json(path, dict, "model file")
+    model = model_from_dict(_json_of(payload.get("model", payload), dict, "model"))
     problems = validate_model(model)
     if problems:
         raise ValueError("invalid model: " + "; ".join(problems))
@@ -686,7 +705,7 @@ def save_env(env: GroundTruthEnv, path) -> None:
 
 
 def load_env(path) -> GroundTruthEnv:
-    return env_from_dict(json.loads(Path(path).read_text()))
+    return env_from_dict(_read_json(path, dict, "environment file"))
 
 
 def dataset_to_list(dataset: Sequence[Trajectory]) -> list:
@@ -697,7 +716,9 @@ def dataset_to_list(dataset: Sequence[Trajectory]) -> list:
 
 
 def dataset_from_list(data) -> list[Trajectory]:
-    return [Trajectory(observations=d["observations"], actions=d["actions"]) for d in data]
+    entries = [_json_of(d, dict, f"trajectory {i}")
+               for i, d in enumerate(_json_of(data, list, "dataset"))]
+    return [Trajectory(observations=d["observations"], actions=d["actions"]) for d in entries]
 
 
 def save_dataset(dataset: Sequence[Trajectory], path) -> None:

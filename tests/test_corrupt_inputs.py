@@ -341,3 +341,46 @@ def test_a_rule_base_without_a_rule_for_some_action_loads_and_infer_falls_back(t
     obs = np.array([[0.2, 0.4], [0.9, 0.1]])
     assert np.array_equal(infer(fuzzy, obs, [1, 1]), obs)
     assert not np.array_equal(infer(fuzzy, obs, [0, 0]), obs)
+
+
+# a file of the wrong kind, by what each loader expects: its message names
+# the JSON type expected and the type found, where it used to be numpy's or
+# Python's complaint about indexing one with the other
+WRONG_KINDS = [
+    ("dataset", {"observations": [[0.1, 0.2]], "actions": []},
+     "dataset: expected a JSON array, got a JSON object"),
+    ("dataset", [DATASET[0], 7], "trajectory 1: expected a JSON object, got a JSON number"),
+    ("dataset", [DATASET[0], [[0.1, 0.2]]],
+     "trajectory 1: expected a JSON object, got a JSON array"),
+    ("env", DATASET, "environment file: expected a JSON object, got a JSON array"),
+    ("fuzzy-model", "rules.json", "fuzzy model file: expected a JSON object, got a JSON string"),
+    ("pomdp-model", DATASET, "model file: expected a JSON object, got a JSON array"),
+    ("pomdp-model", None, "model file: expected a JSON object, got a JSON null"),
+    ("checkpoint", {"model": [MODEL], "loglik_trace": []},
+     "model: expected a JSON object, got a JSON array"),
+]
+
+
+@pytest.mark.parametrize("kind, payload, problem", WRONG_KINDS, ids=[
+    "dataset-object", "dataset-entry-number", "dataset-entry-array", "env-array",
+    "fuzzy-model-string", "pomdp-model-array", "pomdp-model-null", "checkpoint-model-array"])
+def test_loaders_name_the_wrong_json_type(tmp_path, kind, payload, problem):
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        LOADERS[kind](path)
+
+
+def test_a_command_given_a_file_of_the_wrong_kind_names_it_and_exits_two(tmp_path):
+    dataset = tmp_path / "ds.json"
+    dataset.write_text(json.dumps(DATASET))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", str(dataset), str(asset_path("synthetic_env.json"))])
+    assert (code, err.getvalue()) == (
+        2, "error: model file: expected a JSON object, got a JSON array\n")
+    path = tmp_path / "ints.json"
+    path.write_text("[1, 2]")
+    assert _validate(path) == (2, [f"{path}: dataset INVALID",
+                                   "  - trajectory 0: expected a JSON object, got a JSON number"],
+                               "error: 1 of 1 files failed validation\n")

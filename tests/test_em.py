@@ -117,15 +117,6 @@ def test_forward_backward_survives_far_outliers():
     assert np.allclose(post.gamma.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_forward_backward_rejects_a_ragged_batch():
-    rng = np.random.default_rng(107)
-    m = random_model(rng)
-    ds = random_dataset(rng, m, n=2, horizon=3) + random_dataset(rng, m, n=1, horizon=4)
-    with pytest.raises(ValueError,
-                       match=r"^trajectories in one batch must have the same length$"):
-        forward_backward(m, ds)
-
-
 def test_e_step_sums_per_trajectory_likelihoods():
     rng = np.random.default_rng(104)
     m = random_model(rng)
@@ -171,11 +162,12 @@ def test_zero_likelihood_in_a_later_length_group_names_the_dataset_index():
     m = _pinned_model()
     dataset = [_pinned_traj([0, 0]), _pinned_traj([0, 0, 100]), _pinned_traj([0, 100, 0]),
                _pinned_traj([0, 0])]
-    with pytest.raises(ForwardBackwardError,
-                       match=r"^trajectory 2: zero or NaN total observation likelihood "
-                             r"at step 1$") as info:
-        e_step(m, dataset)
-    assert info.value.trajectory == 2
+    for smooth in (e_step, forward_backward):
+        with pytest.raises(ForwardBackwardError,
+                           match=r"^trajectory 2: zero or NaN total observation likelihood "
+                                 r"at step 1$") as info:
+            smooth(m, dataset)
+        assert info.value.trajectory == 2
 
 
 def test_nan_likelihood_names_the_dataset_index():
@@ -269,8 +261,8 @@ def test_nan_mean_names_the_first_trajectory():
 
 
 def test_run_em_prepares_its_dataset_once(monkeypatch):
-    # one preparation per fit: the dataset, then each of its two length
-    # groups; a fuzzy-MAP fit's polish reuses the main loop's
+    # one preparation per fit, its two length groups included; a fuzzy-MAP
+    # fit's polish reuses the main loop's
     rng = np.random.default_rng(106)
     m = random_model(rng)
     ds = random_dataset(rng, m, n=3, horizon=4) + random_dataset(rng, m, n=2, horizon=6)
@@ -278,21 +270,21 @@ def test_run_em_prepares_its_dataset_once(monkeypatch):
     built = []
 
     class CountingFitData(em._FitData):
-        def __new__(cls, dataset, indices=None):
+        def __new__(cls, dataset, num_actions):
             built.append(len(dataset))
-            return super().__new__(cls, dataset, indices)
+            return super().__new__(cls, dataset, num_actions)
 
     monkeypatch.setattr(em, "_FitData", CountingFitData)
     res = run_em(ds, m, EmConfig(max_iterations=5))
     assert res.iterations >= 2
-    assert built == [5, 3, 2]
+    assert built == [5]
     built.clear()
     fit = run_fuzzy_map_em(ds, m, random_fuzzy(rng, obs_dim=m.obs_dim),
                            EmConfig(max_iterations=3),
                            FuzzyMapConfig(lambda_t=0.1, lambda_o=0.1,
                                           final_standard_em_iterations=3))
     assert fit.iterations > 3
-    assert built == [5, 3, 2]
+    assert built == [5]
 
 
 # ------------------------------------------------------ count accumulation
@@ -304,15 +296,15 @@ def one_posteriors(gamma, xi) -> Posteriors:
 
 
 def test_fit_data_one_hot_is_built_once_per_action_count():
+    # the one action count of the model the data is prepared for
     rng = np.random.default_rng(107)
     m = random_model(rng)
     data = em._FitData(random_dataset(rng, m, n=3, horizon=4)
-                       + random_dataset(rng, m, n=2, horizon=2))
-    for num_actions in (m.num_actions, m.num_actions + 1):
-        table = data.one_hot(num_actions)
-        assert np.array_equal(table, np.eye(num_actions)[data.actions])
-        assert table is data.one_hot(num_actions)
-        assert not table.flags.writeable
+                       + random_dataset(rng, m, n=2, horizon=2), m.num_actions)
+    table = data.one_hot
+    assert np.array_equal(table, np.eye(m.num_actions)[data.actions])
+    assert table is data.one_hot
+    assert not table.flags.writeable
 
 
 def test_accumulate_counts_one_hot_posteriors():

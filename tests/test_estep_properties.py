@@ -20,7 +20,8 @@ from fuzzy_pomdp.em import (EmConfig, SufficientCounts, _mstep_from_counts, accu
 from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp import model as model_module
-from fuzzy_pomdp.model import CovarianceError, PomdpModel, Trajectory, regularize_cov
+from fuzzy_pomdp.model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
+                               regularize_cov)
 
 from conftest import identity_rule, make_fuzzy, random_fuzzy
 from test_em import enumeration_posteriors
@@ -76,6 +77,27 @@ def test_e_step_equals_one_trajectory_at_a_time(case):
         np.testing.assert_allclose(post.xi, alone.xi, rtol=0, atol=1e-12)
         assert abs(post.log_likelihood - alone.log_likelihood) <= 1e-12
     assert total == sum(p.log_likelihood for p in posts)
+
+
+@given(cases())
+def test_forward_backward_on_a_ragged_dataset_is_its_length_groups_in_order(case):
+    # each length group smoothed on its own, then placed in dataset order,
+    # bit for bit; e_step is the same posteriors and their total
+    model, dataset = case
+    got = forward_backward(model, dataset)
+    posts = [None] * len(dataset)
+    for length in dict.fromkeys(len(traj) for traj in dataset):
+        indices = [i for i, traj in enumerate(dataset) if len(traj) == length]
+        for i, post in zip(indices, forward_backward(model, [dataset[i] for i in indices])):
+            posts[i] = post
+    want = {name: np.concatenate([getattr(post, name) for post in posts])
+            for name in ("gamma", "xi", "log_likelihoods")}
+    assert np.array_equal(got.starts, np.cumsum([0] + [len(traj) for traj in dataset]))
+    again, total = e_step(model, dataset)
+    for posteriors in (got, again):
+        for name, array in want.items():
+            assert getattr(posteriors, name).tobytes() == array.tobytes(), name
+    assert total == sum(got.log_likelihoods.tolist())
 
 
 @given(cases(max_len=4))
@@ -287,8 +309,8 @@ def test_mstep_equals_per_pair_oracle_and_logs_each_fallback_once(caplog, case):
     model, counts = case
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="fuzzy_pomdp.em"):
-        got = _mstep_from_counts(counts, model, 1e-6)
-    transitions, means, covs = mstep_oracle(counts, model, 1e-6)
+        got = _mstep_from_counts(counts, model)
+    transitions, means, covs = mstep_oracle(counts, model, DEFAULT_COV_RIDGE)
     assert np.array_equal(got.transitions, transitions)
     assert np.array_equal(got.obs_means, means)
     assert np.array_equal(got.obs_covs, covs)
@@ -305,12 +327,13 @@ GATE_KINDS = ("random", "random", "at_ridge", "under_ridge", "massless", "nonfin
               "indefinite")
 
 
-def gate_counts(kinds, obs_dim, scale, ridge, rng):
+def gate_counts(kinds, obs_dim, scale, rng):
     """Counts with one state of each kind in `kinds`, and a model to update.
 
     random: a random covariance of size `scale` about a random mean, so a
     small one lands on the ridge through rounding; at_ridge and under_ridge:
-    smallest eigenvalue ridge, or the float just below it; indefinite: one
+    smallest eigenvalue the M-step's ridge, DEFAULT_COV_RIDGE, or the float
+    just below it; indefinite: one
     still below -1e-12 after the lift; massless: zero weight; nonfinite: a
     NaN or infinite second moment. The last four have zero mean and unit
     weight, so the M-step's covariance is their second moment exactly, up
@@ -320,6 +343,7 @@ def gate_counts(kinds, obs_dim, scale, ridge, rng):
     weight = np.ones(num_states)
     sums = np.zeros((num_states, obs_dim))
     outer = np.zeros((num_states, obs_dim, obs_dim))
+    ridge = DEFAULT_COV_RIDGE
     lowest = {"at_ridge": ridge, "under_ridge": np.nextafter(ridge, -1.0),
               "indefinite": -(ridge + scale) - 1e-11}
     for s, kind in enumerate(kinds):
@@ -348,7 +372,7 @@ def gate_counts(kinds, obs_dim, scale, ridge, rng):
     return counts, prev
 
 
-def gate_reference(counts, prev, ridge):
+def gate_reference(counts, prev):
     """(covariances, lifted states) from regularize_cov run on each state
     with mass, in state order, or the text of the first CovarianceError."""
     covs, lifted = prev.obs_covs.copy(), []
@@ -357,7 +381,7 @@ def gate_reference(counts, prev, ridge):
             mu = counts.obs_sum[s] / weight
             raw = counts.obs_outer[s] / weight - np.outer(mu, mu)
             try:
-                covs[s] = regularize_cov(raw, ridge)
+                covs[s] = regularize_cov(raw, DEFAULT_COV_RIDGE)
             except CovarianceError as err:
                 return f"state {s}: {err}"
             if not np.array_equal(covs[s], 0.5 * (raw + raw.T)):
@@ -365,11 +389,11 @@ def gate_reference(counts, prev, ridge):
     return covs, lifted
 
 
-def assert_gate_is_reference(counts, prev, ridge):
-    want = gate_reference(counts, prev, ridge)
+def assert_gate_is_reference(counts, prev):
+    want = gate_reference(counts, prev)
     with mock.patch.object(em_module, "regularize_cov", wraps=regularize_cov) as calls:
         try:
-            got = _mstep_from_counts(counts, prev, ridge).obs_covs
+            got = _mstep_from_counts(counts, prev).obs_covs
         except CovarianceError as err:
             got = str(err)
     if isinstance(want, str):
@@ -386,9 +410,8 @@ def gate_cases(draw):
     kinds = draw(st.lists(st.sampled_from(GATE_KINDS), min_size=1, max_size=4))
     obs_dim = draw(st.integers(1, 3))
     scale = 10.0 ** draw(st.integers(-8, 0))
-    ridge = draw(st.sampled_from([0.0, 1e-6, scale]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return (*gate_counts(kinds, obs_dim, scale, ridge, rng), ridge)
+    return gate_counts(kinds, obs_dim, scale, rng)
 
 
 @given(gate_cases())
@@ -399,10 +422,9 @@ def test_stacked_covariance_gate_is_regularize_cov_state_by_state(case):
 @pytest.mark.parametrize("kinds, problem", [
     (("random", "nonfinite", "massless", "indefinite"), "finite"),
     (("random", "indefinite", "massless", "nonfinite"), "positive semidefinite"),
-])
-@pytest.mark.parametrize("ridge", [0.0, 1e-6])
-def test_the_first_failing_state_in_order_raises(kinds, problem, ridge):
-    counts, prev = gate_counts(kinds, 2, 1e-3, ridge, np.random.default_rng(5))
+], ids=["finite", "positive semidefinite"])
+def test_the_first_failing_state_in_order_raises(kinds, problem):
+    counts, prev = gate_counts(kinds, 2, 1e-3, np.random.default_rng(5))
     with pytest.raises(CovarianceError, match=rf"^state 1: covariance is not {problem}"):
-        _mstep_from_counts(counts, prev, ridge)
-    assert_gate_is_reference(counts, prev, ridge)
+        _mstep_from_counts(counts, prev)
+    assert_gate_is_reference(counts, prev)

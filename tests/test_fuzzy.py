@@ -300,8 +300,10 @@ def test_rule_tables_are_built_once_and_split_the_rules():
     fz = make_fuzzy(rules, obs_dim=2)
     tables = fz.tables
     assert fz.tables is tables
-    assert [(g.rules.tolist(), g.dims.tolist()) for g in tables.gaussian_groups] == [
-        ([0, 3], [0, 1]), ([4], [1])]
+    assert [g.dims.tolist() for g in tables.gaussian_groups] == [[0, 1], [1]]
+    # rules 0 and 3 have the first group's two antecedents, rule 4 the
+    # second's; the empty rule 1 and the Monte-Carlo rule 2 read the ones column
+    assert tables.antecedent_columns.tolist() == [0, 3, 3, 1, 2]
     first = tables.gaussian_groups[0]
     assert np.array_equal(first.centers, [[0.2, 0.4], [0.7, 0.1]])
     assert np.array_equal(np.diagonal(first.variance_diagonals, axis1=1, axis2=2),

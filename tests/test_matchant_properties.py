@@ -106,22 +106,36 @@ def shared_cases(draw, shapes=("gaussian",), tnorms=("product",)):
 def test_rule_tables_equal_the_expressions_they_replace(case):
     _, fuzzy = case
     tables = fuzzy.tables
+    columns = tables.antecedent_columns.tolist()
+    closed_form = [r for r, rule in enumerate(fuzzy.rules) if rule.clauses
+                   and fuzzy.tnorm == "product"
+                   and all(c.term.shape == "gaussian" for c in rule.clauses)]
+    # each group's (rules, antecedent rows), read from antecedent_columns
+    members, start = [], 0
     for group in tables.gaussian_groups:
+        stop = start + len(group.centers)
+        rules = [r for r, col in enumerate(columns) if start <= col < stop]
+        rows = [columns[r] - start for r in rules]
+        members.append((rules, rows))
+        start = stop
+        # the group holds the closed-form rules on its dims, and each rule's
+        # antecedent row its own clauses' centers and widths
+        assert rules == [r for r in closed_form
+                         if [c.dim for c in fuzzy.rules[r].clauses] == group.dims.tolist()]
         var = np.diagonal(group.variance_diagonals, axis1=1, axis2=2)
-        # each rule's antecedent row holds its own clauses' centers and widths
-        for r, row in zip(group.rules.tolist(), group.antecedents.tolist()):
+        for r, row in zip(rules, rows):
             clauses = fuzzy.rules[r].clauses
-            assert [c.dim for c in clauses] == group.dims.tolist()
             assert group.centers[row].tolist() == [c.term.params[0] for c in clauses]
             assert var[row].tolist() == [c.term.params[1] ** 2 for c in clauses]
-        rows = {(c.tobytes(), v.tobytes()) for c, v in zip(group.centers, var)}
-        assert len(rows) == len(group.centers) == group.antecedents.max() + 1
+        distinct = {(c.tobytes(), v.tobytes()) for c, v in zip(group.centers, var)}
+        assert len(distinct) == len(group.centers) == len(set(rows))
         assert np.array_equal(group.variance_diagonals[None],
                               var[None, :, :, None] * np.eye(len(group.dims)))
         assert np.array_equal(group.variance_products, var.prod(axis=1))
-        for array in (group.antecedents, group.centers, group.variance_diagonals,
+        for array in (group.dims, group.centers, group.variance_diagonals,
                       group.variance_products):
             assert not array.flags.writeable
+    assert sorted(r for rules, _ in members for r in rules) == closed_form
     # the flattened consequents: the matrix _expectation_table multiplied by
     obs_dim = fuzzy.obs_dim
     matrix = tables.consequent_matrix
@@ -140,14 +154,12 @@ def test_rule_tables_equal_the_expressions_they_replace(case):
              for g, w in enumerate(widths)]
     table = np.concatenate(parts + [np.tile([1.0, 0.0], (num_states, 1))], axis=1)
     strength = np.ones((num_states, len(fuzzy.rules)))
-    for group, part in zip(tables.gaussian_groups, parts):
-        strength[:, group.rules] = part[:, group.antecedents]
+    for (rules, rows), part in zip(members, parts):
+        strength[:, rules] = part[:, rows]
     assert np.array_equal(table[:, tables.antecedent_columns], strength)
     # a rule outside every group, Monte-Carlo or empty, reads the ones column
-    grouped = {r for group in tables.gaussian_groups for r in group.rules.tolist()}
-    assert [r for r, col in enumerate(tables.antecedent_columns.tolist())
-            if col == tables.strength_width] == [r for r in range(len(fuzzy.rules))
-                                                 if r not in grouped]
+    assert [r for r, col in enumerate(columns) if col == tables.strength_width] == [
+        r for r in range(len(fuzzy.rules)) if r not in closed_form]
     assert not tables.antecedent_columns.flags.writeable
     assert not matrix.flags.writeable
     # the model's action count may exceed the rule base's (1 to 3 here)
