@@ -17,9 +17,11 @@ In one fresh process per tree, against the package under that tree's
 - runs `validate` there (VALIDATE_RUNS) on one file of each kind it reads,
   the script's outputs and assets, and on corrupt files made from them
   (a missing key, a NaN, a wrong shape, an overflowing, a huge and a
-  5,000-digit state count, and an env whose counts do not match its
-  arrays) and on a file that is not UTF-8, each followed by a valid file,
-  capturing each run's stdout and exit code to validate/<run>.txt;
+  5,000-digit state count, an env whose counts do not match its arrays,
+  and rule bases with a clause naming a term or a variable the file lacks
+  or with a NaN term parameter) and on a file that is not UTF-8, each
+  followed by a valid file, capturing each run's stdout and exit code to
+  validate/<run>.txt;
 - fits plain EM and fuzzy-MAP EM (bundled expert rules, low_data's lambdas
   and iteration cap, three polish iterations) from one random init on a
   fixed ragged dataset (RAGGED_LENGTHS), the only case whose E-step splits
@@ -109,6 +111,9 @@ VALIDATE_RUNS = [
     ("long_count", ["validate/long_count.json", "reproduce/model_0_em.json"]),
     ("env_counts", ["validate/env_counts.json", "env.json"]),
     ("non_utf8", ["validate/non_utf8.json", "env.json"]),
+    ("rules_unknown_term", ["validate/rules_unknown_term.json", "rules.json"]),
+    ("rules_unknown_var", ["validate/rules_unknown_var.json", "rules.json"]),
+    ("rules_nan_param", ["validate/rules_nan_param.json", "rules.json"]),
 ]
 # several distinct lengths, interleaved so that grouping by length reorders
 RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
@@ -192,6 +197,11 @@ checkpoint = json.loads(Path("train/em.json").read_text())
 checkpoint["model"]["obs_means"].pop()
 counted = {key: value for key, value in model.items() if key != "initial_dist"}
 states = f'"num_states": {model["num_states"]},'
+unknown_term, unknown_var, nan_param = (json.loads(Path("rules.json").read_text())
+                                        for _ in range(3))
+unknown_term["rules"][0]["antecedent"][0]["term"] = "absent"
+unknown_var["rules"][0]["antecedent"][0]["var"] = "absent"
+nan_param["variables"][0]["terms"][0]["params"][1] = float("nan")
 corrupt = {
     "missing_key": json.dumps(dataset),
     "nan": json.dumps(dict(model, obs_means=[[float("nan")] + model["obs_means"][0][1:],
@@ -202,6 +212,9 @@ corrupt = {
     "long_count": json.dumps(counted).replace(states, f'"num_states": {"7" * 5000},'),
     "env_counts": json.dumps(dict(json.loads(Path("env.json").read_text()),
                                   num_states=7, obs_dim=2.5)),
+    "rules_unknown_term": json.dumps(unknown_term),
+    "rules_unknown_var": json.dumps(unknown_var),
+    "rules_nan_param": json.dumps(nan_param),
 }
 for name, text in corrupt.items():
     if name.endswith("count") and states in text:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -81,11 +82,12 @@ def membership(mf: MembershipFunction, x):
 
 @dataclass(frozen=True)
 class FuzzyClause:
-    """One antecedent condition: observation component `dim` is `term`."""
+    """One antecedent condition: observation component `dim` is `term`, the
+    term its variable's table lists under `term_label`."""
 
     dim: int
     term: MembershipFunction
-    term_label: str = ""
+    term_label: str
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,11 @@ class RuleTables:
 
 @dataclass(frozen=True)
 class FuzzyModel:
-    """Rule base plus the t-norm used to combine clause memberships."""
+    """Rule base plus the t-norm used to combine clause memberships.
+
+    variables: one per observation dimension, with distinct names; each
+    clause's term_label names a term of its variable equal to its term.
+    """
 
     obs_dim: int
     num_actions: int
@@ -224,8 +230,17 @@ class FuzzyModel:
             if rule.action is not None and not 0 <= rule.action < self.num_actions:
                 raise ValueError(f"rule {i}: action {rule.action} out of range")
         variables = tuple(self.variables)
-        if variables and len(variables) != self.obs_dim:
+        if len(variables) != self.obs_dim:
             raise ValueError("need one variable entry per observation dimension")
+        names = [v.name for v in variables]
+        if len(set(names)) != len(names):
+            raise ValueError(f"variable names must be distinct, got {names}")
+        for i, rule in enumerate(rules):
+            for clause in rule.clauses:
+                var = variables[clause.dim]
+                if var.terms.get(clause.term_label) != clause.term:
+                    raise ValueError(f"rule {i}: variable {var.name!r} has no term "
+                                     f"{clause.term_label!r} equal to the clause's term")
         _set(self, "rules", rules)
         _set(self, "variables", variables)
 
@@ -281,10 +296,8 @@ class FuzzyModel:
 
     @property
     def variable_ranges(self) -> np.ndarray:
-        """(obs_dim, 2) array of per-variable value ranges, defaulting to [0, 1]."""
-        if self.variables:
-            return np.array([v.range for v in self.variables], dtype=float)
-        return np.tile([0.0, 1.0], (self.obs_dim, 1))
+        """(obs_dim, 2) array of per-variable value ranges."""
+        return np.array([v.range for v in self.variables], dtype=float)
 
 
 def antecedent_strengths(rule: FuzzyRule, obs_batch, tnorm: str) -> np.ndarray:
@@ -337,37 +350,6 @@ def _mf_to_dict(label: str, mf: MembershipFunction) -> dict:
 
 
 def fuzzy_model_to_dict(model: FuzzyModel) -> dict:
-    variables = model.variables
-    if not variables:
-        # Synthesize variable metadata so inline-built models still serialize.
-        collected: list[dict[str, MembershipFunction]] = [dict() for _ in range(model.obs_dim)]
-        for rule in model.rules:
-            for clause in rule.clauses:
-                label = clause.term_label or f"term_{len(collected[clause.dim])}"
-                collected[clause.dim].setdefault(label, clause.term)
-        variables = tuple(
-            FuzzyVariable(name=f"obs_{j}", terms=collected[j]) for j in range(model.obs_dim)
-        )
-    rules = []
-    for rule in model.rules:
-        antecedent = []
-        for clause in rule.clauses:
-            var = variables[clause.dim]
-            label = clause.term_label
-            if not label or var.terms.get(label) != clause.term:
-                label = next((k for k, v in var.terms.items() if v == clause.term), None)
-            if label is None:
-                raise ValueError(
-                    f"clause on {var.name!r} uses a term missing from the variable table"
-                )
-            antecedent.append({"var": var.name, "term": label})
-        rules.append(
-            {
-                "antecedent": antecedent,
-                "action": rule.action,
-                "consequent": rule.consequent.tolist(),
-            }
-        )
     return {
         "obs_dim": model.obs_dim,
         "num_actions": model.num_actions,
@@ -378,21 +360,38 @@ def fuzzy_model_to_dict(model: FuzzyModel) -> dict:
                 "range": list(v.range),
                 "terms": [_mf_to_dict(label, mf) for label, mf in v.terms.items()],
             }
-            for v in variables
+            for v in model.variables
         ],
-        "rules": rules,
+        "rules": [
+            {
+                "antecedent": [{"var": model.variables[c.dim].name, "term": c.term_label}
+                               for c in rule.clauses],
+                "action": rule.action,
+                "consequent": rule.consequent.tolist(),
+            }
+            for rule in model.rules
+        ],
     }
 
 
+def _repeats(items) -> list:
+    """Each item that occurs more than once, in order of first occurrence."""
+    return [item for item, count in Counter(items).items() if count > 1]
+
+
 def validate_fuzzy_dict(data: dict) -> list[str]:
-    """One message per NaN or infinite number in a fuzzy model file.
+    """One message per repeated variable name, term label repeated within
+    one variable, and NaN or infinite number in a fuzzy model file.
 
     Term parameters and ranges are named by variable and term, consequent
     entries by rule and index.
     """
-    problems = []
+    problems = [f"variable name {name!r} repeats"
+                for name in _repeats(entry["name"] for entry in data["variables"])]
     for entry in data["variables"]:
         name = entry["name"]
+        problems += [f"variable {name!r}: term label {label!r} repeats"
+                     for label in _repeats(term["label"] for term in entry["terms"])]
         ranges = np.asarray(entry.get("range", (0.0, 1.0)), float)
         problems += [f"variable {name!r}: {p}" for p in _non_finite("range", ranges, ("i",))]
         for term in entry["terms"]:

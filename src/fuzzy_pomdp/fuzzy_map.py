@@ -101,6 +101,8 @@ def _gaussian_match(model: PomdpModel, group: GaussianGroup, out: np.ndarray) ->
     dims = group.dims
     cov = model.obs_covs[:, dims][:, :, dims]  # (S, k, k)
     mat = cov[:, None] + group.variance_diagonals[None]  # (S, U, k, k)
+    # the last bits of quad follow diff's memory layout: this fancy-indexed
+    # diff, not a contiguous one (say from slicing contiguous dims), gives them
     diff = model.obs_means[:, None, dims] - group.centers[None]  # (S, U, k)
     quad = np.einsum("sgk,sgk->sg", diff, np.linalg.solve(mat, diff[..., None])[..., 0])
     np.multiply(np.sqrt(group.variance_products / np.linalg.det(mat)), np.exp(-0.5 * quad),
@@ -191,6 +193,10 @@ def compute_from_matchant(
     obs_dim = model.obs_dim
     pairs = (y_star[..., :, None] * y_star[..., None, :]).reshape(-1, obs_dim * obs_dim)
     return SufficientCounts(
+        # the last bits of trans follow the operands' layout: keep both
+        # C-ordered (a transposed likelihood, or a column-gathered matchant,
+        # changed them in fits with one action, where numpy's matmul takes
+        # another path)
         trans=matchant @ likelihood,
         obs_weight=np.add.reduce(weight, (0, 1)),
         obs_sum=rows @ y_star.reshape(-1, obs_dim),

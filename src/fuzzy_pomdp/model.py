@@ -205,6 +205,8 @@ class GroundTruthEnv:
         labels = tuple(self.state_labels) or tuple(f"state_{i}" for i in range(s))
         if len(labels) != s:
             raise ValueError("state_labels length must equal the state count")
+        if len(set(labels)) != s:
+            raise ValueError("state_labels must be distinct")
         _set(self, "transitions", trans)
         _set(self, "beta_params", betas)
         _set(self, "state_labels", labels)

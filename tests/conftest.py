@@ -104,7 +104,7 @@ def affine_rule(bias, matrix, action=None, clauses=()) -> FuzzyRule:
 
 
 def make_fuzzy(rules, obs_dim: int, num_actions=2, tnorm="product") -> FuzzyModel:
-    # serialization wants every clause term in its variable's term table
+    # a model names every clause term, by its label, in its variable's term table
     terms: dict[int, dict] = {d: {} for d in range(obs_dim)}
     for rule in rules:
         for cl in rule.clauses:

@@ -343,6 +343,54 @@ def test_a_rule_base_without_a_rule_for_some_action_loads_and_infer_falls_back(t
     assert not np.array_equal(infer(fuzzy, obs, [0, 0]), obs)
 
 
+def _repeat_a_term_label(payload):
+    # every `low` clause on indicator_1 took the second entry's term
+    payload["variables"][0]["terms"].append(
+        {"label": "low", "shape": "gaussian", "params": [0.9, 0.3]})
+    return "variable 'indicator_1': term label 'low' repeats"
+
+
+def _repeat_a_variable_name(payload):
+    # every clause on muscle_weakness bound to the last variable of the name
+    first = payload["variables"][0]
+    payload["variables"][2] = dict(payload["variables"][2], name=first["name"],
+                                   terms=copy.deepcopy(first["terms"]))
+    return "variable name 'muscle_weakness' repeats"
+
+
+@pytest.mark.parametrize("asset, corrupt", [
+    ("expert_fuzzy_synthetic.json", _repeat_a_term_label),
+    ("mg_fuzzy_placeholder.json", _repeat_a_variable_name),
+], ids=["term label", "variable name"])
+def test_a_rule_base_file_that_repeats_a_name_is_refused(tmp_path, asset, corrupt):
+    # both loaded, the later entry silently winning, and validate read "ok"
+    payload = json.loads(asset_path(asset).read_text())
+    problem = corrupt(payload)
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(payload))
+    good.write_text(asset_path(asset).read_text())
+    assert _validate(bad, good) == (2, [f"{bad}: fuzzy-model INVALID", f"  - {problem}",
+                                        f"{good}: fuzzy-model ok"],
+                                    "error: 1 of 2 files failed validation\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        load_fuzzy_model(bad)
+
+
+def test_an_env_file_that_repeats_a_state_label_is_refused(tmp_path):
+    # it loaded, and eval reported one KL fewer than there are states
+    payload = _valid("env")
+    payload["state_labels"] = ["Sick", "Sick", "Critical"]
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(payload))
+    good.write_text(json.dumps(_valid("env")))
+    problem = "state_labels must be distinct"
+    assert _validate(bad, good) == (2, [f"{bad}: env INVALID", f"  - {problem}",
+                                        f"{good}: env ok"],
+                                    "error: 1 of 2 files failed validation\n")
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        load_env(bad)
+
+
 # a file of the wrong kind, by what each loader expects: its message names
 # the JSON type expected and the type found, where it used to be numpy's or
 # Python's complaint about indexing one with the other

@@ -1,5 +1,6 @@
 """Membership functions, rule firing, and weighted-average inference."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,6 +332,32 @@ def test_fuzzy_model_round_trip(tmp_path, rng0):
         assert np.allclose(infer(back, obs, a), infer(fz, obs, a))
     again = fuzzy_model_from_dict(fuzzy_model_to_dict(fz))
     assert len(again.rules) == len(fz.rules)
+
+
+MID = gauss_mf(0.5, 0.2)
+# the variables, rule 1's clause (if any) and the problem of each refused model
+REFUSED = {
+    "no variables": ((), None, "need one variable entry per observation dimension"),
+    "repeated name": ((FuzzyVariable("x", {"mid": MID}), FuzzyVariable("x")), None,
+                      "variable names must be distinct, got ['x', 'x']"),
+    "missing label": ((FuzzyVariable("x0", {"mid": MID}), FuzzyVariable("x1")),
+                      FuzzyClause(0, MID, "high"),
+                      "rule 1: variable 'x0' has no term 'high' equal to the clause's term"),
+    "label of another term": ((FuzzyVariable("x0", {"mid": MID}), FuzzyVariable("x1")),
+                              FuzzyClause(0, gauss_mf(0.5, 0.3), "mid"),
+                              "rule 1: variable 'x0' has no term 'mid' equal to the clause's "
+                              "term"),
+}
+
+
+@pytest.mark.parametrize("variables, clause, problem", REFUSED.values(), ids=REFUSED)
+def test_a_rule_base_names_its_terms_in_one_variable_table(variables, clause, problem):
+    # such models used to build, and writing one synthesized a variable
+    # table, searched the table for an equal term, or raised only then
+    rules = (constant_rule((0.0, 0.0), 2, clauses=(FuzzyClause(0, MID, "mid"),)),
+             constant_rule((1.0, 1.0), 2, clauses=(clause,) if clause else ()))
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        FuzzyModel(obs_dim=2, num_actions=1, rules=rules, variables=variables)
 
 
 def test_bundled_assets_load_and_infer():

@@ -60,11 +60,11 @@ def cases(draw, shapes=("gaussian",), tnorms=("product",)):
     """A model plus a rule base over the same observation and action spaces."""
     model = draw(models())
     rules = []
-    for _ in range(draw(st.integers(1, 5))):
+    for r in range(draw(st.integers(1, 5))):
         dims = draw(st.lists(st.integers(0, model.obs_dim - 1), unique=True,
                              max_size=model.obs_dim))
-        clauses = [FuzzyClause(dim=d, term=draw(terms(shapes)), term_label=f"t{i}_{d}")
-                   for i, d in enumerate(dims)]
+        clauses = [FuzzyClause(dim=d, term=draw(terms(shapes)), term_label=f"r{r}_{d}")
+                   for d in dims]
         consequent = draw(arrays(float, (model.obs_dim, model.obs_dim + 1),
                                  elements=_floats(-2.0, 2.0)))
         action = draw(st.none() | st.integers(0, model.num_actions - 1))

@@ -23,7 +23,6 @@ from scipy import stats
 
 from fuzzy_pomdp.fuzzy import (
     FuzzyClause,
-    FuzzyModel,
     FuzzyRule,
     MembershipFunction,
     fuzzy_model_from_dict,
@@ -352,12 +351,7 @@ def fuzzy_models(draw):
         consequent = draw(arrays(float, (obs_dim, obs_dim + 1), elements=_floats(-2.0, 2.0)))
         action = draw(st.none() | st.integers(0, num_actions - 1))
         rules.append(FuzzyRule(clauses=tuple(clauses), consequent=consequent, action=action))
-    tnorm = draw(st.sampled_from(("product", "minimum")))
-    if draw(st.booleans()):
-        return make_fuzzy(rules, obs_dim, num_actions, tnorm)
-    # no variable table: serialization synthesizes one
-    return FuzzyModel(obs_dim=obs_dim, num_actions=num_actions, rules=tuple(rules),
-                      tnorm=tnorm)
+    return make_fuzzy(rules, obs_dim, num_actions, draw(st.sampled_from(("product", "minimum"))))
 
 
 @given(fuzzy_models())
@@ -370,6 +364,6 @@ def test_fuzzy_model_json_round_trip_is_exact(fuzzy):
     for rule, again in zip(fuzzy.rules, back.rules):
         assert again.action == rule.action
         assert np.array_equal(again.consequent, rule.consequent)
-        assert [(c.dim, c.term) for c in again.clauses] == [
-            (c.dim, c.term) for c in rule.clauses]
+        assert [(c.dim, c.term, c.term_label) for c in again.clauses] == [
+            (c.dim, c.term, c.term_label) for c in rule.clauses]
     assert fuzzy_model_to_dict(back) == data
