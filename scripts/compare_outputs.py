@@ -7,13 +7,16 @@ In one fresh process per tree, against the package under that tree's
 `src/`:
 - runs `harness.run_regime` on low_data seeds 0-5, high_noise seeds 0-2 and
   mg_pipeline seeds 0-1;
-- runs a fixed CLI script (CLI_SCRIPT: both generators, `train` with em and
-  fuzzy-map, `eval` to a file and to stdout, a diagonal `sweep` and a
-  `--cross` one over two seeds, whose printed rows are captured to a file,
-  and `reproduce`, whose printed regime table, read from `summary.json`, is
-  captured to a file) in
-  a work directory holding copies of the tree's bundled assets, so both
-  trees see identical relative paths;
+- runs a fixed CLI script of 11 commands (CLI_SCRIPT: both generators,
+  `train` with em and with fuzzy-map three times, at the default lambdas,
+  at zero lambdas (a zero pseudo-count prior, whose checkpoint's
+  `prior_data_ratios` are all 0.0) and with a two-iteration plain-EM
+  polish (ratios from the first phase only), `eval` to a file and to
+  stdout, a diagonal `sweep` and a `--cross` one over two seeds, whose
+  printed rows are captured to a file, and `reproduce`, whose printed
+  regime table, read from `summary.json`, is captured to a file) in a work
+  directory holding copies of the tree's bundled assets, so both trees see
+  identical relative paths;
 - runs `validate` there (VALIDATE_RUNS) on one file of each kind it reads,
   the script's outputs and assets, and on corrupt files made from them
   (a missing key, a NaN, a wrong shape, an overflowing, a huge and a
@@ -86,6 +89,12 @@ CLI_SCRIPT = [
       "--max-iterations", "20", "--seed", "1", "--out", "train/em.json"], None),
     (["train", "data/ds.json", "--algo", "fuzzy-map", "--fuzzy-model", "rules.json",
       "--max-iterations", "20", "--seed", "1", "--out", "train/fm.json"], None),
+    (["train", "data/ds.json", "--algo", "fuzzy-map", "--fuzzy-model", "rules.json",
+      "--lambda-t", "0", "--lambda-o", "0", "--max-iterations", "20", "--seed", "1",
+      "--out", "train/fm_zero.json"], None),
+    (["train", "data/ds.json", "--algo", "fuzzy-map", "--fuzzy-model", "rules.json",
+      "--final-em-iterations", "2", "--max-iterations", "20", "--seed", "1",
+      "--out", "train/fm_polish.json"], None),
     (["eval", "train/em.json", "env.json", "--out", "eval/em.json"], None),
     (["eval", "train/fm.json", "env.json"], "eval/fm_stdout.json"),
     (["sweep", "--regime", "low-data", "--seeds", "1", "--grid", "0,0.1",

@@ -8,16 +8,17 @@ length, scoring their observations with the model's emission factor (its
 covariances factored once per model); one Posteriors holds the results in
 dataset order and goes straight into the expected counts, each pooled with
 one matmul. M-step: closed-form
-maximum-likelihood updates from pooled expected counts, which fuzzy-MAP EM
-first blends with its pseudo-counts. The initial state distribution is held
-fixed, never re-estimated. One loop, `_fit`, runs every fit, fuzzy-MAP's
-plain-EM polish included, and returns an EmResult; with no data it skips
-the E-step, which is fuzzy-MAP's prior-only fitting.
+maximum-likelihood updates from pooled expected counts, which a prior
+(fuzzy-MAP EM's) first blends with its pseudo-counts. The initial state
+distribution is held fixed, never re-estimated. One loop, `_fit`, runs
+every fit, fuzzy-MAP's prior and plain-EM polish included, and returns an
+EmResult; with no data it skips the E-step, which is prior-only fitting.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -117,10 +118,8 @@ class EmResult:
     loglik_trace: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    # fuzzy-MAP EM only, left empty by plain EM: per M-step, (lambda_t * fuzzy
-    # / empirical transition mass, lambda_o * fuzzy / empirical observation
-    # mass), inf on zero empirical mass; and the expected firing strength per
-    # (state, action, rule) at the last iteration
+    # fuzzy-MAP EM only, left empty by plain EM: _mass_ratios per M-step, and
+    # the expected firing strength per (state, action, rule) at the last one
     prior_data_ratios: list[tuple[float, float]] = field(default_factory=list)
     final_matchant: np.ndarray | None = None
 
@@ -394,8 +393,33 @@ def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel
 def m_step_standard(
     counts: SufficientCounts, prev: PomdpModel, config: EmConfig
 ) -> PomdpModel:
-    """Maximum-likelihood M-step from empirical expected counts."""
+    """Maximum-likelihood M-step from expected counts, blended or not."""
     return _mstep_from_counts(counts, prev)
+
+
+def _blend(empirical: SufficientCounts, pseudo: SufficientCounts,
+           lambda_t: float, lambda_o: float) -> SufficientCounts:
+    """empirical + lambda * pseudo per field, lambda_t on the transitions and
+    lambda_o on the rest; adding 0.0 leaves every count bit-identical."""
+    return SufficientCounts(
+        trans=empirical.trans + lambda_t * pseudo.trans,
+        obs_weight=empirical.obs_weight + lambda_o * pseudo.obs_weight,
+        obs_sum=empirical.obs_sum + lambda_o * pseudo.obs_sum,
+        obs_outer=empirical.obs_outer + lambda_o * pseudo.obs_outer,
+    )
+
+
+def _mass_ratios(empirical: SufficientCounts, pseudo: SufficientCounts,
+                 lambda_t: float, lambda_o: float) -> tuple[float, float]:
+    """(lambda_t * pseudo / empirical transition mass, lambda_o * pseudo /
+    empirical observation mass), inf on zero empirical mass."""
+    # np.add.reduce(x, None) is what x.sum() runs, without its wrapper
+    t_data = float(np.add.reduce(empirical.trans, None))
+    o_data = float(np.add.reduce(empirical.obs_weight, None))
+    t_prior = lambda_t * float(np.add.reduce(pseudo.trans, None))
+    o_prior = lambda_o * float(np.add.reduce(pseudo.obs_weight, None))
+    return (t_prior / t_data if t_data > 0 else math.inf,
+            o_prior / o_data if o_data > 0 else math.inf)
 
 
 def e_step(
@@ -430,38 +454,43 @@ def _fit(
     dataset: Sequence[Trajectory],
     init: PomdpModel,
     config: EmConfig,
-    m_step: Callable[[SufficientCounts, PomdpModel, int], PomdpModel] | None = None,
+    prior: tuple[float, float, Callable] | None = None,
     polish: int = 0,
 ) -> EmResult:
     """The EM loop every fit runs, prior-only fitting and polish included.
 
     On data, one E-step scores the init. Up to `config.max_iterations`
-    M-steps m_step(empirical counts, model, iteration) follow, then up to
-    `polish` plain ones (m_step None is plain EM's), each new model scored
-    by an E-step. Each phase stops once the log-likelihood improvement falls
-    below the tolerance; the polish continues the trace without rescoring
-    the model it starts from. An empty dataset skips the E-step: m_step
-    gets zero counts, the trace stays empty, and the phase stops once no
-    parameter moves by the tolerance or more in an M-step. `converged` is
-    the first phase's; `iterations` counts M-steps across both phases, and
-    a ForwardBackwardError names that count. dataset is a list of
+    M-steps m_step_standard follow, then up to `polish` more, each new model
+    scored by an E-step. In the first phase a prior (lambda_t, lambda_o,
+    pseudo_counts) blends (_blend) pseudo_counts(model, iteration)[0] into
+    each M-step's counts; the fit records their _mass_ratios and the last
+    match matrix, [1]. Each phase stops once the log-likelihood improvement
+    falls below the tolerance; the polish continues the trace without
+    rescoring the model it starts from. An empty dataset skips the E-step:
+    the counts are zeros, the trace stays empty, and the phase stops once
+    no parameter moves by the tolerance or more in an M-step. `converged`
+    is the first phase's; `iterations` counts M-steps across both phases,
+    and a ForwardBackwardError names that count. dataset is a list of
     trajectories or a fit's prepared data.
     """
-    def plain(counts: SufficientCounts, model: PomdpModel, _: int) -> PomdpModel:
-        return m_step_standard(counts, model, config)
-
     data = _prepared(dataset, init.num_actions, init.obs_dim) if dataset else None
     model, trace, iterations, converged = init, [], 0, []
+    ratios, matchant = [], None
     if data is not None:
         posteriors = _score(model, data, iterations, trace)
-    for step, budget in ((m_step or plain, config.max_iterations), (plain, polish)):
+    for phase_prior, budget in ((prior, config.max_iterations), (None, polish)):
         converged.append(False)
         for _ in range(budget):
             if data is None:
                 counts = SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim)
             else:
                 counts = accumulate_counts(data, posteriors, model)
-            previous, model = model, step(counts, model, iterations)
+            if phase_prior is not None:
+                lambda_t, lambda_o, pseudo_counts = phase_prior
+                pseudo, matchant = pseudo_counts(model, iterations)
+                ratios.append(_mass_ratios(counts, pseudo, lambda_t, lambda_o))
+                counts = _blend(counts, pseudo, lambda_t, lambda_o)
+            previous, model = model, m_step_standard(counts, model, config)
             iterations += 1
             if data is None:
                 change = _max_param_delta(previous, model)
@@ -471,7 +500,7 @@ def _fit(
             if change < config.loglik_tolerance:
                 converged[-1] = True
                 break
-    return EmResult(model=model, loglik_trace=trace, converged=converged[0], iterations=iterations)
+    return EmResult(model, trace, converged[0], iterations, ratios, matchant)
 
 
 def run_em(

@@ -15,20 +15,17 @@ minimum t-norm).
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .em import EmConfig, EmResult, SufficientCounts, _fit, _mstep_from_counts
+from .em import EmConfig, EmResult, SufficientCounts, _blend, _fit, _mstep_from_counts
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .model import PomdpModel, Trajectory, gaussian_log_density
 from .rngs import derive_rng
-
-log = logging.getLogger(__name__)
 
 # the last two columns of matchant_matrix's strength table
 _ONE_ZERO = np.array([1.0, 0.0])
@@ -212,16 +209,11 @@ def m_step_fuzzy_map(
 ) -> PomdpModel:
     """Plain EM's M-step on empirical counts blended with weighted pseudo-counts.
 
-    With both lambdas zero this reproduces the standard M-step exactly
-    (adding 0.0 leaves every count bit-identical).
+    The blend (em._blend) is the one a fuzzy-MAP fit's loop runs. With both
+    lambdas zero this reproduces the standard M-step exactly.
     """
-    blended = SufficientCounts(
-        trans=empirical.trans + map_config.lambda_t * fuzzy_counts.trans,
-        obs_weight=empirical.obs_weight + map_config.lambda_o * fuzzy_counts.obs_weight,
-        obs_sum=empirical.obs_sum + map_config.lambda_o * fuzzy_counts.obs_sum,
-        obs_outer=empirical.obs_outer + map_config.lambda_o * fuzzy_counts.obs_outer,
-    )
-    return _mstep_from_counts(blended, prev)
+    return _mstep_from_counts(
+        _blend(empirical, fuzzy_counts, map_config.lambda_t, map_config.lambda_o), prev)
 
 
 def run_fuzzy_map_em(
@@ -234,8 +226,8 @@ def run_fuzzy_map_em(
     """EM whose every M-step folds in freshly computed fuzzy pseudo-counts.
 
     Pseudo-counts are recomputed against the current parameters each
-    iteration, inside the EM loop that plain EM runs (em._fit), whose
-    EmResult gets prior_data_ratios and final_matchant filled in. An empty
+    iteration and handed to plain EM's loop (em._fit) as its prior; with
+    both lambdas zero they are zeros and final_matchant stays None. An empty
     dataset fits the prior alone (both lambdas must be positive): the same
     loop skips the E-step, blends the pseudo-counts into zero counts, and
     stops once no parameter moves by the tolerance; the trace stays empty
@@ -260,24 +252,16 @@ def run_fuzzy_map_em(
             raise ValueError("an empty dataset requires both lambdas > 0")
         if map_config.final_standard_em_iterations > 0:
             raise ValueError("standard EM polish needs a non-empty dataset")
-    zero_lambda = map_config.lambda_t == 0.0 and map_config.lambda_o == 0.0
-    ratios: list[tuple[float, float]] = []
-    matchant = None
+    lambda_t, lambda_o = map_config.lambda_t, map_config.lambda_o
 
-    def m_step(empirical: SufficientCounts, model: PomdpModel, iteration: int) -> PomdpModel:
-        nonlocal matchant
-        if zero_lambda:
-            fuzzy_counts = SufficientCounts.zeros(
-                model.num_states, model.num_actions, model.obs_dim
-            )
-        else:
-            matchant = matchant_matrix(model, fuzzy, map_config, iteration)
-            fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
-        ratios.append(_mass_ratios(empirical, fuzzy_counts, map_config))
-        return m_step_fuzzy_map(empirical, fuzzy_counts, model, map_config)
+    def pseudo_counts(model: PomdpModel, iteration: int):
+        if lambda_t == 0.0 and lambda_o == 0.0:
+            return SufficientCounts.zeros(model.num_states, model.num_actions, model.obs_dim), None
+        matchant = matchant_matrix(model, fuzzy, map_config, iteration)
+        return compute_from_matchant(model, fuzzy, matchant), matchant
 
-    fit = _fit(dataset, init, em_config, m_step, map_config.final_standard_em_iterations)
-    return replace(fit, prior_data_ratios=ratios, final_matchant=matchant)
+    return _fit(dataset, init, em_config, (lambda_t, lambda_o, pseudo_counts),
+                map_config.final_standard_em_iterations)
 
 
 def _check_rule_base(fuzzy: FuzzyModel, model: PomdpModel) -> None:
@@ -292,17 +276,3 @@ def _check_rule_base(fuzzy: FuzzyModel, model: PomdpModel) -> None:
             raise ValueError(f"rule {r} is gated on action {rule.action}, but the POMDP model "
                              f"has {model.num_actions} action(s) and the fuzzy model "
                              f"{fuzzy.num_actions}")
-
-
-def _mass_ratios(
-    empirical: SufficientCounts, fuzzy_counts: SufficientCounts, config: FuzzyMapConfig
-) -> tuple[float, float]:
-    # np.add.reduce(x, None) is what x.sum() runs, without its wrapper
-    t_data = float(np.add.reduce(empirical.trans, None))
-    o_data = float(np.add.reduce(empirical.obs_weight, None))
-    t_prior = config.lambda_t * float(np.add.reduce(fuzzy_counts.trans, None))
-    o_prior = config.lambda_o * float(np.add.reduce(fuzzy_counts.obs_weight, None))
-    return (
-        t_prior / t_data if t_data > 0 else math.inf,
-        o_prior / o_data if o_data > 0 else math.inf,
-    )

@@ -10,7 +10,6 @@ explicit numpy Generator.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -19,8 +18,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 DEFAULT_COV_RIDGE = 1e-6
 # regularize_cov rejects a lifted covariance with an eigenvalue below -_PSD_ATOL

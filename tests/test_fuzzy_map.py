@@ -17,8 +17,8 @@ from scipy import stats
 from fuzzy_pomdp.model import (CovarianceError, PomdpModel, Trajectory, gaussian_log_density,
                                model_from_dict, model_to_dict)
 from fuzzy_pomdp import em
-from fuzzy_pomdp.em import (EmConfig, ForwardBackwardError, SufficientCounts, m_step_standard,
-                            run_em)
+from fuzzy_pomdp.em import (EmConfig, ForwardBackwardError, SufficientCounts, accumulate_counts,
+                            e_step, m_step_standard, run_em)
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
 from fuzzy_pomdp.harness import asset_path
 from fuzzy_pomdp.fuzzy_map import (
@@ -640,24 +640,65 @@ def test_run_fuzzy_map_em_rejects_a_rule_gated_on_an_action_the_model_lacks(
         run_fuzzy_map_em(ds, init, fz, EmConfig(max_iterations=3), map_cfg)
 
 
-def _prior_only_reference(init, fuzzy, em_config, map_config):
-    """Prior-only fitting as its own loop: M-steps on pseudo-counts blended
-    into zero counts until no parameter moves by the tolerance."""
+def _reference_fit(dataset, init, fuzzy, em_config, map_config):
+    """A fuzzy-MAP fit as its own loop of the public pieces: M-steps
+    (m_step_fuzzy_map) on the E-step's counts, or zero counts without data,
+    blended with pseudo-counts matched at each iteration's number, until the
+    log-likelihood improvement, or without data the largest parameter
+    change, falls below the tolerance; then run_em's polish, whose trace
+    continues the fit's."""
     def max_delta(a, b):
         return max(float(np.abs(getattr(a, name) - getattr(b, name)).max())
                    for name in ("transitions", "obs_means", "obs_covs"))
 
-    model, converged, iterations, matchant = init, False, 0, None
-    empirical = SufficientCounts.zeros(init.num_states, init.num_actions, init.obs_dim)
+    def ratio(prior, data):
+        return prior / data if data > 0 else math.inf
+
+    lam_t, lam_o = map_config.lambda_t, map_config.lambda_o
+    model, trace, ratios, matchant, converged = init, [], [], None, False
+    if dataset:
+        posteriors, loglik = e_step(model, dataset)
+        trace.append(loglik)
     for iteration in range(em_config.max_iterations):
-        matchant = matchant_matrix(model, fuzzy, map_config, iteration)
-        fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
-        new_model = m_step_fuzzy_map(empirical, fuzzy_counts, model, map_config)
-        delta, model, iterations = max_delta(model, new_model), new_model, iteration + 1
-        if delta < em_config.loglik_tolerance:
+        if dataset:
+            empirical = accumulate_counts(dataset, posteriors, model)
+        else:
+            empirical = SufficientCounts.zeros(init.num_states, init.num_actions, init.obs_dim)
+        if lam_t == 0.0 and lam_o == 0.0:
+            fuzzy_counts = SufficientCounts.zeros(init.num_states, init.num_actions, init.obs_dim)
+        else:
+            matchant = matchant_matrix(model, fuzzy, map_config, iteration)
+            fuzzy_counts = compute_from_matchant(model, fuzzy, matchant)
+        ratios.append((ratio(lam_t * float(fuzzy_counts.trans.sum()),
+                             float(empirical.trans.sum())),
+                       ratio(lam_o * float(fuzzy_counts.obs_weight.sum()),
+                             float(empirical.obs_weight.sum()))))
+        previous, model = model, m_step_fuzzy_map(empirical, fuzzy_counts, model, map_config)
+        if dataset:
+            posteriors, loglik = e_step(model, dataset)
+            trace.append(loglik)
+            change = abs(trace[-1] - trace[-2])
+        else:
+            change = max_delta(previous, model)
+        if change < em_config.loglik_tolerance:
             converged = True
             break
-    return model, iterations, converged, matchant
+    iterations = iteration + 1
+    if map_config.final_standard_em_iterations:
+        polish = run_em(dataset, model, dataclasses.replace(
+            em_config, max_iterations=map_config.final_standard_em_iterations))
+        model, iterations = polish.model, iterations + polish.iterations
+        trace += polish.loglik_trace[1:]
+    return em.EmResult(model, trace, converged, iterations, ratios, matchant)
+
+
+def assert_same_prior_record(got, want):
+    """assert_same_fit, plus equal prior/data ratios and final match matrix."""
+    assert_same_fit(got, want)
+    assert got.prior_data_ratios == want.prior_data_ratios
+    assert (got.final_matchant is None) == (want.final_matchant is None)
+    if want.final_matchant is not None:
+        assert np.array_equal(got.final_matchant, want.final_matchant)
 
 
 @pytest.mark.parametrize("tnorm, cap, converges", [
@@ -672,15 +713,38 @@ def test_prior_only_fit_equals_a_loop_of_its_own(tnorm, cap, converges):
     fz = random_fuzzy(rng, obs_dim=2, num_rules=4, tnorm=tnorm)
     em_cfg = EmConfig(max_iterations=cap)
     map_cfg = FuzzyMapConfig(lambda_t=1.0, lambda_o=0.5, matchant_samples=64, seed=9)
-    model, iterations, converged, matchant = _prior_only_reference(init, fz, em_cfg, map_cfg)
+    want = _reference_fit([], init, fz, em_cfg, map_cfg)
     res = run_fuzzy_map_em([], init, fz, em_cfg, map_cfg)
-    assert converged == converges
-    for name in ("transitions", "obs_means", "obs_covs", "initial_dist"):
-        assert np.array_equal(getattr(res.model, name), getattr(model, name)), name
-    assert (res.iterations, res.converged) == (iterations, converged)
+    assert want.converged == converges
+    assert_same_prior_record(res, want)
     assert res.loglik_trace == []
-    assert res.prior_data_ratios == [(math.inf, math.inf)] * iterations
-    assert np.array_equal(res.final_matchant, matchant)
+    assert res.prior_data_ratios == [(math.inf, math.inf)] * res.iterations
+    assert res.final_matchant is not None
+
+
+@pytest.mark.parametrize("lambdas, tnorm", [
+    # no matching; converges at 6 M-steps, and the polish stops after 1
+    ((0.0, 0.0), "product"),
+    # converges at 12; the polish runs to its cap
+    ((0.3, 0.2), "product"),
+    # Monte-Carlo matching, keyed by iteration; runs to the cap of 30
+    ((0.3, 0.2), "minimum"),
+])
+@pytest.mark.parametrize("polish", [0, 5])
+def test_a_fit_on_data_equals_a_loop_of_the_public_pieces(lambdas, tnorm, polish):
+    # bit for bit, so the blend the fit's loop runs stays m_step_fuzzy_map's
+    rng = np.random.default_rng(22)
+    truth = random_model(rng, num_states=2, mean_scale=2.0)
+    ds = random_dataset(rng, truth, n=6, horizon=8)
+    init = diag_model(rng, num_states=2)
+    fz = random_fuzzy(rng, obs_dim=2, tnorm=tnorm)
+    em_cfg = EmConfig(max_iterations=30, loglik_tolerance=1e-3)
+    map_cfg = FuzzyMapConfig(lambda_t=lambdas[0], lambda_o=lambdas[1], matchant_samples=64,
+                             seed=5, final_standard_em_iterations=polish)
+    want = _reference_fit(ds, init, fz, em_cfg, map_cfg)
+    assert_same_prior_record(run_fuzzy_map_em(ds, init, fz, em_cfg, map_cfg), want)
+    assert len(want.loglik_trace) == want.iterations + 1
+    assert (want.final_matchant is None) == (lambdas == (0.0, 0.0))
 
 
 def test_run_fuzzy_map_em_huge_lambda_is_prior_dominated():
