@@ -43,12 +43,17 @@ In one fresh process per tree, against the package under that tree's
 - runs `e_step` once on the ragged dataset under the same random init and
   writes its gamma, xi, per-trajectory log-likelihoods and total to
   ragged/posteriors.json, so the E-step itself is compared, not only
-  through the models fitted with it.
+  through the models fitted with it;
+- sets the last observation of one ragged trajectory (BROKEN_TRAJECTORY,
+  not the first of its length group) to NaN and writes the message and
+  `.trajectory` of the ForwardBackwardError that `forward_backward` and
+  `run_em` raise on that dataset to ragged/errors.json, so the failure
+  text is compared too.
 
 Regime outputs, the sweep's per-cell ones and `reproduce`'s included, and
 every file under ragged/ are compared byte for byte: runs.csv, sweep.csv,
-every model_*.json, ragged/posteriors.json, mg_table.txt and each validate
-run's output.
+every model_*.json, ragged/posteriors.json and ragged/errors.json,
+mg_table.txt and each validate run's output.
 summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
 `config.kmeans_clusters: parent only`). Every other CLI artifact is
@@ -126,20 +131,24 @@ VALIDATE_RUNS = [
 ]
 # several distinct lengths, interleaved so that grouping by length reorders
 RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
+# its last observation is set to NaN: the second trajectory of the second
+# length group, so its dataset index is not its position in the group
+BROKEN_TRAJECTORY = 7
 REGIME_FILES = ("runs.csv", "mg_table.txt", "sweep.csv")
 
 RUNNER = """
 import contextlib, dataclasses, io, json, logging.handlers, os, shutil, sys
 from pathlib import Path
 from fuzzy_pomdp import cli
-from fuzzy_pomdp.em import EmConfig, e_step, run_em
+from fuzzy_pomdp.em import EmConfig, ForwardBackwardError, e_step, forward_backward, run_em
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp.harness import asset_path, random_init, regime_config, run_regime
-from fuzzy_pomdp.model import load_env, make_policy, model_to_dict, sample_trajectory, write_json
+from fuzzy_pomdp.model import (Trajectory, load_env, make_policy, model_to_dict,
+                               sample_trajectory, write_json)
 from fuzzy_pomdp.rngs import derive_rng
-out, cases, assets, script, dirs, lengths, validate_runs = (sys.argv[1],
-                                                           *map(json.loads, sys.argv[2:]))
+out, cases, assets, script, dirs, lengths, validate_runs, broken_index = (
+    sys.argv[1], *map(json.loads, sys.argv[2:]))
 for regime, seeds in cases.items():
     run_regime(regime_config(regime, seeds, out_dir=f"{out}/{regime}"))
 env = load_env(asset_path("synthetic_env.json"))
@@ -185,6 +194,20 @@ posteriors, total = e_step(init, dataset)
 write_json({"gamma": posteriors.gamma.tolist(), "xi": posteriors.xi.tolist(),
             "log_likelihoods": posteriors.log_likelihoods.tolist(), "total": total},
            f"{out}/ragged/posteriors.json")
+broken = list(dataset)
+obs = dataset[broken_index].observations.copy()
+obs[-1, 0] = float("nan")
+broken[broken_index] = Trajectory(observations=obs, actions=dataset[broken_index].actions)
+errors = {}
+for name, call in (("forward_backward", lambda: forward_backward(init, broken)),
+                   ("run_em", lambda: run_em(broken, init, em_config))):
+    try:
+        call()
+    except ForwardBackwardError as err:
+        errors[name] = {"message": str(err), "trajectory": err.trajectory}
+    else:
+        sys.exit(f"{name} scored a NaN observation")
+write_json(errors, f"{out}/ragged/errors.json")
 work = Path(out, "cli")
 for name in dirs:
     (work / name).mkdir(parents=True)
@@ -241,11 +264,11 @@ for name, files in validate_runs:
 def run_tree(tree: Path, out: Path) -> None:
     """Write every case's outputs under out/<regime>, the CLI script's and
     the validate runs' under out/cli and the ragged, prior-only and
-    frozen-state fits and the ragged E-step under out/ragged, using tree's
-    package."""
+    frozen-state fits, the ragged E-step and its errors on a NaN
+    observation under out/ragged, using tree's package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS,
-                                    VALIDATE_RUNS)]
+                                    VALIDATE_RUNS, BROKEN_TRAJECTORY)]
     subprocess.run([sys.executable, "-c", RUNNER, str(out), *args],
                    cwd=tree, env=env, check=True)
 
@@ -395,7 +418,7 @@ def main(argv=None) -> int:
     total = sum(len(seeds) for seeds in CASES.values())
     print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds, "
           f"{len(CLI_SCRIPT)} CLI commands, {len(VALIDATE_RUNS)} validate runs and the ragged, "
-          f"prior-only and frozen-state fits and the ragged E-step; "
+          f"prior-only and frozen-state fits and the ragged E-step and its errors; "
           f"{len(notes)} byte-only note(s)")
     return 1 if found else 0
 

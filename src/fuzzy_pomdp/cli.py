@@ -104,9 +104,17 @@ def _write_manifest(args) -> None:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _policy(spec: str, num_actions: int):
+    """make_policy's rule, its ValueError a usage error."""
+    try:
+        return make_policy(spec, num_actions)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_gen_data(args) -> int:
     env = load_env(args.env)
-    policy = make_policy(args.policy, env.num_actions)
+    policy = _policy(args.policy, env.num_actions)
     dataset = [
         sample_trajectory(env, policy, args.horizon, derive_rng(args.seed, "gen-data", i))
         for i in range(args.n)
@@ -121,7 +129,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_gen_fuzzy_data(args) -> int:
     fuzzy = load_fuzzy_model(args.fuzzy)
-    policy = make_policy(args.policy, fuzzy.num_actions)
+    policy = _policy(args.policy, fuzzy.num_actions)
     # same stream label as the mg regime, so --seed N reproduces its dataset
     dataset = generate_fuzzy_trajectories(
         fuzzy, args.n, args.horizon, policy, args.noise, derive_rng(args.seed, "mg-data")
@@ -216,10 +224,9 @@ def cmd_train(args) -> int:
         "converged": bool(result.converged),
     })
     write_json(report, args.out)
-    final = result.loglik_trace[-1] if result.loglik_trace else float("nan")
     print(f"wrote {args.out} (algo={args.algo}, lambda_t={args.lambda_t:g}, "
           f"lambda_o={args.lambda_o:g}, iterations={result.iterations}, "
-          f"final loglik={final:.6g})")
+          f"final loglik={result.loglik_trace[-1]:.6g})")
     return 0
 
 
@@ -272,9 +279,6 @@ def cmd_reproduce(args) -> int:
         overrides["lambda_t"] = args.lambda_t
     if args.lambda_o is not None:
         overrides["lambda_o"] = args.lambda_o
-    if args.noise_is_std and regime == "high_noise":
-        # the published perturbation is N(0, 0.25); read 0.25 as the std
-        overrides["noise_sigma"] = 0.25
     config = regime_config(regime, seeds=range(args.seeds),
                            out_dir=args.out_dir, **overrides)
     summary = run_regime(config)
@@ -475,8 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="directory for runs.csv / summary.json")
     p.add_argument("--lambda-t", type=NONNEGATIVE, default=None)
     p.add_argument("--lambda-o", type=NONNEGATIVE, default=None)
-    p.add_argument("--noise-is-std", action="store_true",
-                   help="read the 0.25 noise figure as a std instead of a variance")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("sweep", help="grid-sweep the prior weights over a regime")

@@ -1,18 +1,20 @@
 """Standard EM for Gaussian-emission, action-conditioned hidden Markov models.
 
-A fit prepares its dataset once, polish included: observations and actions
-joined in order, their outer products, and for each trajectory length the
+A fit checks and prepares its dataset once, polish included, in one
+constructor (_FitData): observations and actions joined in order, their
+outer products and one-hot encoding, and for each trajectory length the
 rows of its trajectories in the joined arrays. E-step: forward_backward,
 scaled smoothing run once per length on all the trajectories of that
 length, scoring their observations with the model's emission factor (its
-covariances factored once per model); one Posteriors holds the results in
-dataset order and goes straight into the expected counts, each pooled with
-one matmul. M-step: closed-form
-maximum-likelihood updates from pooled expected counts, which a prior
-(fuzzy-MAP EM's) first blends with its pseudo-counts. The initial state
-distribution is held fixed, never re-estimated. One loop, `_fit`, runs
-every fit, fuzzy-MAP's prior and plain-EM polish included, and returns an
-EmResult; with no data it skips the E-step, which is prior-only fitting.
+covariances factored once per model) and raising ForwardBackwardError
+there, with the dataset index, on a vanishing likelihood. One Posteriors
+holds the results in dataset order and goes straight into the expected
+counts, each pooled with one matmul. M-step: closed-form maximum-likelihood
+updates from pooled expected counts, which a prior (fuzzy-MAP EM's) first
+blends with its pseudo-counts. The initial state distribution is held
+fixed, never re-estimated. One loop, `_fit`, runs every fit, fuzzy-MAP's
+prior and plain-EM polish included, and returns an EmResult; with no data
+it skips the E-step, which is prior-only fitting.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -138,27 +139,36 @@ class _Length(NamedTuple):
 
 
 class _FitData(tuple):
-    """A dataset prepared once per fit for a model with num_actions
-    actions: its trajectories, as a tuple, plus the arrays that every E-step
-    and count pooling read.
+    """A dataset checked and prepared once per fit for a model with
+    num_actions actions and obs_dim-dimensional observations: its
+    trajectories, as a tuple, plus every array the E-step and count pooling
+    read. A ValueError refuses an empty dataset, or names each trajectory
+    such a model cannot score ("invalid dataset: trajectory <i>: ...").
 
     obs, actions: the observations and actions joined in dataset order.
     starts: (N+1,) offsets of each trajectory's first row in obs.
     by_length: one _Length per distinct trajectory length, in order of
     first appearance. obs_pairs: (sum T, d*d), each row's observation outer
     product, flattened; one_hot: (sum (T-1), num_actions), the actions'
-    one-hot encoding; both read-only, built on first use and kept.
+    one-hot encoding; both read-only.
     """
 
-    def __new__(cls, dataset, num_actions: int):
+    def __new__(cls, dataset, num_actions: int, obs_dim: int):
         self = super().__new__(cls, dataset)
         if not self:
             raise ValueError("dataset must be non-empty")
+        problems = [f"trajectory {i}: {msg}" for i, traj in enumerate(self)
+                    for msg in _scoring_problems(traj, num_actions, obs_dim)]
+        if problems:
+            raise ValueError("invalid dataset: " + "; ".join(problems))
         lengths = [len(traj) for traj in self]
-        self.num_actions = num_actions
         self.starts = np.concatenate([[0], np.cumsum(lengths)])
-        self.obs = np.concatenate([traj.observations for traj in self])
+        self.obs = obs = np.concatenate([traj.observations for traj in self])
         self.actions = np.concatenate([traj.actions for traj in self])
+        with np.errstate(invalid="ignore"):  # inf * 0: the E-step names that observation
+            self.obs_pairs = (obs[:, :, None] * obs[:, None, :]).reshape(len(obs), -1)
+        self.one_hot = np.eye(num_actions)[self.actions]
+        self.obs_pairs.flags.writeable = self.one_hot.flags.writeable = False
         groups: dict[int, list[int]] = {}
         for i, length in enumerate(lengths):
             groups.setdefault(length, []).append(i)
@@ -168,48 +178,29 @@ class _FitData(tuple):
             # trajectory i's rows start at starts[i] in obs, at starts[i] - i in xi
             rows = (self.starts[index][:, None] + np.arange(length)).ravel()
             xi_rows = (self.starts[index] - index)[:, None] + np.arange(length - 1)
-            self.by_length.append(_Length(index, rows, xi_rows.ravel(), self.obs[rows],
+            self.by_length.append(_Length(index, rows, xi_rows.ravel(), obs[rows],
                                           self.actions[xi_rows]))
         return self
 
-    @cached_property
-    def obs_pairs(self) -> np.ndarray:
-        obs = self.obs
-        pairs = (obs[:, :, None] * obs[:, None, :]).reshape(len(obs), -1)
-        pairs.flags.writeable = False
-        return pairs
-
-    @cached_property
-    def one_hot(self) -> np.ndarray:
-        table = np.eye(self.num_actions)[self.actions]
-        table.flags.writeable = False
-        return table
-
 
 def _prepared(dataset: Sequence[Trajectory], num_actions: int, obs_dim: int) -> _FitData:
-    """The dataset itself if a fit already prepared it, else its preparation,
-    after a ValueError has named each trajectory that a model with
-    num_actions actions and obs_dim-dimensional observations cannot score."""
-    if isinstance(dataset, _FitData):
-        return dataset
-    problems = [f"trajectory {i}: {msg}" for i, traj in enumerate(dataset)
-                for msg in _scoring_problems(traj, num_actions, obs_dim)]
-    if problems:
-        raise ValueError("invalid dataset: " + "; ".join(problems))
-    return _FitData(dataset, num_actions)
+    """The dataset itself if a fit already prepared it, else its _FitData."""
+    return dataset if isinstance(dataset, _FitData) else _FitData(dataset, num_actions, obs_dim)
 
 
-def _smooth(model: PomdpModel, obs: np.ndarray, actions: np.ndarray):
-    """(gamma, xi, log_likelihoods) of n trajectories of one length T, from
-    their (n*T, d) observations and (n, T-1) actions; a ForwardBackwardError
-    names a trajectory by its position among the n."""
-    num, horizon, num_states = len(actions), actions.shape[1] + 1, model.num_states
-    log_b = per_state_log_density(model, obs).reshape(num, horizon, num_states)
+def _smooth(model: PomdpModel, length: _Length):
+    """(gamma, xi, log_likelihoods) of the n trajectories of one length T in
+    a _FitData, from their (n*T, d) observations and (n, T-1) actions; a
+    ForwardBackwardError names the first failing step and a trajectory
+    failing there, by its dataset index."""
+    num, steps = length.actions.shape
+    horizon, num_states = steps + 1, model.num_states
+    log_b = per_state_log_density(model, length.obs).reshape(num, horizon, num_states)
     # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
     shift = np.maximum.reduce(log_b, 2)
     b = np.exp(log_b - shift[..., None])
     # trans[n, t] is the (state, next_state) matrix of the action at step t
-    trans = model.transitions.transpose(1, 0, 2)[actions]
+    trans = model.transitions.transpose(1, 0, 2)[length.actions]
     m = trans * b[:, 1:, None, :]
 
     # forward messages step by step, each a (num, 1, S) row batch
@@ -231,9 +222,9 @@ def _smooth(model: PomdpModel, obs: np.ndarray, actions: np.ndarray):
     if not np.logical_and.reduce(scored, None):
         failed = ~scored
         t = int(failed.any(axis=0).argmax())
+        index = int(length.trajectories[failed[:, t].argmax()])
         raise ForwardBackwardError(
-            f"zero or NaN total observation likelihood at step {t}", int(failed[:, t].argmax())
-        )
+            f"trajectory {index}: zero or NaN total observation likelihood at step {t}", index)
 
     # beta[n, t] = m[n, t] @ beta[n, t+1] / scale[n, t+1], the scale folded into m
     m /= scale[:, 1:, None, None]
@@ -274,13 +265,7 @@ def forward_backward(model: PomdpModel, dataset: Trajectory | Sequence[Trajector
     """
     data = _prepared([dataset] if isinstance(dataset, Trajectory) else dataset,
                      model.num_actions, model.obs_dim)
-    parts = []
-    for length in data.by_length:
-        try:
-            parts.append(_smooth(model, length.obs, length.actions))
-        except ForwardBackwardError as err:
-            index = int(length.trajectories[err.trajectory])
-            raise ForwardBackwardError(f"trajectory {index}: {err}", index) from err
+    parts = [_smooth(model, length) for length in data.by_length]
     if len(parts) == 1:
         gamma, xi, log_likelihoods = parts[0]
     else:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -120,10 +122,14 @@ class FuzzyRule:
 
 @dataclass(frozen=True)
 class FuzzyVariable:
-    """Input variable metadata: display name, term dictionary, value range."""
+    """Input variable metadata: display name, term dictionary, value range.
+
+    terms is kept as a read-only mapping over a copy of the one given, so a
+    model's clause labels stay checked against the terms it was built with.
+    """
 
     name: str
-    terms: dict[str, MembershipFunction] = field(default_factory=dict)
+    terms: Mapping[str, MembershipFunction] = field(default_factory=dict)
     range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
@@ -131,6 +137,7 @@ class FuzzyVariable:
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise ValueError(f"variable {self.name!r} range must be finite with lo < hi")
         _set(self, "range", (float(lo), float(hi)))
+        _set(self, "terms", MappingProxyType(dict(self.terms)))
 
 
 @dataclass(frozen=True)

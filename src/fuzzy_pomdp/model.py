@@ -541,14 +541,18 @@ def make_policy(spec: str, num_actions: int) -> Policy:
     """Build an action-selection rule from a short textual spec.
 
     "uniform" draws uniformly at random, "fixed:K" always picks action K,
-    "cycle" walks round-robin through the action set.
+    "cycle" walks round-robin through the action set. Any other spec, a
+    non-integer K included, or a K out of range raises ValueError.
     """
     if spec == "uniform":
         return lambda t, rng: int(rng.integers(num_actions))
     if spec == "cycle":
         return lambda t, rng: t % num_actions
     if spec.startswith("fixed:"):
-        action = int(spec.split(":", 1)[1])
+        try:
+            action = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"unknown policy spec {spec!r}") from None
         if not 0 <= action < num_actions:
             raise ValueError(f"fixed action {action} out of range [0, {num_actions})")
         return lambda t, rng: action

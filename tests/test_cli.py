@@ -55,6 +55,26 @@ def test_unknown_flag_and_bad_choice_exit_one(tmp_path):
     assert run_cli("reproduce", "--regime", "made-up") == 1
 
 
+def test_reproduce_has_no_noise_is_std_flag(tmp_path):
+    # regime_config("high_noise", seeds, noise_sigma=0.25) runs that reading
+    assert run_cli("reproduce", "--regime", "high-noise", "--seeds", 1,
+                   "--out-dir", tmp_path / "out", "--noise-is-std") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, source", [("gen-data", ENV), ("gen-fuzzy-data", MG)])
+@pytest.mark.parametrize("spec, problem", [
+    ("bogus", "unknown policy spec 'bogus'"),
+    ("fixed:abc", "unknown policy spec 'fixed:abc'"),
+    ("fixed:5", "fixed action 5 out of range [0, 2)"),
+])
+def test_a_bad_policy_is_a_usage_error_and_writes_nothing(command, source, spec, problem,
+                                                          tmp_path, capsys):
+    assert run_cli(command, source, "--policy", spec, "--out", tmp_path / "out.json") == 1
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == f"usage error: {problem}\n"
+
+
 def test_missing_input_file_exits_two(tmp_path):
     assert run_cli("gen-data", str(tmp_path / "missing_env.json"),
                    "--out", tmp_path / "o.json") == 2

@@ -270,9 +270,9 @@ def test_run_em_prepares_its_dataset_once(monkeypatch):
     built = []
 
     class CountingFitData(em._FitData):
-        def __new__(cls, dataset, num_actions):
+        def __new__(cls, dataset, num_actions, obs_dim):
             built.append(len(dataset))
-            return super().__new__(cls, dataset, num_actions)
+            return super().__new__(cls, dataset, num_actions, obs_dim)
 
     monkeypatch.setattr(em, "_FitData", CountingFitData)
     res = run_em(ds, m, EmConfig(max_iterations=5))
@@ -300,7 +300,7 @@ def test_fit_data_one_hot_is_built_once_per_action_count():
     rng = np.random.default_rng(107)
     m = random_model(rng)
     data = em._FitData(random_dataset(rng, m, n=3, horizon=4)
-                       + random_dataset(rng, m, n=2, horizon=2), m.num_actions)
+                       + random_dataset(rng, m, n=2, horizon=2), m.num_actions, m.obs_dim)
     table = data.one_hot
     assert np.array_equal(table, np.eye(m.num_actions)[data.actions])
     assert table is data.one_hot

@@ -11,12 +11,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuzzy_pomdp import em as em_module
-from fuzzy_pomdp.em import (EmConfig, SufficientCounts, _mstep_from_counts, accumulate_counts,
-                            e_step, forward_backward, run_em)
+from fuzzy_pomdp.em import (EmConfig, ForwardBackwardError, SufficientCounts,
+                            _mstep_from_counts, accumulate_counts, e_step, forward_backward,
+                            run_em)
 from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp import model as model_module
@@ -98,6 +99,28 @@ def test_forward_backward_on_a_ragged_dataset_is_its_length_groups_in_order(case
         for name, array in want.items():
             assert getattr(posteriors, name).tobytes() == array.tobytes(), name
     assert total == sum(got.log_likelihoods.tolist())
+
+
+@given(cases(max_count=8), st.data())
+def test_a_non_finite_observation_fails_naming_its_dataset_index_and_step(case, data):
+    # several lengths, interleaved: the corrupted trajectory may sit in any
+    # length group, at any position in it; every other one scores
+    model, dataset = case
+    assume(len({len(traj) for traj in dataset}) > 1)
+    i = data.draw(st.integers(0, len(dataset) - 1), label="trajectory")
+    t = data.draw(st.integers(0, len(dataset[i]) - 1), label="step")
+    obs = dataset[i].observations.copy()
+    obs[t, data.draw(st.integers(0, model.obs_dim - 1), label="dim")] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+    dataset[i] = Trajectory(observations=obs, actions=dataset[i].actions)
+    message = f"trajectory {i}: zero or NaN total observation likelihood at step {t}"
+    for run, prefix in ((lambda: forward_backward(model, dataset), ""),
+                        (lambda: e_step(model, dataset), ""),
+                        (lambda: run_em(dataset, model), "iteration 0: ")):
+        with pytest.raises(ForwardBackwardError) as info:
+            run()
+        assert str(info.value) == prefix + message
+        assert info.value.trajectory == i
 
 
 @given(cases(max_len=4))

@@ -360,6 +360,25 @@ def test_a_rule_base_names_its_terms_in_one_variable_table(variables, clause, pr
         FuzzyModel(obs_dim=2, num_actions=1, rules=rules, variables=variables)
 
 
+def test_a_variable_keeps_the_terms_its_model_checked():
+    # a term added, dropped or replaced after a model is built used to
+    # break its clause-label check, and then its written file did not load
+    terms = {"mid": MID}
+    fz = FuzzyModel(obs_dim=1, num_actions=1,
+                    rules=(constant_rule((0.0,), 1, clauses=(FuzzyClause(0, MID, "mid"),)),),
+                    variables=(FuzzyVariable("x0", terms),))
+    written = fuzzy_model_to_dict(fz)
+    with pytest.raises(TypeError):
+        fz.variables[0].terms["mid"] = gauss_mf(0.5, 0.3)
+    with pytest.raises(TypeError):
+        del fz.variables[0].terms["mid"]
+    terms["mid"] = gauss_mf(0.5, 0.3)
+    terms["high"] = gauss_mf(0.9, 0.1)
+    assert dict(fz.variables[0].terms) == {"mid": MID}
+    assert fuzzy_model_to_dict(fz) == written
+    assert fuzzy_model_to_dict(fuzzy_model_from_dict(written)) == written
+
+
 def test_bundled_assets_load_and_infer():
     for name in ("expert_fuzzy_synthetic.json", "mg_fuzzy_placeholder.json"):
         fz = load_fuzzy_model(asset_path(name))

@@ -197,10 +197,12 @@ def test_make_policy_variants():
     uni = make_policy("uniform", 3)
     draws = {uni(t, rng) for t in range(100)}
     assert draws == {0, 1, 2}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^fixed action 7 out of range \[0, 3\)$"):
         make_policy("fixed:7", 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown policy spec 'nonsense'$"):
         make_policy("nonsense", 2)
+    with pytest.raises(ValueError, match="^unknown policy spec 'fixed:abc'$"):
+        make_policy("fixed:abc", 2)
 
 
 # --------------------------------------------------------------- validation
