@@ -26,8 +26,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
-                    _all_finite, _scoring_problems, per_state_log_density, regularize_cov)
+from .model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory, _all_finite,
+                    _filled, _fitted_factor, _scoring_problems, per_state_log_density,
+                    regularize_cov)
 
 log = logging.getLogger(__name__)
 
@@ -195,21 +196,23 @@ def _smooth(model: PomdpModel, length: _Length):
     failing there, by its dataset index."""
     num, steps = length.actions.shape
     horizon, num_states = steps + 1, model.num_states
-    log_b = per_state_log_density(model, length.obs).reshape(num, horizon, num_states)
-    # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
-    shift = np.maximum.reduce(log_b, 2)
-    b = np.exp(log_b - shift[..., None])
-    # trans[n, t] is the (state, next_state) matrix of the action at step t
-    trans = model.transitions.transpose(1, 0, 2)[length.actions]
-    m = trans * b[:, 1:, None, :]
-
-    # forward messages step by step, each a (num, 1, S) row batch
-    steps = m.transpose(1, 0, 2, 3)
-    step = (model.initial_dist * b[:, 0])[:, None, :]
-    alphas, scales = [], []
-    # a trajectory whose likelihood vanishes turns NaN from that step on,
-    # without touching the others; it is reported once the pass is done
+    # a trajectory whose likelihood vanishes, or that holds a non-finite
+    # observation, turns NaN from that step on, in its scores, their shift
+    # and its forward messages, without touching the others; it is
+    # reported once the pass is done
     with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = per_state_log_density(model, length.obs).reshape(num, horizon, num_states)
+        # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
+        shift = np.maximum.reduce(log_b, 2)
+        b = np.exp(log_b - shift[..., None])
+        # trans[n, t] is the (state, next_state) matrix of the action at step t
+        trans = model.transitions.transpose(1, 0, 2)[length.actions]
+        m = trans * b[:, 1:, None, :]
+
+        # forward messages step by step, each a (num, 1, S) row batch
+        steps = m.transpose(1, 0, 2, 3)
+        step = (model.initial_dist * b[:, 0])[:, None, :]
+        alphas, scales = [], []
         for t in range(horizon):
             if t:
                 step = alphas[-1] @ steps[t - 1]
@@ -277,7 +280,8 @@ def forward_backward(model: PomdpModel, dataset: Trajectory | Sequence[Trajector
             gamma[length.rows] = part_gamma
             xi[length.xi_rows] = part_xi
             log_likelihoods[length.trajectories] = part_ll
-    return Posteriors(gamma=gamma, xi=xi, log_likelihoods=log_likelihoods, starts=data.starts)
+    return _filled(Posteriors, {"gamma": gamma, "xi": xi, "log_likelihoods": log_likelihoods,
+                                "starts": data.starts})
 
 
 def accumulate_counts(
@@ -302,9 +306,10 @@ def accumulate_counts(
     )
 
 
-def _regularized(stack: np.ndarray, states: Sequence[int]) -> np.ndarray:
+def _regularized(stack: np.ndarray, states: Sequence[int]) -> tuple[np.ndarray, bool]:
     """regularize_cov(cov, DEFAULT_COV_RIDGE) for each cov of an (n, d, d)
-    stack, the covariances of `states`, stacked.
+    stack, the covariances of `states`, stacked, and whether every entry of
+    the result is finite.
 
     The stack is checked in one pass: one finiteness check, one symmetrize
     and one stacked eigvalsh, whose eigenvalues are those of each matrix
@@ -313,19 +318,26 @@ def _regularized(stack: np.ndarray, states: Sequence[int]) -> np.ndarray:
     A non-finite stack goes through regularize_cov state by state, so the
     first failing state raises, as in a per-state loop. A rejected
     covariance raises CovarianceError naming its state.
+
+    The result of a finite stack is finite unless symmetrizing overflows:
+    a matrix holding an infinite entry gets no finite eigenvalue from
+    eigvalsh (LAPACK scales it by 0, and its eigenvalues back by 1/0), so
+    finite smallest eigenvalues say every entry is finite, and a lift adds
+    the ridge to a finite matrix.
     """
     if _all_finite(stack):
         sym = 0.5 * (stack + stack.swapaxes(-1, -2))
         smallest = np.linalg.eigvalsh(sym)[:, 0].tolist()
         check = [i for i, eig in enumerate(smallest) if eig < DEFAULT_COV_RIDGE]
+        finite = all(map(math.isfinite, smallest))
     else:
-        sym, check = stack, range(len(states))
+        sym, check, finite = stack, range(len(states)), False
     for i in check:
         try:
             sym[i] = regularize_cov(stack[i], DEFAULT_COV_RIDGE)
         except CovarianceError as err:
             raise CovarianceError(f"state {states[i]}: {err}") from None
-    return sym
+    return sym, finite
 
 
 def _divided(counts: SufficientCounts, row_mass: np.ndarray, weight: np.ndarray):
@@ -345,7 +357,11 @@ def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel
     are logged. The covariances of the states with mass are regularized as
     one stack (_regularized); a covariance regularize_cov rejects raises
     CovarianceError naming its state. The new model holds the arrays made
-    here, frozen in place (PomdpModel._adopting).
+    here, frozen in place, and the emission factor of its covariances
+    (PomdpModel._adopting). When every state has mass and _regularized
+    found the stack finite, the stack is factored without a second
+    finiteness check; a state that keeps its previous covariance sends the
+    stack through cholesky_factor's check (_fitted_factor).
     """
     num_states = prev.num_states
     # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
@@ -364,15 +380,16 @@ def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel
             log.debug("no transition mass for state %d action %d; using uniform", s, a)
             transitions[s, a] = 1.0 / num_states
     if all_live:
-        covs = _regularized(covs, range(num_states))
+        covs, checked = _regularized(covs, range(num_states))
     else:
         states = np.flatnonzero(live)
-        covs[states] = _regularized(covs[states], states)
+        covs[states], _ = _regularized(covs[states], states)
+        checked = False
         for s in np.flatnonzero(~live):
             log.debug("no observation mass for state %d; keeping previous parameters", s)
             means[s] = prev.obs_means[s]
             covs[s] = prev.obs_covs[s]
-    return PomdpModel._adopting(prev, transitions, means, covs)
+    return PomdpModel._adopting(prev, transitions, means, covs, _fitted_factor(covs, checked))
 
 
 def m_step_standard(

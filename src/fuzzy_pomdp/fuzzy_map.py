@@ -120,12 +120,13 @@ def matchant_matrix(
     columns: empty antecedents read exactly 1, action-gated cells exactly
     0. Other rules fall back to the Monte-Carlo match_antecedent, cell by
     cell, with its draws, which come from the emission factor's Cholesky
-    factors. The covariances are checked by building the model's emission
-    factor, which the E-step and compute_from_matchant then reuse; a
-    covariance that is not finite and positive definite raises
-    CovarianceError naming its state.
+    factors. The covariances are checked by reading the model's emission
+    factor, which a fitted model brings from its M-step and any other
+    model builds here, on first use; the E-step and compute_from_matchant
+    reuse it. A covariance that is not finite and positive definite
+    raises CovarianceError naming its state.
     """
-    model.emission_factor  # built here, or CovarianceError
+    model.emission_factor  # read, or built on first use, or CovarianceError
     tables = fuzzy.tables
     width = tables.strength_width
     table = np.empty((model.num_states, width + 2))

@@ -7,6 +7,7 @@ E-step splits them into several equal-length batches. The brute-force
 enumeration of test_em is the reference for the posteriors.
 """
 import logging
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,12 +18,12 @@ from hypothesis.extra.numpy import arrays
 from fuzzy_pomdp import em as em_module
 from fuzzy_pomdp.em import (EmConfig, ForwardBackwardError, SufficientCounts,
                             _mstep_from_counts, accumulate_counts, e_step, forward_backward,
-                            run_em)
+                            m_step_standard, run_em)
 from fuzzy_pomdp.fuzzy import FuzzyClause, MembershipFunction
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp import model as model_module
 from fuzzy_pomdp.model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
-                               regularize_cov)
+                               _emission_factor, regularize_cov)
 
 from conftest import identity_rule, make_fuzzy, random_fuzzy
 from test_em import enumeration_posteriors
@@ -101,10 +102,12 @@ def test_forward_backward_on_a_ragged_dataset_is_its_length_groups_in_order(case
     assert total == sum(got.log_likelihoods.tolist())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(cases(max_count=8), st.data())
 def test_a_non_finite_observation_fails_naming_its_dataset_index_and_step(case, data):
     # several lengths, interleaved: the corrupted trajectory may sit in any
-    # length group, at any position in it; every other one scores
+    # length group, at any position in it; every other one scores. The
+    # ForwardBackwardError is the only report: no numpy warning precedes it
     model, dataset = case
     assume(len({len(traj) for traj in dataset}) > 1)
     i = data.draw(st.integers(0, len(dataset) - 1), label="trajectory")
@@ -260,10 +263,12 @@ def test_zero_lambda_fuzzy_map_is_plain_em(case):
 @given(sampled_cases(), st.integers(1, 8), st.integers(0, 2),
        st.sampled_from(("gaussian", "minimum", "triangular")))
 def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish, rules):
-    # k M-steps score k+1 models: the init and each M-step's result, each
-    # factored once for its E-step, its matchant_matrix and its pseudo-counts;
-    # Monte-Carlo cells (the minimum t-norm, a triangular term) draw from
-    # that factor too
+    # k M-steps score k+1 models: the init, factored through
+    # cholesky_factor's gate on first use, and each M-step's result, which
+    # the M-step factors; each factor serves its model's E-step, its
+    # matchant_matrix and its pseudo-counts, and Monte-Carlo cells (the
+    # minimum t-norm, a triangular term) draw from it too. _cholesky is the
+    # factorization both paths share
     model, dataset = case
     base = random_fuzzy(np.random.default_rng(1), obs_dim=model.obs_dim,
                         num_actions=model.num_actions).rules
@@ -276,11 +281,87 @@ def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish, r
     assert bool(fuzzy.tables.mc_rules) == (rules != "gaussian")
     config = FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5, matchant_samples=16,
                             final_standard_em_iterations=polish)
-    with mock.patch.object(model_module, "cholesky_factor",
-                           wraps=model_module.cholesky_factor) as factor:
+    with mock.patch.object(model_module, "_cholesky", wraps=model_module._cholesky) as factor:
         fit = run_fuzzy_map_em(dataset, model, fuzzy, EmConfig(max_iterations=max_iterations),
                                config)
     assert factor.call_count == fit.iterations + 1
+
+
+@st.composite
+def factored_fits(draw, kind, algorithm):
+    """(init, dataset, fit, frozen state): a fit to run from init.
+
+    algorithm "em" is plain EM; "fuzzy-map" fuzzy-MAP EM on data, with or
+    without polish; "prior-only" fuzzy-MAP EM on no data. kind "sampled"
+    keeps sampled_cases' data; "frozen" makes one state of init
+    unreachable (no initial mass, no transition into it), so the first
+    M-step keeps its covariance; "ridge" makes every observation the same
+    value, so plain EM lifts every covariance onto the ridge."""
+    model, dataset = draw(sampled_cases())
+    frozen = None
+    if kind == "frozen":
+        assume(model.num_states > 1)
+        frozen = draw(st.integers(0, model.num_states - 1))
+        transitions = model.transitions.copy()
+        transitions[:, :, frozen] = 0.0
+        init_dist = model.initial_dist.copy()
+        init_dist[frozen] = 0.0
+        model = replace(model, transitions=transitions / transitions.sum(axis=2, keepdims=True),
+                        initial_dist=init_dist / init_dist.sum())
+    elif kind == "ridge":
+        value = draw(_floats(-1.0, 1.0))
+        dataset = [Trajectory(observations=np.full_like(traj.observations, value),
+                              actions=traj.actions) for traj in dataset]
+    config = EmConfig(max_iterations=draw(st.integers(1, 6)))
+    if algorithm == "em":
+        return model, dataset, lambda: run_em(dataset, model, config), frozen
+    fuzzy = random_fuzzy(np.random.default_rng(draw(st.integers(0, 3))), obs_dim=model.obs_dim,
+                         num_actions=model.num_actions)
+    data = dataset if algorithm == "fuzzy-map" else []
+    polish = draw(st.integers(0, 2)) if data else 0  # a polish needs data
+    map_config = FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5, matchant_samples=8,
+                                final_standard_em_iterations=polish)
+    return model, data, lambda: run_fuzzy_map_em(data, model, fuzzy, config, map_config), frozen
+
+
+@pytest.mark.parametrize("algorithm", ["em", "fuzzy-map", "prior-only"])
+@pytest.mark.parametrize("kind", ["sampled", "frozen", "ridge"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_every_model_a_fit_scores_or_returns_carries_its_factor(kind, algorithm, data):
+    # the init is factored on first use, each M-step's model by the M-step
+    # itself; either way the factor is _emission_factor's, bit for bit
+    init, dataset, fit, frozen = data.draw(factored_fits(kind, algorithm))
+    scored, stepped = [], []
+
+    def scoring(model, fit_data):
+        scored.append(model)
+        return e_step(model, fit_data)
+
+    def stepping(counts, prev, config):
+        model = m_step_standard(counts, prev, config)
+        assert "emission_factor" in vars(model)  # built by the M-step, not on a read
+        stepped.append((prev, model))
+        return model
+
+    with mock.patch.object(em_module, "e_step", scoring), \
+            mock.patch.object(em_module, "m_step_standard", stepping), \
+            mock.patch.object(em_module, "regularize_cov", wraps=regularize_cov) as lifts:
+        result = fit()
+    assert len(stepped) == result.iterations
+    assert len(scored) == (result.iterations + 1 if dataset else 0)
+    assert result.model is (stepped[-1][1] if stepped else init)
+    for model in scored + [model for _, model in stepped]:
+        factor = model.emission_factor
+        assert model.emission_factor is factor
+        for got, want in zip(factor, _emission_factor(model.obs_covs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+    if frozen is not None:
+        prev, first = stepped[0]
+        assert first.obs_covs[frozen].tobytes() == prev.obs_covs[frozen].tobytes()
+    if kind == "ridge" and algorithm == "em":
+        assert lifts.call_count > 0
 
 
 def mstep_oracle(counts, prev, ridge):
@@ -451,3 +532,31 @@ def test_the_first_failing_state_in_order_raises(kinds, problem):
     with pytest.raises(CovarianceError, match=rf"^state 1: covariance is not {problem}"):
         _mstep_from_counts(counts, prev)
     assert_gate_is_reference(counts, prev)
+
+
+@pytest.mark.parametrize("second_moment, problem", [
+    # eigvalsh finds a smallest eigenvalue of 0.0078 > 1e-6, but at this
+    # condition number the Cholesky factorization fails
+    ([[268638987563050.4, 132316247527812.94], [132316247527812.94, 65171438884061.39]],
+     "positive definite"),
+    # finite, but symmetrizing overflows to inf (and eigvalsh gives NaN)
+    ([[1.0, 0.0], [0.0, 1.5e308]], "finite"),
+], ids=["not positive definite", "overflow"])
+def test_a_stack_the_mstep_cannot_factor_raises_on_first_use_as_before(second_moment, problem):
+    # the M-step itself does not raise; its model has no factor, and its
+    # first use raises what cholesky_factor raises on its covariances
+    outer = np.stack([np.eye(2), second_moment])
+    counts = SufficientCounts(trans=np.ones((2, 1, 2)), obs_weight=np.ones(2),
+                              obs_sum=np.zeros((2, 2)), obs_outer=outer)
+    prev = PomdpModel(2, 1, 2, transitions=np.full((2, 1, 2), 0.5), obs_means=np.zeros((2, 2)),
+                      obs_covs=np.tile(np.eye(2), (2, 1, 1)))
+    with np.errstate(over="ignore"):
+        model = _mstep_from_counts(counts, prev)
+    assert "emission_factor" not in vars(model)
+    with pytest.raises(CovarianceError) as want:
+        model_module.cholesky_factor(model.obs_covs)
+    assert str(want.value).startswith(f"state 1: covariance is not {problem}: ")
+    for _ in range(2):
+        with pytest.raises(CovarianceError) as got:
+            model.emission_factor
+        assert str(got.value) == str(want.value)
