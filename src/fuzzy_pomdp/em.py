@@ -27,8 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory, _all_finite,
-                    _filled, _fitted_factor, _scoring_problems, per_state_log_density,
-                    regularize_cov)
+                    _emission_factor, _scoring_problems, per_state_log_density, regularize_cov)
 
 log = logging.getLogger(__name__)
 
@@ -280,8 +279,7 @@ def forward_backward(model: PomdpModel, dataset: Trajectory | Sequence[Trajector
             gamma[length.rows] = part_gamma
             xi[length.xi_rows] = part_xi
             log_likelihoods[length.trajectories] = part_ll
-    return _filled(Posteriors, {"gamma": gamma, "xi": xi, "log_likelihoods": log_likelihoods,
-                                "starts": data.starts})
+    return Posteriors(gamma=gamma, xi=xi, log_likelihoods=log_likelihoods, starts=data.starts)
 
 
 def accumulate_counts(
@@ -306,10 +304,9 @@ def accumulate_counts(
     )
 
 
-def _regularized(stack: np.ndarray, states: Sequence[int]) -> tuple[np.ndarray, bool]:
+def _regularized(stack: np.ndarray, states: Sequence[int]) -> np.ndarray:
     """regularize_cov(cov, DEFAULT_COV_RIDGE) for each cov of an (n, d, d)
-    stack, the covariances of `states`, stacked, and whether every entry of
-    the result is finite.
+    stack, the covariances of `states`, stacked.
 
     The stack is checked in one pass: one finiteness check, one symmetrize
     and one stacked eigvalsh, whose eigenvalues are those of each matrix
@@ -318,26 +315,19 @@ def _regularized(stack: np.ndarray, states: Sequence[int]) -> tuple[np.ndarray, 
     A non-finite stack goes through regularize_cov state by state, so the
     first failing state raises, as in a per-state loop. A rejected
     covariance raises CovarianceError naming its state.
-
-    The result of a finite stack is finite unless symmetrizing overflows:
-    a matrix holding an infinite entry gets no finite eigenvalue from
-    eigvalsh (LAPACK scales it by 0, and its eigenvalues back by 1/0), so
-    finite smallest eigenvalues say every entry is finite, and a lift adds
-    the ridge to a finite matrix.
     """
     if _all_finite(stack):
         sym = 0.5 * (stack + stack.swapaxes(-1, -2))
         smallest = np.linalg.eigvalsh(sym)[:, 0].tolist()
         check = [i for i, eig in enumerate(smallest) if eig < DEFAULT_COV_RIDGE]
-        finite = all(map(math.isfinite, smallest))
     else:
-        sym, check, finite = stack, range(len(states)), False
+        sym, check = stack, range(len(states))
     for i in check:
         try:
             sym[i] = regularize_cov(stack[i], DEFAULT_COV_RIDGE)
         except CovarianceError as err:
             raise CovarianceError(f"state {states[i]}: {err}") from None
-    return sym, finite
+    return sym
 
 
 def _divided(counts: SufficientCounts, row_mass: np.ndarray, weight: np.ndarray):
@@ -358,10 +348,9 @@ def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel
     one stack (_regularized); a covariance regularize_cov rejects raises
     CovarianceError naming its state. The new model holds the arrays made
     here, frozen in place, and the emission factor of its covariances
-    (PomdpModel._adopting). When every state has mass and _regularized
-    found the stack finite, the stack is factored without a second
-    finiteness check; a state that keeps its previous covariance sends the
-    stack through cholesky_factor's check (_fitted_factor).
+    (PomdpModel._adopting), so no later read builds it. A stack that does
+    not factor gives a model without it, which raises cholesky_factor's
+    CovarianceError on first use, as any model would.
     """
     num_states = prev.num_states
     # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
@@ -380,16 +369,19 @@ def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel
             log.debug("no transition mass for state %d action %d; using uniform", s, a)
             transitions[s, a] = 1.0 / num_states
     if all_live:
-        covs, checked = _regularized(covs, range(num_states))
+        covs = _regularized(covs, range(num_states))
     else:
         states = np.flatnonzero(live)
-        covs[states], _ = _regularized(covs[states], states)
-        checked = False
+        covs[states] = _regularized(covs[states], states)
         for s in np.flatnonzero(~live):
             log.debug("no observation mass for state %d; keeping previous parameters", s)
             means[s] = prev.obs_means[s]
             covs[s] = prev.obs_covs[s]
-    return PomdpModel._adopting(prev, transitions, means, covs, _fitted_factor(covs, checked))
+    try:
+        factor = _emission_factor(covs)
+    except CovarianceError:
+        factor = None
+    return PomdpModel._adopting(prev, transitions, means, covs, factor)
 
 
 def m_step_standard(

@@ -47,14 +47,6 @@ def _set(obj, name, value):
     object.__setattr__(obj, name, value)
 
 
-def _filled(cls, fields: dict):
-    """An instance of cls whose instance dict takes `fields` in one update:
-    no __init__, __post_init__ or per-field __setattr__ runs."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 @dataclass(frozen=True)
 class PomdpModel:
     """Learnable POMDP parameters.
@@ -111,34 +103,35 @@ class PomdpModel:
                   obs_covs: np.ndarray, factor: "EmissionFactor | None") -> "PomdpModel":
         """prev with new parameters, from float arrays of prev's shapes that
         the package has just built and that nothing else refers to, and
-        `factor`, the covariances' EmissionFactor when the caller has built
-        it (None leaves it to the first read of emission_factor).
+        `factor`, the emission factor of obs_covs (None, when they do not
+        factor, leaves emission_factor to raise on first use).
 
         Each array is frozen in place and kept, in the layout it has, where
         the constructor would check its shape and copy it (a copy that keeps
         the same layout); prev's initial_dist and state_labels are shared.
-        Every attribute, the factor included, goes in with one update of
-        the new model's instance dict (_filled).
+        Every attribute, the factor included, goes into the new model's
+        instance dict in one update, with no per-field __setattr__.
         """
         for array in (transitions, obs_means, obs_covs):
             array.flags.writeable = False
-        fields = {"num_states": prev.num_states, "num_actions": prev.num_actions,
-                  "obs_dim": prev.obs_dim, "transitions": transitions, "obs_means": obs_means,
-                  "obs_covs": obs_covs, "initial_dist": prev.initial_dist,
-                  "state_labels": prev.state_labels}
+        model = object.__new__(cls)
+        fields = model.__dict__
+        fields.update(num_states=prev.num_states, num_actions=prev.num_actions,
+                      obs_dim=prev.obs_dim, transitions=transitions, obs_means=obs_means,
+                      obs_covs=obs_covs, initial_dist=prev.initial_dist,
+                      state_labels=prev.state_labels)
         if factor is not None:
             fields["emission_factor"] = factor
-        return _filled(cls, fields)
+        return model
 
     @cached_property
     def emission_factor(self) -> "EmissionFactor":
         """The covariances' read-only EmissionFactor, kept: every density the
         model scores (E-step, pseudo-count likelihoods, evaluation) reuses
-        it. A model an M-step builds arrives with it (_fitted_factor); any
-        other model, an init or one loaded from a file, builds it on first
-        use through cholesky_factor's finiteness gate. A covariance that is
-        not finite and positive definite raises CovarianceError naming its
-        state, on every access."""
+        it. A model an M-step builds arrives with it; any other model, an
+        init or one loaded from a file, builds it on first use. A covariance
+        that is not finite and positive definite raises CovarianceError
+        naming its state, on every access."""
         return _emission_factor(self.obs_covs)
 
 
@@ -330,27 +323,7 @@ class EmissionFactor(NamedTuple):
 def _emission_factor(cov) -> EmissionFactor:
     """Factor one (d, d) covariance or an (S, d, d) stack for
     gaussian_log_density; a failure raises cholesky_factor's CovarianceError."""
-    return _factor_of(cholesky_factor(cov))
-
-
-def _fitted_factor(covs: np.ndarray, checked: bool) -> EmissionFactor | None:
-    """The EmissionFactor of a covariance stack an M-step has just built.
-
-    checked says the M-step has already found every entry finite; then the
-    stack goes straight to _cholesky, without cholesky_factor's second
-    finiteness pass, and otherwise through cholesky_factor. Either way the
-    factor is the one _emission_factor(covs) builds, bit for bit. A stack
-    that does not factor gives None, so the model raises cholesky_factor's
-    CovarianceError on first use, where and as it would without a factor.
-    """
-    try:
-        return _factor_of(_cholesky(covs) if checked else cholesky_factor(covs))
-    except CovarianceError:
-        return None
-
-
-def _factor_of(chol: np.ndarray) -> EmissionFactor:
-    """The read-only EmissionFactor of lower Cholesky factors chol."""
+    chol = cholesky_factor(cov)
     inv_chol_t = np.linalg.inv(chol).swapaxes(-1, -2).copy()
     log_det = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), -1)
     log_norm = np.asarray(chol.shape[-1] * _LOG_2PI + log_det)
@@ -402,35 +375,22 @@ def cholesky_factor(cov) -> np.ndarray:
 
     A covariance with a NaN or infinite entry, or one that is not positive
     definite, raises CovarianceError; for a stack the message names the
-    first such state. This is the finiteness gate (numpy's Cholesky factors
-    a NaN without an error); _cholesky factors.
+    first such state.
     """
     cov = np.asarray(cov, dtype=float)
-    if not _all_finite(cov):
-        raise _covariance_error(cov)
-    return _cholesky(cov)
-
-
-def _cholesky(cov: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor of a float covariance or stack known to be
-    finite; one that is not positive definite raises cholesky_factor's
-    CovarianceError, naming the first such state of a stack."""
     try:
+        if not _all_finite(cov):
+            raise np.linalg.LinAlgError("covariance is not finite")
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise _covariance_error(cov) from exc
-
-
-def _covariance_error(cov: np.ndarray) -> CovarianceError:
-    """The CovarianceError for a covariance, or a stack, that does not
-    factor: the first state that is not finite and positive definite, its
-    problem and its entries."""
-    bad, prefix = cov, ""
-    if cov.ndim == 3:
-        state = next(s for s, mat in enumerate(cov) if not _factorable(mat))
-        bad, prefix = cov[state], f"state {state}: "
-    problem = "positive definite" if _all_finite(bad) else "finite"
-    return CovarianceError(f"{prefix}covariance is not {problem}: {bad.tolist()}")
+        bad, prefix = cov, ""
+        if cov.ndim == 3:
+            state = next(s for s, mat in enumerate(cov) if not _factorable(mat))
+            bad, prefix = cov[state], f"state {state}: "
+        problem = "positive definite" if _all_finite(bad) else "finite"
+        raise CovarianceError(
+            f"{prefix}covariance is not {problem}: {bad.tolist()}"
+        ) from exc
 
 
 def _all_finite(values: np.ndarray) -> bool:

@@ -263,12 +263,11 @@ def test_zero_lambda_fuzzy_map_is_plain_em(case):
 @given(sampled_cases(), st.integers(1, 8), st.integers(0, 2),
        st.sampled_from(("gaussian", "minimum", "triangular")))
 def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish, rules):
-    # k M-steps score k+1 models: the init, factored through
-    # cholesky_factor's gate on first use, and each M-step's result, which
-    # the M-step factors; each factor serves its model's E-step, its
+    # k M-steps score k+1 models: the init, factored on first use, and each
+    # M-step's result, which the M-step factors; both go through
+    # cholesky_factor. Each factor serves its model's E-step, its
     # matchant_matrix and its pseudo-counts, and Monte-Carlo cells (the
-    # minimum t-norm, a triangular term) draw from it too. _cholesky is the
-    # factorization both paths share
+    # minimum t-norm, a triangular term) draw from it too
     model, dataset = case
     base = random_fuzzy(np.random.default_rng(1), obs_dim=model.obs_dim,
                         num_actions=model.num_actions).rules
@@ -281,7 +280,8 @@ def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish, r
     assert bool(fuzzy.tables.mc_rules) == (rules != "gaussian")
     config = FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5, matchant_samples=16,
                             final_standard_em_iterations=polish)
-    with mock.patch.object(model_module, "_cholesky", wraps=model_module._cholesky) as factor:
+    with mock.patch.object(model_module, "cholesky_factor",
+                           wraps=model_module.cholesky_factor) as factor:
         fit = run_fuzzy_map_em(dataset, model, fuzzy, EmConfig(max_iterations=max_iterations),
                                config)
     assert factor.call_count == fit.iterations + 1
