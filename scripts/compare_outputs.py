@@ -48,12 +48,24 @@ In one fresh process per tree, against the package under that tree's
   not the first of its length group) to NaN and writes the message and
   `.trajectory` of the ForwardBackwardError that `forward_backward` and
   `run_em` raise on that dataset to ragged/errors.json, so the failure
-  text is compared too.
+  text is compared too;
+- puts each bad covariance of BAD_COVARIANCES (indefinite, a NaN below or
+  above the diagonal, an infinity, and an ill-conditioned matrix that
+  passes the M-step's eigenvalue check but not Cholesky) in state 1 of the
+  ragged fits' random init, sends it down every path a covariance takes
+  (COVARIANCE_PATHS: `cholesky_factor` on the stack, `m_step_standard` on
+  counts whose covariances are the stack followed by the first use of the
+  fitted model's emission factor, `matchant_matrix` with the bundled
+  expert rules, and `gaussian_log_density` on the first ragged
+  trajectory), and writes the type and text of each error raised, of its
+  cause, and of every warning emitted on the way, to
+  covariance/errors.json.
 
 Regime outputs, the sweep's per-cell ones and `reproduce`'s included, and
-every file under ragged/ are compared byte for byte: runs.csv, sweep.csv,
-every model_*.json, ragged/posteriors.json and ragged/errors.json,
-mg_table.txt and each validate run's output.
+every file under ragged/ and covariance/ are compared byte for byte:
+runs.csv, sweep.csv, every model_*.json, ragged/posteriors.json,
+ragged/errors.json, covariance/errors.json, mg_table.txt and each validate
+run's output.
 summary.json is compared with its config's `out_dir` left out, naming each
 dotted key path that differs or that only one side has (e.g.
 `config.kmeans_clusters: parent only`). Every other CLI artifact is
@@ -134,21 +146,34 @@ RAGGED_LENGTHS = [5, 2, 7, 5, 1, 3, 7, 2, 4, 3]
 # its last observation is set to NaN: the second trajectory of the second
 # length group, so its dataset index is not its position in the group
 BROKEN_TRAJECTORY = 7
+# put in state 1 of a 2-dim model; JSON carries the NaN and the infinity
+BAD_COVARIANCES = {
+    "indefinite": [[1.0, 2.0], [2.0, 1.0]],
+    "nan_below": [[1.0, 0.0], [math.nan, 1.0]],
+    "nan_above": [[1.0, math.nan], [0.0, 1.0]],
+    "inf": [[math.inf, 0.0], [0.0, 1.0]],
+    "ill_conditioned": [[268638987563050.4, 132316247527812.94],
+                        [132316247527812.94, 65171438884061.39]],
+}
+COVARIANCE_PATHS = ("cholesky_factor", "m_step_then_first_use", "matchant_matrix",
+                    "gaussian_log_density")
 REGIME_FILES = ("runs.csv", "mg_table.txt", "sweep.csv")
 
 RUNNER = """
-import contextlib, dataclasses, io, json, logging.handlers, os, shutil, sys
+import contextlib, dataclasses, io, json, logging.handlers, os, shutil, sys, warnings
 from pathlib import Path
+import numpy as np
 from fuzzy_pomdp import cli
-from fuzzy_pomdp.em import EmConfig, ForwardBackwardError, e_step, forward_backward, run_em
+from fuzzy_pomdp.em import (EmConfig, ForwardBackwardError, SufficientCounts, e_step,
+                            forward_backward, m_step_standard, run_em)
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
-from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
+from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, matchant_matrix, run_fuzzy_map_em
 from fuzzy_pomdp.harness import asset_path, random_init, regime_config, run_regime
-from fuzzy_pomdp.model import (Trajectory, load_env, make_policy, model_to_dict,
-                               sample_trajectory, write_json)
+from fuzzy_pomdp.model import (Trajectory, cholesky_factor, gaussian_log_density, load_env,
+                               make_policy, model_to_dict, sample_trajectory, write_json)
 from fuzzy_pomdp.rngs import derive_rng
-out, cases, assets, script, dirs, lengths, validate_runs, broken_index = (
-    sys.argv[1], *map(json.loads, sys.argv[2:]))
+(out, cases, assets, script, dirs, lengths, validate_runs, broken_index, bad_covariances,
+ covariance_paths) = (sys.argv[1], *map(json.loads, sys.argv[2:]))
 for regime, seeds in cases.items():
     run_regime(regime_config(regime, seeds, out_dir=f"{out}/{regime}"))
 env = load_env(asset_path("synthetic_env.json"))
@@ -208,6 +233,35 @@ for name, call in (("forward_backward", lambda: forward_backward(init, broken)),
     else:
         sys.exit(f"{name} scored a NaN observation")
 write_json(errors, f"{out}/ragged/errors.json")
+def outcome(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except Exception as err:
+            cause = err.__cause__
+            record = {"error": f"{type(err).__name__}: {err}",
+                      "cause": None if cause is None else f"{type(cause).__name__}: {cause}"}
+        else:
+            record = {"error": None}
+    record["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return record
+covariance_errors = {}
+for name, bad in bad_covariances.items():
+    covs = init.obs_covs.copy()
+    covs[1] = bad
+    model = dataclasses.replace(init, obs_covs=covs)
+    counts = SufficientCounts(
+        trans=np.ones(init.transitions.shape), obs_weight=np.ones(init.num_states),
+        obs_sum=np.zeros(init.obs_means.shape), obs_outer=covs)
+    calls = {"cholesky_factor": lambda: cholesky_factor(covs),
+             "m_step_then_first_use": lambda: m_step_standard(counts, init,
+                                                              em_config).emission_factor,
+             "matchant_matrix": lambda: matchant_matrix(model, rules, FuzzyMapConfig()),
+             "gaussian_log_density": lambda: gaussian_log_density(
+                 dataset[0].observations, init.obs_means, covs)}
+    covariance_errors[name] = {path: outcome(calls[path]) for path in covariance_paths}
+write_json(covariance_errors, f"{out}/covariance/errors.json")
 work = Path(out, "cli")
 for name in dirs:
     (work / name).mkdir(parents=True)
@@ -265,10 +319,12 @@ def run_tree(tree: Path, out: Path) -> None:
     """Write every case's outputs under out/<regime>, the CLI script's and
     the validate runs' under out/cli and the ragged, prior-only and
     frozen-state fits, the ragged E-step and its errors on a NaN
-    observation under out/ragged, using tree's package."""
+    observation under out/ragged and the bad covariances' errors under
+    out/covariance, using tree's package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS,
-                                    VALIDATE_RUNS, BROKEN_TRAJECTORY)]
+                                    VALIDATE_RUNS, BROKEN_TRAJECTORY, BAD_COVARIANCES,
+                                    COVARIANCE_PATHS)]
     subprocess.run([sys.executable, "-c", RUNNER, str(out), *args],
                    cwd=tree, env=env, check=True)
 
@@ -367,7 +423,7 @@ def compare_file(a: Path, b: Path, name: str) -> tuple[list[str], list[str], lis
     elif a.read_bytes() == b.read_bytes():
         return [], [], []
     elif (a.name in REGIME_FILES or a.name.startswith("model_")
-          or a.parent.name in ("validate", "ragged")):
+          or a.parent.name in ("validate", "ragged", "covariance")):
         found = [f"{name}: differs"]
     elif a.suffix == ".json":
         keys = key_differences(json.loads(a.read_text()), json.loads(b.read_text()))
@@ -418,7 +474,8 @@ def main(argv=None) -> int:
     total = sum(len(seeds) for seeds in CASES.values())
     print(f"{len(found)} difference(s) over {len(CASES)} regimes, {total} seeds, "
           f"{len(CLI_SCRIPT)} CLI commands, {len(VALIDATE_RUNS)} validate runs and the ragged, "
-          f"prior-only and frozen-state fits and the ragged E-step and its errors; "
+          f"prior-only and frozen-state fits, the ragged E-step and its errors and "
+          f"{len(BAD_COVARIANCES)} bad covariances on {len(COVARIANCE_PATHS)} paths; "
           f"{len(notes)} byte-only note(s)")
     return 1 if found else 0
 

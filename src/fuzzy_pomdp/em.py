@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory, _all_finite,
-                    _emission_factor, _scoring_problems, per_state_log_density, regularize_cov)
+                    _eigvalsh, _emission_factor, _scoring_problems, per_state_log_density,
+                    regularize_cov)
 
 log = logging.getLogger(__name__)
 
@@ -317,8 +318,9 @@ def _regularized(stack: np.ndarray, states: Sequence[int]) -> np.ndarray:
     covariance raises CovarianceError naming its state.
     """
     if _all_finite(stack):
-        sym = 0.5 * (stack + stack.swapaxes(-1, -2))
-        smallest = np.linalg.eigvalsh(sym)[:, 0].tolist()
+        half = 0.5 * stack  # halved first, as in regularize_cov
+        sym = half + half.swapaxes(-1, -2)
+        smallest = _eigvalsh(sym)[:, 0].tolist()
         check = [i for i, eig in enumerate(smallest) if eig < DEFAULT_COV_RIDGE]
     else:
         sym, check = stack, range(len(states))

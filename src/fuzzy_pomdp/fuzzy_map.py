@@ -24,7 +24,7 @@ from .em import EmConfig, EmResult, SufficientCounts, _blend, _fit, _mstep_from_
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
-from .model import PomdpModel, Trajectory, gaussian_log_density
+from .model import PomdpModel, Trajectory, _det, _einsum, _solve, gaussian_log_density
 from .rngs import derive_rng
 
 # the last two columns of matchant_matrix's strength table
@@ -101,8 +101,8 @@ def _gaussian_match(model: PomdpModel, group: GaussianGroup, out: np.ndarray) ->
     # the last bits of quad follow diff's memory layout: this fancy-indexed
     # diff, not a contiguous one (say from slicing contiguous dims), gives them
     diff = model.obs_means[:, None, dims] - group.centers[None]  # (S, U, k)
-    quad = np.einsum("sgk,sgk->sg", diff, np.linalg.solve(mat, diff[..., None])[..., 0])
-    np.multiply(np.sqrt(group.variance_products / np.linalg.det(mat)), np.exp(-0.5 * quad),
+    quad = _einsum("sgk,sgk->sg", diff, _solve(mat, diff[..., None])[..., 0])
+    np.multiply(np.sqrt(group.variance_products / _det(mat)), np.exp(-0.5 * quad),
                 out=out)
 
 

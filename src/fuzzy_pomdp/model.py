@@ -18,6 +18,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy._core.multiarray import c_einsum as _einsum
+from numpy.linalg import LinAlgError, _umath_linalg
 
 DEFAULT_COV_RIDGE = 1e-6
 # regularize_cov rejects a lifted covariance with an eigenvalue below -_PSD_ATOL
@@ -35,6 +37,47 @@ Policy = Callable[[int, "np.random.Generator"], int]
 
 class CovarianceError(ValueError):
     """A covariance matrix is unusable even after regularization."""
+
+
+# The fit path calls the compiled kernels behind numpy.linalg's cholesky,
+# inv, eigvalsh, solve and det, and behind np.einsum, directly: on a few
+# 2x2 or 3x3 matrices the wrappers' per-call Python costs more than the
+# kernels' arithmetic. The linalg wrappers check that the input is a stack
+# of square matrices, pick a float type and cast the input and the result
+# to it, and wrap the result for ndarray subclasses; np.einsum, when not
+# optimizing, only forwards to c_einsum. Every array passed to these
+# bindings is a float64 ndarray stack of square matrices by construction (a
+# model's covariances, and arrays built from them), so the checks cannot
+# fail, the casts copy nothing, and "d->d" / "dd->d" is the loop the
+# wrapper would pick. The wrappers' error rule is kept. A kernel that
+# cannot factor, invert or diagonalize a matrix fills it with NaN and sets
+# the invalid flag, and clears every flag when it succeeds. The cholesky,
+# inv, eigvalsh and solve wrappers raise LinAlgError on that flag and ignore
+# overflow, division and underflow; their bindings do the same, under one
+# np.errstate per call. det's wrapper enters no errstate, nor does _det.
+# regularize_cov, which takes a caller's matrix of any shape and runs on a
+# fit only to lift or reject one state, keeps numpy.linalg.eigvalsh.
+
+def _kernel(gufunc, signature: str, message: str):
+    """gufunc(*arrays) under its numpy.linalg wrapper's error rule: the
+    invalid flag raises LinAlgError(message), and no flag warns."""
+    def call(*arrays):
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            try:
+                return gufunc(*arrays, signature=signature)
+            except FloatingPointError:
+                raise LinAlgError(message) from None
+    return call
+
+
+_cholesky = _kernel(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
+_inv = _kernel(_umath_linalg.inv, "d->d", "Singular matrix")
+_eigvalsh = _kernel(_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge")
+_solve = _kernel(_umath_linalg.solve, "dd->d", "Singular matrix")
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    return _umath_linalg.det(a, signature="d->d")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -292,7 +335,8 @@ def regularize_cov(cov: np.ndarray, ridge: float = DEFAULT_COV_RIDGE) -> np.ndar
     cov = np.asarray(cov, dtype=float)
     if not _all_finite(cov):
         raise CovarianceError(f"covariance is not finite: {cov.tolist()}")
-    sym = 0.5 * (cov + cov.T)
+    half = 0.5 * cov  # halved first: a finite cov's sym stays finite
+    sym = half + half.T
     min_eig = float(np.linalg.eigvalsh(sym).min())
     if ridge > 0.0 and min_eig < ridge:
         sym = sym + ridge * np.eye(cov.shape[0])
@@ -324,7 +368,7 @@ def _emission_factor(cov) -> EmissionFactor:
     """Factor one (d, d) covariance or an (S, d, d) stack for
     gaussian_log_density; a failure raises cholesky_factor's CovarianceError."""
     chol = cholesky_factor(cov)
-    inv_chol_t = np.linalg.inv(chol).swapaxes(-1, -2).copy()
+    inv_chol_t = _inv(chol).swapaxes(-1, -2).copy()
     log_det = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), -1)
     log_norm = np.asarray(chol.shape[-1] * _LOG_2PI + log_det)
     for array in (inv_chol_t, log_norm, chol):
@@ -349,7 +393,7 @@ def gaussian_log_density(obs, mean, cov, factor: EmissionFactor | None = None):
     obs = np.asarray(obs, dtype=float)
     inv_chol_t, log_norm, _ = _emission_factor(cov) if factor is None else factor
     z = ((obs[None] if obs.ndim == 1 else obs) - mean[..., None, :]) @ inv_chol_t
-    out = np.einsum("...d,...d->...", z, z)
+    out = _einsum("...d,...d->...", z, z)
     out += log_norm[..., None]
     out *= -0.5
     if obs.ndim == 1:
@@ -380,9 +424,11 @@ def cholesky_factor(cov) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     try:
         if not _all_finite(cov):
-            raise np.linalg.LinAlgError("covariance is not finite")
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+            raise LinAlgError("covariance is not finite")
+        return _cholesky(cov)
+    # ValueError: the kernel's, for input that is not a stack of square
+    # matrices, where numpy.linalg.cholesky raised LinAlgError
+    except (LinAlgError, ValueError) as exc:
         bad, prefix = cov, ""
         if cov.ndim == 3:
             state = next(s for s, mat in enumerate(cov) if not _factorable(mat))
@@ -402,8 +448,8 @@ def _factorable(cov: np.ndarray) -> bool:
     if not _all_finite(cov):
         return False
     try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
+        _cholesky(cov)
+    except (LinAlgError, ValueError):
         return False
     return True
 

@@ -488,7 +488,8 @@ def gate_reference(counts, prev):
                 covs[s] = regularize_cov(raw, DEFAULT_COV_RIDGE)
             except CovarianceError as err:
                 return f"state {s}: {err}"
-            if not np.array_equal(covs[s], 0.5 * (raw + raw.T)):
+            half = 0.5 * raw
+            if not np.array_equal(covs[s], half + half.T):
                 lifted.append(s)
     return covs, lifted
 
@@ -534,24 +535,27 @@ def test_the_first_failing_state_in_order_raises(kinds, problem):
     assert_gate_is_reference(counts, prev)
 
 
-@pytest.mark.parametrize("second_moment, problem", [
-    # eigvalsh finds a smallest eigenvalue of 0.0078 > 1e-6, but at this
-    # condition number the Cholesky factorization fails
-    ([[268638987563050.4, 132316247527812.94], [132316247527812.94, 65171438884061.39]],
-     "positive definite"),
-    # finite, but symmetrizing overflows to inf (and eigvalsh gives NaN)
-    ([[1.0, 0.0], [0.0, 1.5e308]], "finite"),
-], ids=["not positive definite", "overflow"])
-def test_a_stack_the_mstep_cannot_factor_raises_on_first_use_as_before(second_moment, problem):
-    # the M-step itself does not raise; its model has no factor, and its
-    # first use raises what cholesky_factor raises on its covariances
+def _second_moment_counts(second_moment):
+    """(counts, prev) for two states with zero means and unit weight:
+    state 0's covariance is the identity, state 1's is second_moment."""
     outer = np.stack([np.eye(2), second_moment])
     counts = SufficientCounts(trans=np.ones((2, 1, 2)), obs_weight=np.ones(2),
                               obs_sum=np.zeros((2, 2)), obs_outer=outer)
     prev = PomdpModel(2, 1, 2, transitions=np.full((2, 1, 2), 0.5), obs_means=np.zeros((2, 2)),
                       obs_covs=np.tile(np.eye(2), (2, 1, 1)))
-    with np.errstate(over="ignore"):
-        model = _mstep_from_counts(counts, prev)
+    return counts, prev
+
+
+@pytest.mark.parametrize("second_moment, problem", [
+    # eigvalsh finds a smallest eigenvalue of 0.0078 > 1e-6, but at this
+    # condition number the Cholesky factorization fails
+    ([[268638987563050.4, 132316247527812.94], [132316247527812.94, 65171438884061.39]],
+     "positive definite"),
+], ids=["not positive definite"])
+def test_a_stack_the_mstep_cannot_factor_raises_on_first_use_as_before(second_moment, problem):
+    # the M-step itself does not raise; its model has no factor, and its
+    # first use raises what cholesky_factor raises on its covariances
+    model = _mstep_from_counts(*_second_moment_counts(second_moment))
     assert "emission_factor" not in vars(model)
     with pytest.raises(CovarianceError) as want:
         model_module.cholesky_factor(model.obs_covs)
@@ -560,3 +564,16 @@ def test_a_stack_the_mstep_cannot_factor_raises_on_first_use_as_before(second_mo
         with pytest.raises(CovarianceError) as got:
             model.emission_factor
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_covariance_above_half_the_float_range_is_kept_with_its_factor():
+    # symmetrizing halves before it adds, so a finite covariance whose
+    # doubled entries would overflow stays finite: the M-step keeps it as
+    # it is (well above the ridge) and factors it, without a warning
+    second_moment = [[1.0, 0.0], [0.0, 1.5e308]]
+    model = _mstep_from_counts(*_second_moment_counts(second_moment))
+    assert model.obs_covs.tolist() == [np.eye(2).tolist(), second_moment]
+    for got, want in zip(vars(model)["emission_factor"], _emission_factor(model.obs_covs)):
+        assert got.tobytes() == want.tobytes()
+    assert regularize_cov(np.array(second_moment)).tolist() == second_moment

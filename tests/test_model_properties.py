@@ -143,7 +143,8 @@ def _lift_then_check(cov, ridge):
     symmetrize and lift below the ridge, then reject a lifted matrix whose
     smallest eigenvalue is below -1e-12. Returns (matrix or None, that
     smallest eigenvalue)."""
-    sym = 0.5 * (cov + cov.T)
+    half = 0.5 * cov
+    sym = half + half.T
     if ridge > 0.0 and float(np.linalg.eigvalsh(sym).min()) < ridge:
         sym = sym + ridge * np.eye(cov.shape[0])
     min_eig = float(np.linalg.eigvalsh(sym).min())
