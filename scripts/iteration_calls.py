@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Count the numpy calls, the Python calls outside numpy and the
-object.__setattr__ calls one EM iteration makes, in both fitters.
+"""Count the numpy calls, the np.errstate entries, the Python calls
+outside numpy and the object.__setattr__ calls one EM iteration makes, in
+both fitters.
 
     python3 scripts/iteration_calls.py [TREE] [--top N]
 
@@ -21,7 +22,8 @@ A C-level numpy call is a builtin function or method of numpy's (a
 numpy object, such as `ndarray.sum` or `np.add.reduce`); a call in numpy's
 own Python is a `call` event into a file under numpy's package directory.
 ufunc calls and operators (`np.exp(x)`, `a @ b`) raise no profiler event
-and are not counted.
+and are not counted. An np.errstate entry is a `call` event into
+`np.errstate.__enter__` (its numpy calls are counted as numpy calls too).
 
 A Python call outside numpy is any other `call` event: into the package's
 own functions (the `__init__` and `__new__` that dataclasses and
@@ -32,11 +34,12 @@ profiler event, so the settrace hook counts each executed lookup of
 `object.__setattr__` (the frozen dataclasses' generated `__init__` look it
 up as `__dataclass_builtins_object__.__setattr__`), one per call.
 
-Each numpy call is charged to the innermost function of the package on
-the stack; each Python call to the innermost package function that called
-it, shown with the callee; each `object.__setattr__` call to the innermost
-package function that called the function making it. The N largest of
-each are listed per fitter (default 8).
+Each numpy call and each np.errstate entry is charged to the innermost
+function of the package on the stack; each Python call to the innermost
+package function that called it, shown with the callee; each
+`object.__setattr__` call to the innermost package function that called
+the function making it. The N largest of each are listed per fitter
+(default 8).
 """
 
 from __future__ import annotations
@@ -97,13 +100,16 @@ def _setattr_sites(code) -> frozenset:
 
 def count_calls(fit, numpy_dir: str, package: str):
     """Run fit() under a profile and a trace hook. Returns its calls by kind
-    (NUMPY_KINDS, PYTHON_KINDS and "setattr"), the numpy calls, Python calls
-    and object.__setattr__ calls each by package caller, and fit's result."""
+    (NUMPY_KINDS, PYTHON_KINDS, "errstate" and "setattr"), the numpy calls,
+    np.errstate entries, Python calls and object.__setattr__ calls each by
+    package caller, and fit's result."""
     import numpy as np
 
     kinds = Counter()
-    callers = {"numpy": Counter(), "python": Counter(), "setattr": Counter()}
+    callers = {"numpy": Counter(), "errstate": Counter(), "python": Counter(),
+               "setattr": Counter()}
     get_code = functools.cached_property.__get__.__code__
+    enter_code = np.errstate.__enter__.__code__
     package_name = Path(package).name
     sites_of: dict = {}
 
@@ -130,6 +136,9 @@ def count_calls(fit, numpy_dir: str, package: str):
         elif event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
             kinds["python"] += 1
             callers["numpy"][_caller(frame, package)] += 1
+            if frame.f_code is enter_code:
+                kinds["errstate"] += 1
+                callers["errstate"][_caller(frame, package)] += 1
         elif event == "call":
             kind, callee = python_callee(frame)
             kinds[kind] += 1
@@ -212,6 +221,9 @@ def main(argv=None) -> int:
     for name, n in per_iteration.items():
         c, py = (n.get(kind, 0) for kind in NUMPY_KINDS)
         print(f"{name:<10} {c:>8g} {py:>13g} {c + py:>6g}")
+    print(f"\nnp.errstate entries\n{'fitter':<10} {'entries':>8}")
+    for name, n in per_iteration.items():
+        print(f"{name:<10} {n.get('errstate', 0):>8g}")
     print(f"\nPython calls outside numpy, and object.__setattr__ calls\n"
           f"{'fitter':<10} {'package':>8} {'cached_property':>16} {'other':>6} "
           f"{'object.__setattr__':>19}")
@@ -219,7 +231,8 @@ def main(argv=None) -> int:
         package_calls, cached, other = (n.get(kind, 0) for kind in PYTHON_KINDS)
         print(f"{name:<10} {package_calls:>8g} {cached:>16g} {other:>6g} "
               f"{n.get('setattr', 0):>19g}")
-    titles = {"numpy": "numpy calls", "python": "Python calls outside numpy, caller -> callee",
+    titles = {"numpy": "numpy calls", "errstate": "np.errstate entries",
+              "python": "Python calls outside numpy, caller -> callee",
               "setattr": "object.__setattr__ calls"}
     for name, groups in by_caller.items():
         for group, title in titles.items():

@@ -26,9 +26,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory, _all_finite,
-                    _eigvalsh, _emission_factor, _scoring_problems, per_state_log_density,
-                    regularize_cov)
+from .model import (PomdpModel, Trajectory, _fitted_covariances, _scoring_problems,
+                    per_state_log_density)
 
 log = logging.getLogger(__name__)
 
@@ -305,33 +304,6 @@ def accumulate_counts(
     )
 
 
-def _regularized(stack: np.ndarray, states: Sequence[int]) -> np.ndarray:
-    """regularize_cov(cov, DEFAULT_COV_RIDGE) for each cov of an (n, d, d)
-    stack, the covariances of `states`, stacked.
-
-    The stack is checked in one pass: one finiteness check, one symmetrize
-    and one stacked eigvalsh, whose eigenvalues are those of each matrix
-    alone. regularize_cov itself then runs only on the states it would
-    lift or reject, in state order, so every lift is still one call of it.
-    A non-finite stack goes through regularize_cov state by state, so the
-    first failing state raises, as in a per-state loop. A rejected
-    covariance raises CovarianceError naming its state.
-    """
-    if _all_finite(stack):
-        half = 0.5 * stack  # halved first, as in regularize_cov
-        sym = half + half.swapaxes(-1, -2)
-        smallest = _eigvalsh(sym)[:, 0].tolist()
-        check = [i for i, eig in enumerate(smallest) if eig < DEFAULT_COV_RIDGE]
-    else:
-        sym, check = stack, range(len(states))
-    for i in check:
-        try:
-            sym[i] = regularize_cov(stack[i], DEFAULT_COV_RIDGE)
-        except CovarianceError as err:
-            raise CovarianceError(f"state {states[i]}: {err}") from None
-    return sym
-
-
 def _divided(counts: SufficientCounts, row_mass: np.ndarray, weight: np.ndarray):
     """Transition rows, means and covariances: each count over its mass."""
     means = counts.obs_sum / weight[:, None]
@@ -346,13 +318,15 @@ def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel
     then, and only where they fire, the fallbacks overwrite them: a row
     without transition mass becomes uniform, and a state without
     observation mass keeps its previous mean and covariance. Both fallbacks
-    are logged. The covariances of the states with mass are regularized as
-    one stack (_regularized); a covariance regularize_cov rejects raises
-    CovarianceError naming its state. The new model holds the arrays made
-    here, frozen in place, and the emission factor of its covariances
-    (PomdpModel._adopting), so no later read builds it. A stack that does
-    not factor gives a model without it, which raises cholesky_factor's
-    CovarianceError on first use, as any model would.
+    are logged. A row or state without mass is divided by 1 rather than 0,
+    so no division needs an np.errstate. The covariances are then
+    regularized and factored in one pass (model._fitted_covariances); a
+    covariance regularize_cov rejects raises CovarianceError naming its
+    state. The new model holds the arrays made here, frozen in place, and
+    the emission factor of its covariances (PomdpModel._adopting), so no
+    later read builds it. A stack that does not factor gives a model
+    without it, which raises cholesky_factor's CovarianceError on first
+    use, as any model would.
     """
     num_states = prev.num_states
     # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers
@@ -363,26 +337,20 @@ def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel
     if all_rows and all_live:
         transitions, means, covs = _divided(counts, row_mass, weight)
     else:
-        # a row or state without mass divides 0 by 0, and is overwritten below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            transitions, means, covs = _divided(counts, row_mass, weight)
+        transitions, means, covs = _divided(counts, np.where(has_mass, row_mass, 1.0),
+                                            np.where(live, weight, 1.0))
     if not all_rows:
         for s, a in np.argwhere(~has_mass):
             log.debug("no transition mass for state %d action %d; using uniform", s, a)
             transitions[s, a] = 1.0 / num_states
-    if all_live:
-        covs = _regularized(covs, range(num_states))
-    else:
-        states = np.flatnonzero(live)
-        covs[states] = _regularized(covs[states], states)
-        for s in np.flatnonzero(~live):
+    if not all_live:
+        frozen = np.flatnonzero(~live)
+        means[frozen] = prev.obs_means[frozen]
+        covs[frozen] = prev.obs_covs[frozen]
+    covs, factor = _fitted_covariances(covs, None if all_live else live)
+    if not all_live:
+        for s in frozen:
             log.debug("no observation mass for state %d; keeping previous parameters", s)
-            means[s] = prev.obs_means[s]
-            covs[s] = prev.obs_covs[s]
-    try:
-        factor = _emission_factor(covs)
-    except CovarianceError:
-        factor = None
     return PomdpModel._adopting(prev, transitions, means, covs, factor)
 
 

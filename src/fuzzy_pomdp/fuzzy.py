@@ -151,13 +151,16 @@ class GaussianGroup:
     a rule's RuleTables.antecedent_columns entry is its row plus the group's
     first strength-table column. variance_diagonals (U, k, k) holds each
     row's squared widths as a diagonal matrix and variance_products (U,)
-    their product.
+    their product. cov_cells (k, k) holds the index of each (dims[i],
+    dims[j]) cell in a d*d row of flattened d x d covariances, so one take
+    gathers the clause dims' covariance block of every state.
     """
 
     dims: np.ndarray
     centers: np.ndarray
     variance_diagonals: np.ndarray
     variance_products: np.ndarray
+    cov_cells: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -278,11 +281,13 @@ class FuzzyModel:
             variances = unique[:, 1]
             columns.update((r, width + u) for r, u in zip(rules, index))
             width += len(unique)
+            clause_dims = np.array(dims)
             groups.append(GaussianGroup(
-                dims=_frozen_array(dims, int),
+                dims=_frozen_array(clause_dims, int),
                 centers=_frozen_array(unique[:, 0]),
                 variance_diagonals=_frozen_array(variances[:, :, None] * np.eye(len(dims))),
                 variance_products=_frozen_array(variances.prod(axis=1)),
+                cov_cells=_frozen_array(clause_dims[:, None] * self.obs_dim + clause_dims, int),
             ))
         actions = [-1 if rule.action is None else rule.action for rule in self.rules]
         consequents = np.array([rule.consequent for rule in self.rules])

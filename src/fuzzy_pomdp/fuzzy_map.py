@@ -24,7 +24,8 @@ from .em import EmConfig, EmResult, SufficientCounts, _blend, _fit, _mstep_from_
 from .em import e_step  # noqa: F401  (perfbench's FitTimer wraps this binding)
 from .fuzzy import FuzzyModel, GaussianGroup, antecedent_strengths
 from .fuzzy import membership  # noqa: F401  (perfbench's tracer test wraps this binding)
-from .model import PomdpModel, Trajectory, _det, _einsum, _solve, gaussian_log_density
+from .model import (PomdpModel, Trajectory, _det, _einsum, _kernel_errors, _solve,
+                    gaussian_log_density)
 from .rngs import derive_rng
 
 # the last two columns of matchant_matrix's strength table
@@ -95,13 +96,15 @@ def _gaussian_match(model: PomdpModel, group: GaussianGroup, out: np.ndarray) ->
     then reads; a rule gets the bits its own matrix would give, as each
     matrix still goes through one LAPACK call.
     """
-    dims = group.dims
-    cov = model.obs_covs[:, dims][:, :, dims]  # (S, k, k)
+    num_states, dims = model.num_states, group.dims
+    cov = model.obs_covs.reshape(num_states, -1).take(group.cov_cells, 1)  # (S, k, k)
     mat = cov[:, None] + group.variance_diagonals[None]  # (S, U, k, k)
     # the last bits of quad follow diff's memory layout: this fancy-indexed
     # diff, not a contiguous one (say from slicing contiguous dims), gives them
     diff = model.obs_means[:, None, dims] - group.centers[None]  # (S, U, k)
-    quad = _einsum("sgk,sgk->sg", diff, _solve(mat, diff[..., None])[..., 0])
+    with _kernel_errors():
+        solved = _solve(mat, diff[..., None])
+    quad = _einsum("sgk,sgk->sg", diff, solved[..., 0])
     np.multiply(np.sqrt(group.variance_products / _det(mat)), np.exp(-0.5 * quad),
                 out=out)
 
@@ -124,8 +127,11 @@ def matchant_matrix(
     factor, which a fitted model brings from its M-step and any other
     model builds here, on first use; the E-step and compute_from_matchant
     reuse it. A covariance that is not finite and positive definite
-    raises CovarianceError naming its state.
+    raises CovarianceError naming its state, and a rule base whose obs_dim
+    is not the model's raises ValueError.
     """
+    if fuzzy.obs_dim != model.obs_dim:
+        _check_rule_base(fuzzy, model)  # raises its obs_dim ValueError
     model.emission_factor  # read, or built on first use, or CovarianceError
     tables = fuzzy.tables
     width = tables.strength_width

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .em import EmConfig, run_em
+from .em import EmConfig, _FitData, run_em
 from .fuzzy import FuzzyModel, infer, load_fuzzy_model
 from .fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from .metrics import evaluate_model
@@ -324,7 +324,8 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
     k-means init for mg_pipeline, RESTARTS random inits otherwise. Both
     algorithms then fit from every init, restart r's fuzzy-MAP fit seeded
     by seed * 1000 + r, and each keeps its fit with the highest final
-    log-likelihood, the first one on a tie.
+    log-likelihood, the first one on a tie. The dataset is checked and
+    prepared once (em._FitData) for all of the seed's fits.
 
     Fuzzy-MAP is fitted at each (lambda_t, lambda_o) of cells, by default
     the config's own pair only. With cells given, "fuzzy_map" lists each
@@ -352,12 +353,18 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
     em_config = EmConfig(max_iterations=config.max_iterations)
     # fm_fits holds, per cell, its fuzzy-MAP fits so far or the error that stopped it
     em_fits, fm_fits = [], [[] for _ in lambdas]
+    try:
+        # one preparation serves every fit of the seed; a dataset that it
+        # refuses fails every cell with its error, as a failed em_0 would
+        data = _FitData(dataset, inits[0].num_actions, inits[0].obs_dim)
+    except Exception as err:
+        fm_fits = [err for _ in lambdas]
     for r, init in enumerate(inits):
         alive = [i for i, fits in enumerate(fm_fits) if isinstance(fits, list)]
         if not alive:
             break
         try:
-            em_fits.append(run_em(dataset, init, em_config))
+            em_fits.append(run_em(data, init, em_config))
         except Exception as err:
             fm_fits = [err if i in alive else fits for i, fits in enumerate(fm_fits)]
             break
@@ -371,7 +378,7 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
                 map_config = FuzzyMapConfig(
                     lambda_t=lambda_t, lambda_o=lambda_o, seed=seed * 1000 + r,
                     final_standard_em_iterations=config.final_standard_em_iterations)
-                fm_fits[i].append(run_fuzzy_map_em(dataset, init, fuzzy, em_config, map_config))
+                fm_fits[i].append(run_fuzzy_map_em(data, init, fuzzy, em_config, map_config))
             except Exception as err:
                 fm_fits[i] = err
 

@@ -52,21 +52,30 @@ class CovarianceError(ValueError):
 # wrapper would pick. The wrappers' error rule is kept. A kernel that
 # cannot factor, invert or diagonalize a matrix fills it with NaN and sets
 # the invalid flag, and clears every flag when it succeeds. The cholesky,
-# inv, eigvalsh and solve wrappers raise LinAlgError on that flag and ignore
-# overflow, division and underflow; their bindings do the same, under one
-# np.errstate per call. det's wrapper enters no errstate, nor does _det.
+# inv, eigvalsh and solve wrappers each enter an np.errstate that raises on
+# that flag and ignores overflow, division and underflow, and raise
+# LinAlgError. Their bindings leave that np.errstate to the caller, as
+# _kernel_errors(), entered once around all of its kernel calls (an
+# M-step's eigvalsh, Cholesky and inverse share one); each binding turns
+# the raised flag into its own wrapper's LinAlgError, so the three stay
+# told apart. det's wrapper enters no errstate, nor does _det.
 # regularize_cov, which takes a caller's matrix of any shape and runs on a
 # fit only to lift or reject one state, keeps numpy.linalg.eigvalsh.
 
+def _kernel_errors() -> np.errstate:
+    """The np.errstate of numpy.linalg's cholesky, inv, eigvalsh and solve
+    wrappers: the invalid flag raises, and no other flag warns."""
+    return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+
+
 def _kernel(gufunc, signature: str, message: str):
-    """gufunc(*arrays) under its numpy.linalg wrapper's error rule: the
-    invalid flag raises LinAlgError(message), and no flag warns."""
+    """gufunc(*arrays), called under _kernel_errors(): the invalid flag,
+    which raises there, becomes LinAlgError(message)."""
     def call(*arrays):
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            try:
-                return gufunc(*arrays, signature=signature)
-            except FloatingPointError:
-                raise LinAlgError(message) from None
+        try:
+            return gufunc(*arrays, signature=signature)
+        except FloatingPointError:
+            raise LinAlgError(message) from None
     return call
 
 
@@ -364,16 +373,72 @@ class EmissionFactor(NamedTuple):
     chol: np.ndarray
 
 
-def _emission_factor(cov) -> EmissionFactor:
-    """Factor one (d, d) covariance or an (S, d, d) stack for
-    gaussian_log_density; a failure raises cholesky_factor's CovarianceError."""
-    chol = cholesky_factor(cov)
+def _factored(chol: np.ndarray) -> EmissionFactor:
+    """The EmissionFactor of the lower Cholesky factor of a covariance, or
+    of an (S, d, d) stack, under the caller's _kernel_errors(); every
+    emission factor is built here."""
     inv_chol_t = _inv(chol).swapaxes(-1, -2).copy()
     log_det = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), -1)
     log_norm = np.asarray(chol.shape[-1] * _LOG_2PI + log_det)
     for array in (inv_chol_t, log_norm, chol):
         array.flags.writeable = False
     return EmissionFactor(inv_chol_t, log_norm, chol)
+
+
+def _emission_factor(cov) -> EmissionFactor:
+    """Factor one (d, d) covariance or an (S, d, d) stack for
+    gaussian_log_density; a failure raises cholesky_factor's CovarianceError."""
+    chol = cholesky_factor(cov)
+    with _kernel_errors():
+        return _factored(chol)
+
+
+def _fitted_covariances(covs: np.ndarray, live: np.ndarray | None
+                        ) -> tuple[np.ndarray, EmissionFactor | None]:
+    """An M-step's (S, d, d) covariance stack, regularized, and its
+    emission factor (None when the stack does not factor), in one pass.
+
+    Each covariance of a `live` state (every state when live is None)
+    becomes regularize_cov(cov, DEFAULT_COV_RIDGE); those of the other
+    states, kept from the previous model, stay. One finiteness check
+    covers the stack. A finite stack's live covariances are symmetrized
+    and decomposed by one stacked eigvalsh (each matrix gets its own
+    eigenvalues), regularize_cov runs only on the states it would lift or
+    reject, in state order, and the stack is factored with no second
+    check, since symmetrizing and lifting keep a finite matrix finite; the
+    eigvalsh, the Cholesky factor and its inverse share one
+    _kernel_errors(). A rejected covariance raises CovarianceError naming
+    its state. A live covariance that is not finite sends the live states
+    through regularize_cov one by one, so the first failing state raises;
+    a kept one that is not finite gives no factor.
+    """
+    states = range(len(covs)) if live is None else np.flatnonzero(live)
+    stack = covs if live is None else covs[states]
+    finite = _all_finite(covs)
+    with _kernel_errors():
+        if finite or live is not None and _all_finite(stack):
+            half = 0.5 * stack  # halved first, as in regularize_cov
+            sym = half + half.swapaxes(-1, -2)
+            smallest = _eigvalsh(sym)[:, 0].tolist()
+            check = [i for i, eig in enumerate(smallest) if eig < DEFAULT_COV_RIDGE]
+        else:
+            sym, check = stack, range(len(states))
+        for i in check:
+            try:
+                sym[i] = regularize_cov(stack[i], DEFAULT_COV_RIDGE)
+            except CovarianceError as err:
+                raise CovarianceError(f"state {states[i]}: {err}") from None
+        if live is None:
+            covs = sym
+        else:
+            covs[states] = sym
+        if not finite:
+            return covs, None
+        try:
+            chol = _cholesky(covs)
+        except LinAlgError:
+            return covs, None
+        return covs, _factored(chol)
 
 
 def gaussian_log_density(obs, mean, cov, factor: EmissionFactor | None = None):
@@ -419,16 +484,21 @@ def cholesky_factor(cov) -> np.ndarray:
 
     A covariance with a NaN or infinite entry, or one that is not positive
     definite, raises CovarianceError; for a stack the message names the
-    first such state.
+    first such state. Input of any other shape that fails raises
+    CovarianceError naming its shape.
     """
     cov = np.asarray(cov, dtype=float)
     try:
         if not _all_finite(cov):
             raise LinAlgError("covariance is not finite")
-        return _cholesky(cov)
+        with _kernel_errors():
+            return _cholesky(cov)
     # ValueError: the kernel's, for input that is not a stack of square
     # matrices, where numpy.linalg.cholesky raised LinAlgError
     except (LinAlgError, ValueError) as exc:
+        if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
+            raise CovarianceError(
+                f"covariance has shape {cov.shape}, expected (d, d) or (S, d, d)") from exc
         bad, prefix = cov, ""
         if cov.ndim == 3:
             state = next(s for s, mat in enumerate(cov) if not _factorable(mat))
@@ -448,7 +518,8 @@ def _factorable(cov: np.ndarray) -> bool:
     if not _all_finite(cov):
         return False
     try:
-        _cholesky(cov)
+        with _kernel_errors():
+            _cholesky(cov)
     except (LinAlgError, ValueError):
         return False
     return True

@@ -263,11 +263,12 @@ def test_zero_lambda_fuzzy_map_is_plain_em(case):
 @given(sampled_cases(), st.integers(1, 8), st.integers(0, 2),
        st.sampled_from(("gaussian", "minimum", "triangular")))
 def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish, rules):
-    # k M-steps score k+1 models: the init, factored on first use, and each
-    # M-step's result, which the M-step factors; both go through
-    # cholesky_factor. Each factor serves its model's E-step, its
-    # matchant_matrix and its pseudo-counts, and Monte-Carlo cells (the
-    # minimum t-norm, a triangular term) draw from it too
+    # k M-steps score k+1 models: the init, factored on first use through
+    # cholesky_factor, and each M-step's result, which the M-step factors in
+    # its covariance pass; both run the Cholesky kernel once. Each factor
+    # serves its model's E-step, its matchant_matrix and its pseudo-counts,
+    # and Monte-Carlo cells (the minimum t-norm, a triangular term) draw
+    # from it too
     model, dataset = case
     base = random_fuzzy(np.random.default_rng(1), obs_dim=model.obs_dim,
                         num_actions=model.num_actions).rules
@@ -280,8 +281,7 @@ def test_a_fit_factors_each_model_it_scores_once(case, max_iterations, polish, r
     assert bool(fuzzy.tables.mc_rules) == (rules != "gaussian")
     config = FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5, matchant_samples=16,
                             final_standard_em_iterations=polish)
-    with mock.patch.object(model_module, "cholesky_factor",
-                           wraps=model_module.cholesky_factor) as factor:
+    with mock.patch.object(model_module, "_cholesky", wraps=model_module._cholesky) as factor:
         fit = run_fuzzy_map_em(dataset, model, fuzzy, EmConfig(max_iterations=max_iterations),
                                config)
     assert factor.call_count == fit.iterations + 1
@@ -346,7 +346,7 @@ def test_every_model_a_fit_scores_or_returns_carries_its_factor(kind, algorithm,
 
     with mock.patch.object(em_module, "e_step", scoring), \
             mock.patch.object(em_module, "m_step_standard", stepping), \
-            mock.patch.object(em_module, "regularize_cov", wraps=regularize_cov) as lifts:
+            mock.patch.object(model_module, "regularize_cov", wraps=regularize_cov) as lifts:
         result = fit()
     assert len(stepped) == result.iterations
     assert len(scored) == (result.iterations + 1 if dataset else 0)
@@ -496,7 +496,7 @@ def gate_reference(counts, prev):
 
 def assert_gate_is_reference(counts, prev):
     want = gate_reference(counts, prev)
-    with mock.patch.object(em_module, "regularize_cov", wraps=regularize_cov) as calls:
+    with mock.patch.object(model_module, "regularize_cov", wraps=regularize_cov) as calls:
         try:
             got = _mstep_from_counts(counts, prev).obs_covs
         except CovarianceError as err:
@@ -577,3 +577,48 @@ def test_a_covariance_above_half_the_float_range_is_kept_with_its_factor():
     for got, want in zip(vars(model)["emission_factor"], _emission_factor(model.obs_covs)):
         assert got.tobytes() == want.tobytes()
     assert regularize_cov(np.array(second_moment)).tolist() == second_moment
+
+
+def _without_state_1(counts):
+    """counts with no transition and no observation mass in state 1."""
+    trans = counts.trans.copy()
+    trans[1] = 0.0
+    return replace(counts, trans=trans, obs_weight=np.array([1.0, 0.0]),
+                   obs_sum=np.zeros((2, 2)), obs_outer=np.stack([np.eye(2), np.zeros((2, 2))]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kept", [False, True], ids=["all live", "state 1 kept"])
+def test_an_mstep_enters_one_errstate_and_checks_finiteness_once(kept, monkeypatch):
+    # the stacked eigvalsh, the Cholesky factor and its inverse share one
+    # np.errstate, and one finiteness check covers the whole stack; a state
+    # without mass (no transition and no observation mass) keeps its
+    # covariance without a division by zero, so without an errstate of its own
+    counts, prev = _second_moment_counts(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    if kept:
+        counts = _without_state_1(counts)
+    entries, checks = [], []
+    errstate, all_finite = np.errstate, model_module._all_finite
+    monkeypatch.setattr(np, "errstate", lambda **kw: entries.append(kw) or errstate(**kw))
+    monkeypatch.setattr(model_module, "_all_finite",
+                        lambda values: checks.append(values.shape) or all_finite(values))
+    model = _mstep_from_counts(counts, prev)
+    assert entries == [dict(invalid="raise", over="ignore", divide="ignore", under="ignore")]
+    assert checks == [(2, 2, 2)]
+    assert "emission_factor" in vars(model)
+    if kept:
+        assert model.obs_covs[1].tobytes() == prev.obs_covs[1].tobytes()
+        assert model.transitions[1].tolist() == [[0.5, 0.5]]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_kept_covariance_that_is_not_finite_leaves_the_model_without_a_factor(value):
+    # the one finiteness check covers the kept state too: the Cholesky
+    # kernel reads only the lower triangle, and would factor this stack
+    counts, prev = _second_moment_counts(np.eye(2))
+    covs = prev.obs_covs.copy()
+    covs[1, 0, 1] = value
+    model = _mstep_from_counts(_without_state_1(counts), replace(prev, obs_covs=covs))
+    assert "emission_factor" not in vars(model)
+    with pytest.raises(CovarianceError, match=r"^state 1: covariance is not finite: "):
+        model.emission_factor

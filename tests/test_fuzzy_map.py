@@ -16,7 +16,7 @@ from scipy import stats
 
 from fuzzy_pomdp.model import (CovarianceError, PomdpModel, Trajectory, gaussian_log_density,
                                model_from_dict, model_to_dict)
-from fuzzy_pomdp import em
+from fuzzy_pomdp import em, model as model_module
 from fuzzy_pomdp.em import (EmConfig, ForwardBackwardError, SufficientCounts, accumulate_counts,
                             e_step, m_step_standard, run_em)
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
@@ -208,6 +208,17 @@ def test_matchant_matrix_agrees_with_elementwise_calls():
             for r in range(4):
                 assert mat_min[s, a, r] == match_antecedent(
                     s, a, r, minimum, m, cfg, iteration=2)
+
+
+@pytest.mark.parametrize("model_dim", [1, 3])
+def test_matchant_matrix_refuses_a_rule_base_of_another_obs_dim(model_dim):
+    # each group gathers its covariance block at cells laid out for the
+    # rule base's obs_dim, so a model of another obs_dim is refused first
+    rng = np.random.default_rng(15)
+    m = diag_model(rng, num_states=2, obs_dim=model_dim)
+    with pytest.raises(ValueError, match=rf"^the fuzzy model has obs_dim 2 but the POMDP "
+                                         rf"model has obs_dim {model_dim}$"):
+        matchant_matrix(m, random_fuzzy(rng, obs_dim=2), FuzzyMapConfig())
 
 
 def test_matchant_matrix_rejects_non_positive_definite_covariance():
@@ -520,8 +531,8 @@ def test_m_step_fuzzy_map_decomposes_each_updated_covariance_once(monkeypatch):
         obs_outer=np.stack([np.eye(2) * 10.0, np.eye(2) * 10.0, np.zeros((2, 2))]),
     )
     calls = []
-    eigvalsh = em._eigvalsh
-    monkeypatch.setattr(em, "_eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    eigvalsh = model_module._eigvalsh
+    monkeypatch.setattr(model_module, "_eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
     m_step_fuzzy_map(counts, SufficientCounts.zeros(3, 1, 2), m,
                      FuzzyMapConfig(lambda_t=0.5, lambda_o=0.5))
     assert [np.shape(a) for a in calls] == [(2, 2, 2)]

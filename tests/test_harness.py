@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzy_pomdp import cli, harness
+from fuzzy_pomdp import cli, em, harness
 from fuzzy_pomdp.em import EmConfig, run_em
 from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
 from fuzzy_pomdp.model import (
@@ -313,6 +313,54 @@ def test_run_paired_seed_trains_both_on_the_same_data(tmp_path):
     again = synthetic_dataset(env, cfg, seed=0)
     for a, b in zip(ds, again):
         assert np.array_equal(a.observations, b.observations)
+
+
+def test_a_seed_prepares_its_data_once_for_all_its_fits(tmp_path, monkeypatch):
+    # the 5 plain-EM and 5 fuzzy-MAP fits share one preparation, and each
+    # is the fit that the list of trajectories gives, prepared by the fit
+    env = load_env(asset_path("synthetic_env.json"))
+    fz = load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
+    cfg = _fast_low_data(tmp_path)
+    built = []
+
+    class CountingFitData(em._FitData):
+        def __new__(cls, dataset, num_actions, obs_dim):
+            built.append(len(dataset))
+            return super().__new__(cls, dataset, num_actions, obs_dim)
+
+    for module in (em, harness):
+        monkeypatch.setattr(module, "_FitData", CountingFitData)
+    out = run_paired_seed(env, fz, cfg, seed=3)
+    assert built == [cfg.num_trajectories]
+    dataset, em_config = out["dataset"], EmConfig(max_iterations=cfg.max_iterations)
+    inits = [random_init(dataset, cfg.num_states, env.num_actions, derive_rng(3, "init", r))
+             for r in range(harness.RESTARTS)]
+    em_fits = [run_em(dataset, init, em_config) for init in inits]
+    fm_fits = [run_fuzzy_map_em(dataset, init, fz, em_config,
+                                FuzzyMapConfig(lambda_t=cfg.lambda_t, lambda_o=cfg.lambda_o,
+                                               seed=3000 + r))
+               for r, init in enumerate(inits)]
+    for got, fits in ((out["em"], em_fits), (out["fuzzy_map"], fm_fits)):
+        assert_same_fit(got, max(fits, key=lambda fit: fit.loglik_trace[-1]))
+
+
+def test_a_seed_whose_data_is_refused_fails_as_its_first_fit_did(tmp_path, monkeypatch):
+    # seed 1's data holds an action the env lacks: the seed's one
+    # preparation refuses it with the ValueError that run_em raises on it
+    env = load_env(asset_path("synthetic_env.json"))
+    cfg = _fast_low_data(tmp_path)
+    bad = synthetic_dataset(env, cfg, 1)
+    bad[0] = Trajectory(observations=bad[0].observations, actions=np.full(cfg.horizon - 1, 5))
+    init = random_init(bad, cfg.num_states, env.num_actions, derive_rng(1, "init", 0))
+    with pytest.raises(ValueError) as refused:
+        run_em(bad, init, EmConfig())
+    assert str(refused.value).startswith("invalid dataset: trajectory 0: action index")
+    monkeypatch.setattr(harness, "synthetic_dataset",
+                        lambda env, config, seed: bad if seed == 1 else synthetic_dataset(
+                            env, config, seed))
+    report = run_regime(cfg)
+    assert report["failures"] == [{"seed": 1, "error": str(refused.value)}]
+    assert [row["seed"] for row in report["rows"]] == [0, 0]
 
 
 @pytest.mark.parametrize("num_states, tnorm", [(2, "product"), (3, "minimum")])

@@ -10,6 +10,7 @@ same exception; the package, run with the wrappers patched in for its
 bindings, is the reference for its own covariance errors. A fit must run
 with every wrapper patched to raise.
 """
+import dataclasses
 import warnings
 from contextlib import ExitStack
 from unittest import mock
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzy_pomdp import em as em_module, fuzzy_map as fuzzy_map_module, harness
+from fuzzy_pomdp import fuzzy_map as fuzzy_map_module, harness
 from fuzzy_pomdp import model as model_module
 from fuzzy_pomdp.em import EmConfig, SufficientCounts, m_step_standard, run_em
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
@@ -107,16 +108,22 @@ def _assert_same(got, want):
         assert got[1] == []
 
 
+def _bound(binding, *arrays):
+    """A kernel binding's call under the np.errstate its callers enter."""
+    with model_module._kernel_errors():
+        return binding(*arrays)
+
+
 @given(stacks(), st.integers(0, 2**32 - 1))
 def test_each_kernel_call_is_its_wrapper_bit_for_bit(stack, seed):
     rng = np.random.default_rng(seed)
     num, dim = stack.shape[:2]
     rhs = rng.normal(size=(num, dim, 1))
     pairs = [
-        (lambda: model_module._cholesky(stack), lambda: np.linalg.cholesky(stack)),
-        (lambda: model_module._inv(stack), lambda: np.linalg.inv(stack)),
-        (lambda: model_module._eigvalsh(stack), lambda: np.linalg.eigvalsh(stack)),
-        (lambda: model_module._solve(stack, rhs), lambda: np.linalg.solve(stack, rhs)),
+        (lambda: _bound(model_module._cholesky, stack), lambda: np.linalg.cholesky(stack)),
+        (lambda: _bound(model_module._inv, stack), lambda: np.linalg.inv(stack)),
+        (lambda: _bound(model_module._eigvalsh, stack), lambda: np.linalg.eigvalsh(stack)),
+        (lambda: _bound(model_module._solve, stack, rhs), lambda: np.linalg.solve(stack, rhs)),
         (lambda: model_module._det(stack), lambda: np.linalg.det(stack)),
         (lambda: model_module._einsum("...d,...d->...", stack, stack),
          lambda: np.einsum("...d,...d->...", stack, stack)),
@@ -133,7 +140,7 @@ def _with_wrappers():
     patches = ExitStack()
     for module, name, wrapper in (
             (model_module, "_cholesky", np.linalg.cholesky), (model_module, "_inv", np.linalg.inv),
-            (model_module, "_einsum", np.einsum), (em_module, "_eigvalsh", np.linalg.eigvalsh),
+            (model_module, "_eigvalsh", np.linalg.eigvalsh), (model_module, "_einsum", np.einsum),
             (fuzzy_map_module, "_solve", np.linalg.solve), (fuzzy_map_module, "_det", np.linalg.det),
             (fuzzy_map_module, "_einsum", np.einsum)):
         patches.enter_context(mock.patch.object(module, name, wrapper))
@@ -143,7 +150,8 @@ def _with_wrappers():
 def _covariance_paths(stack, rng):
     """Every package path a covariance stack takes on a fit: the factor,
     densities, an M-step whose counts give the stack as covariances plus
-    the first use of its model, and expected firing strengths."""
+    the first use of its model, the same M-step with state 0 keeping the
+    stack's covariance for want of mass, and expected firing strengths."""
     num, dim = stack.shape[:2]
     means = rng.normal(size=(num, dim))
     obs = rng.normal(size=(3, dim))
@@ -156,14 +164,16 @@ def _covariance_paths(stack, rng):
                         affine_rule(np.ones(dim), np.eye(dim), clauses=[gauss_clause(0, 1.0, 0.3)])],
                        dim, num_actions=1)
 
-    def fitted():
+    def fitted(counts):
         fit = m_step_standard(counts, model, EmConfig())
         return fit.obs_covs, *fit.emission_factor
 
+    kept = dataclasses.replace(counts, obs_weight=np.r_[0.0, np.ones(num - 1)])
     return {
         "cholesky_factor": lambda: cholesky_factor(stack),
         "gaussian_log_density": lambda: gaussian_log_density(obs, means, stack),
-        "M-step and first use": fitted,
+        "M-step and first use": lambda: fitted(counts),
+        "M-step keeping state 0 and first use": lambda: fitted(kept),
         "matchant_matrix": lambda: matchant_matrix(model, rules, FuzzyMapConfig()),
     }
 

@@ -1,6 +1,7 @@
 """Core model types: densities, sampling, validation, serialization."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fuzzy_pomdp.model import (
     GroundTruthEnv,
     PomdpModel,
     Trajectory,
+    _emission_factor,
     cholesky_factor,
     dataset_from_list,
     dataset_to_list,
@@ -367,6 +369,20 @@ def test_non_finite_covariance_is_rejected(bad):
     stack = np.stack([np.eye(2), cov, -np.eye(2)])
     with pytest.raises(CovarianceError, match=r"^state 1: covariance is not finite"):
         cholesky_factor(stack)
+
+
+@pytest.mark.parametrize("shape, fill", [
+    ((2, 3), 1.0), ((2, 3), float("nan")), ((3,), 1.0), ((), 1.0), ((2, 2, 3), 1.0),
+], ids=["(2, 3)", "(2, 3) not finite", "1-D", "0-d", "(S, d, d+1)"])
+def test_a_covariance_of_another_shape_is_named_by_its_shape(shape, fill):
+    # the shape is read only once the input has failed, so a fit pays nothing for it
+    cov = np.full(shape, fill)
+    want = (rf"^covariance has shape {re.escape(str(shape))}, "
+            r"expected \(d, d\) or \(S, d, d\)$")
+    for call in (lambda: cholesky_factor(cov), lambda: _emission_factor(cov),
+                 lambda: gaussian_log_density(np.zeros(2), np.zeros(2), cov)):
+        with pytest.raises(CovarianceError, match=want):
+            call()
 
 
 def test_nan_covariance_model_from_a_file_fails_on_its_emission_factor(rng0):
