@@ -7,13 +7,17 @@ In one fresh process per tree, against the package under that tree's
 `src/`:
 - runs `harness.run_regime` on low_data seeds 0-5, high_noise seeds 0-2 and
   mg_pipeline seeds 0-1;
-- runs a fixed CLI script of 11 commands (CLI_SCRIPT: both generators,
+- runs a fixed CLI script of 13 commands (CLI_SCRIPT: both generators,
   `train` with em and with fuzzy-map three times, at the default lambdas,
   at zero lambdas (a zero pseudo-count prior, whose checkpoint's
   `prior_data_ratios` are all 0.0) and with a two-iteration plain-EM
-  polish (ratios from the first phase only), `eval` to a file and to
-  stdout, a diagonal `sweep` and a `--cross` one over two seeds, whose
-  printed rows are captured to a file, and `reproduce`, whose printed
+  polish (ratios from the first phase only), `eval` of the plain-EM model
+  to a file against env.json, then against SECOND_ENV, a copy of it with
+  every Beta parameter 1 higher that the runner writes, then against
+  env.json again, so that a truth prepared for one set of Beta parameters
+  and used for another shows as a difference, `eval` of the fuzzy-MAP
+  model to stdout, a diagonal `sweep` and a `--cross` one over two seeds,
+  whose printed rows are captured to a file, and `reproduce`, whose printed
   regime table, read from `summary.json`, is captured to a file) in a work
   directory holding copies of the tree's bundled assets, so both trees see
   identical relative paths;
@@ -94,6 +98,9 @@ CASES = {"low_data": list(range(6)), "high_noise": list(range(3)), "mg_pipeline"
 
 ASSETS = {"env.json": "synthetic_env.json", "rules.json": "expert_fuzzy_synthetic.json",
           "mg.json": "mg_fuzzy_placeholder.json"}
+# env.json with every Beta parameter 1 higher, written by the runner in the
+# work directory before the CLI script runs
+SECOND_ENV = "env_shifted.json"
 # (argv, file that gets the command's stdout or None); paths are relative to
 # the work directory, and each output directory exists beforehand so that a
 # tree whose generators do not create directories runs the same script
@@ -113,6 +120,8 @@ CLI_SCRIPT = [
       "--final-em-iterations", "2", "--max-iterations", "20", "--seed", "1",
       "--out", "train/fm_polish.json"], None),
     (["eval", "train/em.json", "env.json", "--out", "eval/em.json"], None),
+    (["eval", "train/em.json", SECOND_ENV, "--out", "eval/em_shifted.json"], None),
+    (["eval", "train/em.json", "env.json", "--out", "eval/em_again.json"], None),
     (["eval", "train/fm.json", "env.json"], "eval/fm_stdout.json"),
     (["sweep", "--regime", "low-data", "--seeds", "1", "--grid", "0,0.1",
       "--out-dir", "sweep"], None),
@@ -172,8 +181,8 @@ from fuzzy_pomdp.harness import asset_path, random_init, regime_config, run_regi
 from fuzzy_pomdp.model import (Trajectory, cholesky_factor, gaussian_log_density, load_env,
                                make_policy, model_to_dict, sample_trajectory, write_json)
 from fuzzy_pomdp.rngs import derive_rng
-(out, cases, assets, script, dirs, lengths, validate_runs, broken_index, bad_covariances,
- covariance_paths) = (sys.argv[1], *map(json.loads, sys.argv[2:]))
+(out, cases, assets, script, dirs, second_env, lengths, validate_runs, broken_index,
+ bad_covariances, covariance_paths) = (sys.argv[1], *map(json.loads, sys.argv[2:]))
 for regime, seeds in cases.items():
     run_regime(regime_config(regime, seeds, out_dir=f"{out}/{regime}"))
 env = load_env(asset_path("synthetic_env.json"))
@@ -267,6 +276,10 @@ for name in dirs:
     (work / name).mkdir(parents=True)
 for name, asset in assets.items():
     shutil.copyfile(asset_path(asset), work / name)
+shifted = json.loads((work / "env.json").read_text())
+for pair in (pair for state in shifted["beta_params"] for pair in state):
+    pair.update(alpha=pair["alpha"] + 1.0, beta=pair["beta"] + 1.0)
+(work / second_env).write_text(json.dumps(shifted))
 os.chdir(work)
 for argv, stdout_file in script:
     sink = io.StringIO()
@@ -322,9 +335,9 @@ def run_tree(tree: Path, out: Path) -> None:
     observation under out/ragged and the bad covariances' errors under
     out/covariance, using tree's package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, RAGGED_LENGTHS,
-                                    VALIDATE_RUNS, BROKEN_TRAJECTORY, BAD_COVARIANCES,
-                                    COVARIANCE_PATHS)]
+    args = [json.dumps(v) for v in (CASES, ASSETS, CLI_SCRIPT, CLI_DIRS, SECOND_ENV,
+                                    RAGGED_LENGTHS, VALIDATE_RUNS, BROKEN_TRAJECTORY,
+                                    BAD_COVARIANCES, COVARIANCE_PATHS)]
     subprocess.run([sys.executable, "-c", RUNNER, str(out), *args],
                    cwd=tree, env=env, check=True)
 

@@ -4,7 +4,10 @@ and automatic matching of learned states to ground-truth labels.
 KL divergences are taken truth-first, KL(true Beta-product || learned
 Gaussian), so a learned model is penalized for missing mass where the true
 process puts it. Divergences that blow up are reported as the +inf
-sentinel rather than a huge unstable number.
+sentinel rather than a huge unstable number. The truth side of each KL,
+every truth state's log density and quadrature mass on the grid, depends
+only on the Beta parameters: a process builds it once per parameter set
+and keeps it, as it keeps the grid.
 """
 
 from __future__ import annotations
@@ -66,8 +69,14 @@ def kl_quadrature(logp: np.ndarray, logq: np.ndarray, weights: np.ndarray) -> fl
     Returns the raw estimate, clamped at 0 from below, or +inf when it
     exceeds the ceiling or the q density underflows where p carries mass.
     """
-    p_mass = weights * np.exp(logp)
-    underflow = logq < LOG_TINY
+    return _kl_estimate(logp, weights * np.exp(logp), logq, logq < LOG_TINY)
+
+
+def _kl_estimate(logp: np.ndarray, p_mass: np.ndarray, logq: np.ndarray,
+                 underflow: np.ndarray) -> float:
+    """kl_quadrature's estimate from the truth's log density and quadrature
+    mass (weights * exp(logp)) and the learned log density and its
+    underflow mask (logq < LOG_TINY)."""
     if underflow.any() and p_mass[underflow].sum() > UNDERFLOW_MASS_TOL:
         log.debug(
             "learned density underflows on %.3g of the truth mass; reporting inf",
@@ -75,9 +84,13 @@ def kl_quadrature(logp: np.ndarray, logq: np.ndarray, weights: np.ndarray) -> fl
         )
         return INF
     # points with negligible truth mass (or in the vanishing underflow set)
-    # contribute nothing; drop them instead of risking 0 * inf
+    # contribute nothing; drop them instead of risking 0 * inf. When no
+    # point drops, the arrays are summed whole: the same values in the
+    # same order, so the same bits, without three copies
     keep = (p_mass > 0.0) & ~underflow
-    estimate = float((p_mass[keep] * (logp[keep] - logq[keep])).sum())
+    if not keep.all():
+        logp, p_mass, logq = logp[keep], p_mass[keep], logq[keep]
+    estimate = float((p_mass * (logp - logq)).sum())
     if estimate > KL_CEILING:
         return INF
     return max(estimate, 0.0)
@@ -119,16 +132,39 @@ def beta_product_log_density(points: np.ndarray, beta_params: np.ndarray) -> np.
     return out
 
 
+@lru_cache(maxsize=8)
+def _truth_on_grid(params: bytes, shape: tuple[int, ...]
+                   ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For each truth state of the float64 Beta parameters with these bytes
+    and (T, d, 2) shape, its log density on quadrature_grid(d)'s points and
+    its quadrature mass weights * exp(logp), both read-only. Built once per
+    parameter set and kept: they depend on nothing a learned model holds."""
+    points, weights = quadrature_grid(shape[1])
+    states = []
+    for state_params in np.frombuffer(params).reshape(shape):
+        logp = beta_product_log_density(points, state_params)
+        p_mass = weights * np.exp(logp)
+        logp.flags.writeable = False
+        p_mass.flags.writeable = False
+        states.append((logp, p_mass))
+    return tuple(states)
+
+
 def _kl_costs(beta_params: np.ndarray, means: np.ndarray, covs: np.ndarray,
               factor: EmissionFactor | None = None) -> np.ndarray:
     """cost[i, j] = KL(truth state i || learned state j) by quadrature, for
     truth Beta parameters (T, d, 2) and learned means (S, d) and covariances
-    (S, d, d), with `factor` their EmissionFactor if already built. Every
-    state's log density is evaluated on the grid once."""
-    points, weights = quadrature_grid(beta_params.shape[1])
+    (S, d, d), with `factor` their EmissionFactor if already built. Each
+    learned state's log density and underflow mask is taken on the grid
+    once per call, each truth state's from _truth_on_grid's cache, and every
+    cell is kl_quadrature's estimate."""
+    beta_params = np.asarray(beta_params, dtype=float)
+    points, _ = quadrature_grid(beta_params.shape[1])
     logq = gaussian_log_density(points, means, covs, factor)  # (S, n)
-    logp = [beta_product_log_density(points, params) for params in beta_params]
-    return np.array([[kl_quadrature(p, q, weights) for q in logq] for p in logp])
+    underflow = logq < LOG_TINY
+    truth = _truth_on_grid(beta_params.tobytes(), beta_params.shape)
+    return np.array([[_kl_estimate(logp, p_mass, q, under) for q, under in zip(logq, underflow)]
+                     for logp, p_mass in truth])
 
 
 def kl_observation(beta_params: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

@@ -482,23 +482,20 @@ def per_state_log_density(model: PomdpModel, obs) -> np.ndarray:
 def cholesky_factor(cov) -> np.ndarray:
     """Lower Cholesky factor of one (d, d) covariance or an (S, d, d) stack.
 
-    A covariance with a NaN or infinite entry, or one that is not positive
+    Input of any other shape raises CovarianceError naming its shape. A
+    covariance with a NaN or infinite entry, or one that is not positive
     definite, raises CovarianceError; for a stack the message names the
-    first such state. Input of any other shape that fails raises
-    CovarianceError naming its shape.
+    first such state.
     """
     cov = np.asarray(cov, dtype=float)
+    if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
+        raise CovarianceError(f"covariance has shape {cov.shape}, expected (d, d) or (S, d, d)")
     try:
         if not _all_finite(cov):
             raise LinAlgError("covariance is not finite")
         with _kernel_errors():
             return _cholesky(cov)
-    # ValueError: the kernel's, for input that is not a stack of square
-    # matrices, where numpy.linalg.cholesky raised LinAlgError
-    except (LinAlgError, ValueError) as exc:
-        if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
-            raise CovarianceError(
-                f"covariance has shape {cov.shape}, expected (d, d) or (S, d, d)") from exc
+    except LinAlgError as exc:
         bad, prefix = cov, ""
         if cov.ndim == 3:
             state = next(s for s, mat in enumerate(cov) if not _factorable(mat))
@@ -520,7 +517,7 @@ def _factorable(cov: np.ndarray) -> bool:
     try:
         with _kernel_errors():
             _cholesky(cov)
-    except (LinAlgError, ValueError):
+    except LinAlgError:
         return False
     return True
 

@@ -428,7 +428,11 @@ def test_mstep_equals_per_pair_oracle_and_logs_each_fallback_once(caplog, case):
 
 # kinds of state for the covariance gate; "random" is drawn most often
 GATE_KINDS = ("random", "random", "at_ridge", "under_ridge", "massless", "nonfinite",
-              "indefinite")
+              "indefinite", "unfactorable", "kept_nonfinite")
+# eigvalsh finds a smallest eigenvalue of 0.0078 > 1e-6, but at this
+# condition number the Cholesky factorization fails
+ILL_CONDITIONED = [[268638987563050.4, 132316247527812.94],
+                   [132316247527812.94, 65171438884061.39]]
 
 
 def gate_counts(kinds, obs_dim, scale, rng):
@@ -439,14 +443,19 @@ def gate_counts(kinds, obs_dim, scale, rng):
     smallest eigenvalue the M-step's ridge, DEFAULT_COV_RIDGE, or the float
     just below it; indefinite: one
     still below -1e-12 after the lift; massless: zero weight; nonfinite: a
-    NaN or infinite second moment. The last four have zero mean and unit
-    weight, so the M-step's covariance is their second moment exactly, up
-    to an optional rotation.
+    NaN or infinite second moment; unfactorable: ILL_CONDITIONED in the top
+    left block and 1 elsewhere on the diagonal, which the gate passes and
+    Cholesky rejects (with obs_dim 1, where every covariance the gate
+    passes factors, the identity); kept_nonfinite: zero weight and a NaN
+    or infinite entry in the model's covariance, which the M-step keeps.
+    The others have zero mean and unit weight, so the M-step's covariance
+    is their second moment exactly, up to an optional rotation.
     """
     num_states = len(kinds)
     weight = np.ones(num_states)
     sums = np.zeros((num_states, obs_dim))
     outer = np.zeros((num_states, obs_dim, obs_dim))
+    prev_covs = np.tile(np.eye(obs_dim), (num_states, 1, 1))
     ridge = DEFAULT_COV_RIDGE
     lowest = {"at_ridge": ridge, "under_ridge": np.nextafter(ridge, -1.0),
               "indefinite": -(ridge + scale) - 1e-11}
@@ -459,9 +468,15 @@ def gate_counts(kinds, obs_dim, scale, rng):
             outer[s] = weight[s] * (scale * factor @ factor.T + np.outer(mu, mu))
         elif kind == "massless":
             weight[s] = 0.0
-        elif kind == "nonfinite":
+        elif kind in ("nonfinite", "kept_nonfinite"):
+            cov = outer[s] if kind == "nonfinite" else prev_covs[s]
+            weight[s] = 1.0 if kind == "nonfinite" else 0.0
+            cov[:] = np.eye(obs_dim)
+            cov.flat[rng.integers(obs_dim * obs_dim)] = rng.choice([np.nan, np.inf, -np.inf])
+        elif kind == "unfactorable":
             outer[s] = np.eye(obs_dim)
-            outer[s].flat[rng.integers(obs_dim * obs_dim)] = rng.choice([np.nan, np.inf, -np.inf])
+            if obs_dim > 1:
+                outer[s, :2, :2] = ILL_CONDITIONED
         else:
             low = lowest[kind]
             eigs = rng.permutation(np.r_[low, low + scale * rng.uniform(0.0, 1.0, obs_dim - 1)])
@@ -471,14 +486,27 @@ def gate_counts(kinds, obs_dim, scale, rng):
                               obs_sum=sums, obs_outer=outer)
     prev = PomdpModel(num_states, 1, obs_dim,
                       transitions=np.full((num_states, 1, num_states), 1.0 / num_states),
-                      obs_means=rng.normal(size=(num_states, obs_dim)),
-                      obs_covs=np.tile(np.eye(obs_dim), (num_states, 1, 1)))
+                      obs_means=rng.normal(size=(num_states, obs_dim)), obs_covs=prev_covs)
     return counts, prev
 
 
+def reference_factor(covs):
+    """Each state's numpy.linalg.cholesky factor and the transpose of its
+    numpy.linalg.inv, state by state, or None when some covariance is not
+    finite or its Cholesky fails."""
+    if not np.isfinite(covs).all():
+        return None
+    try:
+        chols = [np.linalg.cholesky(cov) for cov in covs]
+    except np.linalg.LinAlgError:
+        return None
+    return [(chol, np.linalg.inv(chol).T) for chol in chols]
+
+
 def gate_reference(counts, prev):
-    """(covariances, lifted states) from regularize_cov run on each state
-    with mass, in state order, or the text of the first CovarianceError."""
+    """(covariances, lifted states, reference_factor of the covariances)
+    from regularize_cov run on each state with mass, in state order, or the
+    text of the first CovarianceError."""
     covs, lifted = prev.obs_covs.copy(), []
     for s, weight in enumerate(counts.obs_weight.tolist()):
         if weight > 0.0:
@@ -491,23 +519,36 @@ def gate_reference(counts, prev):
             half = 0.5 * raw
             if not np.array_equal(covs[s], half + half.T):
                 lifted.append(s)
-    return covs, lifted
+    return covs, lifted, reference_factor(covs)
 
 
 def assert_gate_is_reference(counts, prev):
     want = gate_reference(counts, prev)
     with mock.patch.object(model_module, "regularize_cov", wraps=regularize_cov) as calls:
         try:
-            got = _mstep_from_counts(counts, prev).obs_covs
+            model = _mstep_from_counts(counts, prev)
         except CovarianceError as err:
             got = str(err)
+        else:
+            got = model.obs_covs
     if isinstance(want, str):
         assert got == want
         return
-    covs, lifted = want
-    assert isinstance(got, np.ndarray) and np.array_equal(got, covs)
+    covs, lifted, factor = want
+    assert isinstance(got, np.ndarray) and np.array_equal(got, covs, equal_nan=True)
     # regularize_cov runs on the lifted states alone, once each
     assert [call.args[0].shape for call in calls.call_args_list] == [covs[0].shape] * len(lifted)
+    # the model carries the factor of its covariances, or none where numpy's
+    # Cholesky of one fails or one is not finite
+    carried = vars(model).get("emission_factor")
+    if factor is None:
+        assert carried is None
+        return
+    for s, (chol, inv_chol_t) in enumerate(factor):
+        assert carried.chol[s].tobytes() == chol.tobytes()
+        assert carried.inv_chol_t[s].tobytes() == inv_chol_t.tobytes()
+    log_norm = covs.shape[-1] * np.log(2.0 * np.pi) + np.linalg.slogdet(covs)[1]
+    assert np.allclose(carried.log_norm, log_norm, rtol=1e-9, atol=1e-9)
 
 
 @st.composite
@@ -547,10 +588,7 @@ def _second_moment_counts(second_moment):
 
 
 @pytest.mark.parametrize("second_moment, problem", [
-    # eigvalsh finds a smallest eigenvalue of 0.0078 > 1e-6, but at this
-    # condition number the Cholesky factorization fails
-    ([[268638987563050.4, 132316247527812.94], [132316247527812.94, 65171438884061.39]],
-     "positive definite"),
+    (ILL_CONDITIONED, "positive definite"),
 ], ids=["not positive definite"])
 def test_a_stack_the_mstep_cannot_factor_raises_on_first_use_as_before(second_moment, problem):
     # the M-step itself does not raise; its model has no factor, and its

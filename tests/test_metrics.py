@@ -1,15 +1,17 @@
 """State matching, transition distances, and observation-model KL."""
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import beta as beta_dist
 
 from fuzzy_pomdp import metrics
-from fuzzy_pomdp.model import GroundTruthEnv, PomdpModel, load_env
+from fuzzy_pomdp.model import (DEFAULT_COV_RIDGE, GroundTruthEnv, PomdpModel,
+                               gaussian_log_density, load_env)
 from fuzzy_pomdp.metrics import (
     beta_product_log_density,
     evaluate_model,
@@ -309,7 +311,8 @@ def test_evaluate_model_refuses_a_model_of_another_shape(shape, message):
 def learned_models(draw, env):
     """Models shaped like env, with means around the unit box and full
     covariances from broad to tiny, so some pairs hit the inf sentinel; a
-    repeated state gives tied permutations."""
+    repeated state gives tied permutations, and a collapsed state (the
+    M-step's ridge times the identity) is inf against every truth state."""
     S, A, d = env.num_states, env.num_actions, env.obs_dim
     means = draw(arrays(float, (S, d), elements=_floats(-0.5, 1.5)))
     factors = draw(arrays(float, (S, d, d), elements=_floats(-1.0, 1.0)))
@@ -318,6 +321,8 @@ def learned_models(draw, env):
     covs = 0.5 * (covs + covs.transpose(0, 2, 1)) * 10.0 ** scales[:, None, None]
     if draw(st.booleans()):
         means[1], covs[1] = means[0], covs[0]
+    for j in draw(st.sets(st.integers(0, S - 1), max_size=S - 1)):
+        covs[j] = DEFAULT_COV_RIDGE * np.eye(d)
     trans = np.full((S, A, S), 1.0 / S)
     return PomdpModel(S, A, d, trans, means, covs)
 
@@ -338,3 +343,67 @@ def test_evaluate_model_scores_each_pair_as_kl_observation_does(data):
     for j, i in enumerate(best):
         assert report.kl_per_state[env.state_labels[i]] == kl_observation(
             env.beta_params[i], learned.obs_means[j], learned.obs_covs[j])
+
+
+# ------------------------------------------- truth prepared once per env
+
+def gathered_kl(logp, logq, weights) -> float:
+    """kl_quadrature's estimate with its kept points always gathered: the
+    reference for the whole-array sum it takes when no point drops."""
+    p_mass = weights * np.exp(logp)
+    underflow = logq < metrics.LOG_TINY
+    if underflow.any() and p_mass[underflow].sum() > metrics.UNDERFLOW_MASS_TOL:
+        return math.inf
+    keep = (p_mass > 0.0) & ~underflow
+    estimate = float((p_mass[keep] * (logp[keep] - logq[keep])).sum())
+    return math.inf if estimate > metrics.KL_CEILING else max(estimate, 0.0)
+
+
+def fresh_costs(beta_params, means, covs) -> np.ndarray:
+    """kl_quadrature of every (truth, learned) pair, each density computed
+    afresh for its pair; each cell is also gathered_kl's, bit for bit."""
+    points, weights = quadrature_grid(beta_params.shape[1])
+    costs = np.empty((len(beta_params), len(means)))
+    for (i, params), (j, (mean, cov)) in itertools.product(enumerate(beta_params),
+                                                           enumerate(zip(means, covs))):
+        logp = beta_product_log_density(points, params)
+        logq = gaussian_log_density(points, mean, cov)
+        costs[i, j] = kl_quadrature(logp, logq, weights)
+        reference = gathered_kl(logp, logq, weights)
+        assert np.array(costs[i, j]).tobytes() == np.array(reference).tobytes()
+    return costs
+
+
+@given(st.data())
+def test_costs_from_the_prepared_truth_are_a_fresh_computation_bit_for_bit(data):
+    env_a = bundled_env()
+    # shape parameters up to 1000 leave points with no truth mass, so
+    # kl_quadrature gathers its kept points there
+    beta_b = data.draw(arrays(float, env_a.beta_params.shape, elements=_floats(0.5, 1000.0)))
+    assume(not np.array_equal(beta_b, env_a.beta_params))
+    env_b = GroundTruthEnv(env_a.transitions, beta_b, env_a.state_labels)
+    metrics._truth_on_grid.cache_clear()
+    with mock.patch.object(metrics, "beta_product_log_density",
+                           wraps=beta_product_log_density) as densities:
+        for env in (env_a, env_b, env_a):
+            learned = data.draw(learned_models(env))
+            want = fresh_costs(env.beta_params, learned.obs_means, learned.obs_covs)
+            collapsed = [j for j, cov in enumerate(learned.obs_covs)
+                         if np.array_equal(cov, DEFAULT_COV_RIDGE * np.eye(env.obs_dim))]
+            assert np.isinf(want[:, collapsed]).all()
+            for factor in (None, learned.emission_factor):
+                got = metrics._kl_costs(env.beta_params, learned.obs_means, learned.obs_covs,
+                                        factor)
+                assert got.tobytes() == want.tobytes()
+            report = evaluate_model(learned, env)
+            inverse = np.argsort(report.state_matching)
+            assert [report.kl_per_state[label] for label in env.state_labels] == [
+                want[i, inverse[i]] for i in range(env.num_states)]
+    # each env's truth is built once, one density per truth state, and kept
+    # read-only
+    assert metrics._truth_on_grid.cache_info().misses == 2
+    assert densities.call_count == 2 * env_a.num_states
+    for env in (env_a, env_b):
+        for array in itertools.chain.from_iterable(
+                metrics._truth_on_grid(env.beta_params.tobytes(), env.beta_params.shape)):
+            assert not array.flags.writeable

@@ -371,13 +371,15 @@ def test_non_finite_covariance_is_rejected(bad):
         cholesky_factor(stack)
 
 
-@pytest.mark.parametrize("shape, fill", [
-    ((2, 3), 1.0), ((2, 3), float("nan")), ((3,), 1.0), ((), 1.0), ((2, 2, 3), 1.0),
-], ids=["(2, 3)", "(2, 3) not finite", "1-D", "0-d", "(S, d, d+1)"])
-def test_a_covariance_of_another_shape_is_named_by_its_shape(shape, fill):
-    # the shape is read only once the input has failed, so a fit pays nothing for it
-    cov = np.full(shape, fill)
-    want = (rf"^covariance has shape {re.escape(str(shape))}, "
+@pytest.mark.parametrize("cov", [
+    np.ones((2, 3)), np.full((2, 3), np.nan), np.ones(3), np.ones(()), np.ones((2, 2, 3)),
+    np.tile(np.eye(2), (2, 2, 1, 1)), -np.tile(np.eye(2), (2, 2, 1, 1)),
+], ids=["(2, 3)", "(2, 3) not finite", "1-D", "0-d", "(S, d, d+1)",
+        "rank 4 positive definite", "rank 4 not positive definite"])
+def test_a_covariance_of_another_shape_is_named_by_its_shape(cov):
+    # checked on first use only, whether the input factors or not; the
+    # M-step factors through _fitted_covariances, so a fit pays nothing for it
+    want = (rf"^covariance has shape {re.escape(str(cov.shape))}, "
             r"expected \(d, d\) or \(S, d, d\)$")
     for call in (lambda: cholesky_factor(cov), lambda: _emission_factor(cov),
                  lambda: gaussian_log_density(np.zeros(2), np.zeros(2), cov)):
