@@ -25,6 +25,7 @@ In one fresh process per tree, against the package under that tree's
   the script's outputs and assets, and on corrupt files made from them
   (a missing key, a NaN, a wrong shape, an overflowing, a huge and a
   5,000-digit state count, an env whose counts do not match its arrays,
+  a model whose state 1 holds BAD_COVARIANCES' ill-conditioned matrix,
   and rule bases with a clause naming a term or a variable the file lacks
   or with a NaN term parameter) and on a file that is not UTF-8, each
   followed by a valid file, capturing each run's stdout and exit code to
@@ -58,7 +59,8 @@ In one fresh process per tree, against the package under that tree's
   passes the M-step's eigenvalue check but not Cholesky) in state 1 of the
   ragged fits' random init, sends it down every path a covariance takes
   (COVARIANCE_PATHS: `cholesky_factor` on the stack, `m_step_standard` on
-  counts whose covariances are the stack followed by the first use of the
+  counts whose covariances are the stack, which raises where the
+  regularized stack does not factor, followed by the first use of the
   fitted model's emission factor, `matchant_matrix` with the bundled
   expert rules, and `gaussian_log_density` on the first ragged
   trajectory), and writes the type and text of each error raised, of its
@@ -145,6 +147,7 @@ VALIDATE_RUNS = [
     ("huge_count", ["validate/huge_count.json", "reproduce/model_0_em.json"]),
     ("long_count", ["validate/long_count.json", "reproduce/model_0_em.json"]),
     ("env_counts", ["validate/env_counts.json", "env.json"]),
+    ("ill_conditioned", ["validate/ill_conditioned.json", "reproduce/model_0_em.json"]),
     ("non_utf8", ["validate/non_utf8.json", "env.json"]),
     ("rules_unknown_term", ["validate/rules_unknown_term.json", "rules.json"]),
     ("rules_unknown_var", ["validate/rules_unknown_var.json", "rules.json"]),
@@ -311,6 +314,8 @@ corrupt = {
     "long_count": json.dumps(counted).replace(states, f'"num_states": {"7" * 5000},'),
     "env_counts": json.dumps(dict(json.loads(Path("env.json").read_text()),
                                   num_states=7, obs_dim=2.5)),
+    "ill_conditioned": json.dumps(dict(model, obs_covs=[
+        model["obs_covs"][0], bad_covariances["ill_conditioned"], *model["obs_covs"][2:]])),
     "rules_unknown_term": json.dumps(unknown_term),
     "rules_unknown_var": json.dumps(unknown_var),
     "rules_nan_param": json.dumps(nan_param),

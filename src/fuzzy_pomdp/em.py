@@ -321,12 +321,10 @@ def _mstep_from_counts(counts: SufficientCounts, prev: PomdpModel) -> PomdpModel
     are logged. A row or state without mass is divided by 1 rather than 0,
     so no division needs an np.errstate. The covariances are then
     regularized and factored in one pass (model._fitted_covariances); a
-    covariance regularize_cov rejects raises CovarianceError naming its
-    state. The new model holds the arrays made here, frozen in place, and
-    the emission factor of its covariances (PomdpModel._adopting), so no
-    later read builds it. A stack that does not factor gives a model
-    without it, which raises cholesky_factor's CovarianceError on first
-    use, as any model would.
+    covariance regularize_cov rejects, or a stack that does not factor,
+    raises CovarianceError naming its state. The new model holds the
+    arrays made here, frozen in place, and the emission factor of its
+    covariances (PomdpModel._adopting), so no later read builds it.
     """
     num_states = prev.num_states
     # ufunc reductions, the ones the ndarray methods run, without the methods' wrappers

@@ -13,13 +13,13 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy._core.multiarray import c_einsum as _einsum
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 DEFAULT_COV_RIDGE = 1e-6
 # regularize_cov rejects a lifted covariance with an eigenvalue below -_PSD_ATOL
@@ -49,18 +49,16 @@ class CovarianceError(ValueError):
 # bindings is a float64 ndarray stack of square matrices by construction (a
 # model's covariances, and arrays built from them), so the checks cannot
 # fail, the casts copy nothing, and "d->d" / "dd->d" is the loop the
-# wrapper would pick. The wrappers' error rule is kept. A kernel that
-# cannot factor, invert or diagonalize a matrix fills it with NaN and sets
-# the invalid flag, and clears every flag when it succeeds. The cholesky,
-# inv, eigvalsh and solve wrappers each enter an np.errstate that raises on
-# that flag and ignores overflow, division and underflow, and raise
-# LinAlgError. Their bindings leave that np.errstate to the caller, as
-# _kernel_errors(), entered once around all of its kernel calls (an
-# M-step's eigvalsh, Cholesky and inverse share one); each binding turns
-# the raised flag into its own wrapper's LinAlgError, so the three stay
-# told apart. det's wrapper enters no errstate, nor does _det.
-# regularize_cov, which takes a caller's matrix of any shape and runs on a
-# fit only to lift or reject one state, keeps numpy.linalg.eigvalsh.
+# wrapper would pick. A kernel that cannot factor, invert or diagonalize a
+# matrix fills it with NaN and sets the invalid flag, and clears every flag
+# when it succeeds. Where each wrapper enters an np.errstate that raises on
+# that flag and turns it into LinAlgError, a caller of these bindings
+# enters one np.errstate around all of its kernel calls: _kernel_errors(),
+# under which the flag raises FloatingPointError (an M-step's eigvalsh,
+# Cholesky and inverse share one), or, in cholesky_factor, one that
+# ignores it and reads the NaN. det's wrapper enters no errstate, nor does
+# _det. regularize_cov, which takes a caller's matrix of any shape and runs
+# on a fit only to lift or reject one state, keeps numpy.linalg.eigvalsh.
 
 def _kernel_errors() -> np.errstate:
     """The np.errstate of numpy.linalg's cholesky, inv, eigvalsh and solve
@@ -68,25 +66,11 @@ def _kernel_errors() -> np.errstate:
     return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 
 
-def _kernel(gufunc, signature: str, message: str):
-    """gufunc(*arrays), called under _kernel_errors(): the invalid flag,
-    which raises there, becomes LinAlgError(message)."""
-    def call(*arrays):
-        try:
-            return gufunc(*arrays, signature=signature)
-        except FloatingPointError:
-            raise LinAlgError(message) from None
-    return call
-
-
-_cholesky = _kernel(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite")
-_inv = _kernel(_umath_linalg.inv, "d->d", "Singular matrix")
-_eigvalsh = _kernel(_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge")
-_solve = _kernel(_umath_linalg.solve, "dd->d", "Singular matrix")
-
-
-def _det(a: np.ndarray) -> np.ndarray:
-    return _umath_linalg.det(a, signature="d->d")
+_cholesky = partial(_umath_linalg.cholesky_lo, signature="d->d")
+_inv = partial(_umath_linalg.inv, signature="d->d")
+_eigvalsh = partial(_umath_linalg.eigvalsh_lo, signature="d->d")
+_solve = partial(_umath_linalg.solve, signature="dd->d")
+_det = partial(_umath_linalg.det, signature="d->d")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -152,11 +136,10 @@ class PomdpModel:
 
     @classmethod
     def _adopting(cls, prev: "PomdpModel", transitions: np.ndarray, obs_means: np.ndarray,
-                  obs_covs: np.ndarray, factor: "EmissionFactor | None") -> "PomdpModel":
+                  obs_covs: np.ndarray, factor: "EmissionFactor") -> "PomdpModel":
         """prev with new parameters, from float arrays of prev's shapes that
         the package has just built and that nothing else refers to, and
-        `factor`, the emission factor of obs_covs (None, when they do not
-        factor, leaves emission_factor to raise on first use).
+        `factor`, the emission factor of obs_covs.
 
         Each array is frozen in place and kept, in the layout it has, where
         the constructor would check its shape and copy it (a copy that keeps
@@ -171,19 +154,18 @@ class PomdpModel:
         fields.update(num_states=prev.num_states, num_actions=prev.num_actions,
                       obs_dim=prev.obs_dim, transitions=transitions, obs_means=obs_means,
                       obs_covs=obs_covs, initial_dist=prev.initial_dist,
-                      state_labels=prev.state_labels)
-        if factor is not None:
-            fields["emission_factor"] = factor
+                      state_labels=prev.state_labels, emission_factor=factor)
         return model
 
     @cached_property
     def emission_factor(self) -> "EmissionFactor":
         """The covariances' read-only EmissionFactor, kept: every density the
         model scores (E-step, pseudo-count likelihoods, evaluation) reuses
-        it. A model an M-step builds arrives with it; any other model, an
-        init or one loaded from a file, builds it on first use. A covariance
-        that is not finite and positive definite raises CovarianceError
-        naming its state, on every access."""
+        it. A model an M-step builds arrives with it, since the M-step
+        raises where its covariances do not factor; any other model, an init
+        or one loaded from a file, builds it on first use. A covariance that
+        is not finite and positive definite raises CovarianceError naming
+        its state, on every access."""
         return _emission_factor(self.obs_covs)
 
 
@@ -394,9 +376,9 @@ def _emission_factor(cov) -> EmissionFactor:
 
 
 def _fitted_covariances(covs: np.ndarray, live: np.ndarray | None
-                        ) -> tuple[np.ndarray, EmissionFactor | None]:
+                        ) -> tuple[np.ndarray, EmissionFactor]:
     """An M-step's (S, d, d) covariance stack, regularized, and its
-    emission factor (None when the stack does not factor), in one pass.
+    emission factor, in one pass.
 
     Each covariance of a `live` state (every state when live is None)
     becomes regularize_cov(cov, DEFAULT_COV_RIDGE); those of the other
@@ -409,8 +391,10 @@ def _fitted_covariances(covs: np.ndarray, live: np.ndarray | None
     eigvalsh, the Cholesky factor and its inverse share one
     _kernel_errors(). A rejected covariance raises CovarianceError naming
     its state. A live covariance that is not finite sends the live states
-    through regularize_cov one by one, so the first failing state raises;
-    a kept one that is not finite gives no factor.
+    through regularize_cov one by one, so the first failing state raises.
+    A regularized stack that does not factor, a kept covariance that is
+    not finite included, raises cholesky_factor's CovarianceError naming
+    the first such state.
     """
     states = range(len(covs)) if live is None else np.flatnonzero(live)
     stack = covs if live is None else covs[states]
@@ -432,13 +416,14 @@ def _fitted_covariances(covs: np.ndarray, live: np.ndarray | None
             covs = sym
         else:
             covs[states] = sym
-        if not finite:
-            return covs, None
-        try:
-            chol = _cholesky(covs)
-        except LinAlgError:
-            return covs, None
-        return covs, _factored(chol)
+        if finite:
+            try:
+                chol = _cholesky(covs)
+            except FloatingPointError:
+                pass
+            else:
+                return covs, _factored(chol)
+    return covs, _emission_factor(covs)  # raises, naming the first state that fails
 
 
 def gaussian_log_density(obs, mean, cov, factor: EmissionFactor | None = None):
@@ -485,41 +470,28 @@ def cholesky_factor(cov) -> np.ndarray:
     Input of any other shape raises CovarianceError naming its shape. A
     covariance with a NaN or infinite entry, or one that is not positive
     definite, raises CovarianceError; for a stack the message names the
-    first such state.
+    first such state. The stack is factored in one kernel call, which
+    fills each matrix it cannot factor with NaN; the kernel reads only the
+    lower triangle, so the input is checked for NaN and infinity as well.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim not in (2, 3) or cov.shape[-1] != cov.shape[-2]:
         raise CovarianceError(f"covariance has shape {cov.shape}, expected (d, d) or (S, d, d)")
-    try:
-        if not _all_finite(cov):
-            raise LinAlgError("covariance is not finite")
-        with _kernel_errors():
-            return _cholesky(cov)
-    except LinAlgError as exc:
-        bad, prefix = cov, ""
-        if cov.ndim == 3:
-            state = next(s for s, mat in enumerate(cov) if not _factorable(mat))
-            bad, prefix = cov[state], f"state {state}: "
-        problem = "positive definite" if _all_finite(bad) else "finite"
-        raise CovarianceError(
-            f"{prefix}covariance is not {problem}: {bad.tolist()}"
-        ) from exc
+    with np.errstate(all="ignore"):
+        chol = _cholesky(cov)
+    if _all_finite(cov) and _all_finite(chol):
+        return chol
+    stacked = cov.ndim == 3
+    for state, (mat, factor) in enumerate(zip(cov, chol) if stacked else [(cov, chol)]):
+        if not _all_finite(mat) or not _all_finite(factor):
+            prefix = f"state {state}: " if stacked else ""
+            problem = "positive definite" if _all_finite(mat) else "finite"
+            raise CovarianceError(f"{prefix}covariance is not {problem}: {mat.tolist()}")
 
 
 def _all_finite(values: np.ndarray) -> bool:
     # a few entries: cheaper in Python floats than as np.isfinite(...).all()
     return all(map(math.isfinite, values.ravel().tolist()))
-
-
-def _factorable(cov: np.ndarray) -> bool:
-    if not _all_finite(cov):
-        return False
-    try:
-        with _kernel_errors():
-            _cholesky(cov)
-    except LinAlgError:
-        return False
-    return True
 
 
 def _row_stochastic_violations(transitions: np.ndarray) -> list[str]:
@@ -567,8 +539,10 @@ def validate_model(model: PomdpModel) -> list[str]:
         if not np.allclose(cov, cov.T, atol=1e-12):
             violations.append(f"obs_covs[s={s}] is not symmetric")
             continue
-        min_eig = float(np.linalg.eigvalsh(cov)[0])
-        if min_eig <= 0:
+        try:
+            cholesky_factor(cov)
+        except CovarianceError:
+            min_eig = float(np.linalg.eigvalsh(cov)[0])
             violations.append(
                 f"obs_covs[s={s}] is not positive definite (min eigenvalue {min_eig:.3g})"
             )

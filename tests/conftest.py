@@ -24,6 +24,11 @@ settings.register_profile(
 )
 settings.load_profile("fuzzy_pomdp")
 
+# found by a random search: numpy.linalg.eigvalsh puts its smallest
+# eigenvalue at 0.0078, but its Cholesky factorization fails
+ILL_CONDITIONED = [[268638987563050.4, 132316247527812.94],
+                   [132316247527812.94, 65171438884061.39]]
+
 
 def random_model(rng, num_states=2, num_actions=2, obs_dim=2,
                  mean_scale=1.0, cov_scale=0.5) -> PomdpModel:

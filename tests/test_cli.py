@@ -13,6 +13,8 @@ from fuzzy_pomdp.harness import asset_path
 from fuzzy_pomdp.metrics import evaluate_model
 from fuzzy_pomdp.model import Trajectory, load_env, model_from_dict, save_dataset
 
+from conftest import ILL_CONDITIONED
+
 
 ENV = str(asset_path("synthetic_env.json"))
 FUZZY = str(asset_path("expert_fuzzy_synthetic.json"))
@@ -371,6 +373,8 @@ def _defective_model(defect: str) -> dict:
         model["transitions"][0][1] = [0.6, 0.3, 0.3]
     elif defect == "nan":
         model["obs_means"][2][1] = float("nan")
+    elif defect == "ill_conditioned":
+        model["obs_covs"][1] = ILL_CONDITIONED
     else:
         model["obs_covs"][1] = [[0.01, 0.0], [0.0, -0.01]]
     return model
@@ -380,6 +384,7 @@ def _defective_model(defect: str) -> dict:
     ("row", "transitions[s=0, a=1] sums to 1.2, expected 1"),
     ("nan", "obs_means[s=2, dim=1] is not finite (nan)"),
     ("cov", "obs_covs[s=1] is not positive definite (min eigenvalue -0.01)"),
+    ("ill_conditioned", "obs_covs[s=1] is not positive definite (min eigenvalue 0.00781)"),
 ])
 def test_eval_and_train_reject_an_invalid_model_file(tmp_path, capsys, defect, problem):
     ds = gen_small_dataset(tmp_path)

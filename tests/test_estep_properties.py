@@ -25,7 +25,7 @@ from fuzzy_pomdp import model as model_module
 from fuzzy_pomdp.model import (DEFAULT_COV_RIDGE, CovarianceError, PomdpModel, Trajectory,
                                _emission_factor, regularize_cov)
 
-from conftest import identity_rule, make_fuzzy, random_fuzzy
+from conftest import ILL_CONDITIONED, identity_rule, make_fuzzy, random_fuzzy
 from test_em import enumeration_posteriors
 from test_fuzzy_map import assert_same_fit
 
@@ -429,10 +429,6 @@ def test_mstep_equals_per_pair_oracle_and_logs_each_fallback_once(caplog, case):
 # kinds of state for the covariance gate; "random" is drawn most often
 GATE_KINDS = ("random", "random", "at_ridge", "under_ridge", "massless", "nonfinite",
               "indefinite", "unfactorable", "kept_nonfinite")
-# eigvalsh finds a smallest eigenvalue of 0.0078 > 1e-6, but at this
-# condition number the Cholesky factorization fails
-ILL_CONDITIONED = [[268638987563050.4, 132316247527812.94],
-                   [132316247527812.94, 65171438884061.39]]
 
 
 def gate_counts(kinds, obs_dim, scale, rng):
@@ -447,7 +443,8 @@ def gate_counts(kinds, obs_dim, scale, rng):
     left block and 1 elsewhere on the diagonal, which the gate passes and
     Cholesky rejects (with obs_dim 1, where every covariance the gate
     passes factors, the identity); kept_nonfinite: zero weight and a NaN
-    or infinite entry in the model's covariance, which the M-step keeps.
+    or infinite entry in the model's covariance, which the M-step keeps
+    and then fails to factor.
     The others have zero mean and unit weight, so the M-step's covariance
     is their second moment exactly, up to an optional rotation.
     """
@@ -492,21 +489,25 @@ def gate_counts(kinds, obs_dim, scale, rng):
 
 def reference_factor(covs):
     """Each state's numpy.linalg.cholesky factor and the transpose of its
-    numpy.linalg.inv, state by state, or None when some covariance is not
-    finite or its Cholesky fails."""
-    if not np.isfinite(covs).all():
-        return None
-    try:
-        chols = [np.linalg.cholesky(cov) for cov in covs]
-    except np.linalg.LinAlgError:
-        return None
-    return [(chol, np.linalg.inv(chol).T) for chol in chols]
+    numpy.linalg.inv, state by state, or the text of the CovarianceError
+    naming the first covariance that is not finite or whose Cholesky fails."""
+    factors = []
+    for s, cov in enumerate(covs):
+        if not np.isfinite(cov).all():
+            return f"state {s}: covariance is not finite: {cov.tolist()}"
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            return f"state {s}: covariance is not positive definite: {cov.tolist()}"
+        factors.append((chol, np.linalg.inv(chol).T))
+    return factors
 
 
 def gate_reference(counts, prev):
     """(covariances, lifted states, reference_factor of the covariances)
     from regularize_cov run on each state with mass, in state order, or the
-    text of the first CovarianceError."""
+    text of the first CovarianceError, from regularize_cov or then from
+    reference_factor."""
     covs, lifted = prev.obs_covs.copy(), []
     for s, weight in enumerate(counts.obs_weight.tolist()):
         if weight > 0.0:
@@ -519,7 +520,8 @@ def gate_reference(counts, prev):
             half = 0.5 * raw
             if not np.array_equal(covs[s], half + half.T):
                 lifted.append(s)
-    return covs, lifted, reference_factor(covs)
+    factor = reference_factor(covs)
+    return factor if isinstance(factor, str) else (covs, lifted, factor)
 
 
 def assert_gate_is_reference(counts, prev):
@@ -535,15 +537,11 @@ def assert_gate_is_reference(counts, prev):
         assert got == want
         return
     covs, lifted, factor = want
-    assert isinstance(got, np.ndarray) and np.array_equal(got, covs, equal_nan=True)
+    assert isinstance(got, np.ndarray) and np.array_equal(got, covs)
     # regularize_cov runs on the lifted states alone, once each
     assert [call.args[0].shape for call in calls.call_args_list] == [covs[0].shape] * len(lifted)
-    # the model carries the factor of its covariances, or none where numpy's
-    # Cholesky of one fails or one is not finite
-    carried = vars(model).get("emission_factor")
-    if factor is None:
-        assert carried is None
-        return
+    # the model carries the factor of its covariances
+    carried = vars(model)["emission_factor"]
     for s, (chol, inv_chol_t) in enumerate(factor):
         assert carried.chol[s].tobytes() == chol.tobytes()
         assert carried.inv_chol_t[s].tobytes() == inv_chol_t.tobytes()
@@ -587,21 +585,12 @@ def _second_moment_counts(second_moment):
     return counts, prev
 
 
-@pytest.mark.parametrize("second_moment, problem", [
-    (ILL_CONDITIONED, "positive definite"),
-], ids=["not positive definite"])
-def test_a_stack_the_mstep_cannot_factor_raises_on_first_use_as_before(second_moment, problem):
-    # the M-step itself does not raise; its model has no factor, and its
-    # first use raises what cholesky_factor raises on its covariances
-    model = _mstep_from_counts(*_second_moment_counts(second_moment))
-    assert "emission_factor" not in vars(model)
-    with pytest.raises(CovarianceError) as want:
-        model_module.cholesky_factor(model.obs_covs)
-    assert str(want.value).startswith(f"state 1: covariance is not {problem}: ")
-    for _ in range(2):
-        with pytest.raises(CovarianceError) as got:
-            model.emission_factor
-        assert str(got.value) == str(want.value)
+def test_a_stack_the_mstep_cannot_factor_raises_at_the_mstep():
+    # the eigenvalue gate passes ILL_CONDITIONED, but its Cholesky fails: the
+    # M-step raises what cholesky_factor raises on its covariances
+    with pytest.raises(CovarianceError) as got:
+        _mstep_from_counts(*_second_moment_counts(ILL_CONDITIONED))
+    assert str(got.value) == f"state 1: covariance is not positive definite: {ILL_CONDITIONED}"
 
 
 @pytest.mark.filterwarnings("error")
@@ -650,13 +639,11 @@ def test_an_mstep_enters_one_errstate_and_checks_finiteness_once(kept, monkeypat
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-def test_a_kept_covariance_that_is_not_finite_leaves_the_model_without_a_factor(value):
+def test_a_kept_covariance_that_is_not_finite_raises_at_the_mstep(value):
     # the one finiteness check covers the kept state too: the Cholesky
     # kernel reads only the lower triangle, and would factor this stack
     counts, prev = _second_moment_counts(np.eye(2))
     covs = prev.obs_covs.copy()
     covs[1, 0, 1] = value
-    model = _mstep_from_counts(_without_state_1(counts), replace(prev, obs_covs=covs))
-    assert "emission_factor" not in vars(model)
     with pytest.raises(CovarianceError, match=r"^state 1: covariance is not finite: "):
-        model.emission_factor
+        _mstep_from_counts(_without_state_1(counts), replace(prev, obs_covs=covs))

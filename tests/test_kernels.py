@@ -5,37 +5,30 @@ Random stacks hold 1-4 matrices of 1-3 dims: positive definite, near
 singular, ill-conditioned, indefinite and general ones, scaled from 1e-300
 to 1e300 so that the kernels overflow and underflow too, some with a NaN
 or an infinity below, on or above the diagonal. Each binding must give
-what its wrapper gives, bit for bit, with the same warnings, or raise the
-same exception; the package, run with the wrappers patched in for its
-bindings, is the reference for its own covariance errors. A fit must run
-with every wrapper patched to raise.
+what its wrapper gives, bit for bit, with the same warnings, or raise
+FloatingPointError where its wrapper raises LinAlgError. cholesky_factor
+must give numpy.linalg.cholesky's factor of each state, or name the first
+state that is not finite or that numpy.linalg.cholesky rejects. A fit must
+run with every wrapper patched to raise.
 """
-import dataclasses
 import warnings
-from contextlib import ExitStack
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzy_pomdp import fuzzy_map as fuzzy_map_module, harness
+from fuzzy_pomdp import harness
 from fuzzy_pomdp import model as model_module
-from fuzzy_pomdp.em import EmConfig, SufficientCounts, m_step_standard, run_em
+from fuzzy_pomdp.em import EmConfig, run_em
 from fuzzy_pomdp.fuzzy import load_fuzzy_model
-from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, matchant_matrix, run_fuzzy_map_em
-from fuzzy_pomdp.model import (CovarianceError, PomdpModel, cholesky_factor, gaussian_log_density,
-                               load_env)
+from fuzzy_pomdp.fuzzy_map import FuzzyMapConfig, run_fuzzy_map_em
+from fuzzy_pomdp.model import CovarianceError, cholesky_factor, load_env
 from fuzzy_pomdp.rngs import derive_rng
 
-from conftest import affine_rule, gauss_clause, make_fuzzy
+from conftest import ILL_CONDITIONED
 
 KINDS = ("positive definite", "near singular", "ill-conditioned", "indefinite", "general")
 POISONS = (None, None, "below", "on", "above")
-# found by a random search: eigvalsh puts its smallest eigenvalue at 0.0078,
-# but Cholesky fails on it
-ILL_CONDITIONED = [[268638987563050.4, 132316247527812.94],
-                   [132316247527812.94, 65171438884061.39]]
 
 
 def _matrix(kind: str, dim: int, rng) -> np.ndarray:
@@ -119,11 +112,19 @@ def test_each_kernel_call_is_its_wrapper_bit_for_bit(stack, seed):
     rng = np.random.default_rng(seed)
     num, dim = stack.shape[:2]
     rhs = rng.normal(size=(num, dim, 1))
+    # a binding whose wrapper raises LinAlgError leaves the invalid flag to
+    # the caller's np.errstate, which raises it as FloatingPointError
+    for binding, wrapper, arrays in ((model_module._cholesky, np.linalg.cholesky, (stack,)),
+                                     (model_module._inv, np.linalg.inv, (stack,)),
+                                     (model_module._eigvalsh, np.linalg.eigvalsh, (stack,)),
+                                     (model_module._solve, np.linalg.solve, (stack, rhs))):
+        want = _outcome(lambda: wrapper(*arrays))
+        if want[0][0] == "raises":
+            assert want[0][1] is np.linalg.LinAlgError
+            want = (("raises", FloatingPointError,
+                     f"invalid value encountered in {binding.func.__name__}", None), want[1])
+        _assert_same(_outcome(lambda: _bound(binding, *arrays)), want)
     pairs = [
-        (lambda: _bound(model_module._cholesky, stack), lambda: np.linalg.cholesky(stack)),
-        (lambda: _bound(model_module._inv, stack), lambda: np.linalg.inv(stack)),
-        (lambda: _bound(model_module._eigvalsh, stack), lambda: np.linalg.eigvalsh(stack)),
-        (lambda: _bound(model_module._solve, stack, rhs), lambda: np.linalg.solve(stack, rhs)),
         (lambda: model_module._det(stack), lambda: np.linalg.det(stack)),
         (lambda: model_module._einsum("...d,...d->...", stack, stack),
          lambda: np.einsum("...d,...d->...", stack, stack)),
@@ -134,61 +135,32 @@ def test_each_kernel_call_is_its_wrapper_bit_for_bit(stack, seed):
         _assert_same(_outcome(binding), _outcome(wrapper))
 
 
-def _with_wrappers():
-    """The numpy.linalg and np.einsum functions patched in for the
-    package's kernel bindings, where each module looks them up."""
-    patches = ExitStack()
-    for module, name, wrapper in (
-            (model_module, "_cholesky", np.linalg.cholesky), (model_module, "_inv", np.linalg.inv),
-            (model_module, "_eigvalsh", np.linalg.eigvalsh), (model_module, "_einsum", np.einsum),
-            (fuzzy_map_module, "_solve", np.linalg.solve), (fuzzy_map_module, "_det", np.linalg.det),
-            (fuzzy_map_module, "_einsum", np.einsum)):
-        patches.enter_context(mock.patch.object(module, name, wrapper))
-    return patches
+def _first_rejected(stack):
+    """(state, problem) for the first state of stack that is not finite or
+    that numpy.linalg.cholesky rejects, or None."""
+    for state, cov in enumerate(stack):
+        if not np.isfinite(cov).all():
+            return state, "finite"
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            return state, "positive definite"
+    return None
 
 
-def _covariance_paths(stack, rng):
-    """Every package path a covariance stack takes on a fit: the factor,
-    densities, an M-step whose counts give the stack as covariances plus
-    the first use of its model, the same M-step with state 0 keeping the
-    stack's covariance for want of mass, and expected firing strengths."""
-    num, dim = stack.shape[:2]
-    means = rng.normal(size=(num, dim))
-    obs = rng.normal(size=(3, dim))
-    model = PomdpModel(num, 1, dim, transitions=np.full((num, 1, num), 1.0 / num),
-                       obs_means=means, obs_covs=stack)
-    counts = SufficientCounts(trans=np.ones((num, 1, num)), obs_weight=np.ones(num),
-                              obs_sum=np.zeros((num, dim)), obs_outer=stack)
-    rules = make_fuzzy([affine_rule(np.zeros(dim), np.eye(dim),
-                                    clauses=[gauss_clause(d, 0.0, 0.5) for d in range(dim)]),
-                        affine_rule(np.ones(dim), np.eye(dim), clauses=[gauss_clause(0, 1.0, 0.3)])],
-                       dim, num_actions=1)
-
-    def fitted(counts):
-        fit = m_step_standard(counts, model, EmConfig())
-        return fit.obs_covs, *fit.emission_factor
-
-    kept = dataclasses.replace(counts, obs_weight=np.r_[0.0, np.ones(num - 1)])
-    return {
-        "cholesky_factor": lambda: cholesky_factor(stack),
-        "gaussian_log_density": lambda: gaussian_log_density(obs, means, stack),
-        "M-step and first use": lambda: fitted(counts),
-        "M-step keeping state 0 and first use": lambda: fitted(kept),
-        "matchant_matrix": lambda: matchant_matrix(model, rules, FuzzyMapConfig()),
-    }
-
-
-@given(stacks(), st.integers(0, 2**32 - 1))
-def test_the_package_raises_what_it_raised_through_the_wrappers(stack, seed):
-    # each run builds its own model, so that no emission factor is kept between them
-    with _with_wrappers():
-        want = {name: _outcome(call) for name, call in _covariance_paths(
-            stack, np.random.default_rng(seed)).items()}
-    for name, call in _covariance_paths(stack, np.random.default_rng(seed)).items():
-        got = _outcome(call)
-        assert got == want[name], name
-        if got[0][0] == "raises":
-            assert got[1] == [], name
+@given(stacks())
+def test_cholesky_factor_is_numpy_cholesky_or_names_the_state_numpy_rejects(stack):
+    rejected = _first_rejected(stack)
+    if rejected is None:
+        want = _outcome(lambda: np.array([np.linalg.cholesky(cov) for cov in stack]))
+    else:
+        state, problem = rejected
+        text = f"covariance is not {problem}: {stack[state].tolist()}"
+        want = (("raises", CovarianceError, f"state {state}: {text}", None), [])
+        # the one matrix alone is named without its state
+        assert _outcome(lambda: cholesky_factor(stack[state])) == (
+            ("raises", CovarianceError, text, None), [])
+    _assert_same(_outcome(lambda: cholesky_factor(stack)), want)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -36,7 +36,7 @@ from fuzzy_pomdp.model import (
 )
 from fuzzy_pomdp.harness import asset_path
 
-from conftest import random_dataset, random_model, relabel_states
+from conftest import ILL_CONDITIONED, random_dataset, random_model, relabel_states
 
 
 # ---------------------------------------------------------------- densities
@@ -233,6 +233,25 @@ def test_validate_model_flags_indefinite_covariance():
                      m.obs_means, covs, m.initial_dist)
     msgs = validate_model(bad)
     assert any("0" in msg for msg in msgs)
+
+
+def test_a_covariance_cholesky_rejects_is_invalid_though_its_eigenvalues_are_positive(tmp_path):
+    # eigvalsh puts ILL_CONDITIONED's smallest eigenvalue at 0.0078, but no
+    # model holding it can be scored: validate_model decides by Cholesky, as
+    # the scorer does, and load_model refuses the file
+    m = random_model(np.random.default_rng(2))
+    covs = m.obs_covs.copy()
+    covs[1] = ILL_CONDITIONED
+    bad = PomdpModel(m.num_states, m.num_actions, m.obs_dim, m.transitions,
+                     m.obs_means, covs, m.initial_dist)
+    problem = "obs_covs[s=1] is not positive definite (min eigenvalue 0.00781)"
+    assert validate_model(bad) == [problem]
+    with pytest.raises(CovarianceError, match=r"^state 1: covariance is not positive definite"):
+        bad.emission_factor
+    p = tmp_path / "m.json"
+    write_json(model_to_dict(bad), p)
+    with pytest.raises(ValueError, match=rf"^invalid model: {re.escape(problem)}$"):
+        load_model(p)
 
 
 def test_validate_model_flags_negative_entries():
