@@ -70,15 +70,13 @@ def _ramp_down(x, lo, hi):
 def membership(mf: MembershipFunction, x):
     """Degree in [0, 1] to which x belongs to the term; vectorizes over x."""
     x = np.asarray(x, dtype=float)
-    if mf.shape == "triangular":
-        a, b, c = mf.params
-        value = np.minimum(_ramp_up(x, a, b), _ramp_down(x, b, c))
-    elif mf.shape == "trapezoidal":
-        a, b, c, d = mf.params
-        value = np.minimum(_ramp_up(x, a, b), _ramp_down(x, c, d))
-    else:
+    if mf.shape == "gaussian":
         center, sigma = mf.params
         value = np.exp(-0.5 * ((x - center) / sigma) ** 2)
+    else:
+        # a triangle (a, b, c) is the trapezoid (a, b, b, c)
+        a, b, c, d = mf.params if mf.shape == "trapezoidal" else mf.params[:2] + mf.params[1:]
+        value = np.minimum(_ramp_up(x, a, b), _ramp_down(x, c, d))
     return float(value) if value.ndim == 0 else value
 
 

@@ -325,7 +325,8 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
     algorithms then fit from every init, restart r's fuzzy-MAP fit seeded
     by seed * 1000 + r, and each keeps its fit with the highest final
     log-likelihood, the first one on a tie. The dataset is checked and
-    prepared once (em._FitData) for all of the seed's fits.
+    prepared once (em._FitData) for all of the seed's fits; a dataset it
+    refuses raises its ValueError, cells or not.
 
     Fuzzy-MAP is fitted at each (lambda_t, lambda_o) of cells, by default
     the config's own pair only. With cells given, "fuzzy_map" lists each
@@ -353,12 +354,8 @@ def run_paired_seed(env: GroundTruthEnv | None, fuzzy: FuzzyModel,
     em_config = EmConfig(max_iterations=config.max_iterations)
     # fm_fits holds, per cell, its fuzzy-MAP fits so far or the error that stopped it
     em_fits, fm_fits = [], [[] for _ in lambdas]
-    try:
-        # one preparation serves every fit of the seed; a dataset that it
-        # refuses fails every cell with its error, as a failed em_0 would
-        data = _FitData(dataset, inits[0].num_actions, inits[0].obs_dim)
-    except Exception as err:
-        fm_fits = [err for _ in lambdas]
+    # one preparation serves every fit of the seed
+    data = _FitData(dataset, inits[0].num_actions, inits[0].obs_dim)
     for r, init in enumerate(inits):
         alive = [i for i, fits in enumerate(fm_fits) if isinstance(fits, list)]
         if not alive:
@@ -432,7 +429,7 @@ def _eval_row(config: ExperimentConfig, seed: int, algorithm: str,
         report = evaluate_model(model, env)
         row["l1_avg"] = report.l1_transition
         row["l1_total"] = report.l1_transition_total
-        row.update(zip(kl_columns(report.kl_per_state), report.kl_per_state.values()))
+        row.update(zip(kl_cols, report.kl_per_state.values()))
     return row
 
 

@@ -3,11 +3,13 @@ and automatic matching of learned states to ground-truth labels.
 
 KL divergences are taken truth-first, KL(true Beta-product || learned
 Gaussian), so a learned model is penalized for missing mass where the true
-process puts it. Divergences that blow up are reported as the +inf
-sentinel rather than a huge unstable number. The truth side of each KL,
-every truth state's log density and quadrature mass on the grid, depends
-only on the Beta parameters: a process builds it once per parameter set
-and keeps it, as it keeps the grid.
+process puts it. Each is estimated by Gauss-Legendre quadrature on
+[0, 1]^d, every (truth, learned) cell of a cost matrix at once (_kl_costs).
+Divergences that blow up are reported as the +inf sentinel rather than a
+huge unstable number. The truth side of each KL, every truth state's log
+density and quadrature mass on the grid, depends only on the Beta
+parameters: a process builds it once per parameter set and keeps it, as it
+keeps the grid.
 """
 
 from __future__ import annotations
@@ -63,20 +65,16 @@ def quadrature_grid(obs_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def kl_quadrature(logp: np.ndarray, logq: np.ndarray, weights: np.ndarray) -> float:
-    """E_p[log p - log q] from log densities on a quadrature_grid's points.
-
-    Returns the raw estimate, clamped at 0 from below, or +inf when it
-    exceeds the ceiling or the q density underflows where p carries mass.
-    """
-    return _kl_estimate(logp, weights * np.exp(logp), logq, logq < LOG_TINY)
-
-
 def _kl_estimate(logp: np.ndarray, p_mass: np.ndarray, logq: np.ndarray,
                  underflow: np.ndarray) -> float:
-    """kl_quadrature's estimate from the truth's log density and quadrature
-    mass (weights * exp(logp)) and the learned log density and its
-    underflow mask (logq < LOG_TINY)."""
+    """E_p[log p - log q] on a quadrature_grid's points, from the truth's
+    log density and quadrature mass (weights * exp(logp)) and the learned
+    log density and its underflow mask (logq < LOG_TINY).
+
+    Returns the raw estimate, clamped at 0 from below, or +inf when it
+    exceeds KL_CEILING or the learned density underflows where the truth
+    carries more than UNDERFLOW_MASS_TOL of its mass.
+    """
     if underflow.any() and p_mass[underflow].sum() > UNDERFLOW_MASS_TOL:
         log.debug(
             "learned density underflows on %.3g of the truth mass; reporting inf",
@@ -157,7 +155,7 @@ def _kl_costs(beta_params: np.ndarray, means: np.ndarray, covs: np.ndarray,
     (S, d, d), with `factor` their EmissionFactor if already built. Each
     learned state's log density and underflow mask is taken on the grid
     once per call, each truth state's from _truth_on_grid's cache, and every
-    cell is kl_quadrature's estimate."""
+    cell is _kl_estimate's."""
     beta_params = np.asarray(beta_params, dtype=float)
     points, _ = quadrature_grid(beta_params.shape[1])
     logq = gaussian_log_density(points, means, covs, factor)  # (S, n)

@@ -226,7 +226,8 @@ class GroundTruthEnv:
 
     beta_params is indexed (state, obs_dimension, 2) holding the (alpha,
     beta) shape pair of each emitter; observation components are sampled
-    independently per dimension and lie in [0, 1].
+    independently per dimension and lie in [0, 1]. There is no initial
+    distribution: sample_trajectory draws every first state uniformly.
     """
 
     transitions: np.ndarray
@@ -267,39 +268,27 @@ class GroundTruthEnv:
         """(S, A, S) read-only: each transition row as the CDF that
         Generator.choice searches, built on first use and kept. Raises the
         ValueError that choice raises for the first row it would reject."""
-        num_states = self.num_states
         cdfs = np.empty(self.transitions.shape)
         for s, a in np.ndindex(cdfs.shape[:2]):
             try:
-                cdfs[s, a] = _choice_cdf(self.transitions[s, a], num_states)
+                cdfs[s, a] = _choice_cdf(self.transitions[s, a])
             except ValueError as err:
                 raise ValueError(f"transitions[s={s}, a={a}]: {err}") from None
         cdfs.flags.writeable = False
         return cdfs
 
-    @cached_property
-    def beta_pairs(self) -> tuple[tuple[tuple[float, float], ...], ...]:
-        """beta_params as Python floats: one (alpha, beta) pair per state and
-        dimension, built on first use and kept."""
-        return tuple(tuple(map(tuple, state)) for state in self.beta_params.tolist())
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that numpy's Generator.choice(len(p), p=p) searches, for a
+    one-dimensional float array p.
 
-def _choice_cdf(p, size: int) -> np.ndarray:
-    """The CDF that numpy's Generator.choice(size, p=p) searches.
-
-    Raises the ValueError that choice raises for p: not one-dimensional,
-    not `size` entries, a NaN, a negative entry, or a sum more than
-    sqrt(eps) away from 1 (choice's sum is Kahan-compensated, so a sum
-    within an ulp of that bound may be judged differently). The CDF is
-    choice's own, the cumulative sum over its last entry, so
-    `cdf.searchsorted(rng.random(), side="right")` is the draw choice makes
-    from the same generator state.
+    Raises the ValueError that choice raises for p: a NaN, a negative
+    entry, or a sum more than sqrt(eps) away from 1 (choice's sum is
+    Kahan-compensated, so a sum within an ulp of that bound may be judged
+    differently). The CDF is choice's own, the cumulative sum over its last
+    entry, so `cdf.searchsorted(rng.random(), side="right")` is the draw
+    choice makes from the same generator state.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("p must be 1-dimensional")
-    if p.size != size:
-        raise ValueError("a and p must have same size")
     total = p.sum()
     if np.isnan(total):
         raise ValueError("Probabilities contain NaN")
@@ -390,17 +379,17 @@ def _fitted_covariances(covs: np.ndarray, live: np.ndarray | None
     check, since symmetrizing and lifting keep a finite matrix finite; the
     eigvalsh, the Cholesky factor and its inverse share one
     _kernel_errors(). A rejected covariance raises CovarianceError naming
-    its state. A live covariance that is not finite sends the live states
-    through regularize_cov one by one, so the first failing state raises.
-    A regularized stack that does not factor, a kept covariance that is
-    not finite included, raises cholesky_factor's CovarianceError naming
-    the first such state.
+    its state. A stack that is not finite sends the live states through
+    regularize_cov one by one, which gives the same bits, so the first
+    failing live state raises. A regularized stack that does not factor,
+    a kept covariance that is not finite included, raises
+    cholesky_factor's CovarianceError naming the first such state.
     """
     states = range(len(covs)) if live is None else np.flatnonzero(live)
     stack = covs if live is None else covs[states]
     finite = _all_finite(covs)
     with _kernel_errors():
-        if finite or live is not None and _all_finite(stack):
+        if finite:
             half = 0.5 * stack  # halved first, as in regularize_cov
             sym = half + half.swapaxes(-1, -2)
             smallest = _eigvalsh(sym)[:, 0].tolist()
@@ -593,30 +582,28 @@ def sample_trajectory(
     policy: Policy,
     horizon: int,
     rng: np.random.Generator,
-    initial_dist: np.ndarray | None = None,
     return_states: bool = False,
 ):
     """Roll out one trajectory of `horizon` observations from the environment.
 
-    The initial state is drawn from initial_dist (uniform when omitted);
-    each observation component comes from the current state's Beta emitter,
-    and policy(t, rng) picks the action steering the next transition.
-    Fully reproducible given the Generator state.
+    The initial state is drawn uniformly; each observation component comes
+    from the current state's Beta emitter, and policy(t, rng) picks the
+    action steering the next transition. Fully reproducible given the
+    Generator state. With return_states, the latent state path comes back
+    too, as `(trajectory, states)`.
 
-    Each state is drawn as numpy's Generator.choice draws it, from the
-    env's transition_cdfs, and each observation component is one scalar
-    rng.beta call in dimension order, so the draws, and the generator state
-    after them, are those of rng.choice(S, p=row) and a vector rng.beta.
-    An initial_dist or transition row that choice would reject raises its
-    ValueError before the first draw.
+    Each state is drawn as numpy's Generator.choice draws it, the first
+    from the uniform CDF and each later one from the env's transition_cdfs,
+    and each observation component is one scalar rng.beta call in
+    dimension order, so the draws, and the generator state after them, are
+    those of rng.choice(S, p=row) and a vector rng.beta. A transition row
+    that choice would reject raises its ValueError before the first draw.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     s_count = env.num_states
-    if initial_dist is None:
-        initial_dist = np.full(s_count, 1.0 / s_count)
-    initial_cdf = _choice_cdf(initial_dist, s_count)
-    cdfs, betas = env.transition_cdfs, env.beta_pairs
+    initial_cdf = _choice_cdf(np.full(s_count, 1.0 / s_count))
+    cdfs, betas = env.transition_cdfs, env.beta_params.tolist()
     state = int(initial_cdf.searchsorted(rng.random(), side="right"))
     states = [state]
     observations = [[rng.beta(a, b) for a, b in betas[state]]]

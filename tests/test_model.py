@@ -103,10 +103,8 @@ def test_sample_trajectory_absorbing_state_stays_put():
     env = GroundTruthEnv(transitions=trans, beta_params=beta,
                          state_labels=("a", "b"))
     traj, states = sample_trajectory(env, make_policy("fixed:0", 1), 50,
-                                     np.random.default_rng(5),
-                                     initial_dist=np.array([0.0, 1.0]),
-                                     return_states=True)
-    assert np.all(states == 1)
+                                     np.random.default_rng(5), return_states=True)
+    assert np.all(states[1:] == 1)
     assert traj.observations.shape == (50, 1)
 
 
@@ -129,19 +127,6 @@ def test_sample_trajectory_rejects_what_choice_rejects(row):
     policy = make_policy("fixed:0", 1)
     with pytest.raises(ValueError, match=r"transitions\[s=1, a=0\]"):
         sample_trajectory(_env_with_row(row), policy, 3, np.random.default_rng(0))
-    good = _env_with_row([0.25, 0.75])
-    with pytest.raises(ValueError):
-        sample_trajectory(good, policy, 3, np.random.default_rng(0), initial_dist=row)
-
-
-@pytest.mark.parametrize("initial_dist", [[1.0], [0.25, 0.25, 0.5], [[0.5, 0.5]]],
-                         ids=["short", "long", "2-D"])
-def test_sample_trajectory_rejects_an_initial_dist_of_the_wrong_shape(initial_dist):
-    with pytest.raises(ValueError):
-        np.random.default_rng(0).choice(2, p=initial_dist)
-    with pytest.raises(ValueError):
-        sample_trajectory(_env_with_row([0.25, 0.75]), make_policy("fixed:0", 1), 3,
-                          np.random.default_rng(0), initial_dist=initial_dist)
 
 
 def test_sample_trajectory_accepts_the_sums_choice_accepts():
@@ -149,19 +134,16 @@ def test_sample_trajectory_accepts_the_sums_choice_accepts():
     row = [0.5, 0.5 + 1e-9]
     np.random.default_rng(0).choice(2, p=row)
     traj = sample_trajectory(_env_with_row(row), make_policy("fixed:0", 1), 5,
-                             np.random.default_rng(0), initial_dist=row)
+                             np.random.default_rng(0))
     assert len(traj) == 5
 
 
 def test_sample_trajectory_empirical_transition_frequencies():
-    # long single run started in the last state under a fixed action:
-    # empirical next-state frequencies track that transition row
+    # long single run under a fixed action: the empirical next-state
+    # frequencies over every visit to the last state track its transition row
     env = _load_bundled_env()
-    start = np.zeros(3)
-    start[2] = 1.0
     _, states = sample_trajectory(env, make_policy("fixed:0", 2), 10_000,
-                                  np.random.default_rng(9),
-                                  initial_dist=start, return_states=True)
+                                  np.random.default_rng(9), return_states=True)
     mask = states[:-1] == 2
     assert mask.sum() > 2_000
     nxt = states[1:][mask]

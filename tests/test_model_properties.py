@@ -175,13 +175,12 @@ def test_regularize_cov_is_lift_then_check(cov, ridge):
         assert np.array_equal(regularize_cov(cov, ridge), want)
 
 
-def _sample_with_choice(env, policy, horizon, rng, initial_dist=None):
+def _sample_with_choice(env, policy, horizon, rng):
     """The sampler as it was before the CDFs were cached: rng.choice for
-    every state, one vector rng.beta for every observation."""
+    every state, the first from the uniform row, one vector rng.beta for
+    every observation."""
     s_count = env.num_states
-    if initial_dist is None:
-        initial_dist = np.full(s_count, 1.0 / s_count)
-    state = int(rng.choice(s_count, p=initial_dist))
+    state = int(rng.choice(s_count, p=np.full(s_count, 1.0 / s_count)))
     states = [state]
     observations = np.empty((horizon, env.obs_dim))
     actions = np.empty(horizon - 1, dtype=int)
@@ -219,23 +218,19 @@ def envs(draw, obs_dim=None):
     )
 
 
-def _assert_same_rollout(env, policy, horizon, new_rng, old_rng, initial_dist):
-    traj, states = sample_trajectory(env, policy, horizon, new_rng, initial_dist,
-                                     return_states=True)
-    observations, actions, old_states = _sample_with_choice(
-        env, policy, horizon, old_rng, initial_dist)
+def _assert_same_rollout(env, policy, horizon, new_rng, old_rng):
+    traj, states = sample_trajectory(env, policy, horizon, new_rng, return_states=True)
+    observations, actions, old_states = _sample_with_choice(env, policy, horizon, old_rng)
     assert np.array_equal(traj.observations, observations)
     assert np.array_equal(traj.actions, actions)
     assert np.array_equal(states, old_states)
     assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
-@given(envs(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans(), st.data())
-def test_sample_trajectory_draws_as_choice_and_vector_beta(env, horizon, seed, given_init,
-                                                           data):
-    initial_dist = data.draw(probability_rows((env.num_states,))) if given_init else None
+@given(envs(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_sample_trajectory_draws_as_choice_and_vector_beta(env, horizon, seed):
     _assert_same_rollout(env, make_policy("uniform", env.num_actions), horizon,
-                         np.random.default_rng(seed), np.random.default_rng(seed), initial_dist)
+                         np.random.default_rng(seed), np.random.default_rng(seed))
 
 
 # numpy's PCG64 steps its 128-bit state s -> s * _PCG_MULT + inc and outputs
@@ -280,9 +275,7 @@ def test_sample_trajectory_draws_on_a_cdf_edge_as_choice_does(data):
     # states, so the first two uniforms pick the initial state and the first
     # transition; each lands exactly on an edge of its CDF
     env = data.draw(envs(obs_dim=0))
-    initial_dist = data.draw(st.none() | probability_rows((env.num_states,)))
-    start = np.full(env.num_states, 1.0 / env.num_states) if initial_dist is None \
-        else initial_dist
+    start = np.full(env.num_states, 1.0 / env.num_states)
     u0 = data.draw(st.sampled_from(_edges(start)))
     first = int(_rigged_rng(u0, 0.0).choice(env.num_states, p=start))
     u1 = data.draw(st.sampled_from(_edges(env.transitions[first, 0])))
@@ -290,7 +283,7 @@ def test_sample_trajectory_draws_on_a_cdf_edge_as_choice_does(data):
     assert (check.random(), check.random()) == (u0, u1)
     _assert_same_rollout(env, make_policy("cycle", env.num_actions),
                          data.draw(st.integers(2, 12)),
-                         _rigged_rng(u0, u1), _rigged_rng(u0, u1), initial_dist)
+                         _rigged_rng(u0, u1), _rigged_rng(u0, u1))
 
 
 @given(models())
