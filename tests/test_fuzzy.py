@@ -65,6 +65,16 @@ def test_degenerate_triangular_is_crisp_indicator():
     assert membership(crisp, 2.5) == 0.0
 
 
+def test_a_triangle_is_the_trapezoid_with_its_peak_as_both_shoulders():
+    x = np.concatenate([np.linspace(-1.5, 2.5, 401), [0.0, 1e-310, 0.3, 1.0]])
+    for a, b, c in [(0.0, 0.5, 1.0), (-1.0, 0.3, 0.4), (0.0, 0.0, 1.0), (0.0, 1.0, 1.0),
+                    (2.0, 2.0, 2.0), (0.0, 1e-310, 1.0)]:
+        tri = MembershipFunction("triangular", (a, b, c))
+        trap = MembershipFunction("trapezoidal", (a, b, b, c))
+        assert np.array_equal(membership(tri, x), membership(trap, x))
+        assert [membership(tri, v) for v in x[::40]] == [membership(trap, v) for v in x[::40]]
+
+
 def test_subnormal_width_edges_do_not_overflow():
     # an edge narrower than ~1e-308 once overflowed the slope (x - lo) / width
     x = np.array([-1.0, 0.0, 5e-311, 1e-310, 0.5, 1.0, 2.0])

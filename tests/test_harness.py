@@ -363,6 +363,28 @@ def test_a_seed_whose_data_is_refused_fails_as_its_first_fit_did(tmp_path, monke
     assert [row["seed"] for row in report["rows"]] == [0, 0]
 
 
+@pytest.mark.parametrize("cells", [None, [(0.1, 0.05), (0.0, 0.0)]], ids=["config", "cells"])
+def test_run_paired_seed_raises_the_error_of_data_it_refuses(cells, tmp_path, monkeypatch):
+    # the seed's one preparation refuses the data before any fit, with the
+    # ValueError run_em raises on it, whether or not cells are given
+    env = load_env(asset_path("synthetic_env.json"))
+    fz = load_fuzzy_model(asset_path("expert_fuzzy_synthetic.json"))
+    cfg = _fast_low_data(tmp_path)
+    bad = synthetic_dataset(env, cfg, 0)
+    bad[0] = Trajectory(observations=bad[0].observations, actions=np.full(cfg.horizon - 1, 5))
+    init = random_init(bad, cfg.num_states, env.num_actions, derive_rng(0, "init", 0))
+    with pytest.raises(ValueError) as refused:
+        run_em(bad, init, EmConfig())
+    fits = []
+    for name in ("run_em", "run_fuzzy_map_em"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name: fits.append(name))
+    monkeypatch.setattr(harness, "synthetic_dataset", lambda env, config, seed: bad)
+    with pytest.raises(ValueError) as raised:
+        run_paired_seed(env, fz, cfg, seed=0, cells=cells)
+    assert str(raised.value) == str(refused.value)
+    assert fits == []
+
+
 @pytest.mark.parametrize("num_states, tnorm", [(2, "product"), (3, "minimum")])
 def test_mg_seed_is_one_restart_from_a_kmeans_init(num_states, tnorm):
     # mg_pipeline fits both algorithms once, from a k-means init with the
